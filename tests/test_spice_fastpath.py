@@ -1,12 +1,12 @@
-"""Golden-parity and determinism tests for the simulation fast path.
+"""Golden-parity and determinism tests for the simulation engine.
 
 The cached-assembly engine (linear base stamped once per solve, nonlinear
 devices restamped per Newton iterate, no post-convergence re-assembly,
-scalar device evaluation) must reproduce the frozen seed engine
-(``TransientOptions(legacy_reference=True)``) to within 1e-9 V / 1e-9 A on
-the paper's Fig. 2 driver-bank circuit, across both integration methods
-and both stepping modes.  The parallel experiment layer must return
-results identical to the serial path, in the same order.
+scalar device evaluation) must reproduce the waveforms the retired seed
+engine produced — frozen in ``tests/data/legacy_reference.npz`` — to within
+1e-9 V / 1e-9 A on the paper's Fig. 2 driver-bank circuit, across both
+integration methods and both stepping modes.  The parallel experiment
+layer must return results identical to the serial path, in the same order.
 """
 
 import dataclasses
@@ -20,14 +20,13 @@ from repro.analysis.parallel import parallel_map, resolve_workers
 from repro.analysis.simulate import (
     default_stop_time,
     default_time_step,
-    simulate_ssn,
     simulate_ssn_cached,
 )
 from repro.analysis.sweeps import sweep_driver_count
 from repro.spice import Circuit, Ramp
 from repro.spice.transient import TransientOptions, transient
 
-#: Fast-path waveforms must stay within this of the seed engine.
+#: Waveforms must stay within this of the frozen seed-engine reference.
 PARITY_TOL = 1e-9
 
 
@@ -45,18 +44,12 @@ def fig2_spec(tech018):
     )
 
 
-def _run_both(spec, **option_kwargs):
-    """One circuit per engine (element state is engine-owned but cached
-    companion coefficients live on elements; separate instances keep the
-    comparison airtight)."""
+def _run_fast(spec, **option_kwargs):
     tstop = default_stop_time(spec)
     dt = 4.0 * default_time_step(spec)  # coarser than production: parity
     # holds at any step size and the test stays fast.
-    fast = transient(build_driver_bank(spec), tstop, dt,
+    return transient(build_driver_bank(spec), tstop, dt,
                      options=TransientOptions(**option_kwargs))
-    ref = transient(build_driver_bank(spec), tstop, dt,
-                    options=TransientOptions(legacy_reference=True, **option_kwargs))
-    return fast, ref
 
 
 @pytest.mark.parametrize(
@@ -64,25 +57,26 @@ def _run_both(spec, **option_kwargs):
     [("trap", False), ("be", False), ("trap", True), ("be", True)],
     ids=["trap-fixed", "be-fixed", "trap-adaptive", "be-adaptive"],
 )
-def test_fastpath_matches_seed_engine(fig2_spec, method, adaptive):
-    fast, ref = _run_both(fig2_spec, method=method, adaptive=adaptive)
+def test_fastpath_matches_seed_engine(fig2_spec, legacy_reference, method, adaptive):
+    fast = _run_fast(fig2_spec, method=method, adaptive=adaptive)
+    ref = legacy_reference(f"fig2-{method}-{'adaptive' if adaptive else 'fixed'}")
 
     assert len(fast.times) == len(ref.times), "step sequences diverged"
     assert np.max(np.abs(fast.times - ref.times)) < 1e-18
 
     for node in ref.node_names:
-        dv = np.max(np.abs(fast.voltage(node).y - ref.voltage(node).y))
+        dv = np.max(np.abs(fast.voltage(node).y - ref.voltage(node)))
         assert dv <= PARITY_TOL, f"node {node}: |dV| = {dv:.3e} V"
 
     circuit = build_driver_bank(fig2_spec)
     for el in circuit.elements:
         if not hasattr(el, "current"):
             continue
-        di = np.max(np.abs(fast.current(el.name).y - ref.current(el.name).y))
+        di = np.max(np.abs(fast.current(el.name).y - ref.current(el.name)))
         assert di <= PARITY_TOL, f"element {el.name}: |dI| = {di:.3e} A"
 
 
-def test_fastpath_matches_seed_engine_linear_circuit():
+def test_fastpath_matches_seed_engine_linear_circuit(legacy_reference):
     """Pure-RLC circuit: exercises the direct solve + LU cache across
     steps, dt changes and breakpoint restarts."""
 
@@ -96,13 +90,12 @@ def test_fastpath_matches_seed_engine_linear_circuit():
 
     for method in ("trap", "be"):
         fast = transient(make(), 2e-9, 5e-12, options=TransientOptions(method=method))
-        ref = transient(make(), 2e-9, 5e-12,
-                        options=TransientOptions(method=method, legacy_reference=True))
+        ref = legacy_reference(f"rlc-{method}")
         assert len(fast.times) == len(ref.times)
         for node in ref.node_names:
-            dv = np.max(np.abs(fast.voltage(node).y - ref.voltage(node).y))
+            dv = np.max(np.abs(fast.voltage(node).y - ref.voltage(node)))
             assert dv <= PARITY_TOL, f"{method}/{node}: |dV| = {dv:.3e} V"
-        di = np.max(np.abs(fast.current("L1").y - ref.current("L1").y))
+        di = np.max(np.abs(fast.current("L1").y - ref.current("L1")))
         assert di <= PARITY_TOL
 
 
@@ -177,11 +170,3 @@ class TestParallelDeterminism:
 def _square(v):
     return v * v
 
-
-def test_legacy_reference_option_still_simulates(tech018):
-    """The frozen seed engine stays usable end-to-end (benchmarks rely on it)."""
-    spec = DriverBankSpec(
-        technology=tech018, n_drivers=1, inductance=5e-9, rise_time=0.5e-9
-    )
-    sim = simulate_ssn(spec, options=TransientOptions(legacy_reference=True))
-    assert sim.peak_voltage > 0.0
