@@ -2,7 +2,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: install test bench bench-smoke bench-perf campaign-smoke trace-smoke softdep-smoke serve-smoke surrogate-smoke status-smoke reports examples clean
+.PHONY: install test bench bench-smoke bench-perf campaign-smoke trace-smoke serve-smoke surrogate-smoke status-smoke reports examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -19,7 +19,7 @@ bench:
 bench-smoke:
 	$(PY) -m pytest benchmarks/bench_perf.py -q -s --quick
 
-# Fast-path vs seed-engine perf regression; writes BENCH_perf.json.
+# Batch/sparse/surrogate perf regression gates; writes BENCH_perf.json.
 bench-perf:
 	$(PY) -m pytest benchmarks/bench_perf.py -q -s
 
@@ -50,12 +50,6 @@ trace-smoke:
 	  assert 'repro_phase_seconds_bucket' in text, 'phase histogram missing'; \
 	  print('prometheus export ok')"
 	rm -f trace_smoke.json metrics_smoke.prom
-
-# Soft-dependency smoke: run the engine with scipy blocked at the import
-# machinery and numba disabled, proving the dense/numpy fallbacks of the
-# sparse tier, the batched rank-1 lane and the compiled MOSFET kernel.
-softdep-smoke:
-	$(PY) scripts/softdep_smoke.py
 
 # Serving-layer smoke: a live in-process server answers a cold /simulate
 # (miss), its bit-identical repeat from the persistent store (hit), and

@@ -1,19 +1,16 @@
-"""Benchmark P1 — engine fast path and batched ensemble vs their baselines.
+"""Benchmark P1 — batched, sparse and surrogate engines vs their baselines.
 
-Four regression-tracked comparisons:
+Regression-tracked comparisons:
 
-* the cached-assembly scalar engine against ``legacy_reference=True`` (a
-  byte-for-byte preservation of the seed Newton loop and device
-  evaluation), on one golden transient and a Fig. 3-class sweep;
 * the batched lockstep engine (one vectorized Newton loop for the whole
-  ensemble) against the scalar fast path it shares its numerics with, on
-  the same driver-count sweep;
+  ensemble) against the scalar engine it shares its numerics with, on a
+  Fig. 3-class driver-count sweep;
 * the sparse linear-algebra tier (CSC assembly + cached-pattern ``splu``)
   against the dense LAPACK path on generated large-N RC-ladder networks
   (``sparse_scaling``); and
 * the adaptive batched lockstep engine against per-instance scalar
   adaptive runs on a Fig. 3-class ensemble (``adaptive_batch``); and
-* the fitted surrogate tier against a cold scalar fast-path compute on
+* the fitted surrogate tier against a cold scalar compute on
   in-region single-point queries, with the fitted peak error gated
   against the golden MNA and out-of-region routing proven bit-exact
   (``surrogate_latency``).
@@ -24,9 +21,8 @@ metadata (CPU count, numpy version, commit) so the perf trajectory stays
 interpretable across machines.
 
 The sweep strides N over 1..30 (the full Fig. 3 range) rather than
-running every count, purely to keep the legacy-engine half of the
-comparison inside a CI-friendly minute; the fast engine handles the
-dense sweep in seconds (see ``bench_fig3``).
+running every count, to keep the scalar half of the comparison inside a
+CI-friendly budget (see ``bench_fig3`` for the dense sweep).
 
 ``pytest benchmarks/bench_perf.py --quick`` shrinks every workload to
 smoke-test size and drops the timing assertions — CI uses it to catch
@@ -54,17 +50,15 @@ from repro.analysis.simulate import (
     simulate_ssn,
     simulate_ssn_cache_clear,
 )
-from repro.spice.mna import SPARSE_AUTO_THRESHOLD, sparse_available
+from repro.spice.mna import SPARSE_AUTO_THRESHOLD
 from repro.spice.transient import TransientOptions, transient
 from repro.testing.netlists import ladder_circuit
 
-#: Required end-to-end gain of the fast path over the seed engine.
-MIN_SPEEDUP = 3.0
-#: Required gain of the batched ensemble over the scalar fast path.
+#: Required gain of the batched ensemble over the scalar engine.
 MIN_BATCH_SPEEDUP = 3.0
 #: Required gain of sparse splu over dense LAPACK on the largest ladder.
 MIN_SPARSE_SPEEDUP = 5.0
-#: Required gain of an in-region surrogate query over the scalar fast path.
+#: Required gain of an in-region surrogate query over the scalar engine.
 MIN_SURROGATE_SPEEDUP = 100.0
 #: Worst in-region peak error the surrogate may show vs the golden MNA.
 MAX_SURROGATE_ERROR_PERCENT = 3.0
@@ -99,9 +93,6 @@ QUICK_ADAPTIVE_COUNTS = [1, 4]
 #: are shared and noisy, so each side reports its best of several runs.
 TIMING_REPS = 3
 
-LEGACY = TransientOptions(legacy_reference=True)
-
-
 def _host_metadata() -> dict:
     """Machine context stamped into ``BENCH_perf.json`` with every run."""
     commit = "unknown"
@@ -128,18 +119,6 @@ def _spec(tech, n):
     )
 
 
-def _run_single(tech, options, n):
-    return simulate_ssn(_spec(tech, n), options=options).peak_voltage
-
-
-def _run_sweep(tech, options, counts):
-    base = _spec(tech, 1)
-    return [
-        simulate_ssn(dataclasses.replace(base, n_drivers=n), options=options).peak_voltage
-        for n in counts
-    ]
-
-
 def _best_of(wall_clock, name, fn, reps):
     """Record ``fn``'s best wall clock over ``reps`` runs; return last result."""
     best, result = None, None
@@ -155,74 +134,6 @@ def _best_of(wall_clock, name, fn, reps):
 @pytest.fixture(scope="module")
 def tech018():
     return TSMC018
-
-
-def test_fastpath_speedup(tech018, wall_clock, perf_report, publish, quick):
-    simulate_ssn_cache_clear()
-    single_n = QUICK_SINGLE_N if quick else SINGLE_N
-    counts = QUICK_SWEEP_COUNTS if quick else SWEEP_COUNTS
-    reps = 1 if quick else TIMING_REPS
-
-    # Every timed side clears the memo first so each rep re-runs the full
-    # compute; min-of-N then discards cold-start and scheduler noise, the
-    # same protocol the batch/adaptive sections already use.
-    def single(options):
-        simulate_ssn_cache_clear()
-        return _run_single(tech018, options, single_n)
-
-    def sweep(options):
-        simulate_ssn_cache_clear()
-        return _run_sweep(tech018, options, counts)
-
-    legacy_peak = _best_of(wall_clock, "single_legacy", lambda: single(LEGACY), reps)
-    fast_peak = _best_of(wall_clock, "single_fast", lambda: single(None), reps)
-    assert abs(fast_peak - legacy_peak) <= PARITY_TOL
-
-    legacy_peaks = _best_of(wall_clock, "sweep_legacy", lambda: sweep(LEGACY), reps)
-    fast_peaks = _best_of(wall_clock, "sweep_fast", lambda: sweep(None), reps)
-    for lp, fp in zip(legacy_peaks, fast_peaks):
-        assert abs(fp - lp) <= PARITY_TOL
-
-    single_speedup = wall_clock.speedup("single_legacy", "single_fast")
-    sweep_speedup = wall_clock.speedup("sweep_legacy", "sweep_fast")
-
-    if quick:
-        # Smoke mode: engines and parity exercised, but neither the timing
-        # assertions nor the regression artifact reflect real workloads.
-        return
-
-    payload = {
-        "host": _host_metadata(),
-        "parity_tol_volts": PARITY_TOL,
-        "single_transient": {
-            "n_drivers": single_n,
-            "legacy_seconds": wall_clock.timings["single_legacy"],
-            "fast_seconds": wall_clock.timings["single_fast"],
-            "speedup": single_speedup,
-            "timing_reps": reps,
-        },
-        "driver_sweep": {
-            "counts": counts,
-            "legacy_seconds": wall_clock.timings["sweep_legacy"],
-            "fast_seconds": wall_clock.timings["sweep_fast"],
-            "speedup": sweep_speedup,
-            "timing_reps": reps,
-        },
-    }
-    perf_report(payload)
-
-    lines = ["engine fast path vs seed engine", ""]
-    for label, key in [(f"single transient (N={single_n})", "single_transient"),
-                       ("driver sweep", "driver_sweep")]:
-        row = payload[key]
-        lines.append(
-            f"{label}: legacy {row['legacy_seconds']:.2f}s -> "
-            f"fast {row['fast_seconds']:.2f}s  ({row['speedup']:.1f}x)"
-        )
-    publish("bench_perf", "\n".join(lines) + "\n")
-
-    assert single_speedup >= MIN_SPEEDUP
-    assert sweep_speedup >= MIN_SPEEDUP
 
 
 def test_batched_sweep_speedup(tech018, wall_clock, perf_report, publish, quick):
@@ -253,6 +164,8 @@ def test_batched_sweep_speedup(tech018, wall_clock, perf_report, publish, quick)
         return
 
     payload = {
+        "host": _host_metadata(),
+        "parity_tol_volts": PARITY_TOL,
         "batched_sweep": {
             "counts": counts,
             "scalar_seconds": wall_clock.timings["batched_sweep_scalar"],
@@ -285,8 +198,6 @@ def test_sparse_scaling(wall_clock, perf_report, publish, quick):
     records splu factorizations and the sparse backend) without gating on
     wall clock.  The speedup gate applies to the largest ladder only —
     the size the tier exists for."""
-    if not sparse_available():
-        pytest.skip("scipy.sparse not importable")
     sections = QUICK_SPARSE_SECTIONS if quick else SPARSE_LADDER_SECTIONS
 
     rows = []
@@ -407,11 +318,11 @@ def test_adaptive_batch_speedup(tech018, wall_clock, perf_report, publish, quick
 
 
 def test_surrogate_latency(tech018, wall_clock, perf_report, publish, quick):
-    """Surrogate tier vs the scalar fast path on single-point queries.
+    """Surrogate tier vs the scalar engine on single-point queries.
 
     The serving story's top rung: fit one surrogate over the stock box,
     then show (a) an in-region query answers >= 100x faster than a cold
-    scalar fast-path simulation while staying within 3% of the golden MNA
+    scalar simulation while staying within 3% of the golden MNA
     peak, and (b) an out-of-region query is *provably* routed to the full
     engine — ``surrogate_refusals == 1`` in its telemetry and waveform
     parity to 1e-9 V against a direct scalar run.  The timed surrogate

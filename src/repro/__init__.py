@@ -33,14 +33,11 @@ __version__ = "1.0.0"
 
 import importlib
 
-#: Subpackages resolved lazily (PEP 562).  The circuit engine
-#: (:mod:`repro.spice`, :mod:`repro.devices`) treats scipy and numba as
-#: soft dependencies with dense/numpy fallbacks; eager imports here would
-#: defeat that by dragging in the scipy-hard analysis/fitting stack the
-#: moment anything touched ``repro``.  Lazy resolution keeps
-#: ``import repro.spice`` runnable on a numpy-only interpreter (exercised
-#: by ``make softdep-smoke``) while ``repro.analysis`` et al. behave
-#: exactly as before for everyone who has the full toolchain.
+#: Subpackages resolved lazily (PEP 562), so ``import repro`` costs nothing
+#: and a caller pays only for the subpackages it touches — ``import
+#: repro.core`` does not drag in the circuit engine, the service stack or
+#: ``scipy.optimize`` (whose import alone takes longer than all of
+#: ``repro.core``).
 _SUBPACKAGES = (
     "analysis",
     "baselines",

@@ -24,9 +24,9 @@ sequence of *chunks* with four guarantees:
    additionally carries an optional wall-clock ``deadline`` after which
    its attempt is treated as failed (:class:`DeadlineExceeded`).
 4. **Graceful engine degradation** — when a chunk exhausts its bulk retry
-   budget, each of its instances is recovered independently down the
-   batch -> scalar fast path -> legacy reference ladder
-   (:func:`repro.analysis.engine.degradation_rungs`).  Every recovery
+   budget, each of its instances is recovered independently on the
+   scalar engine, the last rung of the surrogate -> batch -> scalar
+   ladder (:func:`repro.analysis.engine.degradation_rungs`).  Every recovery
    action is counted in :class:`~repro.spice.telemetry.SolverTelemetry`
    (``retries``, ``degradations``, ``chunks_failed``,
    ``checkpoint_writes``), so harnesses assert exact recovery behavior
@@ -68,10 +68,6 @@ from .simulate import SsnSimulation, simulate_many, simulate_ssn_cached
 
 #: Journal schema version (bumped on incompatible format changes).
 CHECKPOINT_VERSION = 1
-
-#: Engine options of the last-resort "legacy" rung: the frozen seed engine.
-LEGACY_OPTIONS = TransientOptions(legacy_reference=True)
-
 
 class CampaignError(RuntimeError):
     """A campaign instance failed every rung of the recovery ladder.
@@ -175,24 +171,6 @@ def _record_from(index: int, sim: SsnSimulation, rung: str) -> dict:
     }
 
 
-def _rung_options(rung: str, options: TransientOptions | None) -> TransientOptions | None:
-    """The transient options one recovery rung actually simulates under.
-
-    The legacy rung forces the frozen seed engine on top of whatever the
-    caller requested; the other rungs pass the request through untouched.
-    """
-    if rung != "legacy":
-        return options
-    if options is None:
-        return LEGACY_OPTIONS
-    return dataclasses.replace(options, legacy_reference=True)
-
-
-def _simulate_rung(spec: DriverBankSpec, rung: str,
-                   options: TransientOptions | None = None) -> SsnSimulation:
-    return simulate_ssn_cached(spec, options=_rung_options(rung, options))
-
-
 def _instance_record(payload: tuple) -> dict:
     """Simulate one instance and summarize it (module-level: picklable).
 
@@ -205,7 +183,7 @@ def _instance_record(payload: tuple) -> dict:
         start = time.perf_counter()
         with trace.span("task", index=index, engine=rung):
             faults.probe("task")
-            sim = _simulate_rung(spec, rung, options)
+            sim = simulate_ssn_cached(spec, options=options)
         elapsed = time.perf_counter() - start
     if deadline is not None and elapsed > deadline:
         raise DeadlineExceeded(
@@ -314,19 +292,17 @@ class CampaignRunner:
             return [_record_from(i, sim, rung) for i, sim in zip(indices, sims)]
         payloads = [(i, spec, rung, cfg.deadline, options)
                     for i, spec in zip(indices, specs)]
-        if rung == "scalar":
-            records, used_pool = parallel_map_traced(
-                _instance_record, payloads, max_workers=cfg.max_workers,
-                telemetry=tally,
-            )
-            if used_pool:
-                # Worker-side session aggregation dies with the workers;
-                # stitch their per-run counters into this process's session.
-                for rec in records:
-                    if rec.get("telemetry"):
-                        record_session(SolverTelemetry.from_dict(rec["telemetry"]))
-            return records
-        return [_instance_record(p) for p in payloads]
+        records, used_pool = parallel_map_traced(
+            _instance_record, payloads, max_workers=cfg.max_workers,
+            telemetry=tally,
+        )
+        if used_pool:
+            # Worker-side session aggregation dies with the workers;
+            # stitch their per-run counters into this process's session.
+            for rec in records:
+                if rec.get("telemetry"):
+                    record_session(SolverTelemetry.from_dict(rec["telemetry"]))
+        return records
 
     def _recover_instance(self, ci: int, index: int, spec: DriverBankSpec,
                           rung0: str, tally: SolverTelemetry,
@@ -429,9 +405,8 @@ class CampaignRunner:
 
         ``options`` threads explicit :class:`TransientOptions` through
         every rung of the execution ladder (the serving layer's dispatch
-        path); the legacy rung overlays ``legacy_reference=True`` on top.
-        Default (``None``) runs keep the journal fingerprint unchanged, so
-        existing checkpoints stay resumable.
+        path).  Default (``None``) runs keep the journal fingerprint
+        unchanged, so existing checkpoints stay resumable.
         """
         specs = list(specs)
         cfg = self.config

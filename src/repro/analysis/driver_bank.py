@@ -20,6 +20,7 @@ the equivalence is verified in the integration tests.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from ..process.technology import Technology
 from ..spice.circuit import Circuit
@@ -67,7 +68,16 @@ class DriverBankSpec:
     collapse: bool = True
     input_offsets: tuple[float, ...] | None = None
 
+    #: Float fields that must be finite (``nan <= 0`` is False, so the sign
+    #: checks below would let NaN through to the engine).
+    _FLOAT_FIELDS = ("inductance", "rise_time", "capacitance", "resistance",
+                     "load_capacitance", "driver_strength")
+
     def __post_init__(self):
+        for name in self._FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if self.n_drivers <= 0:
             raise ValueError("n_drivers must be positive")
         if self.inductance <= 0:
@@ -84,6 +94,8 @@ class DriverBankSpec:
                     f"input_offsets has {len(self.input_offsets)} entries "
                     f"for {self.n_drivers} drivers"
                 )
+            if not all(math.isfinite(offset) for offset in self.input_offsets):
+                raise ValueError("input offsets must be finite")
             if any(offset < 0 for offset in self.input_offsets):
                 raise ValueError("input offsets must be non-negative")
 

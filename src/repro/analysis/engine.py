@@ -23,11 +23,10 @@ process-wide default installed with :func:`set_default_engine` (the CLI's
 and finally ``"scalar"``.
 
 The batch engine degrades gracefully: configurations whose circuits cannot
-share a lockstep batch (mixed topologies, unsupported elements) and option
-modes the lockstep loop does not implement (the frozen legacy engine)
-silently fall back to the scalar path, so ``"batch"`` is always safe to
-request.  Adaptive stepping *is* lockstep-capable: sweeps, Monte Carlo
-fleets and campaigns with ``TransientOptions(adaptive=True)`` batch like
+share a lockstep batch (mixed topologies, unsupported elements, non-finite
+element values) silently fall back to the scalar path, so ``"batch"`` is
+always safe to request.  Adaptive stepping *is* lockstep-capable: sweeps,
+Monte Carlo fleets and campaigns with ``TransientOptions(adaptive=True)`` batch like
 fixed-step runs, each instance walking its own accepted-step sequence
 behind per-instance masks.
 """
@@ -43,11 +42,9 @@ ENGINES = ("auto", "batch", "scalar", "surrogate")
 
 #: The campaign runner's graceful-degradation ladder, strongest rung first:
 #: the fitted closed-form surrogate tier, the vectorized lockstep engine,
-#: the scalar fast path, and finally the frozen legacy reference engine
-#: (slow but the most battle-tested numerics).  "legacy" is an execution
-#: rung, not a selectable default engine, so it is not part of
-#: :data:`ENGINES`.
-DEGRADATION_LADDER = ("surrogate", "batch", "scalar", "legacy")
+#: and the scalar engine, which owns the step-halving recovery ladder.  An
+#: instance that fails on the scalar rung fails the campaign.
+DEGRADATION_LADDER = ("surrogate", "batch", "scalar")
 
 #: Environment variable consulted when no explicit engine is given.
 ENGINE_ENV = "REPRO_ENGINE"
@@ -117,17 +114,14 @@ def degradation_rungs(start: str) -> tuple[str, ...]:
     The surrogate and batch rungs only exist for *bulk* (whole-chunk)
     execution — the surrogate tier already degrades per-spec inside its
     own routing, and a single instance has no lockstep to exploit — so
-    per-instance recovery after a failed chunk begins at the scalar fast
-    path:
+    per-instance recovery after a failed chunk runs on the scalar engine:
 
     >>> degradation_rungs("surrogate")
-    ('scalar', 'legacy')
+    ('scalar',)
     >>> degradation_rungs("batch")
-    ('scalar', 'legacy')
+    ('scalar',)
     >>> degradation_rungs("scalar")
-    ('scalar', 'legacy')
-    >>> degradation_rungs("legacy")
-    ('legacy',)
+    ('scalar',)
     """
     if start not in DEGRADATION_LADDER:
         raise ValueError(

@@ -16,7 +16,6 @@ import functools
 import math
 import threading
 
-from ..devices.kernels import kernel_available
 from ..observability import metrics as obs_metrics
 from ..spice.batch import BatchIncompatibleError, batch_transient, lockstep_signature
 from ..spice.mna import default_sparse_mode
@@ -150,13 +149,11 @@ def resolved_backend(options: TransientOptions | None = None) -> tuple:
 
     A golden simulation's exact output (including its telemetry and
     ``extras`` backend records) depends not only on the explicit arguments
-    but on three process-wide defaults that can be flipped between calls:
+    but on two process-wide defaults that can be flipped between calls:
     the engine default (:func:`repro.analysis.engine.set_default_engine` /
-    ``REPRO_ENGINE``), the sparse-tier default
-    (:func:`repro.spice.mna.set_default_sparse` / ``REPRO_SPARSE``), and
-    the availability of the compiled MOSFET kernel (numba import +
-    ``REPRO_NO_NUMBA``).  Returns a sorted tuple of ``(name, value)``
-    pairs, hashable and JSON-friendly, that every result-cache key — the
+    ``REPRO_ENGINE``) and the sparse-tier default
+    (:func:`repro.spice.mna.set_default_sparse` / ``REPRO_SPARSE``).
+    Returns a sorted tuple of ``(name, value)`` pairs, hashable and JSON-friendly, that every result-cache key — the
     in-process memo and the persistent service store — must fold in so a
     default flip is a cache miss, never a stale hit.
 
@@ -169,7 +166,6 @@ def resolved_backend(options: TransientOptions | None = None) -> tuple:
         sparse = default_sparse_mode()
     return (
         ("engine", default_engine()),
-        ("kernel", "numba" if kernel_available() else "numpy"),
         ("sparse", str(sparse)),
     )
 
@@ -408,7 +404,7 @@ def _simulate_many_batched(specs, options) -> list[SsnSimulation]:
                     [circuits[i] for i in members], tstop, dt, options=options
                 )
             except BatchIncompatibleError:
-                pass  # e.g. the legacy engine: scalar fallback below
+                pass  # e.g. non-finite element values: scalar fallback below
             else:
                 for i, result in zip(members, results):
                     sims[i] = _package_simulation(specs[i], result)

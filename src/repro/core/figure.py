@@ -46,9 +46,9 @@ def figure_for_noise_budget(budget: float, params: AsdmParameters, vdd: float) -
     ``(VDD - V0)/lambda``; budgets at or above that bound are unreachable
     by any finite Z and raise ValueError.
 
-    scipy is imported here, not at module scope, so ``import repro.core``
-    stays runnable on a numpy-only interpreter (the PEP 562 soft-dep
-    contract); only this root solve needs ``brentq``.
+    ``scipy.optimize`` is imported here, not at module scope: it takes
+    longer to import than all of ``repro.core``, and only this root solve
+    needs ``brentq``.
     """
     from scipy import optimize
 

@@ -134,10 +134,9 @@ def fit_alpha_power(
 ) -> tuple[AlphaPowerSsnParameters, FitReport]:
     """Fit the alpha-power saturation law to the Vs = 0 curve of a surface.
 
-    scipy is imported here, not at module scope: the ASDM path
-    (:func:`fit_asdm`) is pure numpy, and ``repro.core`` keeps the
-    scipy-free import contract of the PEP 562 layout — only actually
-    *calling* this baseline fit requires scipy.
+    ``scipy.optimize`` is imported here, not at module scope: it takes
+    longer to import than all of ``repro.core``, and only this baseline
+    fit needs it (the ASDM path, :func:`fit_asdm`, is pure numpy).
     """
     from scipy import optimize
 

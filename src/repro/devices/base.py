@@ -134,23 +134,6 @@ class MosfetModel(abc.ABC):
         return self.ids(vgs, vds_high, vbs)
 
 
-def reference_partials(model: MosfetModel, vgs: float, vds: float,
-                       vbs: float = 0.0) -> OperatingPoint:
-    """Finite-difference partials through the vectorized :meth:`MosfetModel.ids`.
-
-    This is the original (pre-fast-path) operating-point evaluation.  The
-    legacy simulator engine (``TransientOptions(legacy_reference=True)``)
-    stamps through it so the golden-parity tests can bound the fast path
-    against frozen seed numerics.
-    """
-    h = _FD_STEP
-    ids = float(model.ids(vgs, vds, vbs))
-    gm = float(model.ids(vgs + h, vds, vbs) - model.ids(vgs - h, vds, vbs)) / (2 * h)
-    gds = float(model.ids(vgs, vds + h, vbs) - model.ids(vgs, vds - h, vbs)) / (2 * h)
-    gmbs = float(model.ids(vgs, vds, vbs + h) - model.ids(vgs, vds, vbs - h)) / (2 * h)
-    return OperatingPoint(ids=ids, gm=gm, gds=gds, gmbs=gmbs)
-
-
 def ensure_arrays(*values):
     """Broadcast heterogeneous scalar/array inputs to common float arrays."""
     arrays = np.broadcast_arrays(*[np.asarray(v, dtype=float) for v in values])

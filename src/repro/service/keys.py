@@ -2,8 +2,8 @@
 
 One golden simulation is exactly determined by four things: the frozen
 circuit spec, the resolved time grid, the transient-option set, and the
-process-global backend defaults the run resolves under (engine, sparse
-tier, compiled-kernel availability).  :func:`result_key` hashes a
+process-global backend defaults the run resolves under (engine and sparse
+tier).  :func:`result_key` hashes a
 canonical JSON rendering of all four into a hex fingerprint; equal keys
 mean "bit-identical simulation", so the store can serve a repeat query
 without re-entering the Newton loop, and a flipped backend default is a
@@ -15,6 +15,11 @@ key contract by construction.  Floats are rendered with :func:`repr`
 (the shortest exact round trip), dataclasses with their deterministic
 ``repr``; the digest is SHA-256, never truncated — keys are the full
 64 hex characters.
+
+Scheme 2 dropped the compiled-kernel entry from the backend snapshot and
+the retired seed-engine flag from the ``TransientOptions`` repr.  Records
+stored under scheme 1 stay on disk and load, but no scheme-2 request
+hashes to their keys, so they are never served.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from ..spice.transient import TransientOptions
 
 #: Bumped whenever the canonical payload layout changes; part of the hash,
 #: so a scheme change invalidates every previously stored key at once.
-KEY_SCHEME_VERSION = 1
+KEY_SCHEME_VERSION = 2
 
 
 def canonical_request(

@@ -55,7 +55,7 @@ import json
 import os
 import time
 
-from ..analysis.campaign import CampaignConfig, CampaignRunner, _rung_options
+from ..analysis.campaign import CampaignConfig, CampaignRunner
 from ..analysis.driver_bank import DriverBankSpec
 from ..analysis.montecarlo import DeviceSpread, transient_peak_distribution
 from ..analysis.simulate import simulate_ssn_cached_fresh
@@ -742,8 +742,7 @@ class SsnService:
         records = runner.run_specs([spec], kind="service-simulate",
                                    options=options)
         rung = records[0]["engine"]
-        sim, _ = simulate_ssn_cached_fresh(
-            spec, options=_rung_options(rung, options))
+        sim, _ = simulate_ssn_cached_fresh(spec, options=options)
         return simulation_record(key, sim, meta={
             "engine": rung,
             "request": canonical_request(spec, options=options),

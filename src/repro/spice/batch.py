@@ -15,7 +15,7 @@ one vectorized Newton loop:
 * **Batched device evaluation** — every MOSFET position is evaluated for
   all instances at once through :class:`~repro.spice.mosfet.MosfetBank`
   (stacked golden-model parameters, vectorized finite-difference operating
-  points with the scalar fast path's step).
+  points with the scalar engine's step).
 * **Batched Newton loop** — one ``numpy.linalg.solve`` on the active
   ``(a, n, n)`` sub-stack per iterate, per-instance damping and a
   per-instance convergence mask; converged instances leave the active set
@@ -25,14 +25,14 @@ one vectorized Newton loop:
   the scalar engine, which owns the step-halving/gmin recovery ladder and
   its telemetry (PR 2).  The instance's record gets ``batch_fallbacks = 1``.
 
-Numerics: the lockstep loop reproduces the scalar fast path's step
+Numerics: the lockstep loop reproduces the scalar engine's step
 sequence (breakpoint landing, post-breakpoint BE restart, step regrowth)
 and Newton iteration (same damping cap, same convergence test, same
 finite-difference partials step), so batched waveforms agree with the
 scalar engine to floating-point noise — the golden-parity suite bounds the
-difference at 1e-9 V/A, the same contract the fast path honors against the
-seed engine.  Results are bitwise-deterministic: identical inputs produce
-identical ensembles regardless of how instances converge or fall back.
+difference at 1e-9 V/A, the same contract the scalar engine honors against
+the frozen seed-engine waveforms.  Results are bitwise-deterministic:
+identical inputs produce identical ensembles regardless of how instances converge or fall back.
 
 Memory: the engine holds ``O(B * n^2)`` for the matrix stacks plus
 ``O(steps * B * n)`` recorded samples; callers batching thousands of
@@ -47,12 +47,8 @@ import warnings
 
 import numpy as np
 
-try:  # scipy is an optional accelerator, not a hard dependency
-    from scipy.linalg import lu_factor as _lu_factor
-    from scipy.linalg import lu_solve as _lu_solve
-except Exception:  # pragma: no cover - exercised via the no-scipy CI leg
-    _lu_factor = None
-    _lu_solve = None
+from scipy.linalg import lu_factor as _lu_factor
+from scipy.linalg import lu_solve as _lu_solve
 
 from ..observability import trace
 from .circuit import Circuit
@@ -87,9 +83,8 @@ class BatchIncompatibleError(ValueError):
     """The given circuits (or options) cannot run in lockstep.
 
     Raised for mixed topologies, mismatched source breakpoints, element
-    types the batched engine does not stamp, or option modes it does not
-    implement (the frozen legacy engine).  Callers route such ensembles to
-    the scalar engine instead.
+    types the batched engine does not stamp, or non-finite element values.
+    Callers route such ensembles to the scalar engine instead.
     """
 
 
@@ -252,7 +247,9 @@ class _ResistorBank(_Bank):
     def __init__(self, elements, system):
         super().__init__(elements, system)
         ohms = _require_finite(self.name, "resistance", [el.ohms for el in elements])
-        self.g = _require_finite(self.name, "conductance", 1.0 / ohms)
+        with np.errstate(over="ignore"):  # a subnormal R overflows; refused below
+            g = 1.0 / ohms
+        self.g = _require_finite(self.name, "conductance", g)
 
     def stamp_matrix(self, A, mode, dt, trap):
         a, b = self.nodes
@@ -602,8 +599,7 @@ class _Rank1Lane:
     contract).  If the linear stack is singular (floating subcircuits) a
     zero pivot surfaces in the factors: the lane reports unavailable and
     the caller uses the dense batched solve, preserving the least-squares
-    degradation path.  Without scipy there is no factorized solve; the
-    lane stands down and the dense batched path (pure numpy) serves.
+    degradation path.
     """
 
     def __init__(self, adapter: _MosfetBankAdapter):
@@ -621,8 +617,6 @@ class _Rank1Lane:
     def prepare(self, A: np.ndarray, key: tuple, alive: np.ndarray,
                 identity: np.ndarray):
         """A solve handle (``self``) for this key, or None if unavailable."""
-        if _lu_factor is None:
-            return None
         if key != self._key:
             self._key = key
             self._factors = None
@@ -776,8 +770,7 @@ def batch_transient(
         tstart: shared start time.
         options: engine knobs; ``adaptive`` routes to the per-instance
             LTE-masked lockstep (each instance walks its *own* accepted
-            step sequence, bit-identical to the scalar controller's);
-            ``legacy_reference`` has no batched form and raises.
+            step sequence, bit-identical to the scalar controller's).
 
     Returns:
         One :class:`~repro.spice.transient.TransientResult` per circuit, in
@@ -787,7 +780,8 @@ def batch_transient(
         ``batch_fallbacks == 1``).
 
     Raises:
-        BatchIncompatibleError: mixed topologies or unsupported options.
+        BatchIncompatibleError: mixed topologies or non-finite element
+            values.
         ConvergenceError: an instance failed even on the scalar ladder.
     """
     if tstop <= tstart:
@@ -795,8 +789,6 @@ def batch_transient(
     if dt <= 0:
         raise ValueError("dt must be positive")
     opts = options or TransientOptions()
-    if opts.legacy_reference:
-        raise BatchIncompatibleError("the frozen legacy engine has no batched form")
 
     circuits = list(circuits)
     if not circuits:
@@ -835,7 +827,7 @@ def batch_transient(
     # SolverTelemetry records at the end; python-object updates per step
     # would cost more than the solves).
     # One linear-base assembly per solve and one device restamp per iterate
-    # (exactly the scalar fast path's counting), so base_assemblies aliases
+    # (exactly the scalar engine's counting), so base_assemblies aliases
     # newton_solves and nonlinear_restamps aliases newton_iterations.
     c_solves = np.zeros(batch, dtype=int)
     c_iters = np.zeros(batch, dtype=int)
@@ -1059,7 +1051,6 @@ def batch_transient(
         stepping_share = trace.elapsed(step_sp, stepping_start) / batch
         total_share = (now - wall_start) / batch
 
-        kernel_on = any(b.bank.kernel_engaged for b in device_banks)
         results: list[TransientResult | None] = [None] * batch
         for b in range(batch):
             if not alive[b]:
@@ -1072,8 +1063,6 @@ def batch_transient(
                 nonlinear_restamps=int(c_iters[b]),
             )
             record_backend(tel, "dense_lu")
-            if kernel_on:
-                record_backend(tel, "numba_kernel")
             tel.add_phase_seconds("ic", ic_share)
             tel.add_phase_seconds("stepping", stepping_share)
             tel.add_phase_seconds("total", total_share)
@@ -1424,7 +1413,6 @@ def _adaptive_lockstep(circuits, system: MnaSystem, banks, opts, tstop: float,
         stepping_share = trace.elapsed(step_sp, stepping_start) / batch
         total_share = (now - wall_start) / batch
 
-        kernel_on = any(b.bank.kernel_engaged for b in device_banks)
         for b in range(batch):
             if not alive[b]:
                 continue
@@ -1441,8 +1429,6 @@ def _adaptive_lockstep(circuits, system: MnaSystem, banks, opts, tstop: float,
                 mask_steps=int(c_mask[b]),
             )
             record_backend(tel, "dense_lu")
-            if kernel_on:
-                record_backend(tel, "numba_kernel")
             tel.add_phase_seconds("ic", ic_share)
             tel.add_phase_seconds("stepping", stepping_share)
             tel.add_phase_seconds("total", total_share)

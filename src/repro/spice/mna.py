@@ -11,8 +11,8 @@ sparse CSC tier sits alongside it (see below).
 :class:`StampContext` is the façade elements stamp through; it hides the
 ground-row elimination and the node-vs-branch index arithmetic.
 
-Fast-path assembly
-------------------
+Assembly
+--------
 
 Only the MOSFETs are nonlinear: every other stamp is independent of the
 Newton iterate ``x``.  The solver therefore partitions the element list
@@ -42,9 +42,8 @@ every later pass cursor-fills a preallocated value array and accumulates
 duplicates with one ``np.bincount`` — no python-level index work repeats.
 Factorization uses ``scipy.sparse.linalg.splu``; linear-only circuits cache
 the factorization under the same ``matrix_state_keys`` contract (and the
-same staleness guard) as the dense LU cache.  Everything degrades to the
-dense path when scipy is absent, and singular systems fall back to dense
-least squares exactly like the dense lane.
+same staleness guard) as the dense LU cache.  Singular systems fall back to
+dense least squares exactly like the dense lane.
 """
 
 from __future__ import annotations
@@ -54,16 +53,9 @@ import warnings
 
 import numpy as np
 
-try:  # pragma: no cover - exercised indirectly by the linear-circuit tests
-    from scipy.linalg import lu_factor as _lu_factor, lu_solve as _lu_solve
-except ImportError:  # pragma: no cover
-    _lu_factor = _lu_solve = None
-
-try:  # pragma: no cover - absence covered by the no-scipy fallback tests
-    from scipy import sparse as _sparse
-    from scipy.sparse.linalg import splu as _splu
-except ImportError:  # pragma: no cover
-    _sparse = _splu = None
+from scipy import sparse as _sparse
+from scipy.linalg import lu_factor as _lu_factor, lu_solve as _lu_solve
+from scipy.sparse.linalg import splu as _splu
 
 from .circuit import Circuit
 
@@ -82,11 +74,6 @@ SPARSE_ENV = "REPRO_SPARSE"
 SPARSE_MODES = ("auto", "on", "off")
 
 _default_sparse: str | None = None
-
-
-def sparse_available() -> bool:
-    """Whether the scipy.sparse backend is importable in this process."""
-    return _splu is not None
 
 
 def set_default_sparse(mode: str | None) -> None:
@@ -129,9 +116,7 @@ def resolve_sparse(option, size: int) -> bool:
 
     ``True``/``False`` are explicit; ``"auto"`` consults the process
     default (:func:`set_default_sparse`), then ``REPRO_SPARSE``, then the
-    :data:`SPARSE_AUTO_THRESHOLD` size heuristic.  A sparse request
-    without scipy degrades to dense with a ``RuntimeWarning`` — never an
-    error, so option sets stay portable across environments.
+    :data:`SPARSE_AUTO_THRESHOLD` size heuristic.
     """
     if option == "auto":
         mode = _default_sparse
@@ -150,20 +135,14 @@ def resolve_sparse(option, size: int) -> bool:
             option = False
         else:
             option = size >= SPARSE_AUTO_THRESHOLD
-    if option and not sparse_available():
-        warnings.warn(
-            "scipy.sparse is unavailable; falling back to dense MNA assembly",
-            RuntimeWarning, stacklevel=2,
-        )
-        return False
     return bool(option)
 
 
 class StampContext:
     """Mutable assembly state handed to each element's ``stamp``.
 
-    ``A``/``z`` may be caller-owned reusable buffers (fast path) or freshly
-    allocated (default).  After a fast-path Newton solve converges, the
+    ``A``/``z`` may be caller-owned reusable buffers (the Newton solver's)
+    or freshly allocated (default).  After a Newton solve converges, the
     returned context's ``x`` holds the *converged* unknowns while ``A``/``z``
     still hold the last iterate's assembly — state commits and current
     extraction only read ``x``, ``dt``, ``method`` and the element states,
@@ -172,7 +151,7 @@ class StampContext:
 
     def __init__(self, system: "MnaSystem", mode: str, t: float, dt: float,
                  method: str, states: dict, x: np.ndarray, gmin: float,
-                 fast: bool = True, buffers: tuple | None = None):
+                 buffers: tuple | None = None):
         self.system = system
         self.mode = mode
         self.t = t
@@ -180,7 +159,6 @@ class StampContext:
         self.method = method
         self.x = x
         self.gmin = gmin
-        self.fast = fast
         self._states = states
         if buffers is None:
             n = system.size
@@ -378,12 +356,11 @@ class MnaSystem:
             nb += el.nbranches
         self.num_branch_unknowns = nb
         self.size = self.num_node_unknowns + nb
-        self._elements = circuit.elements
         #: Elements whose stamps never read the Newton iterate ``x``.
-        self.linear_elements = [el for el in self._elements if not el.nonlinear]
+        self.linear_elements = [el for el in circuit.elements if not el.nonlinear]
         #: Elements restamped at every Newton iterate (MOSFETs).
-        self.nonlinear_elements = [el for el in self._elements if el.nonlinear]
-        # Reusable fast-path buffers, allocated on first use.
+        self.nonlinear_elements = [el for el in circuit.elements if el.nonlinear]
+        # Reusable assembly buffers, allocated on first use.
         self._base_A: np.ndarray | None = None
         self._base_z: np.ndarray | None = None
         self._work_A: np.ndarray | None = None
@@ -419,18 +396,11 @@ class MnaSystem:
 
     def context(self, mode: str, t: float, dt: float, method: str,
                 states: dict, x: np.ndarray, gmin: float,
-                fast: bool = True, buffers: tuple | None = None) -> StampContext:
+                buffers: tuple | None = None) -> StampContext:
         return StampContext(self, mode, t, dt, method, states, x, gmin,
-                            fast=fast, buffers=buffers)
+                            buffers=buffers)
 
-    def assemble(self, ctx: StampContext) -> None:
-        """Fill ``ctx.A`` and ``ctx.z`` from every element's stamp."""
-        if self.telemetry is not None:
-            self.telemetry.full_assemblies += 1
-        for el in self._elements:
-            el.stamp(ctx)
-
-    # -- fast-path assembly ---------------------------------------------------------
+    # -- assembly -------------------------------------------------------------------
 
     def assembly_buffers(self):
         """The system-owned (base_A, base_z, work_A, work_z) scratch buffers."""
@@ -486,46 +456,44 @@ class MnaSystem:
         identical ``(mode, dt, method, flags)`` key can never pick up a
         stale factorization.
 
-        Falls back to ``np.linalg.solve`` when scipy is unavailable and to
-        least squares when the matrix is singular (floating subcircuits),
-        mirroring the plain Newton path's behavior.
+        Falls back to least squares when the matrix is singular (floating
+        subcircuits), mirroring the plain Newton path's behavior.
         """
         tel = self.telemetry
-        if _lu_factor is not None:
-            with warnings.catch_warnings():
-                # Exactly singular matrices (floating subcircuits) fall back
-                # to least squares below, as the plain path does — silence
-                # scipy's LinAlgWarning on the zero pivot.
-                warnings.simplefilter("ignore")
-                stale = (
-                    key == self._lu_key
-                    and self._lu_A is not None
-                    and not np.array_equal(A, self._lu_A)
-                )
-                if stale and tel is not None:
-                    tel.lu_cache_invalidations += 1
-                if key != self._lu_key or stale:
-                    if tel is not None:
-                        tel.lu_cache_misses += 1
-                    try:
-                        self._lu = _lu_factor(A)
-                        self._lu_key = key
-                        self._lu_A = A.copy()
-                    except (ValueError, np.linalg.LinAlgError):
-                        self._lu = None
-                        self._lu_key = None
-                        self._lu_A = None
-                elif tel is not None:
-                    tel.lu_cache_hits += 1
-                if self._lu is not None:
-                    x = _lu_solve(self._lu, z)
-                    if np.all(np.isfinite(x)):
-                        return x
-                    # Singular or near-singular: drop the cache entry and
-                    # fall through to the reference solve path.
+        with warnings.catch_warnings():
+            # Exactly singular matrices (floating subcircuits) fall back
+            # to least squares below, as the plain path does — silence
+            # scipy's LinAlgWarning on the zero pivot.
+            warnings.simplefilter("ignore")
+            stale = (
+                key == self._lu_key
+                and self._lu_A is not None
+                and not np.array_equal(A, self._lu_A)
+            )
+            if stale and tel is not None:
+                tel.lu_cache_invalidations += 1
+            if key != self._lu_key or stale:
+                if tel is not None:
+                    tel.lu_cache_misses += 1
+                try:
+                    self._lu = _lu_factor(A)
+                    self._lu_key = key
+                    self._lu_A = A.copy()
+                except (ValueError, np.linalg.LinAlgError):
                     self._lu = None
                     self._lu_key = None
                     self._lu_A = None
+            elif tel is not None:
+                tel.lu_cache_hits += 1
+            if self._lu is not None:
+                x = _lu_solve(self._lu, z)
+                if np.all(np.isfinite(x)):
+                    return x
+                # Singular or near-singular: drop the cache entry and
+                # fall through to the dense solve below.
+                self._lu = None
+                self._lu_key = None
+                self._lu_A = None
         try:
             return np.linalg.solve(A, z)
         except np.linalg.LinAlgError:
@@ -607,8 +575,6 @@ class MnaSystem:
 
     def sparse_factorize(self, A):
         """``splu(A)`` with the singular-matrix degradation, or None."""
-        if _splu is None:
-            return None
         try:
             with warnings.catch_warnings():
                 # Singular/ill-conditioned factorizations degrade below, as

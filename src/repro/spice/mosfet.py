@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..devices.base import OperatingPoint, reference_partials
+from ..devices.base import OperatingPoint
 from ..devices.bsim_like import BsimLikeMosfet, stack_models
-from ..devices.kernels import compiled_partials
 from .elements import Element
 
 
@@ -44,12 +43,7 @@ class MosfetElement(Element):
     def stamp(self, ctx) -> None:
         d, g, s, b = self.nodes
         vgs, vds, vbs = self._bias(ctx)
-        if ctx.fast:
-            op = self.model.partials(vgs, vds, vbs)
-        else:
-            # Legacy reference engine: finite differences through the
-            # vectorized ids(), exactly as the seed simulator stamped.
-            op = reference_partials(self.model, vgs, vds, vbs)
+        op = self.model.partials(vgs, vds, vbs)
         ieq = op.ids - op.gm * vgs - op.gds * vds - op.gmbs * vbs
 
         gsum = op.gm + op.gds + op.gmbs
@@ -69,9 +63,7 @@ class MosfetElement(Element):
     def current(self, ctx) -> float:
         """Channel current drain -> source at the present iterate."""
         vgs, vds, vbs = self._bias(ctx)
-        if ctx.fast:
-            return self.model.ids_scalar(vgs, vds, vbs)
-        return float(self.model.ids(vgs, vds, vbs))
+        return self.model.ids_scalar(vgs, vds, vbs)
 
 
 class MosfetBank:
@@ -92,7 +84,7 @@ class MosfetBank:
     * anything else: a per-instance Python loop — correct for arbitrary
       model mixes, just not vectorized.
 
-    Partials use the same central-difference step as the scalar fast path
+    Partials use the same central-difference step as the scalar engine
     (:meth:`~repro.devices.base.MosfetModel.partials`), so batched Newton
     iterates track the scalar engine's to floating-point noise.
     """
@@ -111,23 +103,9 @@ class MosfetBank:
         else:
             self._model = None
             self._models = models
-        # Compiled seven-point stencil (numba soft dependency); ``None``
-        # keeps the pure-numpy partials_array path — always the case when
-        # numba is absent, REPRO_NO_NUMBA is set, or the parameters are
-        # stacked per instance (see repro.devices.kernels).
-        self._kernel = (
-            compiled_partials(self._model) if self._model is not None else None
-        )
-
-    @property
-    def kernel_engaged(self) -> bool:
-        """Whether operating points run through the compiled numba stencil."""
-        return self._kernel is not None
 
     def partials(self, vgs, vds, vbs) -> OperatingPoint:
         """Per-instance operating points; fields are ``(B,)`` arrays."""
-        if self._kernel is not None:
-            return self._kernel(vgs, vds, vbs)
         if self._model is not None:
             return self._model.partials_array(vgs, vds, vbs)
         ops = [m.partials(float(g), float(d), float(b))

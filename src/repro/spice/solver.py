@@ -6,22 +6,15 @@ linearized system, damps oversized updates (the MOSFET subthreshold
 exponential punishes full steps from a bad guess), and declares convergence
 when the update is small in the usual mixed absolute/relative sense.
 
-Two assembly strategies exist:
-
-* **fast** (default): the linear elements are stamped once per call into a
-  cached base matrix/RHS (they cannot change while ``(mode, t, dt, method)``
-  and the element states are fixed); each Newton iterate copies the base
-  into preallocated work buffers and restamps only the nonlinear devices.
-  After convergence the last iterate's context is reused with ``x`` updated
-  to the converged point — the redundant full re-assembly the reference
-  path performs is skipped, because state commits and current extraction
-  read only ``x``/``dt``/``method``/states, never ``A``/``z``.  Circuits
-  with no nonlinear elements collapse to a single direct solve with an LU
-  factorization cached across calls (see :mod:`repro.spice.mna`).
-* **reference** (``fast=False``): the frozen seed behavior — full
-  re-assembly of every element at every iterate plus a final assembly at
-  the converged point.  Kept verbatim so golden-parity tests and the perf
-  benchmark can compare against unchanged seed numerics.
+Assembly: the linear elements are stamped once per call into a cached base
+matrix/RHS (they cannot change while ``(mode, t, dt, method)`` and the
+element states are fixed); each Newton iterate copies the base into
+preallocated work buffers and restamps only the nonlinear devices.  After
+convergence the last iterate's context is reused with ``x`` updated to the
+converged point — no final re-assembly, because state commits and current
+extraction read only ``x``/``dt``/``method``/states, never ``A``/``z``.
+Circuits with no nonlinear elements collapse to a single direct solve with
+an LU factorization cached across calls (see :mod:`repro.spice.mna`).
 """
 
 from __future__ import annotations
@@ -65,7 +58,6 @@ def newton_solve(
     abstol: float = 1e-9,
     reltol: float = 1e-6,
     max_update: float = DEFAULT_MAX_UPDATE,
-    fast: bool = True,
     telemetry: SolverTelemetry | None = None,
 ) -> tuple[np.ndarray, StampContext]:
     """Solve the circuit equations for one (mode, t) point.
@@ -83,8 +75,6 @@ def newton_solve(
         abstol: absolute convergence tolerance on every unknown.
         reltol: relative convergence tolerance on every unknown.
         max_update: per-iteration cap on the infinity norm of the update.
-        fast: use the cached-base incremental assembly (default); False
-            selects the frozen seed reference path.
         telemetry: optional counters record; iteration, assembly and
             LU-cache activity of this solve are added to it.
 
@@ -110,11 +100,6 @@ def newton_solve(
     tracer = trace.active_tracer()
     detailed = tracer is not None and tracer.wants("full")
     with trace.span("newton_solve", level="newton", mode=mode, t=t) as nsp:
-        if not fast:
-            return _newton_solve_reference(
-                system, mode, t, dt, method, states, x0, gmin,
-                max_iter, abstol, reltol, max_update, telemetry, nsp,
-            )
         if system.sparse:
             return _newton_solve_sparse(
                 system, mode, t, dt, method, states, x0, gmin,
@@ -205,9 +190,9 @@ def _newton_solve_sparse(
     nsp,
     detailed: bool,
 ) -> tuple[np.ndarray, StampContext]:
-    """The fast path's Newton loop over the sparse CSC tier.
+    """The Newton loop over the sparse CSC tier.
 
-    Same partition, damping and convergence logic as the dense fast path;
+    Same partition, damping and convergence logic as the dense path;
     only the linear algebra differs: the linear base assembles once into a
     cached-pattern CSC matrix, each iterate restamps the nonlinear devices
     into their own (tiny) CSC pattern and factors the sum with ``splu`` —
@@ -275,53 +260,3 @@ def _newton_solve_sparse(
         f"Newton failed to converge in {max_iter} iterations at t={t}"
     )
 
-
-def _newton_solve_reference(
-    system: MnaSystem,
-    mode: str,
-    t: float,
-    dt: float,
-    method: str,
-    states: dict,
-    x0: np.ndarray,
-    gmin: float,
-    max_iter: int,
-    abstol: float,
-    reltol: float,
-    max_update: float,
-    telemetry: SolverTelemetry | None = None,
-    nsp=NOOP_SPAN,
-) -> tuple[np.ndarray, StampContext]:
-    """The seed engine's Newton loop, byte-for-byte (full assembly per iterate).
-
-    Telemetry/observability counting is the only addition; the numerics are
-    untouched.
-    """
-    x = np.array(x0, dtype=float)
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        if telemetry is not None:
-            telemetry.newton_iterations += 1
-        ctx = system.context(mode, t, dt, method, states, x, gmin, fast=False)
-        system.assemble(ctx)
-        try:
-            x_new = np.linalg.solve(ctx.A, ctx.z)
-        except np.linalg.LinAlgError:
-            x_new, *_ = np.linalg.lstsq(ctx.A, ctx.z, rcond=None)
-        if not np.all(np.isfinite(x_new)):
-            raise ConvergenceError(f"non-finite solution while solving at t={t}")
-
-        dx = x_new - x
-        step = float(np.max(np.abs(dx))) if dx.size else 0.0
-        if step > max_update:
-            x = x + dx * (max_update / step)
-            continue
-        x = x_new
-        if np.all(np.abs(dx) <= abstol + reltol * np.abs(x)):
-            final = system.context(mode, t, dt, method, states, x, gmin, fast=False)
-            system.assemble(final)
-            nsp.set_attribute("iterations", iterations)
-            obs_metrics.observe("repro_newton_iterations_per_solve", iterations)
-            return x, final
-    raise ConvergenceError(f"Newton failed to converge in {max_iter} iterations at t={t}")

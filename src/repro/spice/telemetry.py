@@ -2,7 +2,7 @@
 
 Every Newton solve, transient run and DC analysis threads a
 :class:`SolverTelemetry` record through the engine.  The record answers the
-questions the fast-path caches (PR 1) made otherwise unanswerable — how
+questions the assembly and LU caches made otherwise unanswerable — how
 many LU factorizations were reused vs. recomputed, how many Newton
 iterations each phase burned, and whether any time step had to be rejected
 and retried — so an experiment can assert "0 unrecovered failures, N
@@ -81,10 +81,12 @@ class SolverTelemetry:
             inside the batched *adaptive* engine (each adaptive step is a
             big/half/half phase triple over per-instance step masks);
             0 on the scalar path and on fixed-step lockstep runs.
-        base_assemblies: linear-base stamp passes (once per fast solve).
+        base_assemblies: linear-base stamp passes (once per Newton solve).
         nonlinear_restamps: nonlinear-device restamp passes (once per
-            fast Newton iterate).
-        full_assemblies: full re-assemblies (reference engine only).
+            Newton iterate).
+        full_assemblies: always 0.  Counted full re-assemblies of the
+            retired seed engine; kept so stored records and checkpoints
+            that carry it still load without a warning.
         batch_fallbacks: instances that left the batched ensemble engine
             for the scalar path (Newton failure needing the step-halving /
             gmin recovery ladder); the scalar re-run's counters replace the
@@ -95,7 +97,7 @@ class SolverTelemetry:
             one transient run.
         degradations: execution-path downgrades taken to keep a workload
             alive: a campaign chunk or instance dropping one rung of the
-            batch -> scalar -> legacy engine ladder, or a broken process
+            surrogate -> batch -> scalar engine ladder, or a broken process
             pool falling back to the serial path
             (:func:`repro.analysis.parallel.parallel_map`).
         chunks_failed: campaign chunks whose bulk execution exhausted its
@@ -291,11 +293,10 @@ class SolverTelemetry:
 def record_backend(telemetry: SolverTelemetry | None, backend: str) -> None:
     """Count one run's engaged linear-algebra backend in ``extras``.
 
-    ``backend`` is one of ``"dense_lu"``, ``"sparse_splu"`` or
-    ``"numba_kernel"`` (a run can engage several, e.g. a sparse solve with
-    the compiled device kernel).  Stored as ``backend_<name>`` counters so
-    :meth:`SolverTelemetry.merge` sums them across runs and benchmark
-    reports are self-describing about what actually executed.
+    ``backend`` is ``"dense_lu"`` or ``"sparse_splu"``.  Stored as
+    ``backend_<name>`` counters so :meth:`SolverTelemetry.merge` sums them
+    across runs and benchmark reports are self-describing about what
+    actually executed.
     """
     if telemetry is not None:
         key = BACKEND_PREFIX + backend

@@ -8,10 +8,8 @@ which is the standard SPICE ``UIC`` start-up.
 
 Every accepted step records all node voltages and all element currents, so
 results expose full waveforms by name.  Samples land in preallocated
-capacity-doubling buffers (no per-step array allocation), and the Newton
-solver runs the cached-assembly fast path unless
-``TransientOptions(legacy_reference=True)`` selects the frozen seed engine
-(kept for golden-parity tests and the perf benchmark).
+capacity-doubling buffers (no per-step array allocation), and every Newton
+solve runs the cached-assembly path of :mod:`repro.spice.solver`.
 
 Robustness & observability: a Newton failure (non-convergence or a
 non-finite iterate) *rejects* the step — committed state is untouched — and
@@ -64,17 +62,12 @@ class TransientOptions:
             behavior of ``dt / 4096``.  A rejection that would need a step
             below this floor is unrecoverable and raises.
         sparse: linear-algebra tier selection.  ``True`` forces CSC
-            assembly plus ``scipy.sparse.linalg.splu`` factorization
-            (degrading to dense with a warning when scipy is absent),
+            assembly plus ``scipy.sparse.linalg.splu`` factorization,
             ``False`` forces the dense LAPACK path, and ``"auto"`` (the
             default) engages sparse above
             :data:`repro.spice.mna.SPARSE_AUTO_THRESHOLD` unknowns —
             overridable process-wide via
             :func:`repro.spice.mna.set_default_sparse` or ``REPRO_SPARSE``.
-        legacy_reference: run the frozen seed engine (full re-assembly at
-            every Newton iterate, vectorized finite-difference device
-            partials).  Slower; exists so the fast path can be regression-
-            tested against unchanged seed numerics.
     """
 
     method: str = "trap"
@@ -88,7 +81,6 @@ class TransientOptions:
     max_growth: float = 2.0
     min_dt: float | None = None
     sparse: bool | str = "auto"
-    legacy_reference: bool = False
 
     def __post_init__(self):
         if self.method not in ("trap", "be"):
@@ -205,12 +197,11 @@ def transient(
     if dt <= 0:
         raise ValueError("dt must be positive")
     opts = options or TransientOptions()
-    fast = not opts.legacy_reference
 
     system = MnaSystem(circuit)
     states: dict = {}
     tel = SolverTelemetry()
-    if fast and resolve_sparse(opts.sparse, system.size):
+    if resolve_sparse(opts.sparse, system.size):
         system.sparse = True
     record_backend(tel, "sparse_splu" if system.sparse else "dense_lu")
     wall_start = time.perf_counter()
@@ -225,7 +216,7 @@ def transient(
                     system, "ic", tstart, dt=dt, method=opts.method, states=states,
                     x0=np.zeros(system.size), gmin=max(opts.gmin, 1e-9),
                     max_iter=opts.max_newton, abstol=opts.abstol, reltol=opts.reltol,
-                    fast=fast, telemetry=tel,
+                    telemetry=tel,
                 )
             except ConvergenceError as exc:
                 _fail(exc, tel, wall_start)
@@ -257,7 +248,7 @@ def transient(
                 system, "tran", t_target, dt=h_target, method=opts.method,
                 states=step_states, x0=x0, gmin=opts.gmin,
                 max_iter=opts.max_newton, abstol=opts.abstol, reltol=opts.reltol,
-                fast=fast, telemetry=tel,
+                telemetry=tel,
             )
 
         def commit_all(ctx):

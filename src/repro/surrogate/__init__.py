@@ -3,7 +3,7 @@
 The paper's thesis — a tiny fitted device model answers SSN questions in
 closed form within a few percent of full simulation — turned into a
 serving tier.  :func:`fit_surrogate` characterizes one technology over a
-parameter box against the golden fast-path engines; the resulting
+parameter box against the golden engines; the resulting
 :class:`SurrogateModel` carries its validity region, operating regime and
 ``ErrorSummary`` error bounds; a :class:`SurrogateRegistry` routes
 queries (hit / refusal / miss) with full metrics and trace coverage.

@@ -1,4 +1,4 @@
-"""Auto-fit one surrogate model from golden fast-path simulator data.
+"""Auto-fit one surrogate model from golden simulator data.
 
 The fit recipe mirrors the paper's own characterization flow, then adds
 the validity bookkeeping the serving tier needs:
@@ -124,7 +124,6 @@ def fit_surrogate(
         guard: extrapolation allowance per knob, as a fraction of its span.
         calibrate: refine the ASDM triple against the golden training
             peaks (recommended; roughly halves the recorded error bound).
-            Skipped silently when scipy is unavailable.
         tolerance_percent: worst-case peak error the model may serve under.
         driver_strength / load_capacitance: template fields frozen into
             the model (queries must match them exactly).
@@ -205,12 +204,13 @@ def _calibrate_asdm(draft: SurrogateModel, specs, references) -> AsdmParameters:
     relative peak error — K and lambda in log-space to stay positive, V0
     additive — removes most of that bias; on the stock box it roughly
     halves the recorded error bound.  Falls back to the uncalibrated
-    triple when scipy is missing or the polish fails to improve.
+    triple when the polish fails to improve.
+
+    ``scipy.optimize`` is imported here, not at module scope: it takes
+    longer to import than all of ``repro.core``, and only a fit with
+    ``calibrate=True`` needs it.
     """
-    try:
-        from scipy import optimize
-    except ImportError:
-        return draft.asdm
+    from scipy import optimize
 
     golden = np.asarray(references, dtype=float)
     base = draft.asdm

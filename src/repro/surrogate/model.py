@@ -15,7 +15,7 @@ to decide *whether it may answer* a query at all:
   network, the damping classification (over/critically/under-damped) for
   LC; a query whose damping class differs from the fitted one is refused;
 * **error bounds** — an :class:`~repro.analysis.metrics.ErrorSummary` of
-  the closed-form peak against golden fast-path simulations over the
+  the closed-form peak against golden simulations over the
   training grid.  A model whose recorded worst-case error exceeds its
   tolerance refuses every query (bound violation), so a bad fit can never
   silently serve wrong numbers.

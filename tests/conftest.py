@@ -37,7 +37,7 @@ def any_tech(request):
 
 
 #: Frozen waveforms of the retired seed engine (see tests/data/README.md).
-LEGACY_REFERENCE = pathlib.Path(__file__).parent / "data" / "legacy_reference.npz"
+SEED_REFERENCE = pathlib.Path(__file__).parent / "data" / "legacy_reference.npz"
 
 
 class FrozenRun:
@@ -59,8 +59,8 @@ class FrozenRun:
 
 
 @pytest.fixture(scope="session")
-def legacy_reference():
-    """Factory: ``legacy_reference(case)`` returns that case as a FrozenRun."""
-    with np.load(LEGACY_REFERENCE) as data:
+def seed_reference():
+    """Factory: ``seed_reference(case)`` returns that case as a FrozenRun."""
+    with np.load(SEED_REFERENCE) as data:
         arrays = {k: data[k] for k in data.files}
     return lambda case: FrozenRun(arrays, case)

@@ -31,6 +31,19 @@ class TestSpec:
         explicit = dataclasses.replace(spec, collapse=False)
         assert explicit.driver_names() == ["M1", "M2", "M3", "M4"]
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [
+        "inductance", "rise_time", "capacitance", "resistance",
+        "load_capacitance", "driver_strength", "input_offsets",
+    ])
+    def test_non_finite_values_rejected(self, spec, field, value):
+        """NaN passes every ``x <= 0`` check; it must not reach the engine."""
+        if field == "input_offsets":
+            value = (0.0, value, 0.0, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(spec, **{field: value})
+
     def test_validation(self, tech018):
         with pytest.raises(ValueError):
             DriverBankSpec(technology=tech018, n_drivers=0, inductance=5e-9, rise_time=1e-9)

@@ -16,7 +16,6 @@ from repro.analysis.montecarlo import DeviceSpread, transient_peak_distribution
 from repro.analysis.simulate import simulate_many, simulate_ssn_cache_clear
 from repro.analysis.sweeps import sweep_driver_count
 from repro.cli import build_parser
-from repro.spice.transient import TransientOptions
 
 #: Batched analysis results must stay within this of the scalar path.
 PARITY_TOL = 1e-9
@@ -103,10 +102,18 @@ class TestSimulateManyRouting:
             assert abs(s.peak_voltage - b.peak_voltage) <= PARITY_TOL
 
     def test_unbatchable_options_fall_back_to_scalar(self, base):
-        specs = [dataclasses.replace(base, n_drivers=n) for n in (1, 2)]
-        options = TransientOptions(legacy_reference=True)
-        sims = simulate_many(specs, options=options, engine="batch")
-        assert all(sim.peak_voltage > 0.0 for sim in sims)
+        """A subnormal ground resistance overflows the batched conductance
+        to inf, so the lockstep engine refuses the group and every spec
+        runs on the scalar engine, which lands on the R = 0 peaks."""
+        specs = [dataclasses.replace(base, n_drivers=n, resistance=5e-324)
+                 for n in (1, 2)]
+        sims = simulate_many(specs, engine="batch")
+        simulate_ssn_cache_clear()
+        reference = simulate_many(
+            [dataclasses.replace(s, resistance=0.0) for s in specs], engine="scalar")
+        for sim, ref in zip(sims, reference):
+            assert sim.peak_voltage == ref.peak_voltage > 0.0
+            assert sim.telemetry.batch_fallbacks == 0
 
     def test_env_var_routes_batch(self, base, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "batch")

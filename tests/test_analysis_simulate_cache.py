@@ -62,7 +62,7 @@ class TestBackendResolution:
         assert default_engine() == "scalar"
         assert default_sparse_mode() == "auto"
         backend = dict(resolved_backend())
-        assert set(backend) == {"engine", "kernel", "sparse"}
+        assert set(backend) == {"engine", "sparse"}
 
     def test_setters_and_env_feed_the_snapshot(self, monkeypatch):
         set_default_engine("batch")

@@ -155,26 +155,24 @@ class TestRecoveryLadder:
         assert tel.degradations == len(specs)
         assert tel.unrecovered_failures == 0
 
-    def test_scalar_failure_lands_on_legacy_rung(self, tech018):
+    def test_scalar_failure_exhausts_the_ladder(self, tech018):
+        """Scalar is the last rung: an instance that fails there fails the
+        campaign, with the failure counted rather than hidden."""
         specs = _specs(tech018, [1, 2])
-        clean = [s.peak_voltage for s in simulate_many(specs, engine="scalar")]
         simulate_ssn_cache_clear()
         faults.install_faults(
             "newton:phase=bulk,newton:phase=instance:engine=scalar"
         )
         runner = CampaignRunner(_config(chunk_size=2, max_retries=1))
-        summaries = runner.run_simulate(specs)
+        with pytest.raises(CampaignError, match=r"\('scalar',\)") as err:
+            runner.run_simulate(specs)
         faults.clear_faults()
 
-        assert all(s.engine == "legacy" for s in summaries)
-        # The legacy reference engine is numerically equivalent, not
-        # bit-identical, to the fast path: hold it to the parity tolerance.
-        for summary, peak in zip(summaries, clean):
-            assert summary.peak_voltage == pytest.approx(peak, abs=1e-9)
-        tel = runner.telemetry
+        tel = err.value.telemetry
         assert tel.chunks_failed == 1
-        assert tel.degradations == len(specs)  # scalar -> legacy, per instance
-        assert tel.unrecovered_failures == 0
+        assert tel.retries == 2  # one bulk retry, one instance retry
+        assert tel.degradations == 0  # no rung below scalar to drop to
+        assert tel.unrecovered_failures == 1
 
     def test_exhausted_ladder_raises_campaign_error(self, tech018):
         specs = _specs(tech018, [1])

@@ -24,7 +24,14 @@ from repro.analysis.driver_bank import DriverBankSpec
 from repro.analysis.montecarlo import transient_peak_distribution
 from repro.analysis.simulate import simulate_many
 from repro.analysis.sweeps import sweep
+from repro.spice.transient import TransientOptions
 from repro.testing import faults
+
+
+#: Journal fingerprint of ``run_specs(<2 specs>, options=TransientOptions(
+#: abstol=1e-10))`` at chunk size 2, as written before the options repr
+#: lost its seed-engine flag (commit b35de1cd).
+OLD_OPTIONS_FINGERPRINT = "c074aa62f3db60a5"
 
 
 @pytest.fixture(autouse=True)
@@ -161,6 +168,55 @@ class TestCheckpointJournal:
                                        resume=True))
         with pytest.raises(CheckpointMismatchError):
             other.run_simulate(specs)
+
+    def test_journal_from_the_legacy_rung_era_resumes(self, tech018, tmp_path):
+        """A record's ``engine`` is a label only: a default-options journal
+        whose instances landed on the retired "legacy" rung still resumes
+        without recomputing anything."""
+        specs = _specs(tech018, [1, 2, 3])
+        ckpt = tmp_path / "run.jsonl"
+        baseline = CampaignRunner(
+            _config(checkpoint=ckpt, chunk_size=2)).run_simulate(specs)
+        lines = ckpt.read_text().splitlines()
+        chunks = [json.loads(line) for line in lines[1:]]
+        for chunk in chunks:
+            chunk["engine"] = "legacy"
+            for rec in chunk["records"]:
+                rec["engine"] = "legacy"
+        ckpt.write_text("\n".join(
+            [lines[0]] + [json.dumps(c, sort_keys=True) for c in chunks]) + "\n")
+
+        second = CampaignRunner(_config(checkpoint=ckpt, chunk_size=2,
+                                        resume=True))
+        resumed = second.run_simulate(specs)
+        assert second.telemetry.checkpoint_writes == 0
+        assert [s.engine for s in resumed] == ["legacy"] * len(specs)
+        assert [s.peak_voltage for s in resumed] == [
+            s.peak_voltage for s in baseline
+        ]
+
+    def test_explicit_options_journal_with_old_options_repr_is_refused(
+        self, tech018, tmp_path
+    ):
+        """Explicit options enter the fingerprint through their repr, which
+        lost the seed-engine flag: a journal written before that refuses to
+        resume instead of splicing records computed under another repr."""
+        specs = _specs(tech018, [1, 2])
+        options = TransientOptions(abstol=1e-10)
+        ckpt = tmp_path / "run.jsonl"
+        CampaignRunner(_config(checkpoint=ckpt, chunk_size=2)).run_specs(
+            specs, options=options)
+        lines = ckpt.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header["fingerprint"] != OLD_OPTIONS_FINGERPRINT
+        header["fingerprint"] = OLD_OPTIONS_FINGERPRINT
+        ckpt.write_text("\n".join([json.dumps(header, sort_keys=True)]
+                                  + lines[1:]) + "\n")
+
+        second = CampaignRunner(_config(checkpoint=ckpt, chunk_size=2,
+                                        resume=True))
+        with pytest.raises(CheckpointMismatchError, match="fingerprint"):
+            second.run_specs(specs, options=options)
 
     def test_resume_without_journal_runs_fresh(self, tech018, tmp_path):
         runner = CampaignRunner(

@@ -287,6 +287,21 @@ class TestHttpSurface:
         # An empty POST body is "{}", which fails spec validation, not parsing.
         assert results["empty_body"][0] == 400
 
+    def test_nan_literal_is_a_400_and_stores_nothing(self, tmp_path):
+        """``json.loads`` accepts a bare ``NaN``; spec validation must
+        refuse it before any simulation runs or any record is written."""
+        body = json.dumps(dict(PARAMS, inductance=float("nan")))
+        assert "NaN" in body
+
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                return await post(service, "/simulate", json.loads(body))
+
+        status, payload = asyncio.run(scenario())
+        assert status == 400
+        assert "finite" in payload["error"]
+        assert len(ResultStore(tmp_path / "store")) == 0
+
     def test_malformed_json_is_a_400(self, tmp_path):
         async def scenario():
             async with service_on(tmp_path) as service:

@@ -10,6 +10,7 @@ fault injector's ``crash-write`` rule proves a torn write can never land
 under the committed name.
 """
 
+import hashlib
 import json
 import os
 
@@ -101,6 +102,32 @@ class TestKeys:
         pinned = result_key(spec, options=TransientOptions(sparse=False))
         set_default_sparse("on")
         assert result_key(spec, options=TransientOptions(sparse=False)) == pinned
+
+    def test_scheme_1_record_stays_on_disk_but_is_never_served(self, store, spec):
+        """Scheme 2 dropped the compiled-kernel backend entry and the
+        seed-engine flag of the options repr.  A record stored under a
+        scheme-1 key is still a valid record (no quarantine), but no
+        scheme-2 request hashes to it."""
+        payload = canonical_request(spec)
+        payload["scheme"] = 1
+        payload["backend"] = sorted(payload["backend"] + [["kernel", "numpy"]])
+        old_key = hashlib.sha256(json.dumps(
+            payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        store.put(old_key, simulation_record(old_key, simulate_ssn(spec)))
+
+        assert store.load(old_key) is not None
+        assert [r["key"] for r in store.iter_records()] == [old_key]
+        assert store.quarantined() == []
+        requests = [
+            result_key(spec),
+            result_key(spec, options=TransientOptions()),
+            result_key(spec, options=TransientOptions(sparse=False)),
+        ]
+        set_default_engine("batch")
+        requests.append(result_key(spec))
+        assert old_key not in requests
+        assert all(store.load(key) is None for key in requests)
+        assert len(store) == 1 and store.quarantined() == []
 
     def test_store_key_and_memo_key_share_the_backend_snapshot(self, spec):
         backend_of = lambda: dict(ssn_memo_key(spec)[-1])

@@ -158,13 +158,6 @@ class TestCompatibilityGuards:
         with pytest.raises(BatchIncompatibleError):
             batch_transient(circuits, 1e-9, 1e-12)
 
-    def test_unbatchable_options_raise(self, tech018):
-        specs = _driver_specs(tech018, [2, 4])
-        circuits = [build_driver_bank(s) for s in specs]
-        with pytest.raises(BatchIncompatibleError):
-            batch_transient(circuits, 1e-9, 1e-12,
-                            options=TransientOptions(legacy_reference=True))
-
     def test_adaptive_is_batchable(self, tech018):
         """Adaptive stepping runs in lockstep now (see
         tests/test_spice_batch_adaptive.py for the parity suite)."""

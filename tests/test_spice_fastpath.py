@@ -3,7 +3,7 @@
 The cached-assembly engine (linear base stamped once per solve, nonlinear
 devices restamped per Newton iterate, no post-convergence re-assembly,
 scalar device evaluation) must reproduce the waveforms the retired seed
-engine produced — frozen in ``tests/data/legacy_reference.npz`` — to within
+engine produced — frozen under ``tests/data/`` — to within
 1e-9 V / 1e-9 A on the paper's Fig. 2 driver-bank circuit, across both
 integration methods and both stepping modes.  The parallel experiment
 layer must return results identical to the serial path, in the same order.
@@ -57,9 +57,9 @@ def _run_fast(spec, **option_kwargs):
     [("trap", False), ("be", False), ("trap", True), ("be", True)],
     ids=["trap-fixed", "be-fixed", "trap-adaptive", "be-adaptive"],
 )
-def test_fastpath_matches_seed_engine(fig2_spec, legacy_reference, method, adaptive):
+def test_fastpath_matches_seed_engine(fig2_spec, seed_reference, method, adaptive):
     fast = _run_fast(fig2_spec, method=method, adaptive=adaptive)
-    ref = legacy_reference(f"fig2-{method}-{'adaptive' if adaptive else 'fixed'}")
+    ref = seed_reference(f"fig2-{method}-{'adaptive' if adaptive else 'fixed'}")
 
     assert len(fast.times) == len(ref.times), "step sequences diverged"
     assert np.max(np.abs(fast.times - ref.times)) < 1e-18
@@ -76,7 +76,7 @@ def test_fastpath_matches_seed_engine(fig2_spec, legacy_reference, method, adapt
         assert di <= PARITY_TOL, f"element {el.name}: |dI| = {di:.3e} A"
 
 
-def test_fastpath_matches_seed_engine_linear_circuit(legacy_reference):
+def test_fastpath_matches_seed_engine_linear_circuit(seed_reference):
     """Pure-RLC circuit: exercises the direct solve + LU cache across
     steps, dt changes and breakpoint restarts."""
 
@@ -90,7 +90,7 @@ def test_fastpath_matches_seed_engine_linear_circuit(legacy_reference):
 
     for method in ("trap", "be"):
         fast = transient(make(), 2e-9, 5e-12, options=TransientOptions(method=method))
-        ref = legacy_reference(f"rlc-{method}")
+        ref = seed_reference(f"rlc-{method}")
         assert len(fast.times) == len(ref.times)
         for node in ref.node_names:
             dv = np.max(np.abs(fast.voltage(node).y - ref.voltage(node)))

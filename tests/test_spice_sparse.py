@@ -3,12 +3,11 @@
 The sparse linear-algebra tier (:mod:`repro.spice.mna`) must be invisible
 except for speed: identical step sequences and waveforms within 1e-9 V of
 the dense path on both the paper's driver-bank circuits and the large
-RC-ladder workloads the tier exists for, graceful dense degradation when
-scipy is absent, and honest telemetry about which backend actually ran.
+RC-ladder workloads the tier exists for, and honest telemetry about which
+backend actually ran.
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -20,18 +19,12 @@ from repro.spice.mna import (
     SPARSE_AUTO_THRESHOLD,
     resolve_sparse,
     set_default_sparse,
-    sparse_available,
 )
 from repro.spice.transient import TransientOptions, transient
 from repro.testing.netlists import ladder_circuit
 
 #: Sparse waveforms must stay within this of the dense path.
 PARITY_TOL = 1e-9
-
-needs_scipy = pytest.mark.skipif(
-    not sparse_available(), reason="scipy.sparse not importable"
-)
-
 
 def _run_both(circuit, tstop, dt, **opt_kwargs):
     dense = transient(circuit, tstop, dt,
@@ -41,14 +34,13 @@ def _run_both(circuit, tstop, dt, **opt_kwargs):
     return dense, sparse
 
 
-def _assert_waveform_parity(dense, sparse, tol=PARITY_TOL):
+def _assert_waveform_parity(dense, sparse):
     assert np.array_equal(dense.times, sparse.times), "step sequences diverged"
     for node in dense.node_names:
         dv = np.max(np.abs(dense.voltage(node).y - sparse.voltage(node).y))
-        assert dv <= tol, f"node {node}: |dV| = {dv:.3e} V"
+        assert dv <= PARITY_TOL, f"node {node}: |dV| = {dv:.3e} V"
 
 
-@needs_scipy
 class TestGoldenParity:
     def test_driver_bank_sweep_parity(self, tech018):
         """Fig. 3 style circuits match dense bit-for-bit in step structure."""
@@ -99,7 +91,6 @@ class TestGoldenParity:
         assert sparse.telemetry.accepted_steps == dense.telemetry.accepted_steps
 
 
-@needs_scipy
 class TestBackendTelemetry:
     def test_sparse_backend_recorded(self):
         result = transient(ladder_circuit(8), 0.2e-9, 0.05e-9,
@@ -128,18 +119,18 @@ class TestResolution:
         small = resolve_sparse("auto", SPARSE_AUTO_THRESHOLD - 1)
         large = resolve_sparse("auto", SPARSE_AUTO_THRESHOLD)
         assert small is False
-        assert large is sparse_available()
+        assert large is True
 
     def test_process_default_overrides_threshold(self, monkeypatch):
         monkeypatch.delenv(mna.SPARSE_ENV, raising=False)
         set_default_sparse("on")
-        assert resolve_sparse("auto", 2) is sparse_available()
+        assert resolve_sparse("auto", 2) is True
         set_default_sparse("off")
         assert resolve_sparse("auto", 10 * SPARSE_AUTO_THRESHOLD) is False
 
     def test_environment_fallback(self, monkeypatch):
         monkeypatch.setenv(mna.SPARSE_ENV, "on")
-        assert resolve_sparse("auto", 2) is sparse_available()
+        assert resolve_sparse("auto", 2) is True
         monkeypatch.setenv(mna.SPARSE_ENV, "off")
         assert resolve_sparse("auto", 10 * SPARSE_AUTO_THRESHOLD) is False
 
@@ -159,27 +150,3 @@ class TestResolution:
         with pytest.raises(ValueError):
             TransientOptions(sparse="sideways")
 
-
-class TestNoScipyFallback:
-    def test_sparse_request_degrades_to_dense(self, monkeypatch):
-        """Without scipy the sparse tier warns once and runs dense."""
-        monkeypatch.setattr(mna, "_splu", None)
-        monkeypatch.setattr(mna, "_sparse", None)
-        circuit = ladder_circuit(12)
-        with pytest.warns(RuntimeWarning, match="falling back to dense"):
-            result = transient(circuit, 0.2e-9, 0.05e-9,
-                               options=TransientOptions(sparse=True))
-        assert result.telemetry.sparse_factorizations == 0
-        assert result.telemetry.extras.get("backend_dense_lu") == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # dense must not warn
-            reference = transient(circuit, 0.2e-9, 0.05e-9,
-                                  options=TransientOptions(sparse=False))
-        _assert_waveform_parity(reference, result, tol=0.0)
-
-    def test_auto_never_engages_without_scipy(self, monkeypatch):
-        monkeypatch.delenv(mna.SPARSE_ENV, raising=False)
-        monkeypatch.setattr(mna, "_splu", None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert resolve_sparse("auto", 10 * SPARSE_AUTO_THRESHOLD) is False

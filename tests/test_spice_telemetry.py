@@ -70,14 +70,14 @@ class TestConvergenceRecovery:
         assert tel.accepted_steps == len(result.times) - 1
         assert tel.newton_iterations > tel.newton_solves > 0
 
-    def test_recovery_parity_fast_vs_legacy(self, failing_spec, legacy_reference):
+    def test_recovery_parity_fast_vs_legacy(self, failing_spec, seed_reference):
         """The engine rejects exactly as the frozen seed engine did and lands
         on its waveforms (a stored run had no unrecovered failure)."""
         tstop = default_stop_time(failing_spec)
         dt = failing_spec.rise_time
         fast = transient(build_driver_bank(failing_spec), tstop, dt,
                          options=TransientOptions(max_newton=5))
-        ref = legacy_reference("recovery-max_newton5")
+        ref = seed_reference("recovery-max_newton5")
         assert fast.telemetry.step_rejections == ref.step_rejections >= 1
         assert fast.telemetry.unrecovered_failures == 0
         assert len(fast.times) == len(ref.times), "step sequences diverged"

@@ -198,7 +198,7 @@ class TestSurrogateEngine:
 
     def test_ladder_names(self):
         assert ENGINES == ("auto", "batch", "scalar", "surrogate")
-        assert degradation_rungs("surrogate") == ("scalar", "legacy")
+        assert degradation_rungs("surrogate") == ("scalar",)
 
     def test_in_region_hit_does_zero_solver_work(self, model, tech):
         [sim] = simulate_many([in_region_spec(tech)], engine="surrogate")
