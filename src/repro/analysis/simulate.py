@@ -337,9 +337,9 @@ def simulate_many(
       topology and time grid, different parameter values) are simulated
       together by one vectorized Newton loop
       (:func:`repro.spice.batch.batch_transient`).  Specs that cannot join
-      a lockstep group — incompatible topologies, singleton groups, or
-      option modes the batched loop does not implement — fall back to the
-      scalar path, so ``"batch"`` never fails where ``"scalar"`` succeeds.
+      a lockstep group — incompatible topologies or singleton groups —
+      fall back to the scalar path, so ``"batch"`` never fails where
+      ``"scalar"`` succeeds.
     * surrogate — specs accepted by a fitted model in the default
       surrogate registry (:func:`repro.surrogate.default_registry`) are
       answered in closed form before any MNA assembly; everything else

@@ -16,43 +16,46 @@ one vectorized Newton loop:
   all instances at once through :class:`~repro.spice.mosfet.MosfetBank`
   (stacked golden-model parameters, vectorized finite-difference operating
   points with the scalar engine's step).
-* **Batched Newton loop** — one ``numpy.linalg.solve`` on the active
-  ``(a, n, n)`` sub-stack per iterate, per-instance damping and a
-  per-instance convergence mask; converged instances leave the active set
-  so they stop iterating at exactly the point the scalar loop would.
-* **Scalar fallback** — an instance whose Newton solve fails (the batch
-  never halves the shared step) leaves the ensemble and is re-simulated by
-  the scalar engine, which owns the step-halving/gmin recovery ladder and
-  its telemetry (PR 2).  The instance's record gets ``batch_fallbacks = 1``.
+* **One Newton kernel, two drivers** — :meth:`_Ensemble.newton` runs one
+  ``numpy.linalg.solve`` over the whole ``(B, n, n)`` stack per iterate,
+  with per-instance damping and a per-instance convergence mask;
+  converged instances leave the active set at exactly the iterate the
+  scalar loop would stop.  The fixed-step driver calls it with one shared
+  ``(t, dt, integrator-phase)``; the adaptive driver calls it with
+  per-instance ``(B,)`` arrays, so every instance walks its own
+  LTE-controlled step sequence while the ensemble stays phase-aligned.
+* **Scalar fallback** — an instance whose Newton solve fails where the
+  scalar engine would need its recovery ladder (the fixed-step batch never
+  halves the shared step; the adaptive batch halves per instance down to
+  ``min_dt``) leaves the ensemble and is re-simulated by the scalar
+  engine, which owns the step-halving/gmin ladder and its telemetry.  The
+  instance's record gets ``batch_fallbacks = 1``.
 
-Numerics: the lockstep loop reproduces the scalar engine's step
-sequence (breakpoint landing, post-breakpoint BE restart, step regrowth)
-and Newton iteration (same damping cap, same convergence test, same
-finite-difference partials step), so batched waveforms agree with the
-scalar engine to floating-point noise — the golden-parity suite bounds the
-difference at 1e-9 V/A, the same contract the scalar engine honors against
-the frozen seed-engine waveforms.  Results are bitwise-deterministic:
-identical inputs produce identical ensembles regardless of how instances converge or fall back.
+Numerics: both drivers reproduce the scalar engine's step sequence
+(breakpoint landing, post-breakpoint BE restart, step regrowth, and on the
+adaptive path the LTE accept/reject decisions) and Newton iteration (same
+damping cap, same convergence test, same finite-difference partials step),
+so batched waveforms agree with the scalar engine to floating-point noise —
+the golden-parity suite bounds the difference at 1e-9 V/A.  Results are
+bitwise-deterministic: identical inputs produce identical ensembles
+regardless of how instances converge or fall back.
 
 Memory: the engine holds ``O(B * n^2)`` for the matrix stacks plus
 ``O(steps * B * n)`` recorded samples; callers batching thousands of
-instances should chunk (the analysis layer does, see
-``repro.analysis.simulate``).
+instances should split the ensemble themselves.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
-
-from scipy.linalg import lu_factor as _lu_factor
-from scipy.linalg import lu_solve as _lu_solve
 
 from ..observability import trace
 from .circuit import Circuit
 from .elements import (
+    _IC_FORCE_CONDUCTANCE,
+    _IC_INDUCTOR_R,
     Capacitor,
     CurrentSource,
     Inductor,
@@ -71,12 +74,6 @@ from .transient import (
     TransientResult,
     transient,
 )
-
-#: Conductance forcing a capacitor to its initial condition in "ic" mode
-#: (mirrors repro.spice.elements._IC_FORCE_CONDUCTANCE).
-_IC_FORCE = 1e3
-#: Stiff-Thevenin resistance of the inductor "ic" stamp (see elements.py).
-_IC_INDUCTOR_R = 1e-3
 
 
 class BatchIncompatibleError(ValueError):
@@ -296,7 +293,7 @@ class _CapacitorBank(_Bank):
             return
         if mode == "ic":
             if self.ic is not None:
-                _add_conductance(A, a, b, _IC_FORCE)
+                _add_conductance(A, a, b, _IC_FORCE_CONDUCTANCE)
             return
         _add_conductance(A, a, b, self._geq(dt, trap))
 
@@ -306,7 +303,7 @@ class _CapacitorBank(_Bank):
             return
         if mode == "ic":
             if self.ic is not None:
-                _add_rhs_current(z, b, a, _IC_FORCE * self.ic)
+                _add_rhs_current(z, b, a, _IC_FORCE_CONDUCTANCE * self.ic)
             return
         _, ieq = self._companion(dt, trap)
         _add_rhs_current(z, b, a, ieq)
@@ -448,19 +445,19 @@ class _MutualBank(_Bank):
             z[:, own.row] += -factor * other.i
 
 
-class _VoltageSourceBank(_Bank):
-    has_current = True
+class _SourceBank(_Bank):
+    """Independent-source bank: evaluates the B stimuli at one step."""
 
     def __init__(self, elements, system):
         super().__init__(elements, system)
-        self.row = system.branch_row_of(elements[0])
         shapes = [el.shape for el in elements]
         # Shared-shape fast path: the frozen shape dataclasses compare by
         # value, so identical stimuli are evaluated once per step.
         self.shared = shapes[0] if all(s == shapes[0] for s in shapes[1:]) else None
         self.shapes = shapes
 
-    def _value(self, t):
+    def value(self, t):
+        """Per-instance stimulus at a scalar or per-instance ``(B,)`` time."""
         if isinstance(t, np.ndarray):
             # Adaptive lockstep: every instance sits at its own time.  The
             # shape dataclasses are scalar piecewise evaluators, so walk the
@@ -471,6 +468,14 @@ class _VoltageSourceBank(_Bank):
         if self.shared is not None:
             return self.shared(t)
         return np.array([s(t) for s in self.shapes])
+
+
+class _VoltageSourceBank(_SourceBank):
+    has_current = True
+
+    def __init__(self, elements, system):
+        super().__init__(elements, system)
+        self.row = system.branch_row_of(elements[0])
 
     def stamp_matrix(self, A, mode, dt, trap):
         plus, minus = self.nodes
@@ -483,31 +488,16 @@ class _VoltageSourceBank(_Bank):
             A[:, row, minus - 1] -= 1.0
 
     def stamp_rhs(self, z, mode, t, dt, trap):
-        z[:, self.row] += self._value(t)
+        z[:, self.row] += self.value(t)
 
     def current(self, x, mode, dt, trap):
         return np.array(x[:, self.row])
 
 
-class _CurrentSourceBank(_Bank):
-    def __init__(self, elements, system):
-        super().__init__(elements, system)
-        shapes = [el.shape for el in elements]
-        self.shared = shapes[0] if all(s == shapes[0] for s in shapes[1:]) else None
-        self.shapes = shapes
-
+class _CurrentSourceBank(_SourceBank):
     def stamp_rhs(self, z, mode, t, dt, trap):
         frm, to = self.nodes
-        if isinstance(t, np.ndarray):
-            if self.shared is not None:
-                value = np.array([self.shared(tb) for tb in t])
-            else:
-                value = np.array([s(tb) for s, tb in zip(self.shapes, t)])
-        elif self.shared is not None:
-            value = self.shared(t)
-        else:
-            value = np.array([s(t) for s in self.shapes])
-        _add_rhs_current(z, frm, to, value)
+        _add_rhs_current(z, frm, to, self.value(t))
 
 
 class _MosfetBankAdapter(_Bank):
@@ -563,133 +553,6 @@ class _MosfetBankAdapter(_Bank):
 
     def current(self, x, mode, dt, trap):
         return self.bank.ids(*self._bias(x))
-
-
-class _Rank1Lane:
-    """Sherman-Morrison Newton solves for the single-device common case.
-
-    A MOSFET's linearized stamp touches only the drain and source KCL rows,
-    and those two rows carry the *same* four-entry conductance row vector
-    with opposite signs.  With one device bank the per-iterate matrix is
-    therefore a rank-1 update of the cached linear stack:
-
-        A_iter = A_lin + u v^T,    u = e_d - e_s (constant),
-                                   v = per-iterate conductances,
-
-    and with per-instance LU factorizations of ``A_lin`` (computed once per
-    ``(mode, dt, trap, gmin)`` cache key, never forming the inverse
-    explicitly) each Newton iterate's dense solve collapses to a handful of
-    O(B n) operations:
-
-        x = y - (Wu) (v^T y) / (1 + v^T Wu),    y = A_lin^{-1} (z - ieq u),
-
-    where ``Wu = A_lin^{-1} u`` is one triangular solve per key and ``y``
-    one per solve (``z`` is constant within a solve; only the ``ieq`` term
-    varies per iterate and folds in as a rank-1 correction).  Backward
-    substitution against the cached factors replaces the seed's explicit
-    ``np.linalg.inv`` — same flop class per key, but no O(n^3)
-    inverse-matrix product, and the triangular solves keep the error bound
-    of pivoted LU instead of amplifying through an explicitly formed
-    inverse on ill-conditioned stacks (stiff IC stamps).
-
-    The lane is numerically a *different* solver than the batched LAPACK
-    path, so iterates differ from the scalar engine's at rounding level;
-    Newton contraction pins the converged points back together (the
-    golden-parity suite bounds the waveform difference under the same 1e-9
-    contract).  If the linear stack is singular (floating subcircuits) a
-    zero pivot surfaces in the factors: the lane reports unavailable and
-    the caller uses the dense batched solve, preserving the least-squares
-    degradation path.
-    """
-
-    def __init__(self, adapter: _MosfetBankAdapter):
-        self.adapter = adapter
-        d, g, s, b = adapter.nodes
-        # 0-based unknown columns; -1 marks ground (term dropped).
-        self.dc = d - 1
-        self.gc = g - 1
-        self.sc = s - 1
-        self.bc = b - 1
-        self._key: tuple | None = None
-        self._factors: list | None = None
-        self.wu: np.ndarray | None = None
-
-    def prepare(self, A: np.ndarray, key: tuple, alive: np.ndarray,
-                identity: np.ndarray):
-        """A solve handle (``self``) for this key, or None if unavailable."""
-        if key != self._key:
-            self._key = key
-            self._factors = None
-            self.wu = None
-            src = A
-            if not alive.all():
-                # Failed instances may have any linear stamp; keep the
-                # stack factorizable by swapping their rows for identity.
-                src = A.copy()
-                src[~alive] = identity
-            factors = []
-            with warnings.catch_warnings():
-                # Exact singularity raises/warns depending on the scipy
-                # version; both routes end in "lane unavailable".
-                warnings.simplefilter("ignore")
-                for k in range(len(src)):
-                    try:
-                        lu, piv = _lu_factor(src[k], check_finite=False)
-                    except (ValueError, np.linalg.LinAlgError):
-                        return None
-                    if not np.isfinite(lu).all() or (
-                        np.abs(np.diagonal(lu)) == 0.0
-                    ).any():
-                        return None
-                    factors.append((lu, piv))
-            if self.dc < 0 and self.sc < 0:
-                # Degenerate d == s == ground: no device coupling at all.
-                wu = np.zeros(A.shape[:2])
-            else:
-                u = np.zeros(A.shape[1])
-                if self.dc >= 0:
-                    u[self.dc] += 1.0
-                if self.sc >= 0:
-                    u[self.sc] -= 1.0
-                wu = np.stack(
-                    [_lu_solve(f, u, check_finite=False) for f in factors]
-                )
-                if not np.isfinite(wu).all():
-                    return None
-            self._factors = factors
-            self.wu = wu
-        return self if self._factors is not None else None
-
-    def solve(self, z: np.ndarray) -> np.ndarray:
-        """``A_lin^{-1} z`` per instance through the cached factorizations."""
-        return np.stack(
-            [_lu_solve(f, z[k], check_finite=False)
-             for k, f in enumerate(self._factors)]
-        )
-
-    def bias(self, x: np.ndarray):
-        """(vgs, vds, vbs) per instance, without per-node helper calls."""
-        vs = x[:, self.sc] if self.sc >= 0 else 0.0
-        vg = x[:, self.gc] if self.gc >= 0 else 0.0
-        vd = x[:, self.dc] if self.dc >= 0 else 0.0
-        vb = x[:, self.bc] if self.bc >= 0 else 0.0
-        return vg - vs, vd - vs, vb - vs
-
-    def vdot(self, m: np.ndarray, gm, gds, gmbs, gsum):
-        """``v^T m`` per instance: v has entries only at g, d, b, s."""
-        acc = None
-        if self.gc >= 0:
-            acc = gm * m[:, self.gc]
-        if self.dc >= 0:
-            t = gds * m[:, self.dc]
-            acc = t if acc is None else acc + t
-        if self.bc >= 0:
-            t = gmbs * m[:, self.bc]
-            acc = t if acc is None else acc + t
-        if self.sc >= 0:
-            t = gsum * m[:, self.sc]
-            acc = -t if acc is None else acc - t
-        return 0.0 if acc is None else acc
 
 
 def _build_banks(circuits: list[Circuit], system: MnaSystem) -> list[_Bank]:
@@ -752,6 +615,211 @@ class _BatchRecorder:
         return (np.array(self._times[:n]), self._nodes[:n], self._currents[:n])
 
 
+class _Ensemble:
+    """One lockstep ensemble: what both drivers share, and the Newton kernel.
+
+    Holds the bank partition (linear, device and measured banks), the cached
+    linear stack, the per-iterate work stacks, the per-instance telemetry
+    counters and the ``alive``/``fallback`` masks.  The fixed-step driver
+    passes scalar ``t``/``dt``/``trap``; the adaptive driver passes ``(B,)``
+    arrays, one entry per instance (see :class:`_Bank`).
+    """
+
+    #: Per-instance counters, named after the SolverTelemetry fields they
+    #: fill.  One linear-base assembly per solve and one device restamp per
+    #: iterate (exactly the scalar engine's counting), so base_assemblies
+    #: aliases newton_solves and nonlinear_restamps aliases newton_iterations.
+    COUNTERS = ("newton_solves", "newton_iterations", "accepted_steps",
+                "step_rejections", "step_retries", "lte_rejections",
+                "mask_steps")
+
+    def __init__(self, circuits, opts: TransientOptions, tstop: float,
+                 dt: float, tstart: float):
+        self.circuits = circuits
+        self.opts = opts
+        self.tstop, self.dt, self.tstart = tstop, dt, tstart
+        self.batch = batch = len(circuits)
+        systems = [MnaSystem(c) for c in circuits]  # assigns branch layout
+        system = systems[0]
+        n = self.size = system.size
+        self.nn = system.num_node_unknowns
+        if n == 0:
+            raise BatchIncompatibleError("circuit has no unknowns")
+        self.banks = _build_banks(circuits, system)
+        self.linear = [b for b in self.banks if not b.nonlinear]
+        self.devices = [b for b in self.banks if b.nonlinear]
+        self.measured = [b for b in self.banks if b.has_current]
+
+        # Vectorized counters, folded into SolverTelemetry records by
+        # finish(): python-object updates per step would cost more than the
+        # solves.
+        self.count = {name: np.zeros(batch, dtype=int) for name in self.COUNTERS}
+        self.alive = np.ones(batch, dtype=bool)      # still simulated in lockstep
+        self.fallback = np.zeros(batch, dtype=bool)  # needs the scalar engine
+
+        self._lin_A = np.zeros((batch, n, n))
+        self._lin_z = np.zeros((batch, n))
+        self._lin_key: tuple | None = None
+        self._work_A = np.empty((batch, n, n))
+        self._work_z = np.empty((batch, n))
+        self._identity = np.eye(n)
+        self._currents = np.empty((batch, len(self.measured)))
+
+    def drop(self, failed: np.ndarray) -> None:
+        """Hand the ``failed`` instances to the scalar engine."""
+        self.alive[failed] = False
+        self.fallback[failed] = True
+
+    def tally(self, name: str, mask: np.ndarray) -> None:
+        """Add one to counter ``name`` for every instance in ``mask``."""
+        np.add(self.count[name], mask, out=self.count[name])
+
+    def sample_currents(self, x, mode: str, dt, trap) -> np.ndarray:
+        """``(B, measured)`` element currents at ``x`` (a reused buffer)."""
+        for j, bank in enumerate(self.measured):
+            self._currents[:, j] = bank.current(x, mode, dt, trap)
+        return self._currents
+
+    def _linear_matrix(self, mode: str, dt, trap, gmin: float) -> np.ndarray:
+        # Constant while (mode, dt, trap-phase, gmin) are.  Per-instance
+        # steps and phases enter the key by value, so the stack is also
+        # reused whenever an adaptive round repeats them (e.g. every
+        # instance regrowing at the cap).
+        key = (mode, np.asarray(dt).tobytes(), np.asarray(trap).tobytes(), gmin)
+        if key != self._lin_key:
+            self._lin_A[:] = 0.0
+            for bank in self.linear:
+                bank.stamp_matrix(self._lin_A, mode, dt, trap)
+            for bank in self.devices:
+                bank.stamp_matrix(self._lin_A, mode, dt, trap, gmin=gmin)
+            self._lin_key = key
+        return self._lin_A
+
+    def _linear_rhs(self, mode: str, t, dt, trap) -> np.ndarray:
+        self._lin_z[:] = 0.0
+        for bank in self.linear:
+            bank.stamp_rhs(self._lin_z, mode, t, dt, trap)
+        return self._lin_z
+
+    def _solve(self, A, z, x, off: np.ndarray) -> np.ndarray:
+        """Solve the linear stack plus the device stamps at ``x``.
+
+        The ``off`` rows may hold garbage stamps, so they are swapped for a
+        trivial identity system that keeps the stack solvable.
+        """
+        np.copyto(self._work_A, A)
+        np.copyto(self._work_z, z)
+        for bank in self.devices:
+            bank.stamp_iterate(self._work_A, self._work_z, x)
+        if off.any():
+            self._work_A[off] = self._identity
+            self._work_z[off] = 0.0
+        return _solve_stack(self._work_A, self._work_z)
+
+    def newton(self, mode: str, t, dt, trap, gmin: float, mask: np.ndarray,
+               x0: np.ndarray):
+        """One lockstep Newton solve over the ``mask`` instances.
+
+        Returns ``(x, failed)``: rows outside ``mask`` keep ``x0``'s values,
+        ``failed`` flags masked instances whose solve did not converge
+        (iteration budget exhausted or a non-finite iterate) — the
+        per-instance analogue of the scalar engine's ConvergenceError.
+
+        The whole ensemble is computed every iterate and the masks gate only
+        the bookkeeping (which rows accept the update, which count an
+        iteration): at ensemble sizes where numpy's per-operation dispatch
+        dominates, redundant flops on settled rows are cheaper than
+        gather/scatter index machinery.  Converged instances leave the
+        active set at exactly the iterate the scalar loop would stop.
+        """
+        x = x0.copy()
+        failed = np.zeros(self.batch, dtype=bool)
+        if not mask.any():
+            return x, failed
+        opts = self.opts
+        self.tally("newton_solves", mask)
+        A = self._linear_matrix(mode, dt, trap, gmin)
+        z = self._linear_rhs(mode, t, dt, trap)
+
+        if not self.devices:
+            # Purely linear: the Newton map is affine, one direct batched
+            # solve lands on the solution (iteration count stays 0, matching
+            # the scalar direct-solve path).
+            xn = self._solve(A, z, x, ~mask)
+            finite = np.isfinite(xn).all(axis=1)
+            return np.where((mask & finite)[:, None], xn, x), mask & ~finite
+
+        active = mask.copy()
+        for _ in range(opts.max_newton):
+            self.tally("newton_iterations", active)
+            xn = self._solve(A, z, x, ~mask | failed)
+            if not np.isfinite(xn).all():
+                finite = np.isfinite(xn).all(axis=1)
+                failed |= active & ~finite
+                active &= finite
+                if not active.any():
+                    return x, failed
+                # Neutralize the non-finite rows so the update arithmetic
+                # below stays warning-free (their x must not move anyway).
+                xn = np.where(finite[:, None], xn, x)
+            dx = xn - x
+            adx = np.abs(dx)
+            step = adx.max(axis=1)
+            damped = step > DEFAULT_MAX_UPDATE
+            if damped.any():
+                scale = DEFAULT_MAX_UPDATE / np.maximum(step, DEFAULT_MAX_UPDATE)
+                moved = np.where(damped[:, None], x + dx * scale[:, None], xn)
+            else:
+                moved = xn
+            x = np.where(active[:, None], moved, x)
+            # Same test as the scalar loop: damped iterations never declare
+            # convergence; undamped ones converge when the update is small.
+            conv = (adx <= opts.abstol + opts.reltol * np.abs(xn)).all(axis=1)
+            active &= damped | ~conv
+            if not active.any():
+                return x, failed
+        # Iteration budget exhausted: the remaining active instances would
+        # need the recovery ladder.
+        return x, failed | active
+
+    def finish(self, span, waveform, ic_s: float, stepping_s: float,
+               wall_start: float) -> list[TransientResult]:
+        """Per-instance results: lockstep survivors, then scalar re-runs.
+
+        ``waveform(b)`` returns instance ``b``'s ``(times, nodes, currents)``.
+        The shared wall clock is split evenly across instance records so
+        that aggregated telemetry still sums to real elapsed time.
+        """
+        batch = self.batch
+        shares = {"ic": ic_s / batch, "stepping": stepping_s / batch,
+                  "total": (time.perf_counter() - wall_start) / batch}
+        results: list[TransientResult | None] = [None] * batch
+        for b in np.flatnonzero(self.alive):
+            counts = {name: int(c[b]) for name, c in self.count.items()}
+            tel = SolverTelemetry(**counts,
+                                  base_assemblies=counts["newton_solves"],
+                                  nonlinear_restamps=counts["newton_iterations"])
+            record_backend(tel, "dense_lu")
+            for phase, seconds in shares.items():
+                tel.add_phase_seconds(phase, seconds)
+            record_session(tel)
+            results[b] = TransientResult(self.circuits[b], *waveform(b),
+                                         telemetry=tel)
+
+        span.set_attribute("fallbacks", int(self.fallback.sum()))
+        for b in np.flatnonzero(self.fallback):
+            # This instance needed the recovery ladder (or its terminal
+            # ConvergenceError): the scalar engine owns step halving, gmin
+            # stepping and their telemetry.  Its partial batched work is
+            # discarded (and not attributed).
+            result = transient(self.circuits[b], self.tstop, self.dt,
+                               tstart=self.tstart, options=self.opts)
+            result.telemetry.batch_fallbacks += 1
+            record_session(SolverTelemetry(batch_fallbacks=1))
+            results[b] = result
+        return results
+
+
 def batch_transient(
     circuits,
     tstop: float,
@@ -800,297 +868,93 @@ def batch_transient(
                 f"circuit {c.title!r} does not share the ensemble topology"
             )
 
-    batch = len(circuits)
-    systems = [MnaSystem(c) for c in circuits]  # assigns branch layout
-    system = systems[0]
-    n = system.size
-    nn = system.num_node_unknowns
-    if n == 0:
-        raise BatchIncompatibleError("circuit has no unknowns")
-    banks = _build_banks(circuits, system)
-    linear_banks = [b for b in banks if not b.nonlinear]
-    device_banks = [b for b in banks if b.nonlinear]
-    measured = [b for b in banks if b.has_current]
-    # One nonlinear device: its stamp is a rank-1 matrix update, so Newton
-    # iterates can reuse a cached inverse of the linear stack (see
-    # _Rank1Lane).  Multi-device ensembles use the dense batched solve.
-    rank1 = _Rank1Lane(device_banks[0]) if len(device_banks) == 1 else None
-
-    method = opts.method
+    ens = _Ensemble(circuits, opts, tstop, dt, tstart)
     wall_start = time.perf_counter()
+    drive = _adaptive_lockstep if opts.adaptive else _fixed_lockstep
+    attrs = {"adaptive": True} if opts.adaptive else {}
+    # The span carries the whole-ensemble run; with tracing on, the
+    # ic/stepping phase shares derive from the sub-span clocks
+    # (trace.elapsed), otherwise from perf-counter anchors.
+    with trace.span("batch_transient", batch=len(circuits), tstop=tstop,
+                    dt=dt, **attrs) as span:
+        waveform, ic_s, stepping_s = drive(ens, wall_start)
+        return ens.finish(span, waveform, ic_s, stepping_s, wall_start)
 
-    if opts.adaptive:
-        return _adaptive_lockstep(circuits, system, banks, opts, tstop, dt,
-                                  tstart, wall_start)
 
-    # Vectorized per-instance telemetry counters (folded into real
-    # SolverTelemetry records at the end; python-object updates per step
-    # would cost more than the solves).
-    # One linear-base assembly per solve and one device restamp per iterate
-    # (exactly the scalar engine's counting), so base_assemblies aliases
-    # newton_solves and nonlinear_restamps aliases newton_iterations.
-    c_solves = np.zeros(batch, dtype=int)
-    c_iters = np.zeros(batch, dtype=int)
-    c_steps = np.zeros(batch, dtype=int)
+def _fixed_lockstep(ens: _Ensemble, wall_start: float):
+    """Shared-grid lockstep: the scalar engine's fixed step sequence.
 
-    alive = np.ones(batch, dtype=bool)      # still simulated in lockstep
-    fallback = np.zeros(batch, dtype=bool)  # needs the scalar engine
-
-    x = np.zeros((batch, n))
-
-    # Cached linear stack: constant while (mode, dt, trap-phase, gmin) are.
-    lin_A = np.zeros((batch, n, n))
-    lin_z = np.zeros((batch, n))
-    lin_key: tuple | None = None
-
-    def linear_matrix(mode: str, dt_now: float, trap: bool, gmin: float) -> np.ndarray:
-        nonlocal lin_key
-        key = (mode, dt_now, trap, gmin)
-        if key != lin_key:
-            lin_A[:] = 0.0
-            for bank in linear_banks:
-                bank.stamp_matrix(lin_A, mode, dt_now, trap)
-            for bank in device_banks:
-                bank.stamp_matrix(lin_A, mode, dt_now, trap, gmin=gmin)
-            lin_key = key
-        return lin_A
-
-    def linear_rhs(mode: str, t_now: float, dt_now: float, trap: bool) -> np.ndarray:
-        lin_z[:] = 0.0
-        for bank in linear_banks:
-            bank.stamp_rhs(lin_z, mode, t_now, dt_now, trap)
-        return lin_z
-
-    # Preallocated per-iterate work stacks (copied from the cached linear
-    # part, then restamped by the device banks).
-    work_A = np.empty((batch, n, n))
-    work_z = np.empty((batch, n))
-    identity = np.eye(n)
-
-    def mark_failed(bad: np.ndarray) -> None:
-        alive[bad] = False
-        fallback[bad] = True
-
-    def newton_batch(mode: str, t_now: float, dt_now: float, trap: bool,
-                     gmin: float) -> None:
-        """One lockstep solve; failing instances leave the ensemble.
-
-        The whole ensemble is computed unconditionally every iterate and
-        per-instance masks gate only the *bookkeeping* (which rows accept
-        the update, which count an iteration): at ensemble sizes where
-        numpy's per-operation dispatch dominates, redundant flops on
-        settled rows are cheaper than gather/scatter index machinery.
-        """
-        nonlocal x
-        if not alive.any():
-            return
-        np.add(c_solves, alive, out=c_solves)
-        A = linear_matrix(mode, dt_now, trap, gmin)
-        z = linear_rhs(mode, t_now, dt_now, trap)
-        any_dead = not alive.all()
-
-        if not device_banks:
-            # Purely linear lockstep: the Newton map is affine, one direct
-            # batched solve lands on the solution (iteration count stays 0,
-            # matching the scalar direct-solve path).
-            np.copyto(work_A, A)
-            np.copyto(work_z, z)
-            if any_dead:
-                work_A[~alive] = identity
-                work_z[~alive] = 0.0
-            xn = _solve_stack(work_A, work_z)
-            finite = np.isfinite(xn).all(axis=1)
-            x = np.where((alive & finite)[:, None], xn, x)
-            bad = alive & ~finite
-            if bad.any():
-                mark_failed(bad)
-            return
-
-        active = alive.copy()
-        all_active = not any_dead
-        lane = None
-        if rank1 is not None:
-            lane = rank1.prepare(A, (mode, dt_now, trap, gmin), alive, identity)
-            if lane is not None:
-                # z is constant within the solve; only the ieq term of the
-                # device RHS varies per iterate, folded in below.
-                y_base = lane.solve(z)
-                wu = lane.wu
-                dev = rank1.adapter
-        for _ in range(opts.max_newton):
-            np.add(c_iters, active, out=c_iters)
-            if lane is not None:
-                vgs, vds, vbs = rank1.bias(x)
-                op = dev.bank.partials(vgs, vds, vbs)
-                gm, gds, gmbs = op.gm, op.gds, op.gmbs
-                ieq = op.ids - gm * vgs - gds * vds - gmbs * vbs
-                gsum = gm + gds + gmbs
-                y = y_base - ieq[:, None] * wu
-                vy = rank1.vdot(y, gm, gds, gmbs, gsum)
-                vwu = rank1.vdot(wu, gm, gds, gmbs, gsum)
-                # A near-singular update (1 + v^T W u ~ 0) yields non-finite
-                # rows, caught below and routed to the scalar ladder.
-                xn = y - wu * (vy / (1.0 + vwu))[:, None]
-            else:
-                np.copyto(work_A, A)
-                np.copyto(work_z, z)
-                for bank in device_banks:
-                    bank.stamp_iterate(work_A, work_z, x)
-                if any_dead:
-                    # Keep the stack solvable: failed instances' rows may
-                    # hold garbage stamps, so overwrite them with a trivial
-                    # system.
-                    dead = ~alive
-                    work_A[dead] = identity
-                    work_z[dead] = 0.0
-                xn = _solve_stack(work_A, work_z)
-            if not np.isfinite(xn).all():
-                finite = np.isfinite(xn).all(axis=1)
-                bad = active & ~finite
-                if bad.any():
-                    mark_failed(bad)
-                    active = active & finite
-                    any_dead = True
-                    all_active = False
-                    if not active.any():
-                        return
-                # Neutralize the non-finite rows so the update arithmetic
-                # below stays warning-free (their x must not move anyway).
-                xn = np.where(finite[:, None], xn, x)
-            dx = xn - x
-            adx = np.abs(dx)
-            step = adx.max(axis=1)
-            damped = step > DEFAULT_MAX_UPDATE
-            if damped.any():
-                scale = DEFAULT_MAX_UPDATE / np.maximum(step, DEFAULT_MAX_UPDATE)
-                moved = np.where(damped[:, None], x + dx * scale[:, None], xn)
-                none_damped = False
-            else:
-                moved = xn
-                none_damped = True
-            x = moved if all_active else np.where(active[:, None], moved, x)
-            # Same test as the scalar loop: damped iterations never declare
-            # convergence; undamped ones converge when the update is small.
-            conv = (adx <= opts.abstol + opts.reltol * np.abs(xn)).all(axis=1)
-            settled = (active & conv) if none_damped else (active & ~damped & conv)
-            if settled.any():
-                active = active & ~settled
-                all_active = False
-                if not active.any():
-                    return
-        # Iteration budget exhausted: remaining active instances would need
-        # the recovery ladder — hand them to the scalar engine.
-        mark_failed(active)
+    Breakpoint landing, the post-breakpoint backward-Euler restart and step
+    regrowth are the scalar engine's; an instance whose Newton solve fails
+    leaves the ensemble (the batch never halves the shared step).  Returns
+    ``(waveform, ic_seconds, stepping_seconds)`` for :meth:`_Ensemble.finish`.
+    """
+    opts, dt, tstart, tstop = ens.opts, ens.dt, ens.tstart, ens.tstop
+    nn = ens.nn
+    x = np.zeros((ens.batch, ens.size))
 
     # -- t=0 consistency solve -------------------------------------------------------
-    # The surrounding span carries the whole-ensemble run; with tracing on,
-    # the ic/stepping phase shares below derive from the sub-span clocks
-    # (trace.elapsed), otherwise from the seed perf-counter anchors.
-    with trace.span("batch_transient", batch=batch, tstop=tstop, dt=dt) as bsp:
-        with trace.span("ic") as ic_sp:
-            newton_batch("ic", tstart, dt, trap=False, gmin=max(opts.gmin, 1e-9))
-        ic_elapsed = trace.elapsed(ic_sp, wall_start)
-        for bank in banks:
-            bank.init_state(x)
+    with trace.span("ic") as ic_sp:
+        x, failed = ens.newton("ic", tstart, dt, False, max(opts.gmin, 1e-9),
+                               ens.alive, x)
+        ens.drop(failed)
+    ic_s = trace.elapsed(ic_sp, wall_start)
+    for bank in ens.banks:
+        bank.init_state(x)
 
-        template_circuit = circuits[0]
-        breakpoints = [b for b in template_circuit.breakpoints() if tstart < b < tstop]
-        breakpoints.append(tstop)
+    breakpoints = [b for b in ens.circuits[0].breakpoints() if tstart < b < tstop]
+    breakpoints.append(tstop)
 
-        recorder = _BatchRecorder(batch, nn, len(measured))
-        current_block = np.empty((batch, len(measured)))
+    recorder = _BatchRecorder(ens.batch, nn, len(ens.measured))
+    recorder.append(tstart, x[:, :nn], ens.sample_currents(x, "ic", dt, False))
 
-        def sample_currents(mode: str, dt_now: float, trap: bool) -> np.ndarray:
-            for j, bank in enumerate(measured):
-                current_block[:, j] = bank.current(x, mode, dt_now, trap)
-            return current_block
+    t = tstart
+    h = dt
+    bp_iter = iter(breakpoints)
+    next_bp = next(bp_iter)
+    first_step = True
+    stepping_start = time.perf_counter()
 
-        recorder.append(tstart, x[:, :nn], sample_currents("ic", dt, trap=False))
+    with trace.span("stepping") as step_sp:
+        while t < tstop - 1e-21 and ens.alive.any():
+            h_step = min(h, next_bp - t)
+            trap = opts.method == "trap" and not first_step
+            x, failed = ens.newton("tran", t + h_step, h_step, trap, opts.gmin,
+                                   ens.alive, x)
+            ens.drop(failed)
+            # Record, then commit state (commit consumes the pre-step state).
+            currents = ens.sample_currents(x, "tran", h_step, trap)
+            for bank in ens.banks:
+                bank.commit(x, h_step, trap)
+            first_step = False
+            grown = min(dt, h_step * 2.0)
 
-        t = tstart
-        h = dt
-        bp_iter = iter(breakpoints)
-        next_bp = next(bp_iter)
-        first_step = True
-        stepping_start = time.perf_counter()
+            t += h_step
+            ens.tally("accepted_steps", ens.alive)
+            recorder.append(t, x[:, :nn], currents)
 
-        with trace.span("stepping") as step_sp:
-            while t < tstop - 1e-21 and alive.any():
-                h_step = min(h, next_bp - t)
-                trap = method == "trap" and not first_step
-                newton_batch("tran", t + h_step, h_step, trap, opts.gmin)
-                # Record, then commit state (commit consumes the pre-step
-                # state).
-                sample_currents("tran", h_step, trap)
-                for bank in banks:
-                    bank.commit(x, h_step, trap)
-                first_step = False
-                grown = min(dt, h_step * 2.0)
+            if abs(t - next_bp) < 1e-21 or t >= next_bp:
+                # Source slope discontinuity: restart the integrator with a
+                # backward-Euler step (see the scalar engine).
+                first_step = True
+                try:
+                    next_bp = next(bp_iter)
+                except StopIteration:
+                    next_bp = tstop
+            h = grown
+    stepping_s = trace.elapsed(step_sp, stepping_start)
 
-                t += h_step
-                c_steps[alive] += 1
-                recorder.append(t, x[:, :nn], current_block)
+    times, nodes, currents = recorder.finish()
+    names = [b.name for b in ens.measured]
 
-                if abs(t - next_bp) < 1e-21 or t >= next_bp:
-                    # Source slope discontinuity: restart the integrator with
-                    # a backward-Euler step (see the scalar engine).
-                    first_step = True
-                    try:
-                        next_bp = next(bp_iter)
-                    except StopIteration:
-                        next_bp = tstop
-                h = grown
+    def waveform(b):
+        return (times, np.array(nodes[:, b, :]),
+                {name: np.array(currents[:, b, j]) for j, name in enumerate(names)})
 
-        now = time.perf_counter()
-        times, node_block, current_block_all = recorder.finish()
-        current_names = [b.name for b in measured]
-
-        # Shared wall clock is split evenly across instance records so that
-        # aggregated telemetry still sums to real elapsed time.
-        ic_share = ic_elapsed / batch
-        stepping_share = trace.elapsed(step_sp, stepping_start) / batch
-        total_share = (now - wall_start) / batch
-
-        results: list[TransientResult | None] = [None] * batch
-        for b in range(batch):
-            if not alive[b]:
-                continue
-            tel = SolverTelemetry(
-                newton_solves=int(c_solves[b]),
-                newton_iterations=int(c_iters[b]),
-                accepted_steps=int(c_steps[b]),
-                base_assemblies=int(c_solves[b]),
-                nonlinear_restamps=int(c_iters[b]),
-            )
-            record_backend(tel, "dense_lu")
-            tel.add_phase_seconds("ic", ic_share)
-            tel.add_phase_seconds("stepping", stepping_share)
-            tel.add_phase_seconds("total", total_share)
-            record_session(tel)
-            currents = {
-                name: np.array(current_block_all[:, b, j])
-                for j, name in enumerate(current_names)
-            }
-            results[b] = TransientResult(
-                circuits[b], times, np.array(node_block[:, b, :]), currents,
-                telemetry=tel,
-            )
-
-        bsp.set_attribute("fallbacks", int(fallback.sum()))
-        for b in np.flatnonzero(fallback):
-            # This instance needed the recovery ladder: the scalar engine
-            # owns step halving, gmin stepping and their telemetry.  Its
-            # partial batched work is discarded (and not attributed).
-            result = transient(circuits[b], tstop, dt, tstart=tstart, options=opts)
-            result.telemetry.batch_fallbacks += 1
-            record_session(SolverTelemetry(batch_fallbacks=1))
-            results[b] = result
-
-    return results
+    return waveform, ic_s, stepping_s
 
 
-def _adaptive_lockstep(circuits, system: MnaSystem, banks, opts, tstop: float,
-                       dt: float, tstart: float, wall_start: float):
+def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
     """LTE-controlled lockstep: every instance walks its own step sequence.
 
     The fixed-step lockstep shares one grid across the ensemble; the
@@ -1121,332 +985,158 @@ def _adaptive_lockstep(circuits, system: MnaSystem, banks, opts, tstop: float,
     the terminal ConvergenceError and its telemetry; the record carries
     ``batch_fallbacks = 1`` like the fixed path's ladder exits).
     """
-    batch = len(circuits)
-    n = system.size
-    nn = system.num_node_unknowns
-    linear_banks = [b for b in banks if not b.nonlinear]
-    device_banks = [b for b in banks if b.nonlinear]
-    measured = [b for b in banks if b.has_current]
-    stateful = [b for b in banks if b.state_snapshot() is not None]
+    opts, dt, tstart, tstop = ens.opts, ens.dt, ens.tstart, ens.tstop
+    batch = ens.batch
+    nn = ens.nn
+    alive = ens.alive
+    stateful = [b for b in ens.banks if b.state_snapshot() is not None]
     method_trap = opts.method == "trap"
     min_h = opts.min_dt if opts.min_dt is not None else dt / _MIN_STEP_DIVISOR
+    x_acc = np.zeros((batch, ens.size))
 
-    # Vectorized per-instance telemetry (same counting points as the scalar
-    # adaptive loop; folded into SolverTelemetry records at the end).
-    c_solves = np.zeros(batch, dtype=int)
-    c_iters = np.zeros(batch, dtype=int)
-    c_steps = np.zeros(batch, dtype=int)
-    c_rej = np.zeros(batch, dtype=int)
-    c_retry = np.zeros(batch, dtype=int)
-    c_lte = np.zeros(batch, dtype=int)
-    c_mask = np.zeros(batch, dtype=int)
+    # -- t=0 consistency solve -------------------------------------------------------
+    no_trap = np.zeros(batch, dtype=bool)
+    with trace.span("ic") as ic_sp:
+        x_acc, ic_failed = ens.newton(
+            "ic", np.full(batch, tstart), np.full(batch, dt), no_trap,
+            max(opts.gmin, 1e-9), alive, x_acc)
+        ens.drop(ic_failed)
+    ic_s = trace.elapsed(ic_sp, wall_start)
+    for bank in ens.banks:
+        bank.init_state(x_acc)
 
-    alive = np.ones(batch, dtype=bool)
-    fallback = np.zeros(batch, dtype=bool)
-    x_acc = np.zeros((batch, n))
+    bps = [b for b in ens.circuits[0].breakpoints() if tstart < b < tstop]
+    bps.append(tstop)
+    bp_arr = np.array(bps)
+    bp_idx = np.zeros(batch, dtype=int)
+    last_bp = len(bps) - 1
 
-    lin_A = np.zeros((batch, n, n))
-    lin_z = np.zeros((batch, n))
-    lin_key: tuple | None = None
-    work_A = np.empty((batch, n, n))
-    work_z = np.empty((batch, n))
-    identity = np.eye(n)
+    recorders = [_SampleRecorder(nn, [b.name for b in ens.measured])
+                 for _ in range(batch)]
+    cur_block = ens.sample_currents(x_acc, "ic", dt, False)
+    for b in np.flatnonzero(alive):
+        recorders[b].append(tstart, x_acc[b, :nn], cur_block[b])
 
-    def linear_matrix(mode, dt_arr, trap_arr, gmin):
-        nonlocal lin_key
-        # Per-instance steps and phases enter the cache key by value; the
-        # stack is reused whenever a whole round repeats them (e.g. every
-        # instance regrowing at the cap).
-        key = (mode, dt_arr.tobytes(), trap_arr.tobytes(), gmin)
-        if key != lin_key:
-            lin_A[:] = 0.0
-            for bank in linear_banks:
-                bank.stamp_matrix(lin_A, mode, dt_arr, trap_arr)
-            for bank in device_banks:
-                bank.stamp_matrix(lin_A, mode, dt_arr, trap_arr, gmin=gmin)
-            lin_key = key
-        return lin_A
+    # Per-instance integrator state.
+    t_i = np.full(batch, tstart)
+    h_i = np.full(batch, dt)
+    # A pending reject-retry overrides the min(h, breakpoint-gap) clamp: the
+    # scalar controller does not re-clamp a halved/shrunk step within the
+    # retry loop.  NaN means "no retry pending".
+    retry_h = np.full(batch, np.nan)
+    first_step = np.ones(batch, dtype=bool)
+    stepping_start = time.perf_counter()
 
-    def linear_rhs(mode, t_arr, dt_arr, trap_arr):
-        lin_z[:] = 0.0
-        for bank in linear_banks:
-            bank.stamp_rhs(lin_z, mode, t_arr, dt_arr, trap_arr)
-        return lin_z
+    with trace.span("stepping") as step_sp:
+        while True:
+            pending = alive & (t_i < tstop - 1e-21)
+            if not pending.any():
+                break
+            ens.tally("mask_steps", pending)
+            gap = bp_arr[bp_idx] - t_i
+            h_step = np.where(np.isnan(retry_h), np.minimum(h_i, gap), retry_h)
+            # Finished/fallen-back lanes ride along with a harmless dummy
+            # step (their results are never consumed; the dummy keeps the
+            # vectorized companion math division-safe).
+            h_step = np.where(pending, h_step, 1.0)
+            trap_big = pending & ~first_step if method_trap else no_trap
 
-    def newton_round(mode, t_arr, dt_arr, trap_arr, gmin, mask, x0):
-        """One phase solve over the masked instances.
+            # Step-doubling triplet, every lane at its own (t, h).
+            x_big, fail_big = ens.newton(
+                "tran", t_i + h_step, h_step, trap_big, opts.gmin, pending, x_acc)
+            ok = pending & ~fail_big
 
-        Returns ``(x, failed)``: rows outside ``mask`` keep ``x0``'s
-        values, ``failed`` flags masked instances whose solve did not
-        converge (budget exhausted or a non-finite iterate) — the
-        per-instance analogue of the scalar engine's ConvergenceError.
-        """
-        failed = np.zeros(batch, dtype=bool)
-        x = x0.copy()
-        if not mask.any():
-            return x, failed
-        np.add(c_solves, mask, out=c_solves)
-        A = linear_matrix(mode, dt_arr, trap_arr, gmin)
-        z = linear_rhs(mode, t_arr, dt_arr, trap_arr)
+            half = h_step / 2.0
+            x_mid, fail_mid = ens.newton(
+                "tran", t_i + half, half, trap_big, opts.gmin, ok, x_acc)
+            ok = ok & ~fail_mid
 
-        if not device_banks:
-            # Affine system: one direct batched solve, iterations stay 0
-            # (matching the scalar direct-solve path).
-            np.copyto(work_A, A)
-            np.copyto(work_z, z)
-            off = ~mask
-            if off.any():
-                work_A[off] = identity
-                work_z[off] = 0.0
-            xn = _solve_stack(work_A, work_z)
-            finite = np.isfinite(xn).all(axis=1)
-            x = np.where((mask & finite)[:, None], xn, x)
-            failed = mask & ~finite
-            return x, failed
+            # Mid-point commit for lanes still in flight; the snapshot
+            # restores every other lane afterwards (commit is all-lane
+            # vectorized math) and, at the end of the round, every lane that
+            # did not accept.
+            snaps = [bank.state_snapshot() for bank in stateful]
+            for bank in ens.banks:
+                bank.commit(x_mid, half, trap_big)
+            not_ok = ~ok
+            for bank, snap in zip(stateful, snaps):
+                bank.state_restore(snap, not_ok)
 
-        active = mask.copy()
-        for _ in range(opts.max_newton):
-            np.add(c_iters, active, out=c_iters)
-            np.copyto(work_A, A)
-            np.copyto(work_z, z)
-            for bank in device_banks:
-                bank.stamp_iterate(work_A, work_z, x)
-            off = ~active
-            if off.any():
-                work_A[off] = identity
-                work_z[off] = 0.0
-            xn = _solve_stack(work_A, work_z)
-            finite = np.isfinite(xn).all(axis=1)
-            bad = active & ~finite
-            if bad.any():
-                failed |= bad
-                active = active & finite
-                if not active.any():
-                    return x, failed
-                xn = np.where(finite[:, None], xn, x)
-            dx = xn - x
-            adx = np.abs(dx)
-            step = adx.max(axis=1)
-            damped = step > DEFAULT_MAX_UPDATE
-            if damped.any():
-                scale = DEFAULT_MAX_UPDATE / np.maximum(step, DEFAULT_MAX_UPDATE)
-                moved = np.where(damped[:, None], x + dx * scale[:, None], xn)
-            else:
-                moved = xn
-            x = np.where(active[:, None], moved, x)
-            conv = (adx <= opts.abstol + opts.reltol * np.abs(xn)).all(axis=1)
-            settled = active & ~damped & conv
-            if settled.any():
-                active = active & ~settled
-                if not active.any():
-                    return x, failed
-        failed |= active
-        return x, failed
+            # The second half step always runs on post-commit history (the
+            # scalar engine's mid-commit clears first_step).
+            trap_h2 = np.full(batch, method_trap)
+            x_new, fail_h2 = ens.newton(
+                "tran", t_i + h_step, half, trap_h2, opts.gmin, ok, x_mid)
+            ok = ok & ~fail_h2
 
-    results: list[TransientResult | None] = [None] * batch
-    with trace.span("batch_transient", batch=batch, tstop=tstop, dt=dt,
-                    adaptive=True) as bsp:
-        # -- t=0 consistency solve ---------------------------------------------------
-        dt0 = np.full(batch, dt)
-        no_trap = np.zeros(batch, dtype=bool)
-        with trace.span("ic") as ic_sp:
-            x_acc, ic_failed = newton_round(
-                "ic", np.full(batch, tstart), dt0, no_trap,
-                max(opts.gmin, 1e-9), alive, x_acc)
-            if ic_failed.any():
-                alive[ic_failed] = False
-                fallback[ic_failed] = True
-        ic_elapsed = trace.elapsed(ic_sp, wall_start)
-        for bank in banks:
-            bank.init_state(x_acc)
+            # Newton failures: per-instance step halving, scalar-engine
+            # fallback once a lane's ladder bottoms out.
+            nfail = pending & ~ok
+            if nfail.any():
+                ens.tally("step_rejections", nfail)
+                h_next = h_step / 2.0
+                dead = nfail & (h_next < min_h)
+                ens.drop(dead)
+                retrying = nfail & ~dead
+                ens.tally("step_retries", retrying)
+                retry_h[retrying] = h_next[retrying]
 
-        bps = [b for b in circuits[0].breakpoints() if tstart < b < tstop]
-        bps.append(tstop)
-        bp_arr = np.array(bps)
-        bp_idx = np.zeros(batch, dtype=int)
-        last_bp = len(bps) - 1
+            # LTE control (scalar formulas, elementwise).
+            err = np.zeros(batch)
+            if nn and ok.any():
+                scale = opts.lte_atol + opts.lte_rtol * np.abs(x_new[:, :nn])
+                err = np.max(np.abs(x_big[:, :nn] - x_new[:, :nn]) / scale, axis=1)
+            lte_bad = ok & (err > 1.0)
+            ens.tally("lte_rejections", lte_bad)
+            pos = err > 0.0
+            inv_cbrt = np.ones(batch)
+            inv_cbrt[pos] = err[pos] ** (-1.0 / 3.0)
+            h_shrunk = np.maximum(h_step * np.maximum(0.9 * inv_cbrt, 0.25), min_h)
+            # Accept-at-the-floor quirk: a shrink clamped to min_h is
+            # accepted with the *old* step's solutions but advances t by the
+            # *new* (floored) step — exactly the scalar loop's
+            # reassign-then-break.
+            floor_acc = lte_bad & (h_shrunk <= min_h)
+            accepted = (ok & ~lte_bad) | floor_acc
+            lte_retry = lte_bad & ~floor_acc
+            retry_h[lte_retry] = h_shrunk[lte_retry]
 
-        current_names = [b.name for b in measured]
-        recorders = [_SampleRecorder(nn, current_names) for _ in range(batch)]
-        cur_block = np.empty((batch, len(measured)))
+            # Currents sample the pre-commit (mid-committed) history, then
+            # the final half-step commit lands; every lane that did not
+            # accept is rolled back to its pre-round state.
+            cur_block = ens.sample_currents(x_new, "tran", half, trap_h2)
+            for bank in ens.banks:
+                bank.commit(x_new, half, trap_h2)
+            not_acc = ~accepted
+            for bank, snap in zip(stateful, snaps):
+                bank.state_restore(snap, not_acc)
 
-        def sample_currents(mode, dt_now, trap_now, x):
-            for j, bank in enumerate(measured):
-                cur_block[:, j] = bank.current(x, mode, dt_now, trap_now)
-            return cur_block
+            if accepted.any():
+                h_used = np.where(floor_acc, h_shrunk, h_step)
+                # Regrowth from the rejecting err on floor-accepts, from the
+                # accepted err otherwise — scalar's `factor`.
+                factor = np.full(batch, opts.max_growth)
+                factor[pos] = 0.9 * inv_cbrt[pos]
+                grown = np.minimum(dt, h_used * np.minimum(
+                    np.maximum(factor, 0.25), opts.max_growth))
+                t_i = np.where(accepted, t_i + h_used, t_i)
+                x_acc = np.where(accepted[:, None], x_new, x_acc)
+                ens.tally("accepted_steps", accepted)
+                h_i = np.where(accepted, grown, h_i)
+                retry_h[accepted] = np.nan
+                first_step = first_step & ~accepted
+                nbp = bp_arr[bp_idx]
+                landed = accepted & ((np.abs(t_i - nbp) < 1e-21) | (t_i >= nbp))
+                if landed.any():
+                    # Source slope discontinuity: restart the lane's
+                    # integrator with a backward-Euler step.
+                    first_step = first_step | landed
+                    bp_idx = np.where(landed, np.minimum(bp_idx + 1, last_bp), bp_idx)
+                for b in np.flatnonzero(accepted):
+                    recorders[b].append(t_i[b], x_new[b, :nn], cur_block[b])
+    stepping_s = trace.elapsed(step_sp, stepping_start)
 
-        sample_currents("ic", dt, False, x_acc)
-        for b in np.flatnonzero(alive):
-            recorders[b].append(tstart, x_acc[b, :nn], cur_block[b])
-
-        # Per-instance integrator state.
-        t_i = np.full(batch, tstart)
-        h_i = np.full(batch, dt)
-        # A pending reject-retry overrides the min(h, breakpoint-gap)
-        # clamp: the scalar controller does not re-clamp a halved/shrunk
-        # step within the retry loop.  NaN means "no retry pending".
-        retry_h = np.full(batch, np.nan)
-        first_step = np.ones(batch, dtype=bool)
-        stepping_start = time.perf_counter()
-
-        with trace.span("stepping") as step_sp:
-            while True:
-                pending = alive & (t_i < tstop - 1e-21)
-                if not pending.any():
-                    break
-                np.add(c_mask, pending, out=c_mask)
-                gap = bp_arr[bp_idx] - t_i
-                h_step = np.where(np.isnan(retry_h),
-                                  np.minimum(h_i, gap), retry_h)
-                # Finished/fallen-back lanes ride along with a harmless
-                # dummy step (their results are never consumed; the dummy
-                # keeps the vectorized companion math division-safe).
-                h_step = np.where(pending, h_step, 1.0)
-                if method_trap:
-                    trap_big = pending & ~first_step
-                else:
-                    trap_big = no_trap
-
-                # Step-doubling triplet, every lane at its own (t, h).
-                x_big, fail_big = newton_round(
-                    "tran", t_i + h_step, h_step, trap_big, opts.gmin,
-                    pending, x_acc)
-                ok = pending & ~fail_big
-
-                half = h_step / 2.0
-                x_mid, fail_mid = newton_round(
-                    "tran", t_i + half, half, trap_big, opts.gmin, ok, x_acc)
-                ok = ok & ~fail_mid
-
-                # Mid-point commit for lanes still in flight; the snapshot
-                # restores every other lane afterwards (commit is all-lane
-                # vectorized math) and, at the end of the round, every lane
-                # that did not accept.
-                snaps = [bank.state_snapshot() for bank in stateful]
-                for bank in banks:
-                    bank.commit(x_mid, half, trap_big)
-                not_ok = ~ok
-                for bank, snap in zip(stateful, snaps):
-                    bank.state_restore(snap, not_ok)
-
-                # The second half step always runs on post-commit history
-                # (the scalar engine's mid-commit clears first_step).
-                trap_h2 = np.full(batch, method_trap)
-                x_new, fail_h2 = newton_round(
-                    "tran", t_i + h_step, half, trap_h2, opts.gmin, ok, x_mid)
-                ok = ok & ~fail_h2
-
-                # Newton failures: per-instance step halving, scalar-engine
-                # fallback once a lane's ladder bottoms out.
-                nfail = pending & ~ok
-                if nfail.any():
-                    np.add(c_rej, nfail, out=c_rej)
-                    h_next = h_step / 2.0
-                    dead = nfail & (h_next < min_h)
-                    if dead.any():
-                        alive[dead] = False
-                        fallback[dead] = True
-                    retrying = nfail & ~dead
-                    np.add(c_retry, retrying, out=c_retry)
-                    retry_h[retrying] = h_next[retrying]
-
-                # LTE control (scalar formulas, elementwise).
-                err = np.zeros(batch)
-                if nn and ok.any():
-                    scale = opts.lte_atol + opts.lte_rtol * np.abs(x_new[:, :nn])
-                    err = np.max(
-                        np.abs(x_big[:, :nn] - x_new[:, :nn]) / scale, axis=1)
-                lte_bad = ok & (err > 1.0)
-                np.add(c_lte, lte_bad, out=c_lte)
-                pos = err > 0.0
-                inv_cbrt = np.ones(batch)
-                inv_cbrt[pos] = err[pos] ** (-1.0 / 3.0)
-                h_shrunk = np.maximum(
-                    h_step * np.maximum(0.9 * inv_cbrt, 0.25), min_h)
-                # Accept-at-the-floor quirk: a shrink clamped to min_h is
-                # accepted with the *old* step's solutions but advances t
-                # by the *new* (floored) step — exactly the scalar loop's
-                # reassign-then-break.
-                floor_acc = lte_bad & (h_shrunk <= min_h)
-                accepted = (ok & ~lte_bad) | floor_acc
-                lte_retry = lte_bad & ~floor_acc
-                retry_h[lte_retry] = h_shrunk[lte_retry]
-
-                # Currents sample the pre-commit (mid-committed) history,
-                # then the final half-step commit lands; every lane that
-                # did not accept is rolled back to its pre-round state.
-                sample_currents("tran", half, trap_h2, x_new)
-                for bank in banks:
-                    bank.commit(x_new, half, trap_h2)
-                not_acc = ~accepted
-                for bank, snap in zip(stateful, snaps):
-                    bank.state_restore(snap, not_acc)
-
-                if accepted.any():
-                    h_used = np.where(floor_acc, h_shrunk, h_step)
-                    # Regrowth from the rejecting err on floor-accepts,
-                    # from the accepted err otherwise — scalar's `factor`.
-                    factor = np.full(batch, opts.max_growth)
-                    factor[pos] = 0.9 * inv_cbrt[pos]
-                    grown = np.minimum(dt, h_used * np.minimum(
-                        np.maximum(factor, 0.25), opts.max_growth))
-                    t_i = np.where(accepted, t_i + h_used, t_i)
-                    x_acc = np.where(accepted[:, None], x_new, x_acc)
-                    np.add(c_steps, accepted, out=c_steps)
-                    h_i = np.where(accepted, grown, h_i)
-                    retry_h[accepted] = np.nan
-                    first_step = first_step & ~accepted
-                    nbp = bp_arr[bp_idx]
-                    landed = accepted & (
-                        (np.abs(t_i - nbp) < 1e-21) | (t_i >= nbp))
-                    if landed.any():
-                        # Source slope discontinuity: restart the lane's
-                        # integrator with a backward-Euler step.
-                        first_step = first_step | landed
-                        bp_idx = np.where(
-                            landed, np.minimum(bp_idx + 1, last_bp), bp_idx)
-                    for b in np.flatnonzero(accepted):
-                        recorders[b].append(t_i[b], x_new[b, :nn], cur_block[b])
-
-        now = time.perf_counter()
-        ic_share = ic_elapsed / batch
-        stepping_share = trace.elapsed(step_sp, stepping_start) / batch
-        total_share = (now - wall_start) / batch
-
-        for b in range(batch):
-            if not alive[b]:
-                continue
-            times, nodes, currents = recorders[b].finish()
-            tel = SolverTelemetry(
-                newton_solves=int(c_solves[b]),
-                newton_iterations=int(c_iters[b]),
-                accepted_steps=int(c_steps[b]),
-                step_rejections=int(c_rej[b]),
-                step_retries=int(c_retry[b]),
-                lte_rejections=int(c_lte[b]),
-                base_assemblies=int(c_solves[b]),
-                nonlinear_restamps=int(c_iters[b]),
-                mask_steps=int(c_mask[b]),
-            )
-            record_backend(tel, "dense_lu")
-            tel.add_phase_seconds("ic", ic_share)
-            tel.add_phase_seconds("stepping", stepping_share)
-            tel.add_phase_seconds("total", total_share)
-            record_session(tel)
-            results[b] = TransientResult(circuits[b], times, nodes, currents,
-                                         telemetry=tel)
-
-        bsp.set_attribute("fallbacks", int(fallback.sum()))
-        for b in np.flatnonzero(fallback):
-            # This lane needed the scalar engine's recovery ladder (or its
-            # terminal ConvergenceError); partial batched work is discarded.
-            result = transient(circuits[b], tstop, dt, tstart=tstart,
-                               options=opts)
-            result.telemetry.batch_fallbacks += 1
-            record_session(SolverTelemetry(batch_fallbacks=1))
-            results[b] = result
-
-    return results
+    return (lambda b: recorders[b].finish()), ic_s, stepping_s
 
 
 def _solve_stack(A: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -22,6 +22,8 @@ from .sources import SourceShape
 
 #: Conductance used to force a capacitor to its initial condition in "ic" mode.
 _IC_FORCE_CONDUCTANCE = 1e3
+#: Series resistance of the stiff Thevenin an inductor stamps in "ic" mode.
+_IC_INDUCTOR_R = 1e-3
 
 
 class Element:
@@ -187,12 +189,11 @@ class Inductor(Element):
         if ctx.mode == "ic":
             # A bare current constraint (i = ic) would leave nodes whose only
             # DC path to ground runs through this inductor floating.  Stamp a
-            # stiff Thevenin instead: v = R_small * (i - ic).  Node voltages
-            # then initialize as if the inductor were a short, while the
-            # inductor *state* still starts at exactly ic (see init_state).
-            r_small = 1e-3
-            ctx.set_branch_entry(row, row, -r_small)
-            ctx.set_branch_rhs(row, -r_small * self.ic)
+            # stiff Thevenin instead: v = _IC_INDUCTOR_R * (i - ic).  Node
+            # voltages then initialize as if the inductor were a short, while
+            # the inductor *state* still starts at exactly ic (see init_state).
+            ctx.set_branch_entry(row, row, -_IC_INDUCTOR_R)
+            ctx.set_branch_rhs(row, -_IC_INDUCTOR_R * self.ic)
             return
         state = ctx.state(self)
         if ctx.method == "trap" and not state.get("first_step", True):

@@ -47,6 +47,21 @@ def _assert_results_match(scalar, batched, tol=PARITY_TOL):
             assert dv <= tol, f"node {node}: |dV| = {dv:.3e} V"
 
 
+def _nan_row_after(solve, calls, row):
+    """Wrap a batched solve so ``row`` comes back NaN after ``calls`` calls."""
+    count = 0
+
+    def wrapped(A, z):
+        nonlocal count
+        count += 1
+        out = solve(A, z)
+        if count > calls:
+            out[row] = np.nan
+        return out
+
+    return wrapped
+
+
 class TestLockstepSignature:
     def test_same_topology_different_parameters_share_signature(self, tech018):
         specs = _driver_specs(tech018, [1, 7, 19])
@@ -84,9 +99,10 @@ class TestGoldenParity:
         assert all(b.telemetry.batch_fallbacks == 0 for b in batched)
 
     def test_multi_device_lc_bank_dense_path(self, tech018):
-        """Non-collapsed banks have several MOSFET banks per circuit, which
-        exercises the dense stamp/solve lane instead of the rank-1 update.
-        Instances vary in inductance (value-only, so topology is shared)."""
+        """Non-collapsed banks have several MOSFET banks per circuit, so
+        every iterate restamps several device positions into the dense
+        stack.  Instances vary in inductance (value-only, so topology is
+        shared)."""
         specs = [
             dataclasses.replace(
                 s, capacitance=2e-12, collapse=False, n_drivers=3, inductance=l
@@ -188,8 +204,6 @@ class TestScalarFallback:
         fails every instance out of the lockstep loop deterministically."""
         from repro.spice import batch as batch_mod
 
-        monkeypatch.setattr(batch_mod._Rank1Lane, "prepare",
-                            lambda self, *a, **k: None)
         monkeypatch.setattr(batch_mod, "_solve_stack",
                             lambda A, z: np.full(z.shape, np.nan))
 
@@ -201,6 +215,31 @@ class TestScalarFallback:
         # Fallback results come from the scalar engine itself: bitwise equal.
         _assert_results_match(scalar, batched, tol=0.0)
         assert all(b.telemetry.batch_fallbacks == 1 for b in batched)
+
+    def test_one_failed_instance_leaves_neighbours_in_lockstep(
+            self, tech018, monkeypatch):
+        """A single instance failing mid-run falls back alone: the solve
+        returns a non-finite row for instance 1 only, from the 41st batched
+        solve on, while instances 0 and 2 keep running in lockstep with
+        the scalar engine's waveforms and Newton effort."""
+        from repro.spice import batch as batch_mod
+
+        monkeypatch.setattr(batch_mod, "_solve_stack",
+                            _nan_row_after(batch_mod._solve_stack, calls=40, row=1))
+
+        specs = _driver_specs(tech018, [3, 11, 20])
+        tstop, dt = _grid(specs[0])
+        scalar = [transient(build_driver_bank(s), tstop, dt) for s in specs]
+        batched = batch_transient([build_driver_bank(s) for s in specs], tstop, dt)
+
+        _assert_results_match([scalar[1]], [batched[1]], tol=0.0)
+        assert batched[1].telemetry.batch_fallbacks == 1
+        for k in (0, 2):
+            s, b = scalar[k], batched[k]
+            _assert_results_match([s], [b])
+            assert b.telemetry.batch_fallbacks == 0
+            assert b.telemetry.newton_iterations == s.telemetry.newton_iterations
+            assert b.telemetry.accepted_steps == s.telemetry.accepted_steps
 
 
 class TestParameterBankValidation:

@@ -24,6 +24,8 @@ from repro.spice import batch as batch_mod
 from repro.spice.batch import batch_transient
 from repro.spice.transient import TransientOptions, transient
 
+from .test_spice_batch import _nan_row_after
+
 #: Batched adaptive waveforms must stay within this of the scalar engine.
 PARITY_TOL = 1e-9
 
@@ -159,8 +161,6 @@ class TestScalarFallback:
         """Sabotaged batched solves fail every instance out of the adaptive
         lockstep loop (IC solve first); each is transparently re-run on the
         scalar adaptive engine, so results are bitwise-equal to scalar."""
-        monkeypatch.setattr(batch_mod._Rank1Lane, "prepare",
-                            lambda self, *a, **k: None)
         monkeypatch.setattr(batch_mod, "_solve_stack",
                             lambda A, z: np.full(z.shape, np.nan))
 
@@ -176,6 +176,31 @@ class TestScalarFallback:
             for node in s.node_names:
                 assert np.array_equal(s.voltage(node).y, b.voltage(node).y)
             assert b.telemetry.batch_fallbacks == 1
+
+    def test_one_failed_instance_leaves_neighbours_in_lockstep(
+            self, tech018, monkeypatch):
+        """A single lane failing mid-run halves its own step down to
+        ``min_dt`` and falls back alone; instances 0 and 2 keep taking the
+        scalar adaptive engine's exact step sequence in lockstep."""
+        monkeypatch.setattr(batch_mod, "_solve_stack",
+                            _nan_row_after(batch_mod._solve_stack, calls=40, row=1))
+
+        specs = _driver_specs(tech018, [3, 11, 20])
+        tstop, dt = _grid(specs[0])
+        options = TransientOptions(adaptive=True)
+        scalar = [transient(build_driver_bank(s), tstop, dt, options=options)
+                  for s in specs]
+        batched = batch_transient([build_driver_bank(s) for s in specs],
+                                  tstop, dt, options=options)
+
+        s, b = scalar[1], batched[1]
+        assert np.array_equal(s.times, b.times)
+        for node in s.node_names:
+            assert np.array_equal(s.voltage(node).y, b.voltage(node).y)
+        assert b.telemetry.batch_fallbacks == 1
+        for k in (0, 2):
+            _assert_adaptive_parity([scalar[k]], [batched[k]])
+            assert batched[k].telemetry.batch_fallbacks == 0
 
 
 class TestEngineRouting:
