@@ -7,15 +7,19 @@ Carlo fleets over process spread.  The scalar engine (:mod:`.transient`)
 simulates them one at a time; this module simulates the whole ensemble in
 one vectorized Newton loop:
 
-* **Batched MNA assembly** — element *banks* (one per template element
-  position, holding that element's B per-instance values and companion
-  states as ``(B,)`` arrays) stamp the linear part into a cached
-  ``(B, n, n)`` matrix stack keyed on ``(mode, dt, method-phase)`` and the
-  per-step right-hand sides into a ``(B, n)`` stack.
-* **Batched device evaluation** — every MOSFET position is evaluated for
-  all instances at once through :class:`~repro.spice.mosfet.MosfetBank`
-  (stacked golden-model parameters, vectorized finite-difference operating
-  points with the scalar engine's step).
+* **Stacked elements, shared stamps** — each template element position
+  becomes one *stacked* element: a copy of the template whose parameters
+  are ``(B,)`` arrays, with companion states kept as ``(B,)`` values in
+  the ensemble's state dict.  It stamps through its own
+  :mod:`~repro.spice.elements` code into a per-instance context, so the
+  batch has no element code of its own: every element's ``stamp`` fills a
+  cached ``(B, n, n)`` matrix stack keyed on ``(mode, dt, method-phase,
+  gmin)`` and, per solve, a ``(B, n)`` right-hand-side stack.
+* **Batched device evaluation** — a stacked MOSFET's model is a
+  :class:`~repro.spice.mosfet.MosfetBank` evaluating every instance at
+  once (stacked golden-model parameters, vectorized finite-difference
+  operating points with the scalar engine's step); its ``stamp_iterate``
+  restamps the work stack at every Newton iterate.
 * **One Newton kernel, two drivers** — :meth:`_Ensemble.newton` runs one
   ``numpy.linalg.solve`` over the whole ``(B, n, n)`` stack per iterate,
   with per-instance damping and a per-instance convergence mask;
@@ -47,6 +51,7 @@ instances should split the ensemble themselves.
 
 from __future__ import annotations
 
+import copy
 import time
 
 import numpy as np
@@ -54,16 +59,15 @@ import numpy as np
 from ..observability import trace
 from .circuit import Circuit
 from .elements import (
-    _IC_FORCE_CONDUCTANCE,
-    _IC_INDUCTOR_R,
     Capacitor,
     CurrentSource,
+    Element,
     Inductor,
     MutualInductance,
     Resistor,
     VoltageSource,
 )
-from .mna import MnaSystem
+from .mna import MnaSystem, StampContext
 from .mosfet import MosfetBank, MosfetElement
 from .solver import DEFAULT_MAX_UPDATE
 from .telemetry import SolverTelemetry, record_backend, record_session
@@ -72,6 +76,7 @@ from .transient import (
     _SampleRecorder,
     TransientOptions,
     TransientResult,
+    check_time_span,
     transient,
 )
 
@@ -91,8 +96,8 @@ def lockstep_signature(circuit: Circuit) -> tuple:
     Two circuits with equal signatures have the same nodes, the same
     element list (types, names, terminals, branch layout), the same
     source breakpoint times and compatible device-model families — they
-    differ only in parameter *values*, which is exactly what the banks
-    vectorize over.
+    differ only in parameter *values*, which is exactly what the stacked
+    elements vectorize over.
 
     Raises:
         BatchIncompatibleError: if the circuit contains an element type
@@ -142,450 +147,131 @@ def _require_finite(name: str, param: str, values) -> np.ndarray:
     return arr
 
 
-# -- element banks ------------------------------------------------------------------
+# -- stacked elements -------------------------------------------------------------
 #
-# One bank per template element position.  Matrix scatters write A[:, r, c]
-# with 0-based unknown indices (ground rows/columns eliminated); the sign
-# conventions mirror StampContext exactly.
+# One stacked element per template element position: a shallow copy of the
+# template whose parameters are (B,) arrays, stamped through the element's
+# own ``stamp``/``stamp_iterate`` by a context that writes per instance.
+
+#: Error-message names of the stacked parameters (see ``Element.params``).
+_PARAM_LABELS = {"ohms": "resistance", "farads": "capacitance",
+                 "henries": "inductance", "ic": "initial condition",
+                 "coupling": "coupling"}
 
 
-def _v(x: np.ndarray, node: int) -> np.ndarray:
-    """Per-instance voltage of one node; ground is 0 V.  ``x`` is (B, n)."""
-    if node == 0:
-        return np.zeros(len(x))
-    return x[:, node - 1]
+def _stacked_shape(shapes):
+    """One source stimulus callable for B per-instance shapes."""
+    # Shared-shape fast path: the frozen shape dataclasses compare by
+    # value, so identical stimuli are evaluated once per step.
+    shared = shapes[0] if all(s == shapes[0] for s in shapes[1:]) else None
 
-
-def _add(A: np.ndarray, r: int, c: int, value) -> None:
-    """A[:, r-1, c-1] += value for two node ids, skipping ground."""
-    if r == 0 or c == 0:
-        return
-    A[:, r - 1, c - 1] += value
-
-
-def _add_conductance(A: np.ndarray, a: int, b: int, g) -> None:
-    _add(A, a, a, g)
-    _add(A, b, b, g)
-    _add(A, a, b, -g)
-    _add(A, b, a, -g)
-
-
-def _add_rhs_current(z: np.ndarray, frm: int, to: int, i) -> None:
-    """A current ``i`` forced from node ``frm`` to node ``to``; z is (B, n)."""
-    if frm != 0:
-        z[:, frm - 1] -= i
-    if to != 0:
-        z[:, to - 1] += i
-
-
-class _Bank:
-    """Base bank: B aligned instances of one template element position.
-
-    ``dt`` and ``trap`` arguments are scalars on the fixed-step lockstep
-    path (every instance shares the grid) and per-instance ``(B,)`` arrays
-    on the adaptive path, where each instance carries its own step and
-    integrator phase; the companion formulas select per instance with the
-    same float operations either way, so a lane's values are bitwise those
-    the scalar engine would produce.
-    """
-
-    #: Whether the underlying element family records a current waveform.
-    has_current = False
-    #: Whether the bank restamps at every Newton iterate (devices only).
-    nonlinear = False
-
-    def __init__(self, elements, system: MnaSystem):
-        self.elements = elements
-        self.name = elements[0].name
-        self.nodes = elements[0].nodes
-        self.system = system
-
-    def stamp_matrix(self, A, mode: str, dt, trap) -> None:
-        """Linear matrix contribution (constant across Newton iterates)."""
-
-    def stamp_rhs(self, z, mode: str, t, dt, trap) -> None:
-        """Per-step right-hand-side contribution."""
-
-    def init_state(self, x) -> None:
-        """Initialize companion state from the (B, n) IC solution."""
-
-    def commit(self, x, dt, trap) -> None:
-        """Roll companion state after an accepted step."""
-
-    def state_snapshot(self):
-        """Copies of the mutable companion state (None when stateless)."""
-        return None
-
-    def state_restore(self, snap, mask) -> None:
-        """Restore the masked instances' state from a snapshot."""
-
-    def current(self, x, mode: str, dt, trap) -> np.ndarray:
-        raise NotImplementedError
-
-
-def _per_instance(trap, when_trap, when_be):
-    """Select companion values by integrator phase, scalar or per-instance.
-
-    The fixed lockstep path passes a python bool (one phase for the whole
-    ensemble) and gets the single branch, exactly as before; the adaptive
-    path passes a ``(B,)`` bool mask and gets an elementwise select whose
-    chosen lane is the same IEEE arithmetic as the scalar branch.
-    """
-    if trap is True:
-        return when_trap()
-    if trap is False:
-        return when_be()
-    return np.where(trap, when_trap(), when_be())
-
-
-class _ResistorBank(_Bank):
-    has_current = True
-
-    def __init__(self, elements, system):
-        super().__init__(elements, system)
-        ohms = _require_finite(self.name, "resistance", [el.ohms for el in elements])
-        with np.errstate(over="ignore"):  # a subnormal R overflows; refused below
-            g = 1.0 / ohms
-        self.g = _require_finite(self.name, "conductance", g)
-
-    def stamp_matrix(self, A, mode, dt, trap):
-        a, b = self.nodes
-        _add_conductance(A, a, b, self.g)
-
-    def current(self, x, mode, dt, trap):
-        a, b = self.nodes
-        return (_v(x, a) - _v(x, b)) * self.g
-
-
-class _CapacitorBank(_Bank):
-    has_current = True
-
-    def __init__(self, elements, system):
-        super().__init__(elements, system)
-        self.farads = _require_finite(
-            self.name, "capacitance", [el.farads for el in elements]
-        )
-        self.ic = None if elements[0].ic is None else _require_finite(
-            self.name, "initial condition", [el.ic for el in elements]
-        )
-        self.v = np.zeros(len(elements))
-        self.i = np.zeros(len(elements))
-
-    def _geq(self, dt, trap) -> np.ndarray:
-        return _per_instance(
-            trap,
-            lambda: 2.0 * self.farads / dt,
-            lambda: self.farads / dt,
-        )
-
-    def _companion(self, dt, trap):
-        geq = self._geq(dt, trap)
-        ieq = _per_instance(
-            trap,
-            lambda: geq * self.v + self.i,
-            lambda: geq * self.v,
-        )
-        return geq, ieq
-
-    def stamp_matrix(self, A, mode, dt, trap):
-        a, b = self.nodes
-        if mode == "dc":
-            return
-        if mode == "ic":
-            if self.ic is not None:
-                _add_conductance(A, a, b, _IC_FORCE_CONDUCTANCE)
-            return
-        _add_conductance(A, a, b, self._geq(dt, trap))
-
-    def stamp_rhs(self, z, mode, t, dt, trap):
-        a, b = self.nodes
-        if mode == "dc":
-            return
-        if mode == "ic":
-            if self.ic is not None:
-                _add_rhs_current(z, b, a, _IC_FORCE_CONDUCTANCE * self.ic)
-            return
-        _, ieq = self._companion(dt, trap)
-        _add_rhs_current(z, b, a, ieq)
-
-    def init_state(self, x):
-        a, b = self.nodes
-        self.v = self.ic.copy() if self.ic is not None else _v(x, a) - _v(x, b)
-        self.i = np.zeros(len(self.elements))
-
-    def commit(self, x, dt, trap):
-        a, b = self.nodes
-        geq, ieq = self._companion(dt, trap)
-        v = _v(x, a) - _v(x, b)
-        self.i = geq * v - ieq
-        self.v = np.array(v)
-
-    def current(self, x, mode, dt, trap):
-        # The t=0 sample runs through the backward-Euler first-step
-        # companion exactly as the scalar recorder does (trap is False on
-        # the first step by construction).
-        a, b = self.nodes
-        geq, ieq = self._companion(dt, trap)
-        return geq * (_v(x, a) - _v(x, b)) - ieq
-
-    def state_snapshot(self):
-        return self.v.copy(), self.i.copy()
-
-    def state_restore(self, snap, mask):
-        self.v[mask] = snap[0][mask]
-        self.i[mask] = snap[1][mask]
-
-
-class _InductorBank(_Bank):
-    has_current = True
-
-    def __init__(self, elements, system):
-        super().__init__(elements, system)
-        self.henries = _require_finite(
-            self.name, "inductance", [el.henries for el in elements]
-        )
-        self.ic = _require_finite(
-            self.name, "initial condition", [el.ic for el in elements]
-        )
-        self.row = system.branch_row_of(elements[0])
-        self.i = np.zeros(len(elements))
-        self.v = np.zeros(len(elements))
-
-    def _req(self, dt, trap) -> np.ndarray:
-        return _per_instance(
-            trap,
-            lambda: 2.0 * self.henries / dt,
-            lambda: self.henries / dt,
-        )
-
-    def stamp_matrix(self, A, mode, dt, trap):
-        a, b = self.nodes
-        row = self.row
-        if a != 0:
-            A[:, a - 1, row] += 1.0
-        if b != 0:
-            A[:, b - 1, row] -= 1.0
-        if a != 0:
-            A[:, row, a - 1] += 1.0
-        if b != 0:
-            A[:, row, b - 1] -= 1.0
-        if mode == "dc":
-            return
-        if mode == "ic":
-            A[:, row, row] += -_IC_INDUCTOR_R
-            return
-        A[:, row, row] += -self._req(dt, trap)
-
-    def stamp_rhs(self, z, mode, t, dt, trap):
-        if mode == "dc":
-            return
-        if mode == "ic":
-            z[:, self.row] += -_IC_INDUCTOR_R * self.ic
-            return
-        req = self._req(dt, trap)
-        veq = _per_instance(
-            trap,
-            lambda: -self.v - req * self.i,
-            lambda: -req * self.i,
-        )
-        z[:, self.row] += veq
-
-    def init_state(self, x):
-        a, b = self.nodes
-        self.i = self.ic.copy()
-        self.v = _v(x, a) - _v(x, b)
-
-    def commit(self, x, dt, trap):
-        a, b = self.nodes
-        self.i = np.array(x[:, self.row])
-        self.v = _v(x, a) - _v(x, b)
-
-    def current(self, x, mode, dt, trap):
-        if mode == "ic":
-            # The t=0 consistency stamp is a stiff short whose branch
-            # unknown is not the inductor current; the state *is* ic.
-            return self.ic.copy()
-        return np.array(x[:, self.row])
-
-    def state_snapshot(self):
-        return self.i.copy(), self.v.copy()
-
-    def state_restore(self, snap, mask):
-        self.i[mask] = snap[0][mask]
-        self.v[mask] = snap[1][mask]
-
-
-class _MutualBank(_Bank):
-    def __init__(self, elements, system, inductor_banks):
-        super().__init__(elements, system)
-        self.mutual = _require_finite(
-            self.name, "mutual inductance", [el.mutual for el in elements]
-        )
-        self.pair = inductor_banks  # (bank of la, bank of lb)
-
-    def _factor(self, dt, trap) -> np.ndarray:
-        return _per_instance(
-            trap,
-            lambda: 2.0 * self.mutual / dt,
-            lambda: self.mutual / dt,
-        )
-
-    def stamp_matrix(self, A, mode, dt, trap):
-        if mode != "tran":
-            return
-        factor = self._factor(dt, trap)
-        for own, other in (self.pair, self.pair[::-1]):
-            A[:, own.row, other.row] += -factor
-
-    def stamp_rhs(self, z, mode, t, dt, trap):
-        if mode != "tran":
-            return
-        factor = self._factor(dt, trap)
-        for own, other in (self.pair, self.pair[::-1]):
-            z[:, own.row] += -factor * other.i
-
-
-class _SourceBank(_Bank):
-    """Independent-source bank: evaluates the B stimuli at one step."""
-
-    def __init__(self, elements, system):
-        super().__init__(elements, system)
-        shapes = [el.shape for el in elements]
-        # Shared-shape fast path: the frozen shape dataclasses compare by
-        # value, so identical stimuli are evaluated once per step.
-        self.shared = shapes[0] if all(s == shapes[0] for s in shapes[1:]) else None
-        self.shapes = shapes
-
-    def value(self, t):
+    def value(t):
         """Per-instance stimulus at a scalar or per-instance ``(B,)`` time."""
         if isinstance(t, np.ndarray):
             # Adaptive lockstep: every instance sits at its own time.  The
             # shape dataclasses are scalar piecewise evaluators, so walk the
             # batch (sources are few; the loop is invisible next to solves).
-            if self.shared is not None:
-                return np.array([self.shared(tb) for tb in t])
-            return np.array([s(tb) for s, tb in zip(self.shapes, t)])
-        if self.shared is not None:
-            return self.shared(t)
-        return np.array([s(t) for s in self.shapes])
+            if shared is not None:
+                return np.array([shared(tb) for tb in t])
+            return np.array([s(tb) for s, tb in zip(shapes, t)])
+        if shared is not None:
+            return shared(t)
+        return np.array([s(t) for s in shapes])
+
+    return value
 
 
-class _VoltageSourceBank(_SourceBank):
-    has_current = True
+def _stack_elements(circuits: list[Circuit]) -> list[Element]:
+    """One stacked element per template element position.
 
-    def __init__(self, elements, system):
-        super().__init__(elements, system)
-        self.row = system.branch_row_of(elements[0])
-
-    def stamp_matrix(self, A, mode, dt, trap):
-        plus, minus = self.nodes
-        row = self.row
-        if plus != 0:
-            A[:, plus - 1, row] += 1.0
-            A[:, row, plus - 1] += 1.0
-        if minus != 0:
-            A[:, minus - 1, row] -= 1.0
-            A[:, row, minus - 1] -= 1.0
-
-    def stamp_rhs(self, z, mode, t, dt, trap):
-        z[:, self.row] += self.value(t)
-
-    def current(self, x, mode, dt, trap):
-        return np.array(x[:, self.row])
-
-
-class _CurrentSourceBank(_SourceBank):
-    def stamp_rhs(self, z, mode, t, dt, trap):
-        frm, to = self.nodes
-        _add_rhs_current(z, frm, to, self.value(t))
-
-
-class _MosfetBankAdapter(_Bank):
-    """Nonlinear bank: restamped per Newton iterate via :class:`MosfetBank`."""
-
-    has_current = True
-    nonlinear = True
-
-    def __init__(self, elements, system):
-        super().__init__(elements, system)
-        self.bank = MosfetBank(elements)
-
-    def _bias(self, x):
-        d, g, s, b = self.nodes
-        vs = _v(x, s)
-        return _v(x, g) - vs, _v(x, d) - vs, _v(x, b) - vs
-
-    def stamp_matrix(self, A, mode, dt, trap, gmin: float = 0.0):
-        # The gmin shunt is stamped by the device in the scalar engine but
-        # is constant across iterates, so it lives in the cached linear
-        # stack here (gmin differs between "ic" and "tran" solves; the
-        # cache is keyed on mode).
-        d, _, s, _ = self.nodes
-        _add_conductance(A, d, s, gmin)
-
-    def stamp_iterate(self, A, z, x) -> None:
-        """Linearized device stamps for the whole ensemble.
-
-        ``A``/``z`` are the full ``(B, n, n)``/``(B, n)`` work stacks;
-        operating points are evaluated for every instance in one vectorized
-        pass (instances share the stacked model's parameter axis).  Rows of
-        instances that already converged or failed are stamped too — their
-        solutions are simply never applied — because masking the math would
-        cost more than the redundant flops at ensemble sizes where the
-        per-operation overhead dominates.
-        """
-        d, g, s, b = self.nodes
-        vgs, vds, vbs = self._bias(x)
-        op = self.bank.partials(vgs, vds, vbs)
-        gm, gds, gmbs = op.gm, op.gds, op.gmbs
-        ieq = op.ids - gm * vgs - gds * vds - gmbs * vbs
-        gsum = gm + gds + gmbs
-        # KCL at drain: +Id; at source: -Id (mirrors MosfetElement.stamp).
-        _add(A, d, g, gm)
-        _add(A, d, d, gds)
-        _add(A, d, b, gmbs)
-        _add(A, d, s, -gsum)
-        _add(A, s, g, -gm)
-        _add(A, s, d, -gds)
-        _add(A, s, b, -gmbs)
-        _add(A, s, s, gsum)
-        _add_rhs_current(z, d, s, ieq)
-
-    def current(self, x, mode, dt, trap):
-        return self.bank.ids(*self._bias(x))
-
-
-def _build_banks(circuits: list[Circuit], system: MnaSystem) -> list[_Bank]:
-    """One bank per template element position, instances column-aligned."""
-    columns = [c.elements for c in circuits]
-    banks: list[_Bank] = []
-    by_position: dict[int, _Bank] = {}
-    template = columns[0]
-    position = {id(el): k for k, el in enumerate(template)}
+    Every parameter named in ``params`` becomes a validated ``(B,)``
+    array; coupled inductances are re-pointed at the stacked inductors,
+    source shapes become one stacked stimulus and MOSFET models one
+    :class:`~repro.spice.mosfet.MosfetBank`.
+    """
+    template = circuits[0].elements
+    stacked: dict[int, Element] = {}
     for k, el in enumerate(template):
-        instances = [col[k] for col in columns]
+        instances = [c.elements[k] for c in circuits]
+        s = copy.copy(el)
+        for param in el.params:
+            values = [getattr(inst, param) for inst in instances]
+            if values[0] is not None:  # a capacitor without an IC
+                setattr(s, param, _require_finite(el.name, _PARAM_LABELS[param], values))
         if isinstance(el, Resistor):
-            bank = _ResistorBank(instances, system)
-        elif isinstance(el, Capacitor):
-            bank = _CapacitorBank(instances, system)
-        elif isinstance(el, Inductor):
-            bank = _InductorBank(instances, system)
-        elif isinstance(el, MutualInductance):
-            pair = (by_position[position[id(el.la)]], by_position[position[id(el.lb)]])
-            bank = _MutualBank(instances, system, pair)
-        elif isinstance(el, VoltageSource):
-            bank = _VoltageSourceBank(instances, system)
-        elif isinstance(el, CurrentSource):
-            bank = _CurrentSourceBank(instances, system)
+            with np.errstate(over="ignore"):
+                # A subnormal R overflows its conductance; refuse it here.
+                _require_finite(el.name, "conductance", 1.0 / s.ohms)
+        elif isinstance(el, (VoltageSource, CurrentSource)):
+            s.shape = _stacked_shape([inst.shape for inst in instances])
         elif isinstance(el, MosfetElement):
-            bank = _MosfetBankAdapter(instances, system)
-        else:  # pragma: no cover - lockstep_signature rejects these first
-            raise BatchIncompatibleError(
-                f"element {el.name!r} ({type(el).__name__}) has no batched stamp"
-            )
-        by_position[k] = bank
-        banks.append(bank)
-    return banks
+            s.model = MosfetBank(instances)
+        stacked[id(el)] = s
+    for s in stacked.values():
+        if isinstance(s, MutualInductance):
+            s.la, s.lb = stacked[id(s.la)], stacked[id(s.lb)]
+            _require_finite(s.name, "mutual inductance", s.mutual)
+    return [stacked[id(el)] for el in template]
+
+
+class _BatchContext(StampContext):
+    """Stamp context over B instances: every value is per instance.
+
+    Node voltages are ``x[:, node - 1]`` columns of the ``(B, n)`` iterate,
+    matrix writes land in ``A[:, r, c]`` of a ``(B, n, n)`` stack and
+    right-hand-side writes in ``z[:, r]``.  ``trap`` is a bool (one phase
+    for the ensemble) or a ``(B,)`` mask.  With ``A=None`` matrix writes
+    are dropped, so a pass restamps only the right-hand side over a cached
+    matrix stack.
+    """
+
+    def __init__(self, system: MnaSystem, mode: str, t, dt, trap, states: dict,
+                 x: np.ndarray, gmin: float, A, z, ground: np.ndarray):
+        super().__init__(system, mode, t, dt, None, states, x, gmin, buffers=(A, z))
+        self.trap = trap  # given as a phase (bool or mask), not a method name
+        self._ground = ground
+
+    def v(self, node: int):
+        if node == 0:
+            return self._ground
+        return self.x[:, node - 1]
+
+    def branch_value(self, element, k: int = 0):
+        return self.x[:, self.branch_row(element, k)].copy()
+
+    def add_node_entry(self, row_node: int, col_node: int, value) -> None:
+        if self.A is None or row_node == 0 or col_node == 0:
+            return
+        self.A[:, row_node - 1, col_node - 1] += value
+
+    def add_rhs_current(self, frm: int, to: int, i) -> None:
+        if frm != 0:
+            self.z[:, frm - 1] -= i
+        if to != 0:
+            self.z[:, to - 1] += i
+
+    def add_branch_kcl(self, a: int, b: int, row: int) -> None:
+        if self.A is None:
+            return
+        if a != 0:
+            self.A[:, a - 1, row] += 1.0
+        if b != 0:
+            self.A[:, b - 1, row] -= 1.0
+
+    def add_branch_voltage(self, row: int, plus: int, minus: int) -> None:
+        if self.A is None:
+            return
+        if plus != 0:
+            self.A[:, row, plus - 1] += 1.0
+        if minus != 0:
+            self.A[:, row, minus - 1] -= 1.0
+
+    def set_branch_entry(self, row: int, col: int, value) -> None:
+        if self.A is not None:
+            self.A[:, row, col] += value
+
+    def set_branch_rhs(self, row: int, value) -> None:
+        self.z[:, row] += value
 
 
 class _BatchRecorder:
@@ -618,11 +304,12 @@ class _BatchRecorder:
 class _Ensemble:
     """One lockstep ensemble: what both drivers share, and the Newton kernel.
 
-    Holds the bank partition (linear, device and measured banks), the cached
-    linear stack, the per-iterate work stacks, the per-instance telemetry
-    counters and the ``alive``/``fallback`` masks.  The fixed-step driver
-    passes scalar ``t``/``dt``/``trap``; the adaptive driver passes ``(B,)``
-    arrays, one entry per instance (see :class:`_Bank`).
+    Holds the stacked elements, their companion ``states`` (keyed like the
+    scalar engine's, with ``(B,)`` values), the cached linear stack, the
+    per-iterate work stacks, the per-instance telemetry counters and the
+    ``alive``/``fallback`` masks.  The fixed-step driver passes scalar
+    ``t``/``dt``/``trap``; the adaptive driver passes ``(B,)`` arrays, one
+    entry per instance.
     """
 
     #: Per-instance counters, named after the SolverTelemetry fields they
@@ -639,16 +326,15 @@ class _Ensemble:
         self.opts = opts
         self.tstop, self.dt, self.tstart = tstop, dt, tstart
         self.batch = batch = len(circuits)
-        systems = [MnaSystem(c) for c in circuits]  # assigns branch layout
-        system = systems[0]
+        self.system = system = MnaSystem(circuits[0])  # assigns branch layout
         n = self.size = system.size
         self.nn = system.num_node_unknowns
         if n == 0:
             raise BatchIncompatibleError("circuit has no unknowns")
-        self.banks = _build_banks(circuits, system)
-        self.linear = [b for b in self.banks if not b.nonlinear]
-        self.devices = [b for b in self.banks if b.nonlinear]
-        self.measured = [b for b in self.banks if b.has_current]
+        self.elements = _stack_elements(circuits)
+        self.devices = [el for el in self.elements if el.nonlinear]
+        self.measured = [el for el in self.elements if hasattr(el, "current")]
+        self.states: dict = {}
 
         # Vectorized counters, folded into SolverTelemetry records by
         # finish(): python-object updates per step would cost more than the
@@ -657,6 +343,7 @@ class _Ensemble:
         self.alive = np.ones(batch, dtype=bool)      # still simulated in lockstep
         self.fallback = np.zeros(batch, dtype=bool)  # needs the scalar engine
 
+        self._ground = np.zeros(batch)
         self._lin_A = np.zeros((batch, n, n))
         self._lin_z = np.zeros((batch, n))
         self._lin_key: tuple | None = None
@@ -674,43 +361,72 @@ class _Ensemble:
         """Add one to counter ``name`` for every instance in ``mask``."""
         np.add(self.count[name], mask, out=self.count[name])
 
-    def sample_currents(self, x, mode: str, dt, trap) -> np.ndarray:
-        """``(B, measured)`` element currents at ``x`` (a reused buffer)."""
-        for j, bank in enumerate(self.measured):
-            self._currents[:, j] = bank.current(x, mode, dt, trap)
+    def context(self, mode: str, t, dt, trap, x: np.ndarray, gmin: float = 0.0,
+                A=None, z=None) -> _BatchContext:
+        return _BatchContext(self.system, mode, t, dt, trap, self.states, x,
+                             gmin, A, z, self._ground)
+
+    # -- companion state ------------------------------------------------------------
+
+    def init_state(self, ctx: _BatchContext) -> None:
+        for el in self.elements:
+            el.init_state(ctx)
+
+    def commit(self, ctx: _BatchContext) -> None:
+        for el in self.elements:
+            el.commit(ctx)
+
+    def snapshot(self) -> dict:
+        """The state values as they stand (commits replace, never mutate)."""
+        return {el: dict(state) for el, state in self.states.items()}
+
+    def restore(self, snap: dict, mask: np.ndarray) -> None:
+        """Put the ``mask`` instances' state back to ``snap``."""
+        for el, saved in snap.items():
+            state = self.states[el]
+            for key, old in saved.items():
+                state[key] = np.where(mask, old, state[key])
+
+    def sample_currents(self, ctx: _BatchContext) -> np.ndarray:
+        """``(B, measured)`` element currents at ``ctx.x`` (a reused buffer)."""
+        for j, el in enumerate(self.measured):
+            self._currents[:, j] = el.current(ctx)
         return self._currents
 
-    def _linear_matrix(self, mode: str, dt, trap, gmin: float) -> np.ndarray:
-        # Constant while (mode, dt, trap-phase, gmin) are.  Per-instance
-        # steps and phases enter the key by value, so the stack is also
-        # reused whenever an adaptive round repeats them (e.g. every
-        # instance regrowing at the cap).
+    # -- assembly and solve ---------------------------------------------------------
+
+    def _linear_stack(self, mode: str, t, dt, trap, gmin: float, x: np.ndarray):
+        """Every element's ``stamp``, restamping the matrix only on a new key.
+
+        The matrix is constant while (mode, dt, trap-phase, gmin) are.
+        Per-instance steps and phases enter the key by value, so the stack
+        is also reused whenever an adaptive round repeats them (e.g. every
+        instance regrowing at the cap); otherwise only the right-hand side
+        is restamped.
+        """
         key = (mode, np.asarray(dt).tobytes(), np.asarray(trap).tobytes(), gmin)
+        A = None
         if key != self._lin_key:
-            self._lin_A[:] = 0.0
-            for bank in self.linear:
-                bank.stamp_matrix(self._lin_A, mode, dt, trap)
-            for bank in self.devices:
-                bank.stamp_matrix(self._lin_A, mode, dt, trap, gmin=gmin)
+            A = self._lin_A
+            A[:] = 0.0
             self._lin_key = key
-        return self._lin_A
-
-    def _linear_rhs(self, mode: str, t, dt, trap) -> np.ndarray:
         self._lin_z[:] = 0.0
-        for bank in self.linear:
-            bank.stamp_rhs(self._lin_z, mode, t, dt, trap)
-        return self._lin_z
+        ctx = self.context(mode, t, dt, trap, x, gmin, A, self._lin_z)
+        for el in self.elements:
+            el.stamp(ctx)
+        return self._lin_A, self._lin_z
 
-    def _solve(self, A, z, x, off: np.ndarray) -> np.ndarray:
-        """Solve the linear stack plus the device stamps at ``x``.
+    def _solve(self, A, z, ctx: _BatchContext, off: np.ndarray) -> np.ndarray:
+        """Solve the linear stack plus the device stamps at ``ctx.x``.
 
-        The ``off`` rows may hold garbage stamps, so they are swapped for a
+        ``ctx`` writes into the work stacks this copies ``A``/``z`` to.  The
+        ``off`` rows may hold garbage stamps, so they are swapped for a
         trivial identity system that keeps the stack solvable.
         """
         np.copyto(self._work_A, A)
         np.copyto(self._work_z, z)
-        for bank in self.devices:
-            bank.stamp_iterate(self._work_A, self._work_z, x)
+        for el in self.devices:
+            el.stamp_iterate(ctx)
         if off.any():
             self._work_A[off] = self._identity
             self._work_z[off] = 0.0
@@ -738,21 +454,22 @@ class _Ensemble:
             return x, failed
         opts = self.opts
         self.tally("newton_solves", mask)
-        A = self._linear_matrix(mode, dt, trap, gmin)
-        z = self._linear_rhs(mode, t, dt, trap)
+        A, z = self._linear_stack(mode, t, dt, trap, gmin, x)
+        ctx = self.context(mode, t, dt, trap, x, gmin, self._work_A, self._work_z)
 
         if not self.devices:
             # Purely linear: the Newton map is affine, one direct batched
             # solve lands on the solution (iteration count stays 0, matching
             # the scalar direct-solve path).
-            xn = self._solve(A, z, x, ~mask)
+            xn = self._solve(A, z, ctx, ~mask)
             finite = np.isfinite(xn).all(axis=1)
             return np.where((mask & finite)[:, None], xn, x), mask & ~finite
 
         active = mask.copy()
         for _ in range(opts.max_newton):
             self.tally("newton_iterations", active)
-            xn = self._solve(A, z, x, ~mask | failed)
+            ctx.x = x
+            xn = self._solve(A, z, ctx, ~mask | failed)
             if not np.isfinite(xn).all():
                 finite = np.isfinite(xn).all(axis=1)
                 failed |= active & ~finite
@@ -852,10 +569,7 @@ def batch_transient(
             values.
         ConvergenceError: an instance failed even on the scalar ladder.
     """
-    if tstop <= tstart:
-        raise ValueError("tstop must be greater than tstart")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_time_span(tstart, tstop, dt)
     opts = options or TransientOptions()
 
     circuits = list(circuits)
@@ -899,14 +613,14 @@ def _fixed_lockstep(ens: _Ensemble, wall_start: float):
                                ens.alive, x)
         ens.drop(failed)
     ic_s = trace.elapsed(ic_sp, wall_start)
-    for bank in ens.banks:
-        bank.init_state(x)
+    ic_ctx = ens.context("ic", tstart, dt, False, x)
+    ens.init_state(ic_ctx)
 
     breakpoints = [b for b in ens.circuits[0].breakpoints() if tstart < b < tstop]
     breakpoints.append(tstop)
 
     recorder = _BatchRecorder(ens.batch, nn, len(ens.measured))
-    recorder.append(tstart, x[:, :nn], ens.sample_currents(x, "ic", dt, False))
+    recorder.append(tstart, x[:, :nn], ens.sample_currents(ic_ctx))
 
     t = tstart
     h = dt
@@ -923,9 +637,9 @@ def _fixed_lockstep(ens: _Ensemble, wall_start: float):
                                    ens.alive, x)
             ens.drop(failed)
             # Record, then commit state (commit consumes the pre-step state).
-            currents = ens.sample_currents(x, "tran", h_step, trap)
-            for bank in ens.banks:
-                bank.commit(x, h_step, trap)
+            step_ctx = ens.context("tran", t + h_step, h_step, trap, x)
+            currents = ens.sample_currents(step_ctx)
+            ens.commit(step_ctx)
             first_step = False
             grown = min(dt, h_step * 2.0)
 
@@ -945,7 +659,7 @@ def _fixed_lockstep(ens: _Ensemble, wall_start: float):
     stepping_s = trace.elapsed(step_sp, stepping_start)
 
     times, nodes, currents = recorder.finish()
-    names = [b.name for b in ens.measured]
+    names = [el.name for el in ens.measured]
 
     def waveform(b):
         return (times, np.array(nodes[:, b, :]),
@@ -989,21 +703,21 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
     batch = ens.batch
     nn = ens.nn
     alive = ens.alive
-    stateful = [b for b in ens.banks if b.state_snapshot() is not None]
     method_trap = opts.method == "trap"
     min_h = opts.min_dt if opts.min_dt is not None else dt / _MIN_STEP_DIVISOR
     x_acc = np.zeros((batch, ens.size))
 
     # -- t=0 consistency solve -------------------------------------------------------
     no_trap = np.zeros(batch, dtype=bool)
+    t_i = np.full(batch, tstart)
+    h_i = np.full(batch, dt)
     with trace.span("ic") as ic_sp:
         x_acc, ic_failed = ens.newton(
-            "ic", np.full(batch, tstart), np.full(batch, dt), no_trap,
-            max(opts.gmin, 1e-9), alive, x_acc)
+            "ic", t_i, h_i, no_trap, max(opts.gmin, 1e-9), alive, x_acc)
         ens.drop(ic_failed)
     ic_s = trace.elapsed(ic_sp, wall_start)
-    for bank in ens.banks:
-        bank.init_state(x_acc)
+    ic_ctx = ens.context("ic", t_i, h_i, no_trap, x_acc)
+    ens.init_state(ic_ctx)
 
     bps = [b for b in ens.circuits[0].breakpoints() if tstart < b < tstop]
     bps.append(tstop)
@@ -1011,18 +725,16 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
     bp_idx = np.zeros(batch, dtype=int)
     last_bp = len(bps) - 1
 
-    recorders = [_SampleRecorder(nn, [b.name for b in ens.measured])
+    recorders = [_SampleRecorder(nn, [el.name for el in ens.measured])
                  for _ in range(batch)]
-    cur_block = ens.sample_currents(x_acc, "ic", dt, False)
+    cur_block = ens.sample_currents(ic_ctx)
     for b in np.flatnonzero(alive):
         recorders[b].append(tstart, x_acc[b, :nn], cur_block[b])
 
-    # Per-instance integrator state.
-    t_i = np.full(batch, tstart)
-    h_i = np.full(batch, dt)
-    # A pending reject-retry overrides the min(h, breakpoint-gap) clamp: the
-    # scalar controller does not re-clamp a halved/shrunk step within the
-    # retry loop.  NaN means "no retry pending".
+    # Per-instance integrator state (t_i, h_i above).  A pending
+    # reject-retry overrides the min(h, breakpoint-gap) clamp: the scalar
+    # controller does not re-clamp a halved/shrunk step within the retry
+    # loop.  NaN means "no retry pending".
     retry_h = np.full(batch, np.nan)
     first_step = np.ones(batch, dtype=bool)
     stepping_start = time.perf_counter()
@@ -1055,15 +767,12 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
             # restores every other lane afterwards (commit is all-lane
             # vectorized math) and, at the end of the round, every lane that
             # did not accept.
-            snaps = [bank.state_snapshot() for bank in stateful]
-            for bank in ens.banks:
-                bank.commit(x_mid, half, trap_big)
-            not_ok = ~ok
-            for bank, snap in zip(stateful, snaps):
-                bank.state_restore(snap, not_ok)
+            snap = ens.snapshot()
+            ens.commit(ens.context("tran", t_i + half, half, trap_big, x_mid))
+            ens.restore(snap, ~ok)
 
-            # The second half step always runs on post-commit history (the
-            # scalar engine's mid-commit clears first_step).
+            # The second half step always runs on post-commit history, so
+            # it takes opts.method (as in the scalar engine).
             trap_h2 = np.full(batch, method_trap)
             x_new, fail_h2 = ens.newton(
                 "tran", t_i + h_step, half, trap_h2, opts.gmin, ok, x_mid)
@@ -1104,12 +813,10 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
             # Currents sample the pre-commit (mid-committed) history, then
             # the final half-step commit lands; every lane that did not
             # accept is rolled back to its pre-round state.
-            cur_block = ens.sample_currents(x_new, "tran", half, trap_h2)
-            for bank in ens.banks:
-                bank.commit(x_new, half, trap_h2)
-            not_acc = ~accepted
-            for bank, snap in zip(stateful, snaps):
-                bank.state_restore(snap, not_acc)
+            new_ctx = ens.context("tran", t_i + h_step, half, trap_h2, x_new)
+            cur_block = ens.sample_currents(new_ctx)
+            ens.commit(new_ctx)
+            ens.restore(snap, ~accepted)
 
             if accepted.any():
                 h_used = np.where(floor_acc, h_shrunk, h_step)

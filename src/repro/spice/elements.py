@@ -9,7 +9,23 @@ integration mode:
   forced to that voltage (stiff Norton), inductors are forced to carry their
   ``ic`` current; this yields consistent initial node voltages (SPICE ``UIC``).
 * ``mode="tran"`` — companion models (backward Euler or trapezoidal) built
-  from per-element state held by the engine.
+  from per-element state held by the engine.  The engine picks the step's
+  integrator (backward Euler on the first step after t=0 and after every
+  source breakpoint); stamps read it as ``ctx.trap``.
+
+Each element has two stamps.  ``stamp`` is every contribution that does
+not depend on the Newton iterate ``x`` — for the MOSFET that is only its
+gmin shunt — and lands once per solve in the engine's cached base system;
+``stamp_iterate`` (nonlinear elements only) is the part linearized at the
+present iterate and is restamped at every Newton iteration.
+
+The same stamps serve the batched ensemble engine (:mod:`repro.spice.batch`):
+there an element's parameters (:attr:`Element.params`), node voltages,
+state values and ``ctx.trap`` may all be ``(B,)`` arrays, one entry per
+ensemble instance.  The companion formulas are therefore written in
+float-or-array arithmetic, pick the integrator with :func:`_by_phase`, and
+commits *replace* state values instead of mutating them in place (the
+batch engine restores rejected instances by swapping values back).
 
 Sign conventions: MNA rows are KCL "sum of currents leaving the node = 0"
 moved so that ``A x = z``; branch currents flow from the element's first
@@ -17,6 +33,8 @@ node to its second.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .sources import SourceShape
 
@@ -26,22 +44,33 @@ _IC_FORCE_CONDUCTANCE = 1e3
 _IC_INDUCTOR_R = 1e-3
 
 
+def _by_phase(trap, when_trap, when_be):
+    """Select a companion value by integrator phase.
+
+    ``trap`` is a bool when the whole system shares one integrator (the
+    scalar engine, the batched fixed-step path) and a ``(B,)`` mask when
+    every instance carries its own (the batched adaptive path); the masked
+    select picks, per lane, the same IEEE result as the scalar branch.
+    """
+    if isinstance(trap, np.ndarray):
+        return np.where(trap, when_trap, when_be)
+    return when_trap if trap else when_be
+
+
 class Element:
     """Base class: a named element over integer node ids."""
 
     #: Number of extra MNA branch-current unknowns this element introduces.
     nbranches = 0
 
-    #: True when ``stamp`` reads the Newton iterate ``x`` — such elements
-    #: are restamped at every iterate; all others stamp once per solve into
-    #: the cached base matrix (see :class:`repro.spice.mna.MnaSystem`).
+    #: True when the element has a ``stamp_iterate`` that reads the Newton
+    #: iterate ``x`` and is restamped at every iterate; ``stamp`` always
+    #: lands once per solve in the cached base system (see
+    #: :class:`repro.spice.mna.MnaSystem`).
     nonlinear = False
 
-    #: State-dict keys whose values change this element's *matrix* stamp
-    #: (not just the RHS).  The linear-circuit LU cache keys on these; an
-    #: element whose matrix stamp depends on state it does not declare here
-    #: would silently break that cache.
-    matrix_state_keys: tuple[str, ...] = ()
+    #: Parameter attributes the batched engine stacks into ``(B,)`` arrays.
+    params: tuple[str, ...] = ()
 
     def __init__(self, name: str, nodes: tuple[int, ...]):
         self.name = name
@@ -50,7 +79,7 @@ class Element:
         self.branch_start: int | None = None
 
     def stamp(self, ctx) -> None:
-        """Add this element's contribution for the current iterate/mode."""
+        """Add the contribution that does not depend on the Newton iterate."""
         raise NotImplementedError
 
     def commit(self, ctx) -> None:
@@ -65,6 +94,8 @@ class Element:
 
 class Resistor(Element):
     """Linear resistor."""
+
+    params = ("ohms",)
 
     def __init__(self, name: str, a: int, b: int, ohms: float):
         if ohms <= 0:
@@ -85,7 +116,7 @@ class Resistor(Element):
 class Capacitor(Element):
     """Linear capacitor with optional initial voltage."""
 
-    matrix_state_keys = ("first_step",)
+    params = ("farads", "ic")
 
     def __init__(self, name: str, a: int, b: int, farads: float, ic: float | None = None):
         if farads <= 0:
@@ -93,32 +124,14 @@ class Capacitor(Element):
         super().__init__(name, (a, b))
         self.farads = farads
         self.ic = ic
-        # One-slot companion-conductance cache: step halving/regrowth in the
-        # transient engine revisits the same few dt values, and the division
-        # shows up in profiles at ~1e5 stamps per run.
-        self._geq_key: tuple[float, bool] | None = None
-        self._geq: float = 0.0
 
-    def _conductance(self, dt: float, trap: bool) -> float:
-        """geq for the active companion method, cached per (dt, method)."""
-        key = (dt, trap)
-        if key != self._geq_key:
-            self._geq = (2.0 * self.farads / dt) if trap else (self.farads / dt)
-            self._geq_key = key
-        return self._geq
-
-    def _companion(self, ctx) -> tuple[float, float]:
-        """(geq, ieq) such that i(a->b) = geq * v - ieq for the active method."""
+    def _companion(self, ctx):
+        """(geq, ieq) such that i(a->b) = geq * v - ieq for the step's integrator."""
         state = ctx.state(self)
-        if ctx.method == "trap" and not state.get("first_step", True):
-            geq = self._conductance(ctx.dt, True)
-            ieq = geq * state["v"] + state["i"]
-        else:
-            # Backward Euler; also used for the first step after a restart,
-            # where no consistent previous current exists yet.
-            geq = self._conductance(ctx.dt, False)
-            ieq = geq * state["v"]
-        return geq, ieq
+        trap = ctx.trap
+        geq = _by_phase(trap, 2.0 * self.farads / ctx.dt, self.farads / ctx.dt)
+        gv = geq * state["v"]
+        return geq, _by_phase(trap, gv + state["i"], gv)
 
     def stamp(self, ctx) -> None:
         a, b = self.nodes
@@ -136,7 +149,7 @@ class Capacitor(Element):
     def init_state(self, ctx) -> None:
         a, b = self.nodes
         v = self.ic if self.ic is not None else ctx.v(a) - ctx.v(b)
-        ctx.state(self).update(v=float(v), i=0.0, first_step=True)
+        ctx.state(self).update(v=v, i=0.0)
 
     def commit(self, ctx) -> None:
         a, b = self.nodes
@@ -145,9 +158,8 @@ class Capacitor(Element):
         v = ctx.v(a) - ctx.v(b)
         state["i"] = geq * v - ieq
         state["v"] = v
-        state["first_step"] = False
 
-    def current(self, ctx) -> float:
+    def current(self, ctx):
         """Capacitor current a->b at the present iterate (tran mode only)."""
         a, b = self.nodes
         geq, ieq = self._companion(ctx)
@@ -158,7 +170,7 @@ class Inductor(Element):
     """Linear inductor; its branch current is an MNA unknown."""
 
     nbranches = 1
-    matrix_state_keys = ("first_step",)
+    params = ("henries", "ic")
 
     def __init__(self, name: str, a: int, b: int, henries: float, ic: float = 0.0):
         if henries <= 0:
@@ -166,16 +178,6 @@ class Inductor(Element):
         super().__init__(name, (a, b))
         self.henries = henries
         self.ic = ic
-        self._req_key: tuple[float, bool] | None = None
-        self._req: float = 0.0
-
-    def _resistance(self, dt: float, trap: bool) -> float:
-        """req for the active companion method, cached per (dt, method)."""
-        key = (dt, trap)
-        if key != self._req_key:
-            self._req = (2.0 * self.henries / dt) if trap else (self.henries / dt)
-            self._req_key = key
-        return self._req
 
     def stamp(self, ctx) -> None:
         a, b = self.nodes
@@ -196,27 +198,23 @@ class Inductor(Element):
             ctx.set_branch_rhs(row, -_IC_INDUCTOR_R * self.ic)
             return
         state = ctx.state(self)
-        if ctx.method == "trap" and not state.get("first_step", True):
-            req = self._resistance(ctx.dt, True)
-            veq = -state["v"] - req * state["i"]
-        else:
-            req = self._resistance(ctx.dt, False)
-            veq = -req * state["i"]
+        trap = ctx.trap
+        req = _by_phase(trap, 2.0 * self.henries / ctx.dt, self.henries / ctx.dt)
+        ri = req * state["i"]
         ctx.set_branch_entry(row, row, -req)
-        ctx.set_branch_rhs(row, veq)
+        ctx.set_branch_rhs(row, _by_phase(trap, -state["v"] - ri, -ri))
 
     def init_state(self, ctx) -> None:
         a, b = self.nodes
-        ctx.state(self).update(i=float(self.ic), v=ctx.v(a) - ctx.v(b), first_step=True)
+        ctx.state(self).update(i=self.ic, v=ctx.v(a) - ctx.v(b))
 
     def commit(self, ctx) -> None:
         a, b = self.nodes
         state = ctx.state(self)
         state["i"] = ctx.branch_value(self)
         state["v"] = ctx.v(a) - ctx.v(b)
-        state["first_step"] = False
 
-    def current(self, ctx) -> float:
+    def current(self, ctx):
         if ctx.mode == "ic":
             # The t=0 consistency stamp is a stiff short whose branch
             # unknown is not the inductor current; the state *is* ic.
@@ -233,10 +231,12 @@ class MutualInductance(Element):
 
     with ``M = coupling * sqrt(La * Lb)``.  Each inductor keeps stamping
     its own self term; this element augments both branch rows with the
-    mutual term using the *same* companion method (BE/trap, including the
-    first-step restart) the partner rows use, so the pair stays consistent.
+    mutual term using the *same* companion method (the step's BE/trap
+    phase) the partner rows use, so the pair stays consistent.
     DC and IC modes need no contribution (the inductors stamp as shorts).
     """
+
+    params = ("coupling",)
 
     def __init__(self, name: str, la: "Inductor", lb: "Inductor", coupling: float):
         if not 0.0 < coupling < 1.0:
@@ -249,34 +249,22 @@ class MutualInductance(Element):
         self.la = la
         self.lb = lb
         self.coupling = coupling
-        self._factor_key: tuple[float, bool] | None = None
-        self._factor: float = 0.0
 
     @property
-    def mutual(self) -> float:
+    def mutual(self):
         """M in henries."""
         return self.coupling * (self.la.henries * self.lb.henries) ** 0.5
-
-    def _mutual_factor(self, dt: float, trap: bool) -> float:
-        key = (dt, trap)
-        if key != self._factor_key:
-            m = self.mutual
-            self._factor = (2.0 * m / dt) if trap else (m / dt)
-            self._factor_key = key
-        return self._factor
 
     def stamp(self, ctx) -> None:
         if ctx.mode != "tran":
             return
+        m = self.mutual
+        factor = _by_phase(ctx.trap, 2.0 * m / ctx.dt, m / ctx.dt)
         for own, other in ((self.la, self.lb), (self.lb, self.la)):
             row = ctx.branch_row(own)
             col = ctx.branch_row(other)
-            own_state = ctx.state(own)
-            other_state = ctx.state(other)
-            trap = ctx.method == "trap" and not own_state.get("first_step", True)
-            factor = self._mutual_factor(ctx.dt, trap)
             ctx.set_branch_entry(row, col, -factor)
-            ctx.set_branch_rhs(row, -factor * other_state.get("i", 0.0))
+            ctx.set_branch_rhs(row, -factor * ctx.state(other)["i"])
 
 
 class VoltageSource(Element):

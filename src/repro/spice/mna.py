@@ -14,20 +14,19 @@ ground-row elimination and the node-vs-branch index arithmetic.
 Assembly
 --------
 
-Only the MOSFETs are nonlinear: every other stamp is independent of the
-Newton iterate ``x``.  The solver therefore partitions the element list
-(:attr:`MnaSystem.linear_elements` / :attr:`MnaSystem.nonlinear_elements`),
-stamps the linear part **once** per ``(mode, t, dt, method)`` into a cached
-base matrix/RHS pair, and per Newton iterate copies the base into
-preallocated work buffers and restamps only the nonlinear devices.  The
-buffers are owned by the system and reused across every time step, so the
+Every element has an iterate-independent ``stamp`` and, if nonlinear (the
+MOSFETs), an iterate-dependent ``stamp_iterate`` (see
+:mod:`repro.spice.elements`).  The solver stamps every element's ``stamp``
+**once** per ``(mode, t, dt, method)`` into a cached base matrix/RHS pair,
+and per Newton iterate copies the base into preallocated work buffers and
+adds only the ``stamp_iterate`` of :attr:`MnaSystem.devices`.  The buffers
+are owned by the system and reused across every time step, so the
 steady-state allocation rate of a transient run is zero.
 
-For circuits with no nonlinear elements at all, the matrix additionally
-depends only on ``(mode, dt, method)`` plus each companion element's
-``first_step`` flag (trapezoidal vs backward-Euler stamps differ), so its
-LU factorization is cached across time steps and invalidated exactly when
-that key changes — see ``docs/performance.md`` for the invariants.
+For circuits with no nonlinear elements at all, the matrix depends only on
+``(mode, dt, method)`` — ``method`` being the integrator the engine chose
+for the step — so its LU factorization is cached across time steps and
+invalidated exactly when that key changes; see ``docs/performance.md``.
 
 Sparse tier
 -----------
@@ -41,8 +40,8 @@ unique coordinates plus a permutation from write order to data slots), and
 every later pass cursor-fills a preallocated value array and accumulates
 duplicates with one ``np.bincount`` — no python-level index work repeats.
 Factorization uses ``scipy.sparse.linalg.splu``; linear-only circuits cache
-the factorization under the same ``matrix_state_keys`` contract (and the
-same staleness guard) as the dense LU cache.  Singular systems fall back to
+the factorization under the same key (and the same staleness guard) as the
+dense LU cache.  Singular systems fall back to
 dense least squares exactly like the dense lane.
 """
 
@@ -145,8 +144,11 @@ class StampContext:
     or freshly allocated (default).  After a Newton solve converges, the
     returned context's ``x`` holds the *converged* unknowns while ``A``/``z``
     still hold the last iterate's assembly — state commits and current
-    extraction only read ``x``, ``dt``, ``method`` and the element states,
+    extraction only read ``x``, ``dt``, ``trap`` and the element states,
     so this is safe by construction (and bounded by the Newton tolerance).
+
+    ``trap`` is the step's integrator phase (``method == "trap"``); the
+    transient engine owns it and passes ``"be"`` on restart steps.
     """
 
     def __init__(self, system: "MnaSystem", mode: str, t: float, dt: float,
@@ -156,7 +158,7 @@ class StampContext:
         self.mode = mode
         self.t = t
         self.dt = dt
-        self.method = method
+        self.trap = method == "trap"
         self.x = x
         self.gmin = gmin
         self._states = states
@@ -222,10 +224,6 @@ class StampContext:
             self.A[row, plus - 1] += 1.0
         if minus != 0:
             self.A[row, minus - 1] -= 1.0
-
-    def clear_branch_equation(self, row: int) -> None:
-        self.A[row, :] = 0.0
-        self.z[row] = 0.0
 
     def set_branch_entry(self, row: int, col: int, value: float) -> None:
         self.A[row, col] += value
@@ -325,12 +323,6 @@ class SparseStampContext(StampContext):
     def set_branch_entry(self, row: int, col: int, value: float) -> None:
         self._entry(row, col, value)
 
-    def clear_branch_equation(self, row: int) -> None:
-        raise NotImplementedError(
-            "row clearing is not expressible in triplet form; "
-            "run this circuit on the dense path (sparse=False)"
-        )
-
     def finish(self, kind: str, mode: str) -> bool:
         """Close one stamp pass; True when the pattern is valid and filled."""
         pattern = self.pattern
@@ -356,10 +348,9 @@ class MnaSystem:
             nb += el.nbranches
         self.num_branch_unknowns = nb
         self.size = self.num_node_unknowns + nb
-        #: Elements whose stamps never read the Newton iterate ``x``.
-        self.linear_elements = [el for el in circuit.elements if not el.nonlinear]
-        #: Elements restamped at every Newton iterate (MOSFETs).
-        self.nonlinear_elements = [el for el in circuit.elements if el.nonlinear]
+        #: Elements with a ``stamp_iterate``, restamped at every Newton
+        #: iterate (MOSFETs).
+        self.devices = [el for el in circuit.elements if el.nonlinear]
         # Reusable assembly buffers, allocated on first use.
         self._base_A: np.ndarray | None = None
         self._base_z: np.ndarray | None = None
@@ -367,7 +358,7 @@ class MnaSystem:
         self._work_z: np.ndarray | None = None
         # LU cache for linear-only circuits: key -> LAPACK getrf factors,
         # plus a copy of the factored matrix guarding against key collisions
-        # (two circuits/element values sharing one (mode, dt, method, flags)).
+        # (two circuits/element values sharing one (mode, dt, method)).
         self._lu_key = None
         self._lu = None
         self._lu_A: np.ndarray | None = None
@@ -413,38 +404,22 @@ class MnaSystem:
         return self._base_A, self._base_z, self._work_A, self._work_z
 
     def assemble_base(self, ctx: StampContext) -> None:
-        """Stamp only the linear elements into ``ctx`` (buffers pre-zeroed)."""
+        """Zero ``ctx``'s buffers and stamp every element's ``stamp``."""
         if self.telemetry is not None:
             self.telemetry.base_assemblies += 1
         ctx.A[:] = 0.0
         ctx.z[:] = 0.0
-        for el in self.linear_elements:
+        for el in self.circuit.elements:
             el.stamp(ctx)
 
     def assemble_nonlinear(self, ctx: StampContext) -> None:
-        """Stamp only the nonlinear elements on top of the copied base."""
+        """Add the nonlinear elements' ``stamp_iterate`` to the copied base."""
         if self.telemetry is not None:
             self.telemetry.nonlinear_restamps += 1
-        for el in self.nonlinear_elements:
-            el.stamp(ctx)
+        for el in self.devices:
+            el.stamp_iterate(ctx)
 
     # -- linear-circuit LU reuse ---------------------------------------------------
-
-    def linear_matrix_key(self, mode: str, dt: float, method: str, states: dict):
-        """Cache key under which a linear-only circuit's matrix is constant.
-
-        The matrix depends on the analysis mode, the companion step ``dt``
-        and method, and — per element — the state keys it declares in
-        ``matrix_state_keys`` (the trap/BE ``first_step`` restart flag).
-        Any ``dt`` change, method change, or breakpoint restart therefore
-        produces a new key and invalidates the cached factorization.
-        """
-        flags = tuple(
-            states.get(el, {}).get(key, True)
-            for el in self.linear_elements
-            for key in el.matrix_state_keys
-        )
-        return (mode, dt, method, flags)
 
     def solve_linear_cached(self, key, A: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Solve ``A x = z`` reusing the LU factors when ``key`` repeats.
@@ -453,8 +428,8 @@ class MnaSystem:
         assembled matrix to equal the one that was factored (an O(n^2)
         compare versus the O(n^3) factorization), so a different circuit —
         or the same circuit with mutated element values — sharing an
-        identical ``(mode, dt, method, flags)`` key can never pick up a
-        stale factorization.
+        identical ``(mode, dt, method)`` key can never pick up a stale
+        factorization.
 
         Falls back to least squares when the matrix is singular (floating
         subcircuits), mirroring the plain Newton path's behavior.
@@ -502,15 +477,17 @@ class MnaSystem:
 
     # -- sparse tier ----------------------------------------------------------------
 
-    def assemble_sparse(self, kind: str, elements, mode: str, t: float,
-                        dt: float, method: str, states: dict, x: np.ndarray,
-                        gmin: float, z: np.ndarray):
-        """One sparse stamp pass over ``elements``.
+    def assemble_sparse(self, kind: str, mode: str, t: float, dt: float,
+                        method: str, states: dict, x: np.ndarray, gmin: float,
+                        z: np.ndarray):
+        """One sparse stamp pass.
 
-        ``kind`` ("base" or "nonlinear") scopes the cached symbolic
-        pattern; ``z`` is the caller's dense right-hand-side buffer, zeroed
-        here so a pattern rebuild can restamp cleanly.  Returns ``(A, ctx)``
-        with ``A`` the assembled CSC matrix.
+        ``kind`` picks the pass — "base" runs every element's ``stamp``,
+        "nonlinear" the nonlinear elements' ``stamp_iterate`` — and scopes
+        the cached symbolic pattern; ``z`` is the caller's dense
+        right-hand-side buffer, zeroed here so a pattern rebuild can
+        restamp cleanly.  Returns ``(A, ctx)`` with ``A`` the assembled CSC
+        matrix.
         """
         tel = self.telemetry
         if tel is not None:
@@ -518,13 +495,17 @@ class MnaSystem:
                 tel.base_assemblies += 1
             else:
                 tel.nonlinear_restamps += 1
+        if kind == "base":
+            stamps = [el.stamp for el in self.circuit.elements]
+        else:
+            stamps = [el.stamp_iterate for el in self.devices]
         pattern = self._sparse_patterns.get((kind, mode))
         for _ in range(2):
             z[:] = 0.0
             ctx = SparseStampContext(self, mode, t, dt, method, states, x,
                                      gmin, z, pattern=pattern)
-            for el in elements:
-                el.stamp(ctx)
+            for stamp in stamps:
+                stamp(ctx)
             if ctx.finish(kind, mode):
                 if pattern is not None and tel is not None:
                     tel.sparse_pattern_reuses += 1

@@ -5,9 +5,11 @@ present Newton iterate:
 
     Id  ~=  Id0 + gm*(vgs - vgs0) + gds*(vds - vds0) + gmbs*(vbs - vbs0)
 
-which stamps the three conductances plus an equivalent current source.  A
-small ``gmin`` between drain and source keeps the Jacobian nonsingular when
-the device is cut off.  Per-iteration gate/drain voltage limiting (a light
+which :meth:`MosfetElement.stamp_iterate` stamps as three conductances plus
+an equivalent current source at every Newton iterate.  A small ``gmin``
+between drain and source keeps the Jacobian nonsingular when the device is
+cut off; it does not depend on the iterate, so it is the element's
+:meth:`~MosfetElement.stamp` and lives in the cached base system.  Per-iteration gate/drain voltage limiting (a light
 version of SPICE's ``pnjlim``/``fetlim``) is handled globally by the Newton
 damping in :mod:`repro.spice.solver`.
 
@@ -41,6 +43,12 @@ class MosfetElement(Element):
         return ctx.v(g) - vs, ctx.v(d) - vs, ctx.v(b) - vs
 
     def stamp(self, ctx) -> None:
+        """The drain-source gmin shunt, the only iterate-independent part."""
+        d, _, s, _ = self.nodes
+        ctx.add_conductance(d, s, ctx.gmin)
+
+    def stamp_iterate(self, ctx) -> None:
+        """The channel current linearized at the present iterate."""
         d, g, s, b = self.nodes
         vgs, vds, vbs = self._bias(ctx)
         op = self.model.partials(vgs, vds, vbs)
@@ -58,8 +66,6 @@ class MosfetElement(Element):
         ctx.add_node_entry(s, s, gsum)
         ctx.add_rhs_current(d, s, ieq)
 
-        ctx.add_conductance(d, s, ctx.gmin)
-
     def current(self, ctx) -> float:
         """Channel current drain -> source at the present iterate."""
         vgs, vds, vbs = self._bias(ctx)
@@ -74,7 +80,9 @@ class MosfetBank:
     operating points of "the same" device in every instance — devices that
     share terminals and model family but may differ in parameter values
     (width in a driver-count sweep, threshold/mobility in a Monte Carlo
-    fleet).  A bank evaluates all B at once:
+    fleet).  A bank evaluates all B at once, and the batched engine installs
+    it as the ``model`` of a stacked :class:`MosfetElement`, so the
+    element's own stamps drive the whole ensemble:
 
     * all instances share one model object: evaluate it directly on
       ``(B,)`` bias arrays (every model's :meth:`ids` is vectorized);
@@ -117,8 +125,11 @@ class MosfetBank:
             gmbs=np.array([op.gmbs for op in ops]),
         )
 
-    def ids(self, vgs, vds, vbs) -> np.ndarray:
-        """Per-instance channel currents drain -> source, shape ``(B,)``."""
+    def ids_scalar(self, vgs, vds, vbs) -> np.ndarray:
+        """Per-instance channel currents drain -> source, shape ``(B,)``.
+
+        Named after the model call :meth:`MosfetElement.current` makes.
+        """
         if self._model is not None:
             return np.asarray(self._model.ids(vgs, vds, vbs), dtype=float)
         return np.array([

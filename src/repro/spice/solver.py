@@ -6,15 +6,16 @@ linearized system, damps oversized updates (the MOSFET subthreshold
 exponential punishes full steps from a bad guess), and declares convergence
 when the update is small in the usual mixed absolute/relative sense.
 
-Assembly: the linear elements are stamped once per call into a cached base
-matrix/RHS (they cannot change while ``(mode, t, dt, method)`` and the
-element states are fixed); each Newton iterate copies the base into
-preallocated work buffers and restamps only the nonlinear devices.  After
-convergence the last iterate's context is reused with ``x`` updated to the
-converged point — no final re-assembly, because state commits and current
-extraction read only ``x``/``dt``/``method``/states, never ``A``/``z``.
-Circuits with no nonlinear elements collapse to a single direct solve with
-an LU factorization cached across calls (see :mod:`repro.spice.mna`).
+Assembly: every element's iterate-independent ``stamp`` lands once per call
+in a cached base matrix/RHS (nothing in it can change while ``(mode, t, dt,
+method)`` and the element states are fixed); each Newton iterate copies the
+base into preallocated work buffers and adds only the nonlinear devices'
+``stamp_iterate``.  After convergence the last iterate's context is reused
+with ``x`` updated to the converged point — no final re-assembly, because
+state commits and current extraction read only ``x``/``dt``/``trap``/states,
+never ``A``/``z``.  Circuits with no nonlinear elements collapse to a single
+direct solve with an LU factorization cached under ``(mode, dt, method)``
+(see :mod:`repro.spice.mna`).
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ def newton_solve(
         mode: "dc", "ic" or "tran" (see :mod:`repro.spice.elements`).
         t: evaluation time for the independent sources.
         dt: time-step length (ignored outside "tran").
-        method: "be" or "trap" companion models (ignored outside "tran").
+        method: "be" or "trap" companion models for this step (ignored
+            outside "tran"); the transient engine passes "be" on restart
+            steps.
         states: engine-owned per-element state dicts.
         x0: initial guess for the unknown vector.
         gmin: minimum conductance added across nonlinear devices.
@@ -109,7 +112,7 @@ def newton_solve(
         x = np.array(x0, dtype=float)
         base_A, base_z, work_A, work_z = system.assembly_buffers()
 
-        # Linear base: stamped once — nothing in it can change across iterates.
+        # Base: stamped once — nothing in it can change across iterates.
         base_ctx = system.context(mode, t, dt, method, states, x, gmin,
                                   buffers=(base_A, base_z))
         with trace.span("assembly", level="full") if detailed else NOOP_SPAN:
@@ -118,16 +121,15 @@ def newton_solve(
         ctx = system.context(mode, t, dt, method, states, x, gmin,
                              buffers=(work_A, work_z))
 
-        if not system.nonlinear_elements:
+        if not system.devices:
             # Purely linear: the Newton map is affine with a constant matrix,
             # so the damped iteration lands exactly on the direct solution;
             # solve once, reusing the cached LU factors when the matrix is
             # unchanged.
             np.copyto(work_A, base_A)
             np.copyto(work_z, base_z)
-            key = system.linear_matrix_key(mode, dt, method, states)
             with trace.span("lu_solve", level="full") if detailed else NOOP_SPAN:
-                x_new = system.solve_linear_cached(key, work_A, work_z)
+                x_new = system.solve_linear_cached((mode, dt, method), work_A, work_z)
             if not np.all(np.isfinite(x_new)):
                 raise ConvergenceError(f"non-finite solution while solving at t={t}")
             ctx.x = x_new
@@ -193,12 +195,13 @@ def _newton_solve_sparse(
     """The Newton loop over the sparse CSC tier.
 
     Same partition, damping and convergence logic as the dense path;
-    only the linear algebra differs: the linear base assembles once into a
+    only the linear algebra differs: the base assembles once into a
     cached-pattern CSC matrix, each iterate restamps the nonlinear devices
     into their own (tiny) CSC pattern and factors the sum with ``splu`` —
     O(nnz) work on the near-banded matrices MNA produces, against the dense
     lane's O(n^3) per-iterate factorization.  Linear-only circuits reuse
-    the cached ``splu`` factors under the ``matrix_state_keys`` contract.
+    the cached ``splu`` factors under the dense lane's ``(mode, dt,
+    method)`` key.
     """
     x = np.array(x0, dtype=float)
     n = system.size
@@ -207,16 +210,14 @@ def _newton_solve_sparse(
 
     with trace.span("assembly", level="full") if detailed else NOOP_SPAN:
         base_A, base_ctx = system.assemble_sparse(
-            "base", system.linear_elements, mode, t, dt, method, states, x,
-            gmin, base_z,
+            "base", mode, t, dt, method, states, x, gmin, base_z,
         )
 
-    if not system.nonlinear_elements:
+    if not system.devices:
         # Purely linear: one direct solve, reusing cached splu factors.
         np.copyto(work_z, base_z)
-        key = system.linear_matrix_key(mode, dt, method, states)
         with trace.span("lu_solve", level="full") if detailed else NOOP_SPAN:
-            x_new = system.solve_sparse_cached(key, base_A, work_z)
+            x_new = system.solve_sparse_cached((mode, dt, method), base_A, work_z)
         if not np.all(np.isfinite(x_new)):
             raise ConvergenceError(f"non-finite solution while solving at t={t}")
         base_ctx.x = x_new
@@ -231,8 +232,7 @@ def _newton_solve_sparse(
             telemetry.newton_iterations += 1
         with trace.span("assembly", level="full") if detailed else NOOP_SPAN:
             nl_A, ctx = system.assemble_sparse(
-                "nonlinear", system.nonlinear_elements, mode, t, dt, method,
-                states, x, gmin, work_z,
+                "nonlinear", mode, t, dt, method, states, x, gmin, work_z,
             )
             work_z += base_z
         with trace.span("lu_solve", level="full") if detailed else NOOP_SPAN:

@@ -24,6 +24,8 @@ cache activity and per-phase wall clock; an unrecoverable failure raises
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import time
 
 import numpy as np
@@ -89,12 +91,49 @@ class TransientOptions:
             raise ValueError(
                 f"sparse must be True, False or 'auto', not {self.sparse!r}"
             )
+        if (not isinstance(self.max_newton, numbers.Integral)
+                or isinstance(self.max_newton, bool)):
+            raise ValueError(f"max_newton must be an int, not {self.max_newton!r}")
+        if self.max_newton < 1:
+            raise ValueError("max_newton must be at least 1")
+        for name in ("gmin", "abstol", "reltol", "lte_rtol", "lte_atol",
+                     "max_growth", "min_dt"):
+            value = getattr(self, name)
+            if name == "min_dt" and value is None:
+                continue
+            if not _is_finite_real(value):
+                raise ValueError(f"{name} must be a finite number, not {value!r}")
+        if self.gmin < 0:
+            raise ValueError("gmin must be non-negative")
+        if self.abstol <= 0 or self.reltol <= 0:
+            raise ValueError("Newton tolerances must be positive")
         if self.lte_rtol <= 0 or self.lte_atol <= 0:
             raise ValueError("LTE tolerances must be positive")
         if self.max_growth <= 1.0:
             raise ValueError("max_growth must exceed 1")
         if self.min_dt is not None and self.min_dt <= 0:
             raise ValueError("min_dt must be positive when given")
+
+
+def _is_finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check_time_span(tstart: float, tstop: float, dt: float) -> None:
+    """Refuse a time span no engine can walk: one check for every engine.
+
+    NaN passes every ``<=`` comparison and an infinite ``tstop`` or NaN
+    ``dt`` never lets a stepping loop finish, so finiteness is checked
+    before the ordering.
+    """
+    for name, value in (("tstart", tstart), ("tstop", tstop), ("dt", dt)):
+        if not _is_finite_real(value):
+            raise ValueError(f"{name} must be a finite number, not {value!r}")
+    if tstop <= tstart:
+        raise ValueError("tstop must be greater than tstart")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
 
 
 class TransientResult:
@@ -192,10 +231,7 @@ def transient(
         A :class:`TransientResult` with node-voltage and element-current
         waveforms sampled at every accepted step (including t = tstart).
     """
-    if tstop <= tstart:
-        raise ValueError("tstop must be greater than tstart")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_time_span(tstart, tstop, dt)
     opts = options or TransientOptions()
 
     system = MnaSystem(circuit)
@@ -208,12 +244,18 @@ def transient(
 
     with trace.span("transient", tstop=tstop, dt=dt, adaptive=opts.adaptive,
                     method=opts.method, sparse=system.sparse) as tsp:
+        # The engine owns the integrator phase: backward Euler on the first
+        # step after t=0 and after every breakpoint (no consistent companion
+        # history exists there), opts.method otherwise.
+        first_step = True
+
         # t=0 consistency solve: capacitors forced to their ICs, inductors to
-        # theirs.
+        # theirs.  Its context also records the t=0 currents, through the
+        # first step's backward-Euler companions.
         with trace.span("ic") as ic_sp:
             try:
                 x, ctx = newton_solve(
-                    system, "ic", tstart, dt=dt, method=opts.method, states=states,
+                    system, "ic", tstart, dt=dt, method="be", states=states,
                     x0=np.zeros(system.size), gmin=max(opts.gmin, 1e-9),
                     max_iter=opts.max_newton, abstol=opts.abstol, reltol=opts.reltol,
                     telemetry=tel,
@@ -243,9 +285,9 @@ def transient(
         min_h = opts.min_dt if opts.min_dt is not None else dt / _MIN_STEP_DIVISOR
         stepping_start = time.perf_counter()
 
-        def solve_step(step_states, x0, t_target, h_target):
+        def solve_step(step_states, x0, t_target, h_target, method):
             return newton_solve(
-                system, "tran", t_target, dt=h_target, method=opts.method,
+                system, "tran", t_target, dt=h_target, method=method,
                 states=step_states, x0=x0, gmin=opts.gmin,
                 max_iter=opts.max_newton, abstol=opts.abstol, reltol=opts.reltol,
                 telemetry=tel,
@@ -261,11 +303,13 @@ def transient(
         with trace.span("stepping") as step_sp:
             while t < tstop - 1e-21:
                 h_step = min(h, next_bp - t)
+                method = "be" if first_step else opts.method
 
                 if not opts.adaptive:
                     while True:
                         try:
-                            x_new, step_ctx = solve_step(states, x, t + h_step, h_step)
+                            x_new, step_ctx = solve_step(states, x, t + h_step,
+                                                         h_step, method)
                             break
                         except ConvergenceError as exc:
                             # Rejected step: committed state is untouched, so the
@@ -286,15 +330,19 @@ def transient(
                     while True:
                         try:
                             big_states = snapshot()
-                            x_big, _ = solve_step(big_states, x, t + h_step, h_step)
+                            x_big, _ = solve_step(big_states, x, t + h_step,
+                                                  h_step, method)
 
                             half_states = snapshot()
                             x_mid, ctx_mid = solve_step(
-                                half_states, x, t + h_step / 2, h_step / 2
+                                half_states, x, t + h_step / 2, h_step / 2, method
                             )
                             commit_all(ctx_mid)
+                            # The mid-point commit is companion history, so
+                            # the second half step runs opts.method.
                             x_new, step_ctx = solve_step(
-                                half_states, x_mid, t + h_step, h_step / 2
+                                half_states, x_mid, t + h_step, h_step / 2,
+                                opts.method,
                             )
                         except ConvergenceError as exc:
                             tel.step_rejections += 1
@@ -322,6 +370,7 @@ def transient(
 
                 t += h_step
                 x = x_new
+                first_step = False
                 tel.accepted_steps += 1
                 obs_metrics.observe("repro_step_seconds", h_step)
                 recorder.append(t, x[: system.num_node_unknowns], step_currents)
@@ -330,9 +379,7 @@ def transient(
                     # Source slope discontinuity: restart the integrator with a
                     # backward-Euler step, or the trapezoidal companion rings
                     # (i_new = -i_prev) on any element sitting across the corner.
-                    for state in states.values():
-                        if "first_step" in state:
-                            state["first_step"] = True
+                    first_step = True
                     try:
                         next_bp = next(bp_iter)
                     except StopIteration:

@@ -302,6 +302,22 @@ class TestHttpSurface:
         assert "finite" in payload["error"]
         assert len(ResultStore(tmp_path / "store")) == 0
 
+    def test_nan_option_is_a_400_and_stores_nothing(self, tmp_path):
+        """A NaN step-control tolerance would stall the adaptive engine
+        forever; option validation must refuse it before any compute."""
+        body = json.dumps(dict(PARAMS, options={"adaptive": True,
+                                                "lte_rtol": float("nan")}))
+        assert "NaN" in body
+
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                return await post(service, "/simulate", json.loads(body))
+
+        status, payload = asyncio.run(scenario())
+        assert status == 400
+        assert "lte_rtol" in payload["error"]
+        assert len(ResultStore(tmp_path / "store")) == 0
+
     def test_malformed_json_is_a_400(self, tmp_path):
         async def scenario():
             async with service_on(tmp_path) as service:

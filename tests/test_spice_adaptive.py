@@ -107,6 +107,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             TransientOptions(adaptive=True, max_growth=1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(lte_rtol=float("nan")),  # the step controller would never finish
+        dict(lte_atol=float("nan")),
+        dict(lte_atol=float("inf")),
+        dict(max_growth=float("nan")),
+        dict(max_growth=float("inf")),
+        dict(min_dt=float("nan")),
+        dict(min_dt=float("inf")),
+    ])
+    def test_non_finite_controls_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            TransientOptions(adaptive=True, **kwargs)
+
 
 class TestSsnBank:
     def test_adaptive_matches_fixed_peak(self, tech018):

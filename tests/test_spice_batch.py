@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis.driver_bank import DriverBankSpec, build_driver_bank
 from repro.analysis.simulate import default_stop_time, default_time_step
-from repro.spice import Circuit, Ramp
+from repro.spice import Circuit, Dc, Ramp
 from repro.spice.batch import (
     BatchIncompatibleError,
     batch_transient,
@@ -139,6 +139,53 @@ class TestGoldenParity:
         for s, b in zip(scalar, batched):
             di = np.max(np.abs(s.current("Lgnd").y - b.current("Lgnd").y))
             assert di <= PARITY_TOL, f"|dI| = {di:.3e} A"
+
+
+class TestCoupledPinEnsemble:
+    """The element types no other batch test stacks: two ground pins
+    coupled by a mutual inductance (one coupling per instance), a current
+    source, and a ramp whose amplitude differs per instance, so the
+    shared-shape fast path is bypassed."""
+
+    COUPLINGS = (0.2, 0.5, 0.8)
+
+    @staticmethod
+    def _pins(k, amplitude):
+        c = Circuit("coupled pins")
+        c.vsource("Vin", "in", "0", Ramp(0.0, amplitude, 0.1e-9, 0.2e-9))
+        c.resistor("Rs", "in", "a", 20.0)
+        c.inductor("L1", "a", "0", 5e-9)
+        c.isource("Ib", "0", "b", Dc(2e-3))
+        c.resistor("Rb", "b", "0", 50.0)
+        c.capacitor("Cb", "b", "0", 1e-12, ic=0.0)
+        c.inductor("L2", "b", "0", 3e-9)
+        c.mutual("K12", "L1", "L2", k)
+        return c
+
+    def _ensemble(self):
+        return [self._pins(k, 1.0 + 0.4 * j) for j, k in enumerate(self.COUPLINGS)]
+
+    def test_fixed_step_parity(self):
+        scalar = [transient(c, 1e-9, 5e-12) for c in self._ensemble()]
+        batched = batch_transient(self._ensemble(), 1e-9, 5e-12)
+        _assert_results_match(scalar, batched)
+        for s, b in zip(scalar, batched):
+            for name in ("L1", "L2", "Vin"):
+                di = np.max(np.abs(s.current(name).y - b.current(name).y))
+                assert di <= PARITY_TOL, f"current {name}: |dI| = {di:.3e} A"
+        assert all(b.telemetry.batch_fallbacks == 0 for b in batched)
+
+    def test_adaptive_parity(self):
+        # Linear circuits: LU-cached scalar solves and batched solves round
+        # differently, so accepted times agree to TIME_TOL, not bitwise.
+        from .test_spice_batch_adaptive import _assert_adaptive_parity
+
+        options = TransientOptions(adaptive=True)
+        scalar = [transient(c, 1e-9, 5e-12, options=options)
+                  for c in self._ensemble()]
+        batched = batch_transient(self._ensemble(), 1e-9, 5e-12, options=options)
+        _assert_adaptive_parity(scalar, batched)
+        assert all(b.telemetry.batch_fallbacks == 0 for b in batched)
 
 
 class TestTelemetry:

@@ -1,9 +1,11 @@
 """White-box tests for individual element stamps (companion-model math)."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from repro.spice import Circuit, Dc
+from repro.spice import Circuit, Dc, Ramp, transient
 from repro.spice.mna import MnaSystem
 
 
@@ -40,7 +42,7 @@ class TestCapacitorCompanion:
     def test_backward_euler_values(self):
         c = Circuit()
         cap = c.capacitor("C1", "a", "0", 2e-12, ic=1.5)
-        states = {cap: {"v": 1.5, "i": 0.0, "first_step": True}}
+        states = {cap: {"v": 1.5, "i": 0.0}}
         _, ctx = context_for(c, dt=1e-12, method="be", states=states)
         cap.stamp(ctx)
         geq = 2e-12 / 1e-12
@@ -50,20 +52,34 @@ class TestCapacitorCompanion:
     def test_trapezoidal_values(self):
         c = Circuit()
         cap = c.capacitor("C1", "a", "0", 2e-12)
-        states = {cap: {"v": 1.0, "i": 0.5e-3, "first_step": False}}
+        states = {cap: {"v": 1.0, "i": 0.5e-3}}
         _, ctx = context_for(c, dt=1e-12, method="trap", states=states)
         cap.stamp(ctx)
         geq = 2 * 2e-12 / 1e-12
         assert ctx.A[0, 0] == pytest.approx(geq)
         assert ctx.z[0] == pytest.approx(geq * 1.0 + 0.5e-3)
 
-    def test_first_step_forces_backward_euler(self):
+    def test_first_step_forces_backward_euler(self, monkeypatch):
+        """The engine owns the integrator phase: backward Euler on the first
+        step after t=0 and after each source breakpoint, trap otherwise."""
+        # ``repro.spice.transient`` the attribute is the function; the module
+        # is where the engine looks ``newton_solve`` up.
+        engine = sys.modules["repro.spice.transient"]
+        real = engine.newton_solve
+        methods = []
+
+        def spy(system, mode, *args, **kwargs):
+            if mode == "tran":
+                methods.append(kwargs["method"])
+            return real(system, mode, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "newton_solve", spy)
         c = Circuit()
-        cap = c.capacitor("C1", "a", "0", 2e-12)
-        states = {cap: {"v": 1.0, "i": 0.5e-3, "first_step": True}}
-        _, ctx = context_for(c, dt=1e-12, method="trap", states=states)
-        cap.stamp(ctx)
-        assert ctx.A[0, 0] == pytest.approx(2e-12 / 1e-12)  # BE geq, not 2x
+        c.vsource("V1", "in", "0", Ramp(0.0, 1.0, 2e-12, 2e-12))  # corners at 2, 4 ps
+        c.resistor("R1", "in", "a", 1e3)
+        c.capacitor("C1", "a", "0", 1e-15)
+        transient(c, 5e-12, 1e-12)
+        assert methods == ["be", "trap", "be", "trap", "be"]
 
     def test_dc_mode_open(self):
         c = Circuit()
@@ -77,7 +93,7 @@ class TestInductorCompanion:
     def test_branch_rows_backward_euler(self):
         c = Circuit()
         ind = c.inductor("L1", "a", "0", 4e-9, ic=2e-3)
-        states = {ind: {"i": 2e-3, "v": 0.0, "first_step": True}}
+        states = {ind: {"i": 2e-3, "v": 0.0}}
         system, ctx = context_for(c, dt=1e-12, method="be", states=states)
         ind.stamp(ctx)
         row = system.num_node_unknowns  # the branch row
@@ -120,7 +136,7 @@ class TestCommitBookkeeping:
     def test_capacitor_commit_updates_state(self):
         c = Circuit()
         cap = c.capacitor("C1", "a", "0", 1e-12)
-        states = {cap: {"v": 0.0, "i": 0.0, "first_step": True}}
+        states = {cap: {"v": 0.0, "i": 0.0}}
         system, ctx = context_for(
             c, dt=1e-12, method="be", states=states, x=np.array([2.0])
         )
@@ -128,4 +144,3 @@ class TestCommitBookkeeping:
         cap.commit(ctx)
         assert states[cap]["v"] == pytest.approx(2.0)
         assert states[cap]["i"] == pytest.approx(1e-12 / 1e-12 * 2.0)
-        assert states[cap]["first_step"] is False

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.spice import Circuit, Dc, Pulse, Ramp, TransientOptions, transient
+from repro.spice.batch import batch_transient
+
+NAN, INF = float("nan"), float("inf")
 
 
 class TestRc:
@@ -137,9 +140,45 @@ class TestEngine:
         with pytest.raises(ValueError):
             transient(c, 1e-9, -1e-12)
 
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    @pytest.mark.parametrize("tstop, dt, tstart", [
+        (1e-9, NAN, 0.0),   # the stepping loop would never finish
+        (INF, 1e-12, 0.0),  # the stepping loop would never finish
+        (NAN, 1e-12, 0.0),  # would silently return a one-sample result
+        (1e-9, INF, 0.0),
+        (1e-9, 1e-12, NAN),
+        (1e-9, 1e-12, -INF),
+    ])
+    def test_non_finite_time_span_rejected(self, engine, tstop, dt, tstart):
+        c = Circuit()
+        c.vsource("V1", "in", "0", Dc(1.0))
+        c.resistor("R1", "in", "a", 1e3)
+        c.capacitor("C1", "a", "0", 1e-12, ic=0.0)
+        run = ((lambda: transient(c, tstop, dt, tstart=tstart)) if engine == "scalar"
+               else (lambda: batch_transient([c], tstop, dt, tstart=tstart)))
+        with pytest.raises(ValueError, match="finite"):
+            run()
+
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError):
             TransientOptions(method="euler")
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(gmin=-1.0),  # a negative shunt gives a wrong answer, not an error
+        dict(gmin=NAN),
+        dict(gmin=INF),
+        dict(abstol=0.0),
+        dict(abstol=NAN),
+        dict(reltol=-1e-6),
+        dict(reltol=INF),
+        dict(max_newton="5"),  # would raise TypeError mid-computation
+        dict(max_newton=5.0),
+        dict(max_newton=True),
+        dict(max_newton=0),
+    ])
+    def test_bad_newton_options_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            TransientOptions(**kwargs)
 
     def test_first_sample_at_tstart(self):
         c = Circuit()
