@@ -717,10 +717,10 @@ def _run_status(args) -> str:
         return "\n".join([f"statusz from {url}:"] + _statusz_lines(payload))
 
     # Offline view: summarize the store directory and its event journal.
-    import json
     from pathlib import Path
 
     from .service import ResultStore
+    from .service.store import read_head
 
     root = Path(args.store)
     if not root.exists():
@@ -734,11 +734,8 @@ def _run_status(args) -> str:
     ]
     kinds: dict[str, int] = {}
     for path in sorted(root.glob("??/*.json")):
-        try:
-            record = json.loads(path.read_text())
-            kind = record.get("kind", "?") if isinstance(record, dict) else "?"
-        except (OSError, ValueError):
-            kind = "?"
+        head = read_head(path)  # never decodes a simulation's waveforms
+        kind = head.get("kind", "?") if isinstance(head, dict) else "?"
         kinds[kind] = kinds.get(kind, 0) + 1
     for kind in sorted(kinds):
         lines.append(f"  {kind}: {kinds[kind]}")

@@ -14,7 +14,9 @@ loop.  This server puts four layers between a request and the solver:
    followers await the leader's result (outcome ``"dedup"``).
 3. **Persistent store** — a key already computed, by any earlier process,
    is answered straight from the validated record (outcome ``"hit"``)
-   with zero solver work.
+   with zero solver work: the response splices the record's verified
+   waveform bytes in as stored, so a hit never decodes or re-renders
+   them.
 4. **Background dispatch** — a genuine miss runs on a worker thread
    through the fault-tolerant :class:`~repro.analysis.campaign.CampaignRunner`
    (retry ladder, engine degradation), is atomically published to the
@@ -74,10 +76,13 @@ from ..surrogate import (
 )
 from .keys import canonical_request, result_key, surrogate_key
 from .store import (
+    RECORD_SCHEMA_VERSION,
     ResultStore,
+    StoredRecord,
     WAVEFORM_FIELDS,
     _waveform_payload,
     montecarlo_record,
+    read_head,
     simulation_record,
     surrogate_from_record,
 )
@@ -193,7 +198,7 @@ def _spec_from(params: dict) -> DriverBankSpec:
             continue
         try:
             kwargs[name] = coerce(params[name])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadRequest(f"invalid {name!r}: {exc}") from exc
     offsets = params.get("input_offsets")
     if offsets is not None:
@@ -373,7 +378,13 @@ class SsnService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            raise BadRequest(f"invalid Content-Length {raw_length!r}") from None
+        if length < 0:
+            raise BadRequest(f"invalid Content-Length {raw_length!r}")
         if length > MAX_BODY_BYTES:
             raise BadRequest("request body too large")
         body = await reader.readexactly(length) if length else b""
@@ -409,7 +420,7 @@ class SsnService:
             return 405, {"error": "POST only"}, "application/json"
         try:
             params = json.loads(body.decode() or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise BadRequest(f"body is not valid JSON: {exc}") from exc
         return 200, await handler(params), "application/json"
 
@@ -436,7 +447,7 @@ class SsnService:
 
     # -- endpoints -------------------------------------------------------------------
 
-    async def _handle_simulate(self, params) -> dict:
+    async def _handle_simulate(self, params) -> dict | bytes:
         params = _check_params(
             params, _SPEC_PARAMS | {"include_waveforms", "surrogate"},
             "/simulate")
@@ -446,13 +457,14 @@ class SsnService:
         use_surrogate = self.config.surrogate and bool(
             params.get("surrogate", True))
         with trace.span("service_request", endpoint="simulate"):
+            key = result_key(spec, options=options)
             if use_surrogate and options is None:
-                payload = self._try_surrogate(spec, include_waveforms)
+                payload = self._try_surrogate(spec, key, include_waveforms)
                 if payload is not None:
                     return payload
-            record, outcome = await self._serve_simulation(
-                spec, options, endpoint="simulate")
-        return self._simulation_payload(record, outcome, include_waveforms)
+            stored, outcome = await self._serve_simulation(
+                key, spec, options, endpoint="simulate")
+        return self._simulation_payload(stored, outcome, include_waveforms)
 
     async def _handle_sweep(self, params) -> dict:
         params = _check_params(
@@ -475,22 +487,23 @@ class SsnService:
             point = dict(base_params)
             try:
                 point[knob] = coerce(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise BadRequest(f"invalid {knob} value {value!r}: {exc}") from exc
             specs.append(_spec_from(point))
         with trace.span("service_request", endpoint="sweep", points=len(specs)):
             served = await asyncio.gather(*(
-                self._serve_simulation(spec, options, endpoint="sweep")
+                self._serve_simulation(result_key(spec, options=options),
+                                       spec, options, endpoint="sweep")
                 for spec in specs
             ))
         points = []
-        for value, spec, (record, outcome) in zip(values, specs, served):
+        for value, (stored, outcome) in zip(values, served):
             points.append({
                 "value": value,
-                "key": record["key"],
+                "key": stored.head["key"],
                 "outcome": outcome,
-                "peak_voltage": record["peak_voltage"],
-                "peak_time": record["peak_time"],
+                "peak_voltage": stored.head["peak_voltage"],
+                "peak_time": stored.head["peak_time"],
             })
         return {"knob": knob, "points": points}
 
@@ -509,18 +522,19 @@ class SsnService:
             spread = DeviceSpread(
                 **{k: float(params[k]) for k in ("vth_sigma", "mu_sigma")
                    if params.get(k) is not None})
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadRequest(f"invalid Monte Carlo parameters: {exc}") from exc
         if trials < 1:
             raise BadRequest("'trials' must be at least 1")
         extra = {"trials": trials, "seed": seed, "spread": repr(spread)}
         key = result_key(spec, kind="montecarlo", extra=extra)
         with trace.span("service_request", endpoint="montecarlo"):
-            record, outcome = await self._serve_record(
+            stored, outcome = await self._serve_record(
                 key, "montecarlo", endpoint="montecarlo",
                 compute=lambda: self._compute_montecarlo_sync(
                     key, spec, spread, trials, seed),
             )
+        record = stored.head
         return {
             "key": key, "outcome": outcome,
             "trials": trials, "seed": seed,
@@ -536,18 +550,19 @@ class SsnService:
         """Eagerly register every stored surrogate model (startup warm-up).
 
         Runs on a worker thread before the server reports ready, and is
-        deliberately read-only: files are parsed directly rather than
-        through :meth:`ResultStore.load`, so a startup scan never ticks
-        hit/miss counters or quarantines records the serving path would
-        handle (and count) itself.  Slots found here are marked probed so
-        the per-request lazy warm-up skips them.
+        deliberately read-only: files are read through
+        :func:`~repro.service.store.read_head` rather than
+        :meth:`ResultStore.load`, so a startup scan never decodes a
+        simulation's waveforms, ticks hit/miss counters or quarantines
+        records the serving path would handle (and count) itself.  A
+        record of another schema version is left for that path too.
+        Slots found here are marked probed so the per-request lazy
+        warm-up skips them.
         """
         for path in sorted(self.store.root.glob("??/*.json")):
-            try:
-                record = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            if not isinstance(record, dict) or record.get("kind") != "surrogate":
+            record = read_head(path)
+            if (not isinstance(record, dict) or record.get("kind") != "surrogate"
+                    or record.get("schema") != RECORD_SCHEMA_VERSION):
                 continue
             try:
                 model = surrogate_from_record(record)
@@ -578,7 +593,7 @@ class SsnService:
                 self.registry.register(model)
                 obs_metrics.inc("repro_surrogate_warmed_total")
 
-    def _try_surrogate(self, spec: DriverBankSpec,
+    def _try_surrogate(self, spec: DriverBankSpec, key: str,
                        include_waveforms: bool) -> dict | None:
         """The closed-form answer for an in-region request, or None.
 
@@ -592,7 +607,6 @@ class SsnService:
         yet done.
         """
         self._warm_surrogates(spec)
-        key = result_key(spec)
         if key in self.store:
             return None  # the exact record is already on disk
         model, _reason = self.registry.lookup(spec)
@@ -645,7 +659,7 @@ class SsnService:
 
     async def _refine(self, key: str, spec: DriverBankSpec) -> None:
         try:
-            record, _ = await self._serve_record(
+            stored, _ = await self._serve_record(
                 key, "simulate", endpoint="surrogate_refine",
                 compute=lambda: self._compute_simulation_sync(key, spec, None),
             )
@@ -658,7 +672,7 @@ class SsnService:
         else:
             # The refined record is the golden MNA answer — resolve the
             # shadow audit (a no-op for unsampled keys).
-            reference = record.get("peak_voltage")
+            reference = stored.head.get("peak_voltage")
             if isinstance(reference, (int, float)):
                 self._audit.resolve(key, reference)
             else:
@@ -666,10 +680,10 @@ class SsnService:
 
     # -- serving core ----------------------------------------------------------------
 
-    async def _serve_simulation(self, spec: DriverBankSpec,
+    async def _serve_simulation(self, key: str, spec: DriverBankSpec,
                                 options: TransientOptions | None,
                                 endpoint: str):
-        key = result_key(spec, options=options)
+        """Serve ``spec`` under its (caller-hashed) ``result_key``."""
         return await self._serve_record(
             key, "simulate", endpoint=endpoint,
             compute=lambda: self._compute_simulation_sync(key, spec, options),
@@ -678,37 +692,38 @@ class SsnService:
     async def _serve_record(self, key: str, kind: str, endpoint: str, compute):
         """hit / dedup / miss resolution of one keyed request.
 
+        Returns ``(stored, outcome)`` with ``stored`` a
+        :class:`~repro.service.store.StoredRecord` on every path.
         ``compute`` is a zero-argument sync function returning the record
         dict; on a miss it runs on a worker thread, its result is
-        atomically published to the store, and every deduped follower of
-        the same key receives the same record object.
+        atomically published through :meth:`ResultStore.put`, and every
+        deduped follower of the same key receives the same stored record.
         """
         task = self._inflight.get(key)
         if task is not None:
             outcome = "dedup"
-            record = await asyncio.shield(task)
+            stored = await asyncio.shield(task)
         else:
-            record = self.store.load(key)
-            if record is not None and record.get("kind") == kind:
+            stored = self.store.load(key)
+            if stored is not None and stored.head.get("kind") == kind:
                 outcome = "hit"
             else:
                 outcome = "miss"
                 task = asyncio.get_running_loop().create_task(
                     self._compute_and_publish(key, compute))
                 self._inflight[key] = task
-                record = await asyncio.shield(task)
+                stored = await asyncio.shield(task)
         obs_metrics.inc("repro_service_requests_total",
                         labels={"endpoint": endpoint, "outcome": outcome})
         obs_events.emit("service_request", endpoint=endpoint,
                         outcome=outcome, key=key[:12])
-        return record, outcome
+        return stored, outcome
 
-    async def _compute_and_publish(self, key: str, compute) -> dict:
+    async def _compute_and_publish(self, key: str, compute) -> StoredRecord:
         try:
             with trace.span("service_compute", key=key[:12]):
                 record = await asyncio.to_thread(compute)
-                await asyncio.to_thread(self.store.put, key, record)
-            return record
+                return await asyncio.to_thread(self.store.put, key, record)
         except Exception as exc:
             # A dispatched computation died past its whole recovery
             # ladder: preserve the moments before it for the operator.
@@ -765,19 +780,27 @@ class SsnService:
     # -- payload shaping -------------------------------------------------------------
 
     @staticmethod
-    def _simulation_payload(record: dict, outcome: str,
-                            include_waveforms: bool) -> dict:
-        payload = {
-            "key": record["key"],
+    def _simulation_payload(stored: StoredRecord, outcome: str,
+                            include_waveforms: bool) -> bytes:
+        """The ``/simulate`` response body for a hit, miss or dedup.
+
+        The small fields render here; the waveforms are the record's
+        verified stored bytes, spliced in as the last member (``"waveforms"``
+        sorts last), so they are never decoded or re-rendered.
+        """
+        head = stored.head
+        text = json.dumps({
+            "key": head["key"],
             "outcome": outcome,
-            "peak_voltage": record["peak_voltage"],
-            "peak_time": record["peak_time"],
-            "engine": record.get("meta", {}).get("engine"),
-            "telemetry": record.get("telemetry"),
-        }
-        if include_waveforms:
-            payload["waveforms"] = record["waveforms"]
-        return payload
+            "peak_voltage": head["peak_voltage"],
+            "peak_time": head["peak_time"],
+            "engine": head.get("meta", {}).get("engine"),
+            "telemetry": head.get("telemetry"),
+        }, sort_keys=True)
+        if not include_waveforms:
+            return (text + "\n").encode()
+        return b"".join((text[:-1].encode(), b', "waveforms": ',
+                         stored.waveforms_json, b"}\n"))
 
 
 def run_server(config: ServiceConfig | None = None, announce=None,

@@ -97,3 +97,22 @@ class TestTelemetryFlags:
     def test_no_flags_no_telemetry_output(self, capsys):
         assert main(["estimate", "-n", "8"]) == 0
         assert "solver telemetry:" not in capsys.readouterr().out
+
+
+class TestOfflineStatus:
+    def test_counts_kinds_from_record_heads(self, capsys, tmp_path):
+        from repro.service import ResultStore
+
+        store = ResultStore(tmp_path / "store")
+        store.put("ab" * 32, {"kind": "simulate",
+                              "waveforms": {"ssn": {"t": [0.0], "y": [0.0]}}})
+        store.put("cd" * 32, {"kind": "montecarlo", "samples": [0.1]})
+        torn = store.path_for("ef" * 32)
+        torn.parent.mkdir(parents=True)
+        torn.write_text("{torn")
+        assert main(["status", "--store", str(store.root)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"store {store.root}: 3 records, 0 quarantined" in lines
+        for line in ("  ?: 1", "  montecarlo: 1", "  simulate: 1"):
+            assert line in lines
+        assert torn.exists() and store.quarantined() == []

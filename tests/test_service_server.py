@@ -13,7 +13,9 @@ stale-schema record costs one recompute, never a crash or a wrong answer.
 import asyncio
 import contextlib
 import json
+import types
 
+import numpy as np
 import pytest
 
 from repro.analysis.driver_bank import DriverBankSpec
@@ -21,6 +23,9 @@ from repro.analysis.simulate import simulate_ssn, simulate_ssn_cache_clear
 from repro.observability import metrics as obs_metrics
 from repro.process import get_technology
 from repro.service import RECORD_SCHEMA_VERSION, ResultStore, SsnService, arequest
+from repro.service import server as server_module
+from repro.service import store as store_module
+from repro.service.store import WAVEFORM_FIELDS
 from repro.spice.telemetry import (
     disable_session_telemetry,
     enable_session_telemetry,
@@ -68,6 +73,41 @@ def spec_of(params):
         inductance=params["inductance"],
         rise_time=params["rise_time"],
     )
+
+
+async def raw_exchange(service, request: bytes) -> bytes:
+    """Send raw request bytes; return the raw response."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+    writer.write(request)
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    return raw
+
+
+def post_bytes(path: str, body: bytes) -> bytes:
+    return (b"POST %s HTTP/1.1\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+            % (path.encode(), len(body), body))
+
+
+class JsonSpy:
+    """Stands in for a module's ``json``, keeping the text of every call."""
+
+    JSONDecodeError = json.JSONDecodeError
+
+    def __init__(self):
+        self.texts = []
+
+    def loads(self, text, *args, **kwargs):
+        self.texts.append(bytes(text) if isinstance(text, (bytes, bytearray))
+                          else text.encode())
+        return json.loads(text, *args, **kwargs)
+
+    def dumps(self, obj, *args, **kwargs):
+        text = json.dumps(obj, *args, **kwargs)
+        self.texts.append(text.encode())
+        return text
 
 
 class TestSimulate:
@@ -119,6 +159,84 @@ class TestSimulate:
             assert tighter["outcome"] == "miss"
 
         asyncio.run(scenario())
+
+
+    @pytest.mark.parametrize("include_waveforms", [True, False])
+    def test_hit_answers_like_the_miss(self, tmp_path, include_waveforms):
+        """The hit splices stored bytes where the miss answered from the
+        record it just published: the two must carry the same values."""
+        params = dict(PARAMS, include_waveforms=include_waveforms)
+
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                miss = await raw_exchange(
+                    service, post_bytes("/simulate", json.dumps(params).encode()))
+                hit = await raw_exchange(
+                    service, post_bytes("/simulate", json.dumps(params).encode()))
+            return miss, hit
+
+        miss_raw, hit_raw = asyncio.run(scenario())
+        miss = json.loads(miss_raw.split(b"\r\n\r\n", 1)[1])
+        hit = json.loads(hit_raw.split(b"\r\n\r\n", 1)[1])
+        assert (miss.pop("outcome"), hit.pop("outcome")) == ("miss", "hit")
+        assert hit == miss
+        assert ("waveforms" in hit) is include_waveforms
+        if include_waveforms:
+            sim = simulate_ssn(spec_of(PARAMS))
+            for name in WAVEFORM_FIELDS:
+                wf = getattr(sim, name)
+                assert np.array_equal(hit["waveforms"][name]["t"], wf.t)
+                assert np.array_equal(hit["waveforms"][name]["y"], wf.y)
+
+    def test_hit_never_decodes_or_renders_waveforms(self, tmp_path, monkeypatch):
+        loads = []
+        real_load = ResultStore.load
+
+        def counted_load(store, key):
+            loads.append(key)
+            return real_load(store, key)
+
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                _, miss = await post(service, "/simulate", PARAMS)
+                spies = JsonSpy(), JsonSpy()
+                monkeypatch.setattr(store_module, "json", spies[0])
+                monkeypatch.setattr(server_module, "json", spies[1])
+                monkeypatch.setattr(ResultStore, "load", counted_load)
+                raw = await raw_exchange(service, post_bytes(
+                    "/simulate", json.dumps(PARAMS).encode()))
+                monkeypatch.undo()
+            return miss, raw, spies
+
+        miss, raw, spies = asyncio.run(scenario())
+        hit = json.loads(raw.split(b"\r\n\r\n", 1)[1])
+        assert hit["outcome"] == "hit" and hit["waveforms"] == miss["waveforms"]
+        assert loads == [miss["key"]]
+        texts = spies[0].texts + spies[1].texts
+        assert texts, "the head and the request still go through json"
+        waveform_bytes = len(json.dumps(miss["waveforms"]))
+        for text in texts:
+            assert b'"waveforms"' not in text
+            assert len(text) < waveform_bytes / 10
+
+    def test_store_hit_hashes_the_request_once(self, tmp_path, monkeypatch):
+        calls = []
+        real_result_key = server_module.result_key
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_result_key(*args, **kwargs)
+
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                await post(service, "/simulate", PARAMS)
+                monkeypatch.setattr(server_module, "result_key", counted)
+                _, hit = await post(service, "/simulate", PARAMS)
+            return hit
+
+        hit = asyncio.run(scenario())
+        assert hit["outcome"] == "hit"
+        assert len(calls) == 1
 
 
 class TestDedup:
@@ -337,6 +455,29 @@ class TestHttpSurface:
         raw = asyncio.run(scenario())
         assert raw.startswith(b"HTTP/1.1 400")
 
+    @pytest.mark.parametrize("request_bytes", [
+        b"POST /simulate HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        b"POST /simulate HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        post_bytes("/sweep", b'{"knob":"n_drivers","values":[1e400]}'),
+        post_bytes("/simulate", b'{"n_drivers": 1e400}'),
+        post_bytes("/montecarlo", b'{"n_drivers": 1, "trials": 1e400}'),
+        post_bytes("/montecarlo", b'{"n_drivers": 1, "seed": 1e400}'),
+        post_bytes("/simulate", b"[" * 100_000),
+    ], ids=["length-not-a-number", "length-negative", "sweep-value-overflow",
+            "spec-field-overflow", "trials-overflow", "seed-overflow",
+            "nesting-too-deep"])
+    def test_malformed_request_is_a_400_and_stores_nothing(
+            self, tmp_path, registry, request_bytes):
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                return await raw_exchange(service, request_bytes)
+
+        raw = asyncio.run(scenario())
+        assert raw.startswith(b"HTTP/1.1 400"), raw[:200]
+        assert registry.get("repro_service_errors_total",
+                            {"endpoint": "/simulate"}) is None
+        assert len(ResultStore(tmp_path / "store")) == 0
+
 
 class TestSurrogateFirst:
     """The serving tier's new first layer: fitted models answer in-region."""
@@ -426,3 +567,33 @@ class TestSurrogateFirst:
         assert status == 200
         assert "repro_surrogate_hits_total" in text
         assert "repro_surrogate_warmed_total" in text
+
+    def test_warm_up_reads_heads_only(self, tmp_path, model, registry,
+                                      monkeypatch):
+        """Warm-up registers current surrogate records, skips simulations
+        without decoding their waveforms, and leaves anything else in
+        place: no quarantine, no store counters, no exception."""
+        from repro.service import surrogate_key, surrogate_record
+
+        store = self.warmed_store(tmp_path, model)
+        slot = surrogate_key(model.technology, model.topology,
+                             model.operating_region)
+        stale = "ab" * 32
+        store.put(stale, dict(surrogate_record(stale, model), schema=1))
+        spec = spec_of(PARAMS)
+        store.put_simulation(server_module.result_key(spec), simulate_ssn(spec))
+        corrupt = store.path_for("cd" * 32)
+        corrupt.parent.mkdir(parents=True, exist_ok=True)
+        corrupt.write_text("{torn")
+        spy = JsonSpy()
+        monkeypatch.setattr(store_module, "json", spy)
+
+        service = SsnService(store_root=tmp_path / "store", port=0)
+        service._warm_from_store()
+
+        assert len(service.registry) == 1
+        assert service._surrogate_probed == {slot}
+        assert corrupt.exists() and store.quarantined() == []
+        assert registry.get("repro_store_hits_total") is None
+        assert registry.get("repro_store_misses_total") is None
+        assert all(b'"waveforms"' not in text for text in spy.texts)

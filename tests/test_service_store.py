@@ -7,20 +7,27 @@ back exactly equal and frozen), and every validation failure path
 (garbage, stolen name, stale schema, tampered payload), each of which
 must quarantine-and-miss rather than crash or serve a wrong answer.  The
 fault injector's ``crash-write`` rule proves a torn write can never land
-under the committed name.
+under the committed name, and hypothesis fuzzes the loader: arbitrary
+bytes, flipped bytes and truncations end in quarantine plus a miss,
+never an exception.
 """
 
 import hashlib
 import json
 import os
+import tempfile
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.driver_bank import DriverBankSpec
 from repro.analysis.engine import set_default_engine
 from repro.analysis.simulate import simulate_ssn, ssn_memo_key
 from repro.observability import metrics as obs_metrics
+from repro.process import TSMC018
 from repro.service import (
     RECORD_SCHEMA_VERSION,
     ResultStore,
@@ -29,6 +36,7 @@ from repro.service import (
     simulation_from_record,
     simulation_record,
 )
+from repro.service.store import WAVEFORM_FIELDS, read_head
 from repro.spice.mna import set_default_sparse
 from repro.spice.transient import TransientOptions
 from repro.testing import faults
@@ -261,3 +269,196 @@ class TestCrashWrite:
         record = json.loads(first)
         rebuilt = simulation_from_record(record, spec)
         np.testing.assert_array_equal(rebuilt.ssn.y, sim.ssn.y)
+
+
+def _compact(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
+#: One golden simulation shared by the fuzz cases (hypothesis re-runs a
+#: test body many times, so per-test fixtures would recompute it).
+_FUZZ_SPEC = DriverBankSpec(technology=TSMC018, n_drivers=1,
+                            inductance=1e-9, rise_time=0.5e-9)
+_FUZZ_KEY = result_key(_FUZZ_SPEC)
+
+
+@pytest.fixture(scope="module")
+def valid_bytes():
+    """The file bytes ``put`` writes for one golden simulation."""
+    with tempfile.TemporaryDirectory() as root:
+        path = ResultStore(root).put_simulation(_FUZZ_KEY, simulate_ssn(_FUZZ_SPEC))
+        return path.read_bytes()
+
+
+def _load_written(data: bytes):
+    """Write ``data`` under the fuzz key; return (loaded sim, quarantined)."""
+    with tempfile.TemporaryDirectory() as root:
+        store = ResultStore(root)
+        path = store.path_for(_FUZZ_KEY)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(data)
+        return store.get_simulation(_FUZZ_KEY, _FUZZ_SPEC), store.quarantined()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["schema", "key", "kind", "checksum",
+                                       "waveforms", "meta"]) | st.text(max_size=4),
+                      inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestLayout:
+    def test_checksum_first_compact_body_waveforms_last(self, store, spec):
+        sim = simulate_ssn(spec)
+        key = result_key(spec)
+        record = simulation_record(key, sim, meta={"engine": "scalar"})
+        data = store.put_simulation(key, sim, meta={"engine": "scalar"}).read_bytes()
+        body = _compact(record)
+        digest = hashlib.sha256(body).hexdigest()
+        assert data == b'{"checksum":"' + digest.encode() + b'",' + body[1:] + b"\n"
+        parsed = json.loads(data)
+        assert list(parsed)[0] == "checksum" and list(parsed)[-1] == "waveforms"
+        assert parsed == dict(json.loads(body), checksum=digest)
+
+        stored = store.load(key)
+        assert stored.waveforms_json == _compact(record["waveforms"])
+        assert data.endswith(b',"waveforms":' + stored.waveforms_json + b"}\n")
+        assert "waveforms" not in stored.head
+        assert stored.head == {k: v for k, v in parsed.items() if k != "waveforms"}
+        assert stored.decode() == parsed
+
+    def test_put_renders_once_and_returns_what_load_returns(
+            self, store, spec, monkeypatch):
+        from repro.service import store as store_module
+
+        key = result_key(spec)
+        record = simulation_record(key, simulate_ssn(spec))
+        dumps = []
+        monkeypatch.setattr(store_module, "json", types.SimpleNamespace(
+            loads=json.loads,
+            dumps=lambda *a, **k: dumps.append(1) or json.dumps(*a, **k)))
+        written = store.put(key, record)
+        monkeypatch.undo()
+        assert len(dumps) == 1
+        assert written == store.load(key)
+
+    def test_waveforms_must_sort_last(self, store):
+        with pytest.raises(ValueError, match="sort last"):
+            store.put("ab" * 32, {"kind": "simulate", "waveforms": {}, "zz": 1})
+        assert len(store) == 0
+
+    def test_montecarlo_record_has_no_waveform_slice(self, store, spec):
+        from repro.analysis.montecarlo import MonteCarloResult
+
+        result = MonteCarloResult(samples=np.array([0.1, 0.2]), mean=0.15,
+                                  std=0.05, p95=0.2, nominal=0.14)
+        key = result_key(spec, kind="montecarlo")
+        store.put_montecarlo(key, result, meta={"waveforms": [1, 2]})
+        stored = store.load(key)
+        assert stored.waveforms_json is None
+        assert stored.head["meta"] == {"waveforms": [1, 2]}
+        back = store.get_montecarlo(key)
+        np.testing.assert_array_equal(back.samples, result.samples)
+
+    def test_nested_meta_waveforms_key_round_trips(self, store, spec):
+        sim = simulate_ssn(spec)
+        key = result_key(spec)
+        meta = {"engine": "scalar", "waveforms": {"t": [9.0], "note": "nested"}}
+        store.put_simulation(key, sim, meta=meta)
+        stored = store.load(key)
+        assert stored.head["meta"] == meta
+        assert stored.waveforms_json == _compact(
+            simulation_record(key, sim)["waveforms"])
+        loaded = store.get_simulation(key, spec)
+        np.testing.assert_array_equal(loaded.ssn.y, sim.ssn.y)
+        assert [r["meta"] for r in store.iter_records()] == [meta]
+        assert store.quarantined() == []
+
+
+class TestLoaderFuzz:
+    """``ResultStore.load``: any bytes end in a round trip or in quarantine
+    plus a miss — never an exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=300),
+        _JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+        st.binary(max_size=120).map(lambda b: b'{"checksum":"' + b),
+    ))
+    def test_arbitrary_bytes_are_quarantined(self, data):
+        loaded, quarantined = _load_written(data)
+        assert loaded is None and len(quarantined) == 1
+        read_head(quarantined[0])  # the unvalidated scan never raises either
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_single_byte_flip_is_quarantined(self, valid_bytes, data):
+        pos = data.draw(st.integers(0, len(valid_bytes) - 1), label="pos")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        mutated = bytearray(valid_bytes)
+        mutated[pos] ^= flip
+        loaded, quarantined = _load_written(bytes(mutated))
+        assert loaded is None and len(quarantined) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_truncation_is_quarantined(self, valid_bytes, data):
+        cut = data.draw(st.integers(0, len(valid_bytes) - 1), label="cut")
+        loaded, quarantined = _load_written(valid_bytes[:cut])
+        assert loaded is None and len(quarantined) == 1
+
+    def test_valid_bytes_round_trip(self, valid_bytes):
+        loaded, quarantined = _load_written(valid_bytes)
+        assert quarantined == []
+        fresh = simulate_ssn(_FUZZ_SPEC)
+        for name in WAVEFORM_FIELDS:
+            assert np.array_equal(getattr(loaded, name).y, getattr(fresh, name).y)
+
+    def test_schema_1_spaced_layout_is_quarantined_as_schema(self, store, spec):
+        """The previous layout: spaced ``json.dumps(sort_keys=True)`` text
+        whose checksum hashed the re-rendered compact body."""
+        registry = obs_metrics.enable_metrics()
+        try:
+            key = result_key(spec)
+            record = dict(simulation_record(key, simulate_ssn(spec)), schema=1)
+            record["checksum"] = hashlib.sha256(_compact(record)).hexdigest()
+            path = store.path_for(key)
+            path.parent.mkdir(parents=True)
+            path.write_text(json.dumps(record, sort_keys=True) + "\n")
+            assert store.get_simulation(key, spec) is None
+            assert [p.name for p in store.quarantined()] == [path.name]
+            counter = registry.get("repro_store_quarantined_total",
+                                   {"reason": "schema"})
+            assert counter is not None and counter.value == 1
+        finally:
+            obs_metrics.disable_metrics()
+
+    @pytest.mark.parametrize("reader", ["get_simulation", "iter_records"])
+    def test_checksum_valid_non_json_waveforms_are_unreadable(
+            self, store, spec, reader):
+        registry = obs_metrics.enable_metrics()
+        try:
+            key = result_key(spec)
+            head = {k: v for k, v in simulation_record(
+                key, simulate_ssn(spec)).items() if k != "waveforms"}
+            body = _compact(head)[:-1] + b',"waveforms":{"ssn":[1,2}}'
+            digest = hashlib.sha256(body).hexdigest().encode()
+            path = store.path_for(key)
+            path.parent.mkdir(parents=True)
+            path.write_bytes(b'{"checksum":"' + digest + b'",' + body[1:] + b"\n")
+            # The checksum holds, so load hands the bytes on undecoded ...
+            assert store.load(key).waveforms_json == b'{"ssn":[1,2}'
+            # ... and the first reader that decodes them quarantines the file.
+            if reader == "get_simulation":
+                assert store.get_simulation(key, spec) is None
+            else:
+                assert list(store.iter_records()) == []
+            assert [p.name for p in store.quarantined()] == [path.name]
+            counter = registry.get("repro_store_quarantined_total",
+                                   {"reason": "unreadable"})
+            assert counter is not None and counter.value == 1
+        finally:
+            obs_metrics.disable_metrics()
