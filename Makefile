@@ -2,7 +2,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: install test bench bench-smoke bench-perf campaign-smoke trace-smoke serve-smoke surrogate-smoke status-smoke reports examples clean
+.PHONY: install test bench bench-smoke bench-perf campaign-smoke trace-smoke serve-smoke surrogate-smoke status-smoke importtime reports examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -70,6 +70,12 @@ surrogate-smoke:
 # CLI.  Strict RuntimeWarnings inside the script.
 status-smoke:
 	$(PY) scripts/status_smoke.py
+
+# Cold-start profile: the 15 largest cumulative `-X importtime` entries
+# (microseconds) of the CLI + server entry point.  For reading, not gating.
+importtime:
+	$(PY) -X importtime -c "import repro.cli, repro.service.server" 2>&1 \
+	  | sort -t'|' -k2 -n -r | head -15
 
 # Regenerate every paper artifact into benchmarks/reports/*.txt and
 # the run logs the task description asks for.

@@ -1,95 +1,74 @@
-"""Golden-simulation harness, sweeps, metrics and Monte Carlo extensions."""
+"""Golden-simulation harness, sweeps, metrics and Monte Carlo extensions.
 
-from .buffer_chain import (
-    BufferChainSimulation,
-    BufferChainSpec,
-    build_buffer_chain,
-    simulate_buffer_chain,
-)
-from .cmos_driver import CmosDriverBankSpec, CmosSimulation, build_cmos_driver_bank, simulate_cmos
-from .driver_bank import DriverBankSpec, build_driver_bank
-from .engine import ENGINES, resolve_engine, set_default_engine
-from .metrics import (
-    ErrorSummary,
-    WaveformComparison,
-    batch_peaks,
-    batch_settling_times,
-    compare_waveforms,
-    percent_error,
-    relative_error,
-    settling_time,
-)
-from .montecarlo import (
-    DeviceSpread,
-    MonteCarloResult,
-    ParameterSpread,
-    peak_noise_distribution,
-    transient_peak_distribution,
-)
-from .parallel import parallel_map, parallel_map_traced, resolve_workers
-from .ramps import EffectiveRamp, crossing_time, extract_effective_ramp
-from .simulate import (
-    SsnSimulation,
-    aggregate_telemetry,
-    default_stop_time,
-    default_time_step,
-    simulate_many,
-    simulate_ssn,
-    simulate_ssn_cached,
-)
-from .sweeps import (
-    SweepPoint,
-    SweepResult,
-    sweep,
-    sweep_driver_count,
-    sweep_ground_capacitance,
-    sweep_rise_time,
-)
+The public names resolve lazily (PEP 562): ``import repro.analysis`` loads
+nothing else, and importing one submodule (``repro.analysis.driver_bank``
+for the service's key contract, say) does not drag in the buffer chain,
+the CMOS bank or the sweep layer.  A name is imported from its submodule
+on first access and cached in the package namespace.
+"""
 
-__all__ = [
-    "BufferChainSimulation",
-    "BufferChainSpec",
-    "CmosDriverBankSpec",
-    "CmosSimulation",
-    "DeviceSpread",
-    "DriverBankSpec",
-    "ENGINES",
-    "EffectiveRamp",
-    "ErrorSummary",
-    "MonteCarloResult",
-    "ParameterSpread",
-    "SsnSimulation",
-    "SweepPoint",
-    "SweepResult",
-    "WaveformComparison",
-    "aggregate_telemetry",
-    "batch_peaks",
-    "batch_settling_times",
-    "build_buffer_chain",
-    "build_cmos_driver_bank",
-    "build_driver_bank",
-    "compare_waveforms",
-    "crossing_time",
-    "default_stop_time",
-    "default_time_step",
-    "extract_effective_ramp",
-    "parallel_map",
-    "parallel_map_traced",
-    "peak_noise_distribution",
-    "percent_error",
-    "relative_error",
-    "resolve_engine",
-    "resolve_workers",
-    "set_default_engine",
-    "settling_time",
-    "simulate_buffer_chain",
-    "simulate_cmos",
-    "simulate_many",
-    "simulate_ssn",
-    "simulate_ssn_cached",
-    "sweep",
-    "sweep_driver_count",
-    "sweep_ground_capacitance",
-    "sweep_rise_time",
-    "transient_peak_distribution",
-]
+import importlib
+
+#: public name -> defining submodule.
+_EXPORTS = {
+    "BufferChainSimulation": "buffer_chain",
+    "BufferChainSpec": "buffer_chain",
+    "build_buffer_chain": "buffer_chain",
+    "simulate_buffer_chain": "buffer_chain",
+    "CmosDriverBankSpec": "cmos_driver",
+    "CmosSimulation": "cmos_driver",
+    "build_cmos_driver_bank": "cmos_driver",
+    "simulate_cmos": "cmos_driver",
+    "DriverBankSpec": "driver_bank",
+    "build_driver_bank": "driver_bank",
+    "ENGINES": "engine",
+    "resolve_engine": "engine",
+    "set_default_engine": "engine",
+    "ErrorSummary": "metrics",
+    "WaveformComparison": "metrics",
+    "batch_peaks": "metrics",
+    "batch_settling_times": "metrics",
+    "compare_waveforms": "metrics",
+    "percent_error": "metrics",
+    "relative_error": "metrics",
+    "settling_time": "metrics",
+    "DeviceSpread": "montecarlo",
+    "MonteCarloResult": "montecarlo",
+    "ParameterSpread": "montecarlo",
+    "peak_noise_distribution": "montecarlo",
+    "transient_peak_distribution": "montecarlo",
+    "parallel_map": "parallel",
+    "parallel_map_traced": "parallel",
+    "resolve_workers": "parallel",
+    "EffectiveRamp": "ramps",
+    "crossing_time": "ramps",
+    "extract_effective_ramp": "ramps",
+    "SsnSimulation": "simulate",
+    "aggregate_telemetry": "simulate",
+    "default_stop_time": "simulate",
+    "default_time_step": "simulate",
+    "simulate_many": "simulate",
+    "simulate_ssn": "simulate",
+    "simulate_ssn_cached": "simulate",
+    "SweepPoint": "sweeps",
+    "SweepResult": "sweeps",
+    "sweep": "sweeps",
+    "sweep_driver_count": "sweeps",
+    "sweep_ground_capacitance": "sweeps",
+    "sweep_rise_time": "sweeps",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
+        value = getattr(module, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -170,6 +170,20 @@ def resolved_backend(options: TransientOptions | None = None) -> tuple:
     )
 
 
+_DEFAULT_OPTIONS = TransientOptions()
+
+
+def canonical_options(options: TransientOptions | None) -> TransientOptions | None:
+    """``options``, or ``None`` when it equals the default option set.
+
+    Every engine runs ``options or TransientOptions()``, so passing the
+    defaults explicitly is the same simulation as passing none.  Both cache
+    keys and the service's surrogate routing read options through here,
+    so the two spellings share one key and one answer path.
+    """
+    return None if options == _DEFAULT_OPTIONS else options
+
+
 def ssn_memo_key(
     spec: DriverBankSpec,
     tstop: float | None = None,
@@ -185,6 +199,7 @@ def ssn_memo_key(
     fingerprints from this same function, keeping the two cache tiers'
     key contracts identical by construction.
     """
+    options = canonical_options(options)
     return (spec, tstop, dt, options, resolved_backend(options))
 
 

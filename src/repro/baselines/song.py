@@ -23,8 +23,6 @@ the comparison exercises.
 
 from __future__ import annotations
 
-from scipy import optimize
-
 from ..core.fitting import AlphaPowerSsnParameters
 
 
@@ -63,7 +61,13 @@ class SongSsnModel:
         return self.n_drivers * self.inductance * float(g) * (self.slope - dvn_dt) - vmax
 
     def peak_voltage(self) -> float:
-        """Root of the implicit peak equation on (0, VDD - Vth)."""
+        """Root of the implicit peak equation on (0, VDD - Vth).
+
+        ``scipy.optimize`` is imported here, not at module scope, as in
+        :func:`repro.core.fitting.fit_alpha_power`.
+        """
+        from scipy import optimize
+
         overdrive = self.vdd - self.params.vth
         lo, hi = 0.0, overdrive * (1.0 - 1e-9)
         if self._residual(lo) <= 0.0:

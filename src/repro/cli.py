@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import sys
 
 from .analysis.campaign import CampaignConfig, CampaignRunner
@@ -80,53 +81,29 @@ from .core.design import (
 )
 from .core.ssn_inductive import InductiveSsnModel
 from .core.ssn_lc import LcSsnModel
-from .experiments import (
-    ablations,
-    capacitance_sweep,
-    damping_map,
-    delay_degradation,
-    fig1_iv_fit,
-    fig2_waveforms,
-    fig3_model_comparison,
-    fig4_capacitance,
-    impedance,
-    mutual_coupling,
-    pattern_statistics,
-    power_rail,
-    processes,
-    realistic_input,
-    skew,
-    table1_formulas,
-    temperature,
-)
-from .experiments.common import fitted_models
 from .process.library import list_technologies
 
-#: report-command registry: name -> zero-argument-after-tech runner.
+#: report-command registry: name -> experiment module under
+#: :mod:`repro.experiments`, imported only when its report runs, so no
+#: other command pays for the experiment stack.
 _EXPERIMENTS = {
-    "fig1": lambda tech: fig1_iv_fit.run(tech).format_report(),
-    "fig2": lambda tech: fig2_waveforms.run(tech).format_report(),
-    "fig3": lambda tech: fig3_model_comparison.run(tech).format_report(),
-    "fig4": lambda tech: fig4_capacitance.run(tech).format_report(),
-    "table1": lambda tech: table1_formulas.run(tech).format_report(),
-    "processes": lambda tech: processes.run().format_report(),
-    "damping": lambda tech: damping_map.run(tech).format_report(),
-    "power-rail": lambda tech: power_rail.run(tech).format_report(),
-    "coupling": lambda tech: mutual_coupling.run(tech).format_report(),
-    "impedance": lambda tech: impedance.run(tech).format_report(),
-    "patterns": lambda tech: pattern_statistics.run(tech).format_report(),
-    "delay": lambda tech: delay_degradation.run(tech).format_report(),
-    "cap-sweep": lambda tech: capacitance_sweep.run(tech).format_report(),
-    "temperature": lambda tech: temperature.run(tech).format_report(),
-    "skew": lambda tech: skew.run(tech).format_report(),
-    "realistic-input": lambda tech: realistic_input.run(tech).format_report(),
-    "ablations": lambda tech: "\n".join(
-        [
-            ablations.resistance_ablation(tech).format_report(),
-            ablations.fit_floor_ablation(tech).format_report(),
-            ablations.collapse_ablation(tech).format_report(),
-        ]
-    ),
+    "fig1": "fig1_iv_fit",
+    "fig2": "fig2_waveforms",
+    "fig3": "fig3_model_comparison",
+    "fig4": "fig4_capacitance",
+    "table1": "table1_formulas",
+    "processes": "processes",
+    "damping": "damping_map",
+    "power-rail": "power_rail",
+    "coupling": "mutual_coupling",
+    "impedance": "impedance",
+    "patterns": "pattern_statistics",
+    "delay": "delay_degradation",
+    "cap-sweep": "capacitance_sweep",
+    "temperature": "temperature",
+    "skew": "skew",
+    "realistic-input": "realistic_input",
+    "ablations": "ablations",
 }
 
 
@@ -467,6 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_fit(args) -> str:
+    from .experiments.common import fitted_models
+
     models = fitted_models(args.tech, args.strength)
     a, ap, sq = models.asdm, models.alpha_power, models.square_law
     lines = [
@@ -483,6 +462,8 @@ def _run_fit(args) -> str:
 
 
 def _run_estimate(args) -> str:
+    from .experiments.common import fitted_models
+
     models = fitted_models(args.tech)
     vdd = models.technology.vdd
     lines = [
@@ -513,6 +494,8 @@ def _run_estimate(args) -> str:
 
 
 def _run_plan(args) -> str:
+    from .experiments.common import fitted_models
+
     models = fitted_models(args.tech)
     vdd = models.technology.vdd
     params = models.asdm
@@ -544,10 +527,23 @@ def _run_plan(args) -> str:
     return "\n".join(lines)
 
 
+def _report(name: str, tech: str) -> str:
+    module = importlib.import_module(f".experiments.{_EXPERIMENTS[name]}", __package__)
+    if name == "processes":  # runs every technology card itself
+        return module.run().format_report()
+    if name == "ablations":
+        return "\n".join(
+            ablation(tech).format_report()
+            for ablation in (module.resistance_ablation, module.fit_floor_ablation,
+                             module.collapse_ablation)
+        )
+    return module.run(tech).format_report()
+
+
 def _run_report(args) -> str:
     if args.experiment == "all":
-        return "\n".join(_EXPERIMENTS[name](args.tech) for name in sorted(_EXPERIMENTS))
-    return _EXPERIMENTS[args.experiment](args.tech)
+        return "\n".join(_report(name, args.tech) for name in sorted(_EXPERIMENTS))
+    return _report(args.experiment, args.tech)
 
 
 #: sweep-command knob -> pure spec transform (shared with the sweep layer).
@@ -580,6 +576,8 @@ def _campaign_summary(runner: CampaignRunner) -> str:
 
 
 def _run_sweep(args) -> str:
+    from .experiments.common import fitted_models
+
     models = fitted_models(args.tech)
     base = DriverBankSpec(
         technology=models.technology, n_drivers=args.drivers,
@@ -609,6 +607,7 @@ def _run_sweep(args) -> str:
 
 def _run_montecarlo(args) -> str:
     from .analysis.montecarlo import DeviceSpread
+    from .experiments.common import fitted_models
 
     models = fitted_models(args.tech)
     spec = DriverBankSpec(
@@ -836,6 +835,8 @@ def _run_trace(args) -> str:
 
 
 def _run_simulate(args) -> str:
+    from .experiments.common import fitted_models
+
     models = fitted_models(args.tech)
     counts = [int(v) for v in args.drivers.split(",") if v.strip()]
     specs = [

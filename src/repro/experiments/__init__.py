@@ -24,27 +24,12 @@ Each module exposes ``run(...)`` returning a result object with a
 ``format_report()`` text rendering; the benchmarks print those reports.
 """
 
-from . import (
-    ablations,
-    capacitance_sweep,
-    damping_map,
-    delay_degradation,
-    fig1_iv_fit,
-    fig2_waveforms,
-    fig3_model_comparison,
-    fig4_capacitance,
-    impedance,
-    mutual_coupling,
-    pattern_statistics,
-    power_rail,
-    processes,
-    realistic_input,
-    skew,
-    table1_formulas,
-    temperature,
-)
+import importlib
 
-__all__ = [
+#: Experiment modules, resolved lazily (PEP 562) like the subpackages of
+#: :mod:`repro`, so ``repro.experiments.common`` (the fitted models every
+#: CLI estimate starts from) loads without the seventeen experiments.
+_MODULES = (
     "ablations",
     "capacitance_sweep",
     "damping_map",
@@ -62,4 +47,18 @@ __all__ = [
     "skew",
     "table1_formulas",
     "temperature",
-]
+)
+
+__all__ = list(_MODULES)
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        module = importlib.import_module(f".{name}", __name__)
+        globals()[name] = module
+        return module
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULES))

@@ -20,7 +20,6 @@ import dataclasses
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from ..analysis.driver_bank import DriverBankSpec
 from ..analysis.simulate import simulate_ssn
@@ -98,7 +97,13 @@ def run(
     rise_time: float = NOMINAL_RISE_TIME,
     sim_check_counts: Sequence[int] = (4, 8, 16),
 ) -> PatternStatisticsResult:
-    """Build the per-cycle SSN distribution and spot-validate it."""
+    """Build the per-cycle SSN distribution and spot-validate it.
+
+    ``scipy.stats`` is imported here, not at module scope: it is the
+    slowest import in the package, and only this binomial weighting uses it.
+    """
+    from scipy import stats
+
     if bus_width < 1:
         raise ValueError("bus_width must be positive")
     models = fitted_models(technology_name)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..analysis.driver_bank import DriverBankSpec
 from ..analysis.simulate import simulate_ssn
@@ -139,7 +138,12 @@ def integrate_ode(model: LcSsnModel, samples: int = 4000) -> tuple[np.ndarray, n
 
     Returns:
         (t, vn): times from turn-on to ramp end and the integrated SSN.
+
+    ``scipy.integrate`` is imported here, not at module scope: only this
+    cross-check needs it.
     """
+    from scipy.integrate import solve_ivp
+
     lc = model.inductance * model.capacitance
     two_a = 2.0 * model.decay_rate
     vss = model.asymptotic_voltage

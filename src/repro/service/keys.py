@@ -28,7 +28,12 @@ import hashlib
 import json
 
 from ..analysis.driver_bank import DriverBankSpec
-from ..analysis.simulate import default_stop_time, default_time_step, resolved_backend
+from ..analysis.simulate import (
+    canonical_options,
+    default_stop_time,
+    default_time_step,
+    resolved_backend,
+)
 from ..spice.transient import TransientOptions
 
 #: Bumped whenever the canonical payload layout changes; part of the hash,
@@ -46,12 +51,14 @@ def canonical_request(
 ) -> dict:
     """The canonical JSON-able payload :func:`result_key` hashes.
 
-    ``tstop``/``dt`` are resolved to their spec-derived defaults before
+    ``tstop``/``dt`` are resolved to their spec-derived defaults and
+    ``options`` equal to ``TransientOptions()`` to ``None`` before
     rendering, so "defaulted" and "explicitly passed the default value"
     spell the same key.  ``extra`` carries workload parameters beyond one
     transient run (Monte Carlo trial count and seed, sweep identity);
     its values must be JSON-serializable.
     """
+    options = canonical_options(options)
     return {
         "scheme": KEY_SCHEME_VERSION,
         "kind": str(kind),

@@ -60,7 +60,7 @@ import time
 from ..analysis.campaign import CampaignConfig, CampaignRunner
 from ..analysis.driver_bank import DriverBankSpec
 from ..analysis.montecarlo import DeviceSpread, transient_peak_distribution
-from ..analysis.simulate import simulate_ssn_cached_fresh
+from ..analysis.simulate import canonical_options, simulate_ssn_cached_fresh
 from ..observability import events as obs_events
 from ..observability import health as obs_health
 from ..observability import metrics as obs_metrics
@@ -90,6 +90,9 @@ from .store import (
 #: Upper bounds on one request's header block and body, in bytes.
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 16 * 1024 * 1024
+#: Seconds a client has to deliver its whole request (line, headers and
+#: body); a connection still mid-request after that is closed unanswered.
+READ_TIMEOUT_S = 30.0
 
 #: Spec fields a request may set, with coercions (None = required).
 _SPEC_FIELDS = {
@@ -167,8 +170,20 @@ class ServiceConfig:
     flight_dir: str | os.PathLike | None = None
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; a line over the reader's limit is a 400."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # readline's form of asyncio.LimitOverrunError
+        raise BadRequest("request line or header line too long") from exc
+
+
 def _parse_options(payload) -> TransientOptions | None:
-    """Build :class:`TransientOptions` from a request's ``options`` object."""
+    """Build :class:`TransientOptions` from a request's ``options`` object.
+
+    An object naming only default values is no options at all
+    (:func:`canonical_options`): the same key, and surrogate-eligible.
+    """
     if payload is None:
         return None
     if not isinstance(payload, dict):
@@ -178,7 +193,7 @@ def _parse_options(payload) -> TransientOptions | None:
     if unknown:
         raise BadRequest(f"unknown transient options: {', '.join(unknown)}")
     try:
-        return TransientOptions(**payload)
+        return canonical_options(TransientOptions(**payload))
     except (TypeError, ValueError) as exc:
         raise BadRequest(f"invalid transient options: {exc}") from exc
 
@@ -325,15 +340,23 @@ class SsnService:
                       writer: asyncio.StreamWriter) -> None:
         start = time.perf_counter()
         endpoint = "unparsed"
+        # One timer bounds the whole read: on expiry the pending read fails
+        # as if the client had dropped the connection.
+        deadline = asyncio.get_running_loop().call_later(
+            READ_TIMEOUT_S, reader.set_exception,
+            ConnectionAbortedError("request read deadline expired"))
         try:
             try:
-                method, path, body = await self._read_request(reader)
+                try:
+                    method, path, body = await self._read_request(reader)
+                finally:
+                    deadline.cancel()
                 endpoint = path
                 status, payload, ctype = await self._dispatch(method, path, body)
             except BadRequest as exc:
                 status, payload, ctype = 400, {"error": str(exc)}, "application/json"
             except (asyncio.IncompleteReadError, ConnectionError):
-                return  # client went away mid-request; nothing to answer
+                return  # client went away or stalled mid-request; no answer
             except Exception as exc:  # computation / internal failures -> 500
                 status = 500
                 payload = {"error": f"{type(exc).__name__}: {exc}"}
@@ -362,7 +385,7 @@ class SsnService:
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader):
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
             raise BadRequest("malformed request line")
@@ -370,7 +393,7 @@ class SsnService:
         headers: dict[str, str] = {}
         total = 0
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             total += len(line)
             if total > MAX_HEADER_BYTES:
                 raise BadRequest("header block too large")

@@ -20,6 +20,7 @@ import pytest
 
 from repro.analysis.driver_bank import DriverBankSpec
 from repro.analysis.simulate import simulate_ssn, simulate_ssn_cache_clear
+from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
 from repro.process import get_technology
 from repro.service import RECORD_SCHEMA_VERSION, ResultStore, SsnService, arequest
@@ -159,6 +160,23 @@ class TestSimulate:
             assert tighter["outcome"] == "miss"
 
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize("options", [{}, {"method": "trap", "abstol": 1e-9}],
+                             ids=["empty", "named-defaults"])
+    def test_default_options_are_no_options(self, tmp_path, options):
+        """Options equal to ``TransientOptions()`` are the option-less
+        run: one key, one stored record, and the repeat is a hit."""
+        async def scenario():
+            async with service_on(tmp_path, surrogate=False) as service:
+                _, base = await post(service, "/simulate", PARAMS)
+                _, again = await post(service, "/simulate",
+                                      dict(PARAMS, options=options))
+            return base, again
+
+        base, again = asyncio.run(scenario())
+        assert again["key"] == base["key"]
+        assert (base["outcome"], again["outcome"]) == ("miss", "hit")
+        assert len(ResultStore(tmp_path / "store")) == 1
 
 
     @pytest.mark.parametrize("include_waveforms", [True, False])
@@ -476,6 +494,60 @@ class TestHttpSurface:
         assert raw.startswith(b"HTTP/1.1 400"), raw[:200]
         assert registry.get("repro_service_errors_total",
                             {"endpoint": "/simulate"}) is None
+        assert len(ResultStore(tmp_path / "store")) == 0
+
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        b"POST /simulate HTTP/1.1\r\nX-Long: " + b"a" * 70_000
+        + b"\r\nContent-Length: 2\r\n\r\n{}",
+    ], ids=["request-line", "header-line"])
+    def test_over_long_line_is_a_400_not_an_error(
+            self, tmp_path, registry, request_bytes):
+        """A line over the reader's 64 KiB limit is the client's fault: a
+        400, with no error metric, no error event and nothing stored."""
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                raw = await raw_exchange(service, request_bytes)
+                return raw, obs_events.snapshot_events()
+
+        raw, events = asyncio.run(scenario())
+        assert raw.startswith(b"HTTP/1.1 400"), raw[:200]
+        assert b"too long" in raw
+        assert registry.get("repro_service_errors_total",
+                            {"endpoint": "unparsed"}) is None
+        assert [e for e in events if e["name"] == "service_error"] == []
+        assert len(ResultStore(tmp_path / "store")) == 0
+
+    @pytest.mark.parametrize("partial", [
+        b"POST /simulate HTTP/1.1\r\nContent-Le",
+        post_bytes("/simulate", json.dumps(PARAMS).encode())[:-5],
+    ], ids=["mid-headers", "mid-body"])
+    def test_stalled_request_is_closed_at_the_read_deadline(
+            self, tmp_path, registry, monkeypatch, partial):
+        """A client that stops mid-request loses its connection at
+        ``READ_TIMEOUT_S`` (unanswered), and the server keeps serving."""
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2)
+
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port)
+                writer.write(partial)
+                await writer.drain()
+                # Far above the deadline: only a hang trips this timeout.
+                raw = await asyncio.wait_for(reader.read(), timeout=10.0)
+                writer.close()
+                health = await arequest("127.0.0.1", service.port, "GET",
+                                        "/healthz")
+                return raw, health, obs_events.snapshot_events()
+
+        raw, (status, health), events = asyncio.run(scenario())
+        assert raw == b""
+        assert status == 200 and health["status"] == "ok"
+        assert registry.get("repro_service_errors_total",
+                            {"endpoint": "unparsed"}) is None
+        assert [e for e in events if e["name"] == "service_error"] == []
         assert len(ResultStore(tmp_path / "store")) == 0
 
 

@@ -12,6 +12,7 @@ bytes, flipped bytes and truncations end in quarantine plus a miss,
 never an exception.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,14 +21,19 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.driver_bank import DriverBankSpec
 from repro.analysis.engine import set_default_engine
-from repro.analysis.simulate import simulate_ssn, ssn_memo_key
+from repro.analysis.simulate import (
+    default_stop_time,
+    default_time_step,
+    simulate_ssn,
+    ssn_memo_key,
+)
 from repro.observability import metrics as obs_metrics
-from repro.process import TSMC018
+from repro.process import TSMC018, get_technology
 from repro.service import (
     RECORD_SCHEMA_VERSION,
     ResultStore,
@@ -141,6 +147,107 @@ class TestKeys:
         backend_of = lambda: dict(ssn_memo_key(spec)[-1])
         payload = canonical_request(spec)
         assert dict(tuple(pair) for pair in payload["backend"]) == backend_of()
+
+
+_positive = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+_offsets = lambda n: st.none() | st.tuples(*[_positive(0.0, 1e-9)] * n)
+
+
+@st.composite
+def _specs(draw):
+    """Valid driver-bank specs over every field of the key contract."""
+    n_drivers = draw(st.integers(1, 16))
+    return DriverBankSpec(
+        technology=get_technology(draw(st.sampled_from(
+            ["tsmc018", "tsmc025", "tsmc035"]))),
+        n_drivers=n_drivers,
+        inductance=draw(_positive(1e-10, 1e-8)),
+        rise_time=draw(_positive(1e-11, 2e-9)),
+        capacitance=draw(st.none() | _positive(1e-13, 1e-10)),
+        resistance=draw(_positive(0.0, 10.0)),
+        load_capacitance=draw(_positive(1e-13, 1e-10)),
+        driver_strength=draw(_positive(0.1, 8.0)),
+        collapse=draw(st.booleans()),
+        input_offsets=draw(_offsets(n_drivers)),
+    )
+
+
+#: One non-default value per ``TransientOptions`` field.
+_OPTION_CHANGES = {
+    "method": st.just("be"),
+    "gmin": _positive(0.0, 1e-9),
+    "max_newton": st.integers(1, 500),
+    "abstol": _positive(1e-15, 1e-3),
+    "reltol": _positive(1e-12, 1e-2),
+    "adaptive": st.just(True),
+    "lte_rtol": _positive(1e-9, 1e-1),
+    "lte_atol": _positive(1e-12, 1e-2),
+    "max_growth": _positive(1.01, 10.0),
+    "min_dt": _positive(1e-18, 1e-9),
+    "sparse": st.booleans(),
+}
+_OPTION_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TransientOptions)}
+
+
+class TestKeyProperties:
+    """Hypothesis over the key contract: a default spelled out is the same
+    request, and every semantic change is a different one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_specs(),
+           explicit=st.sets(st.sampled_from(["tstop", "dt", "options"])),
+           named=st.sets(st.sampled_from(sorted(_OPTION_DEFAULTS))))
+    def test_explicit_defaults_give_the_defaulted_key(self, spec, explicit, named):
+        kwargs = {}
+        if "tstop" in explicit:
+            kwargs["tstop"] = default_stop_time(spec)
+        if "dt" in explicit:
+            kwargs["dt"] = default_time_step(spec)
+        if "options" in explicit:
+            kwargs["options"] = TransientOptions(
+                **{name: _OPTION_DEFAULTS[name] for name in named})
+        assert result_key(spec, **kwargs) == result_key(spec)
+        assert canonical_request(spec, **kwargs) == canonical_request(spec)
+        if "options" in explicit:
+            assert (ssn_memo_key(spec, options=kwargs["options"])
+                    == ssn_memo_key(spec))
+
+    @settings(max_examples=120, deadline=None)
+    @given(spec=_specs(), data=st.data())
+    def test_any_semantic_change_gives_a_new_key(self, spec, data):
+        base = result_key(spec)
+        field = data.draw(st.sampled_from(
+            ["spec", "tstop", "dt", "options", "kind", "extra"]))
+        if field == "spec":
+            name = data.draw(st.sampled_from(
+                [f.name for f in dataclasses.fields(DriverBankSpec)]))
+            if name == "input_offsets":
+                value = data.draw(_offsets(spec.n_drivers))
+            else:
+                assume(name != "n_drivers" or spec.input_offsets is None)
+                value = getattr(data.draw(_specs()), name)
+            assume(value != getattr(spec, name))
+            changed = result_key(dataclasses.replace(spec, **{name: value}))
+        elif field == "tstop":
+            default = default_stop_time(spec)
+            changed = result_key(spec, tstop=data.draw(
+                _positive(default / 4, default * 4).filter(lambda v: v != default)))
+        elif field == "dt":
+            default = default_time_step(spec)
+            changed = result_key(spec, dt=data.draw(
+                _positive(default / 4, default * 4).filter(lambda v: v != default)))
+        elif field == "options":
+            name = data.draw(st.sampled_from(sorted(_OPTION_CHANGES)))
+            value = data.draw(_OPTION_CHANGES[name].filter(
+                lambda v: v != _OPTION_DEFAULTS[name]))
+            changed = result_key(spec, options=TransientOptions(**{name: value}))
+        elif field == "kind":
+            changed = result_key(spec, kind=data.draw(
+                st.text(min_size=1).filter(lambda k: k != "simulate")))
+        else:
+            changed = result_key(spec, extra=data.draw(st.dictionaries(
+                st.text(), st.integers() | st.text(), min_size=1)))
+        assert changed != base
 
 
 class TestRoundTrip:
