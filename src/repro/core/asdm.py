@@ -28,7 +28,7 @@ import dataclasses
 
 import numpy as np
 
-from ..devices.base import MosfetModel, ensure_arrays
+from ..devices.base import MosfetModel, OperatingPoint, ensure_arrays
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,6 +90,10 @@ class AsdmMosfet(MosfetModel):
     region) and degrades gracefully nearby.  Exposing this as a
     :class:`MosfetModel` lets the circuit simulator run ablations with the
     paper's model in the loop.
+
+    The source estimate ``vdd - vds`` is not clamped at zero, so the
+    turn-on is the model's only kink, and the conductances are analytic
+    (a finite difference straddling the kink stalls Newton there).
     """
 
     name = "asdm"
@@ -102,10 +106,22 @@ class AsdmMosfet(MosfetModel):
 
     def ids(self, vgs, vds, vbs=0.0):
         vgs, vds, vbs = ensure_arrays(vgs, vds, vbs)
-        p = self.params
-        vs_est = np.maximum(self.vdd - vds, 0.0)
-        on = p.k * np.maximum(vgs - p.v0 - (p.lam - 1.0) * vs_est, 0.0)
-        out = np.where(vds > 0.0, on, 0.0)
+        out = self.partials(vgs, vds, vbs).ids
         if out.ndim == 0:
             return float(out)
         return out
+
+    def partials(self, vgs, vds, vbs=0.0) -> OperatingPoint:
+        """Eqn (3) with ``gm = K``, ``gds = K*(lambda - 1)``, ``gmbs = 0``.
+
+        All four are zero in cutoff or for ``vds <= 0``.  Written in
+        float-or-array arithmetic, so it also serves as
+        :meth:`partials_array` for the batched engine.
+        """
+        p = self.params
+        overdrive = vgs - p.v0 - (p.lam - 1.0) * (self.vdd - vds)
+        on = (vds > 0.0) & (overdrive > 0.0)
+        return OperatingPoint(ids=on * (p.k * overdrive), gm=on * p.k,
+                              gds=on * (p.k * (p.lam - 1.0)), gmbs=0.0 * on)
+
+    partials_array = partials

@@ -8,10 +8,15 @@ classic power-delivery-network view.  The LC network of the paper's
 Section 4 shows up as a resonance at ``f0 = 1/(2*pi*sqrt(LC))`` whose
 peaking tracks the damping regions of Eqn (27).
 
-Element support mirrors the transient engine: R, L, C, V/I sources
-(shorted/opened respectively unless designated as the stimulus), mutual
-inductance, and MOSFETs (linearized).  AC stamping lives here, dispatched
-on element type, so the element classes stay transient-focused.
+There is no AC stamp of its own: the complex matrix is the transient
+engine's, assembled through the element classes in ``"tran"`` mode with
+backward-Euler companions at the complex step ``dt = 1/(j*omega)``, with
+zero companion history, and linearized at the DC bias.  A backward-Euler
+companion at that step *is* the admittance (``C/dt = j*omega*C``,
+``L/dt = j*omega*L``), so every element the transient engine stamps —
+R, L, C, mutual inductance, MOSFETs, and V/I sources (AC-shorted/opened
+unless designated as the stimulus) — gets AC for free.  The right-hand
+side is only the stimulus excitation; no DC source value enters it.
 """
 
 from __future__ import annotations
@@ -22,16 +27,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .dc import dc_operating_point
-from .elements import (
-    Capacitor,
-    CurrentSource,
-    Inductor,
-    MutualInductance,
-    Resistor,
-    VoltageSource,
-)
 from .mna import MnaSystem
-from .mosfet import MosfetElement
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,97 +58,6 @@ class AcResult:
         return np.angle(self.voltage(node_name))
 
 
-class _AcStamper:
-    """Builds the complex MNA system at one angular frequency."""
-
-    def __init__(self, circuit: Circuit, bias):
-        self.circuit = circuit
-        self.system = MnaSystem(circuit)
-        self.bias = bias  # DcSolution or None (cold linearization)
-
-    def _bias_voltage(self, node: int) -> float:
-        if self.bias is None or node == 0:
-            return 0.0
-        return self.bias.voltage(self.circuit.node_name(node))
-
-    def assemble(self, omega: float, stimulus: str, stimulus_value: complex):
-        n = self.system.size
-        nn = self.system.num_node_unknowns
-        a = np.zeros((n, n), dtype=complex)
-        z = np.zeros(n, dtype=complex)
-
-        def node_idx(node):
-            return node - 1 if node else None
-
-        def add(i, j, val):
-            if i is not None and j is not None:
-                a[i, j] += val
-
-        def stamp_admittance(na, nb, y):
-            ia, ib = node_idx(na), node_idx(nb)
-            add(ia, ia, y)
-            add(ib, ib, y)
-            add(ia, ib, -y)
-            add(ib, ia, -y)
-
-        for el in self.circuit.elements:
-            if isinstance(el, Resistor):
-                stamp_admittance(el.nodes[0], el.nodes[1], 1.0 / el.ohms)
-            elif isinstance(el, Capacitor):
-                stamp_admittance(el.nodes[0], el.nodes[1], 1j * omega * el.farads)
-            elif isinstance(el, Inductor):
-                row = nn + el.branch_start
-                ia, ib = node_idx(el.nodes[0]), node_idx(el.nodes[1])
-                add(ia, row, 1.0)
-                add(ib, row, -1.0)
-                add(row, ia, 1.0)
-                add(row, ib, -1.0)
-                a[row, row] += -1j * omega * el.henries
-            elif isinstance(el, MutualInductance):
-                row_a = nn + el.la.branch_start
-                row_b = nn + el.lb.branch_start
-                m = el.mutual
-                a[row_a, row_b] += -1j * omega * m
-                a[row_b, row_a] += -1j * omega * m
-            elif isinstance(el, VoltageSource):
-                row = nn + el.branch_start
-                ia, ib = node_idx(el.nodes[0]), node_idx(el.nodes[1])
-                add(ia, row, 1.0)
-                add(ib, row, -1.0)
-                add(row, ia, 1.0)
-                add(row, ib, -1.0)
-                if el.name == stimulus:
-                    z[row] += stimulus_value
-            elif isinstance(el, CurrentSource):
-                if el.name == stimulus:
-                    ia, ib = node_idx(el.nodes[0]), node_idx(el.nodes[1])
-                    if ia is not None:
-                        z[ia] -= stimulus_value
-                    if ib is not None:
-                        z[ib] += stimulus_value
-            elif isinstance(el, MosfetElement):
-                d, g, s, b = el.nodes
-                vs = self._bias_voltage(s)
-                op = el.model.partials(
-                    self._bias_voltage(g) - vs,
-                    self._bias_voltage(d) - vs,
-                    self._bias_voltage(b) - vs,
-                )
-                gsum = op.gm + op.gds + op.gmbs
-                di, gi, si, bi = (node_idx(x) for x in (d, g, s, b))
-                add(di, gi, op.gm)
-                add(di, di, op.gds)
-                add(di, bi, op.gmbs)
-                add(di, si, -gsum)
-                add(si, gi, -op.gm)
-                add(si, di, -op.gds)
-                add(si, bi, -op.gmbs)
-                add(si, si, gsum)
-            else:
-                raise TypeError(f"element {el.name!r} has no AC stamp")
-        return a, z
-
-
 def ac_analysis(
     circuit: Circuit,
     frequencies,
@@ -165,7 +70,8 @@ def ac_analysis(
     Args:
         circuit: the netlist.  Non-stimulus V-sources are AC-shorted and
             I-sources AC-opened, per standard practice.
-        frequencies: analysis frequencies in hertz (array-like, > 0).
+        frequencies: analysis frequencies in hertz (array-like, finite
+            and > 0).
         stimulus: name of the V- or I-source carrying the AC excitation.
         stimulus_value: complex amplitude of the excitation (1.0 default).
         bias_time: evaluate the DC operating point at this source time to
@@ -176,18 +82,40 @@ def ac_analysis(
         Complex node responses per frequency.
     """
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    if np.any(freqs <= 0):
-        raise ValueError("AC frequencies must be positive")
-    circuit.element(stimulus)  # raises KeyError for unknown stimulus
+    if not np.all(np.isfinite(freqs) & (freqs > 0)):
+        raise ValueError("AC frequencies must be positive and finite")
+    source = circuit.element(stimulus)  # raises KeyError for unknown stimulus
+    if not hasattr(source, "shape"):
+        raise ValueError(f"AC stimulus {stimulus!r} is not a V or I source")
 
-    bias = dc_operating_point(circuit, t=bias_time) if bias_time is not None else None
-    stamper = _AcStamper(circuit, bias)
+    system = MnaSystem(circuit)
+    n = system.size
+    if bias_time is None:
+        bias = np.zeros(n)
+    else:
+        bias = dc_operating_point(circuit, t=bias_time).unknowns
+    # Zero companion history: the companions' history currents vanish and
+    # only their admittances remain.
+    states = {el: {"v": 0.0, "i": 0.0} for el in circuit.elements}
+    A = np.empty((n, n), dtype=complex)
+    z = np.empty(n, dtype=complex)
 
     names = [name for name in circuit.node_names if name != "0"]
     out = {name: np.empty(len(freqs), dtype=complex) for name in names}
     for i, f in enumerate(freqs):
-        a, z = stamper.assemble(2.0 * np.pi * f, stimulus, stimulus_value)
-        x = np.linalg.solve(a, z)
+        # Source values stamped at t = 0 land in z, which is rebuilt below.
+        ctx = system.context("tran", 0.0, 1.0 / (2j * np.pi * f), "be", states,
+                             bias, gmin=0.0, buffers=(A, z))
+        system.assemble_base(ctx)
+        system.assemble_nonlinear(ctx)
+        # The excitation alone: a voltage source drives its branch row, a
+        # current source its node pair.
+        z[:] = 0.0
+        if source.nbranches:
+            ctx.set_branch_rhs(ctx.branch_row(source), stimulus_value)
+        else:
+            ctx.add_rhs_current(*source.nodes, stimulus_value)
+        x = np.linalg.solve(A, z)
         for name in names:
             out[name][i] = x[circuit.node_id(name) - 1]
     return AcResult(frequencies=freqs, responses=out)

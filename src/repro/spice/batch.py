@@ -35,12 +35,13 @@ one vectorized Newton loop:
   engine, which owns the step-halving/gmin ladder and its telemetry.  The
   instance's record gets ``batch_fallbacks = 1``.
 
-Numerics: both drivers reproduce the scalar engine's step sequence
-(breakpoint landing, post-breakpoint BE restart, step regrowth, and on the
-adaptive path the LTE accept/reject decisions) and Newton iteration (same
-damping cap, same convergence test, same finite-difference partials step),
-so batched waveforms agree with the scalar engine to floating-point noise —
-the golden-parity suite bounds the difference at 1e-9 V/A.  Results are
+Numerics: both drivers take every step-control decision from the scalar
+engine's own step-control functions (:mod:`.transient`, called on floats
+here for the shared grid and on ``(B,)`` arrays for per-instance steps)
+and reproduce its Newton iteration (same damping cap, same convergence
+test, same partials), so batched waveforms agree with the scalar engine to
+floating-point noise — the golden-parity suite bounds the difference at
+1e-9 V/A.  Results are
 bitwise-deterministic: identical inputs produce identical ensembles
 regardless of how instances converge or fall back.
 
@@ -72,11 +73,19 @@ from .mosfet import MosfetBank, MosfetElement
 from .solver import DEFAULT_MAX_UPDATE
 from .telemetry import SolverTelemetry, record_backend, record_session
 from .transient import (
-    _MIN_STEP_DIVISOR,
     _SampleRecorder,
     TransientOptions,
     TransientResult,
+    breakpoints_between,
     check_time_span,
+    clamp_step,
+    fixed_step_regrow,
+    halve_step,
+    landed,
+    lte_norm,
+    lte_regrow,
+    lte_shrink,
+    min_step,
     transient,
 )
 
@@ -598,9 +607,9 @@ def batch_transient(
 def _fixed_lockstep(ens: _Ensemble, wall_start: float):
     """Shared-grid lockstep: the scalar engine's fixed step sequence.
 
-    Breakpoint landing, the post-breakpoint backward-Euler restart and step
-    regrowth are the scalar engine's; an instance whose Newton solve fails
-    leaves the ensemble (the batch never halves the shared step).  Returns
+    The step sequence comes from the scalar engine's step-control
+    functions; an instance whose Newton solve fails leaves the ensemble
+    (the batch never halves the shared step).  Returns
     ``(waveform, ic_seconds, stepping_seconds)`` for :meth:`_Ensemble.finish`.
     """
     opts, dt, tstart, tstop = ens.opts, ens.dt, ens.tstart, ens.tstop
@@ -616,22 +625,19 @@ def _fixed_lockstep(ens: _Ensemble, wall_start: float):
     ic_ctx = ens.context("ic", tstart, dt, False, x)
     ens.init_state(ic_ctx)
 
-    breakpoints = [b for b in ens.circuits[0].breakpoints() if tstart < b < tstop]
-    breakpoints.append(tstop)
-
     recorder = _BatchRecorder(ens.batch, nn, len(ens.measured))
     recorder.append(tstart, x[:, :nn], ens.sample_currents(ic_ctx))
 
     t = tstart
     h = dt
-    bp_iter = iter(breakpoints)
+    bp_iter = iter(breakpoints_between(ens.circuits[0], tstart, tstop))
     next_bp = next(bp_iter)
     first_step = True
     stepping_start = time.perf_counter()
 
     with trace.span("stepping") as step_sp:
-        while t < tstop - 1e-21 and ens.alive.any():
-            h_step = min(h, next_bp - t)
+        while not landed(t, tstop) and ens.alive.any():
+            h_step = clamp_step(h, t, next_bp)
             trap = opts.method == "trap" and not first_step
             x, failed = ens.newton("tran", t + h_step, h_step, trap, opts.gmin,
                                    ens.alive, x)
@@ -641,21 +647,17 @@ def _fixed_lockstep(ens: _Ensemble, wall_start: float):
             currents = ens.sample_currents(step_ctx)
             ens.commit(step_ctx)
             first_step = False
-            grown = min(dt, h_step * 2.0)
 
             t += h_step
             ens.tally("accepted_steps", ens.alive)
             recorder.append(t, x[:, :nn], currents)
 
-            if abs(t - next_bp) < 1e-21 or t >= next_bp:
+            if landed(t, next_bp):
                 # Source slope discontinuity: restart the integrator with a
                 # backward-Euler step (see the scalar engine).
                 first_step = True
-                try:
-                    next_bp = next(bp_iter)
-                except StopIteration:
-                    next_bp = tstop
-            h = grown
+                next_bp = next(bp_iter, tstop)
+            h = fixed_step_regrow(h_step, dt)
     stepping_s = trace.elapsed(step_sp, stepping_start)
 
     times, nodes, currents = recorder.finish()
@@ -681,12 +683,11 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
     participation mask gates which rows of each vectorized solve are real;
     masked-out lanes get identity rows and their results are discarded.
 
-    Parity contract: the controller is the scalar engine's, executed
-    elementwise — the same companion arithmetic per lane (``np.where``
-    blends preserve the selected branch bitwise), the same Newton damping
-    and convergence tests, the same LTE formula, the same
-    shrink/floor-accept/regrow float expressions, the same breakpoint
-    landing rules.  Each instance therefore accepts and rejects *exactly*
+    Parity contract: the controller is the scalar engine's step-control
+    functions called on per-lane arrays, over the same companion
+    arithmetic per lane (``np.where`` blends preserve the selected branch
+    bitwise) and the same Newton damping and convergence tests.  Each
+    instance therefore accepts and rejects *exactly*
     the steps the scalar engine would, with identical telemetry counts
     (``newton_solves``/``iterations``, ``accepted_steps``,
     ``step_rejections``/``retries``, ``lte_rejections``); ``mask_steps``
@@ -704,7 +705,7 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
     nn = ens.nn
     alive = ens.alive
     method_trap = opts.method == "trap"
-    min_h = opts.min_dt if opts.min_dt is not None else dt / _MIN_STEP_DIVISOR
+    min_h = min_step(opts, dt)
     x_acc = np.zeros((batch, ens.size))
 
     # -- t=0 consistency solve -------------------------------------------------------
@@ -719,9 +720,7 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
     ic_ctx = ens.context("ic", t_i, h_i, no_trap, x_acc)
     ens.init_state(ic_ctx)
 
-    bps = [b for b in ens.circuits[0].breakpoints() if tstart < b < tstop]
-    bps.append(tstop)
-    bp_arr = np.array(bps)
+    bps = np.array(breakpoints_between(ens.circuits[0], tstart, tstop))
     bp_idx = np.zeros(batch, dtype=int)
     last_bp = len(bps) - 1
 
@@ -732,21 +731,21 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
         recorders[b].append(tstart, x_acc[b, :nn], cur_block[b])
 
     # Per-instance integrator state (t_i, h_i above).  A pending
-    # reject-retry overrides the min(h, breakpoint-gap) clamp: the scalar
-    # controller does not re-clamp a halved/shrunk step within the retry
-    # loop.  NaN means "no retry pending".
+    # reject-retry overrides the breakpoint clamp: the scalar controller
+    # does not re-clamp a halved/shrunk step within the retry loop.  NaN
+    # means "no retry pending".
     retry_h = np.full(batch, np.nan)
     first_step = np.ones(batch, dtype=bool)
     stepping_start = time.perf_counter()
 
     with trace.span("stepping") as step_sp:
         while True:
-            pending = alive & (t_i < tstop - 1e-21)
+            pending = alive & ~landed(t_i, tstop)
             if not pending.any():
                 break
             ens.tally("mask_steps", pending)
-            gap = bp_arr[bp_idx] - t_i
-            h_step = np.where(np.isnan(retry_h), np.minimum(h_i, gap), retry_h)
+            h_step = np.where(np.isnan(retry_h),
+                              clamp_step(h_i, t_i, bps[bp_idx]), retry_h)
             # Finished/fallen-back lanes ride along with a harmless dummy
             # step (their results are never consumed; the dummy keeps the
             # vectorized companion math division-safe).
@@ -783,29 +782,22 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
             nfail = pending & ~ok
             if nfail.any():
                 ens.tally("step_rejections", nfail)
-                h_next = h_step / 2.0
-                dead = nfail & (h_next < min_h)
+                h_next, dead = halve_step(h_step, min_h)
+                dead &= nfail
                 ens.drop(dead)
                 retrying = nfail & ~dead
                 ens.tally("step_retries", retrying)
                 retry_h[retrying] = h_next[retrying]
 
-            # LTE control (scalar formulas, elementwise).
-            err = np.zeros(batch)
-            if nn and ok.any():
-                scale = opts.lte_atol + opts.lte_rtol * np.abs(x_new[:, :nn])
-                err = np.max(np.abs(x_big[:, :nn] - x_new[:, :nn]) / scale, axis=1)
+            # LTE control, the scalar controller's decisions per lane.
+            err = lte_norm(x_big, x_new, nn, opts)
             lte_bad = ok & (err > 1.0)
             ens.tally("lte_rejections", lte_bad)
-            pos = err > 0.0
-            inv_cbrt = np.ones(batch)
-            inv_cbrt[pos] = err[pos] ** (-1.0 / 3.0)
-            h_shrunk = np.maximum(h_step * np.maximum(0.9 * inv_cbrt, 0.25), min_h)
-            # Accept-at-the-floor quirk: a shrink clamped to min_h is
-            # accepted with the *old* step's solutions but advances t by the
-            # *new* (floored) step — exactly the scalar loop's
-            # reassign-then-break.
-            floor_acc = lte_bad & (h_shrunk <= min_h)
+            h_shrunk, at_floor = lte_shrink(h_step, err, min_h)
+            # Accept-at-the-floor: a shrink clamped to min_h is accepted
+            # with the *old* step's solutions but advances t by the *new*
+            # (floored) step — exactly the scalar loop's reassign-then-break.
+            floor_acc = lte_bad & at_floor
             accepted = (ok & ~lte_bad) | floor_acc
             lte_retry = lte_bad & ~floor_acc
             retry_h[lte_retry] = h_shrunk[lte_retry]
@@ -819,26 +811,21 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
             ens.restore(snap, ~accepted)
 
             if accepted.any():
-                h_used = np.where(floor_acc, h_shrunk, h_step)
                 # Regrowth from the rejecting err on floor-accepts, from the
-                # accepted err otherwise — scalar's `factor`.
-                factor = np.full(batch, opts.max_growth)
-                factor[pos] = 0.9 * inv_cbrt[pos]
-                grown = np.minimum(dt, h_used * np.minimum(
-                    np.maximum(factor, 0.25), opts.max_growth))
+                # accepted err otherwise, as in the scalar loop.
+                h_used = np.where(floor_acc, h_shrunk, h_step)
                 t_i = np.where(accepted, t_i + h_used, t_i)
                 x_acc = np.where(accepted[:, None], x_new, x_acc)
                 ens.tally("accepted_steps", accepted)
-                h_i = np.where(accepted, grown, h_i)
+                h_i = np.where(accepted, lte_regrow(h_used, err, dt, opts), h_i)
                 retry_h[accepted] = np.nan
                 first_step = first_step & ~accepted
-                nbp = bp_arr[bp_idx]
-                landed = accepted & ((np.abs(t_i - nbp) < 1e-21) | (t_i >= nbp))
-                if landed.any():
+                hit = accepted & landed(t_i, bps[bp_idx])
+                if hit.any():
                     # Source slope discontinuity: restart the lane's
                     # integrator with a backward-Euler step.
-                    first_step = first_step | landed
-                    bp_idx = np.where(landed, np.minimum(bp_idx + 1, last_bp), bp_idx)
+                    first_step = first_step | hit
+                    bp_idx = np.where(hit, np.minimum(bp_idx + 1, last_bp), bp_idx)
                 for b in np.flatnonzero(accepted):
                     recorders[b].append(t_i[b], x_new[b, :nn], cur_block[b])
     stepping_s = trace.elapsed(step_sp, stepping_start)

@@ -19,6 +19,10 @@ run carries a :class:`~repro.spice.telemetry.SolverTelemetry` record on
 ``TransientResult.telemetry`` counting iterations, rejections/retries,
 cache activity and per-phase wall clock; an unrecoverable failure raises
 ``ConvergenceError`` with the partial record attached as ``.telemetry``.
+
+Step control is written once, as the pure functions of the "step control"
+section below; the batched engine (:mod:`repro.spice.batch`) calls the
+same functions on per-instance arrays.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ from .waveform import Waveform
 
 #: Refuse to shrink the step below base_dt / _MIN_STEP_DIVISOR.
 _MIN_STEP_DIVISOR = 4096.0
+
+#: Smallest LTE error fed to the step ratio: an exact step (err = 0) then
+#: gets a huge finite ratio that every caller caps, not a division by zero.
+_TINY_ERR = float(np.finfo(float).tiny)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,6 +142,85 @@ def check_time_span(tstart: float, tstop: float, dt: float) -> None:
         raise ValueError("tstop must be greater than tstart")
     if dt <= 0:
         raise ValueError("dt must be positive")
+
+
+# -- step control ------------------------------------------------------------------
+#
+# Every step-control decision of the transient drivers, written once.  The
+# scalar engine passes floats; the batched engine passes (B,) arrays, one
+# lane per instance, and gets per lane the same IEEE result (the idiom of
+# ``elements._by_phase``).  Floats stay Python floats: a numpy scalar step
+# would flow into every element stamp and slow the scalar engine down.
+
+
+def _minimum(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.minimum(a, b)
+    return min(a, b)
+
+
+def _maximum(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b)
+    return max(a, b)
+
+
+def breakpoints_between(circuit: Circuit, tstart: float, tstop: float) -> list:
+    """The source breakpoints inside ``(tstart, tstop)``, then ``tstop``."""
+    return [b for b in circuit.breakpoints() if tstart < b < tstop] + [tstop]
+
+
+def clamp_step(h, t, next_bp):
+    """The step ``h`` from ``t``, cut short to land on ``next_bp``."""
+    return _minimum(h, next_bp - t)
+
+
+def landed(t, bp):
+    """Whether time ``t`` has reached breakpoint ``bp``."""
+    return (abs(t - bp) < 1e-21) | (t >= bp)
+
+
+def min_step(opts: TransientOptions, dt: float) -> float:
+    """The floor of the Newton-failure ladder and the LTE controller."""
+    return opts.min_dt if opts.min_dt is not None else dt / _MIN_STEP_DIVISOR
+
+
+def halve_step(h, min_h):
+    """The retry step after a Newton failure, and whether it is below the
+    floor (the failure is then unrecoverable)."""
+    h = h / 2.0
+    return h, h < min_h
+
+
+def fixed_step_regrow(h, dt):
+    """The fixed-step driver's next step: double back up towards ``dt``."""
+    return _minimum(dt, 2.0 * h)
+
+
+def lte_norm(x_coarse, x_fine, nn: int, opts: TransientOptions):
+    """Step-doubling error in units of the tolerance: the max-norm over
+    the ``nn`` node voltages of the last axis (0 when there are none)."""
+    scale = opts.lte_atol + opts.lte_rtol * np.abs(x_fine[..., :nn])
+    err = np.max(np.abs(x_coarse[..., :nn] - x_fine[..., :nn]) / scale,
+                 axis=-1, initial=0.0)
+    return err if err.ndim else float(err)
+
+
+def _lte_ratio(err):
+    """The third-order step ratio ``0.9 * err^(-1/3)``, floored at 0.25."""
+    return _maximum(0.9 * _maximum(err, _TINY_ERR) ** (-1.0 / 3.0), 0.25)
+
+
+def lte_shrink(h, err, min_h):
+    """The retry step after an LTE rejection, and whether it sits at the
+    floor ``min_h`` (the step is then accepted rather than stall)."""
+    h = _maximum(h * _lte_ratio(err), min_h)
+    return h, h <= min_h
+
+
+def lte_regrow(h, err, dt, opts: TransientOptions):
+    """The adaptive driver's next step after an accepted one."""
+    return _minimum(dt, h * _minimum(_lte_ratio(err), opts.max_growth))
 
 
 class TransientResult:
@@ -268,21 +355,18 @@ def transient(
         for el in circuit.elements:
             el.init_state(ctx)
 
-        breakpoints = [b for b in circuit.breakpoints() if tstart < b < tstop]
-        breakpoints.append(tstop)
-
+        nn = system.num_node_unknowns
         measured = [el for el in circuit.elements if hasattr(el, "current")]
-        recorder = _SampleRecorder(system.num_node_unknowns, [el.name for el in measured])
+        recorder = _SampleRecorder(nn, [el.name for el in measured])
         # Element currents at t=0 come from the IC context (capacitor companion
         # models are undefined before the first step, so record zeros there).
-        recorder.append(tstart, x[: system.num_node_unknowns],
-                        [_safe_current(el, ctx) for el in measured])
+        recorder.append(tstart, x[:nn], [_safe_current(el, ctx) for el in measured])
 
         t = tstart
         h = dt
-        bp_iter = iter(breakpoints)
+        bp_iter = iter(breakpoints_between(circuit, tstart, tstop))
         next_bp = next(bp_iter)
-        min_h = opts.min_dt if opts.min_dt is not None else dt / _MIN_STEP_DIVISOR
+        min_h = min_step(opts, dt)
         stepping_start = time.perf_counter()
 
         def solve_step(step_states, x0, t_target, h_target, method):
@@ -300,9 +384,19 @@ def transient(
         def snapshot():
             return {el: dict(state) for el, state in states.items()}
 
+        def reject(exc, h_step):
+            # Rejected step: committed state is untouched, so the retry at
+            # half the step restarts from clean history.
+            tel.step_rejections += 1
+            h_step, unrecoverable = halve_step(h_step, min_h)
+            if unrecoverable:
+                _fail(exc, tel, wall_start, stepping_start)
+            tel.step_retries += 1
+            return h_step
+
         with trace.span("stepping") as step_sp:
-            while t < tstop - 1e-21:
-                h_step = min(h, next_bp - t)
+            while not landed(t, tstop):
+                h_step = clamp_step(h, t, next_bp)
                 method = "be" if first_step else opts.method
 
                 if not opts.adaptive:
@@ -312,18 +406,12 @@ def transient(
                                                          h_step, method)
                             break
                         except ConvergenceError as exc:
-                            # Rejected step: committed state is untouched, so the
-                            # retry at half the step restarts from clean history.
-                            tel.step_rejections += 1
-                            h_step /= 2.0
-                            if h_step < min_h:
-                                _fail(exc, tel, wall_start, stepping_start)
-                            tel.step_retries += 1
+                            h_step = reject(exc, h_step)
                     # Record, then commit state (commit consumes the pre-step
                     # state).
                     step_currents = [_safe_current(el, step_ctx) for el in measured]
                     commit_all(step_ctx)
-                    grown = min(dt, h_step * 2.0)
+                    grown = fixed_step_regrow(h_step, dt)
                 else:
                     # Step doubling: one h step vs two h/2 steps; their gap
                     # estimates the local truncation error of the coarse step.
@@ -345,45 +433,34 @@ def transient(
                                 opts.method,
                             )
                         except ConvergenceError as exc:
-                            tel.step_rejections += 1
-                            h_step /= 2.0
-                            if h_step < min_h:
-                                _fail(exc, tel, wall_start, stepping_start)
-                            tel.step_retries += 1
+                            h_step = reject(exc, h_step)
                             continue
-                        nn = system.num_node_unknowns
-                        scale = opts.lte_atol + opts.lte_rtol * np.abs(x_new[:nn])
-                        err = (float(np.max(np.abs(x_big[:nn] - x_new[:nn]) / scale))
-                               if nn else 0.0)
+                        err = lte_norm(x_big, x_new, nn, opts)
                         if err <= 1.0:
                             break
                         tel.lte_rejections += 1
-                        h_step = max(h_step * max(0.9 * err ** (-1.0 / 3.0), 0.25), min_h)
-                        if h_step <= min_h:
+                        h_step, at_floor = lte_shrink(h_step, err, min_h)
+                        if at_floor:
                             break  # accept at the floor rather than stall
                     step_currents = [_safe_current(el, step_ctx) for el in measured]
                     commit_all(step_ctx)
                     states.clear()
                     states.update(half_states)
-                    factor = 0.9 * err ** (-1.0 / 3.0) if err > 0 else opts.max_growth
-                    grown = min(dt, h_step * min(max(factor, 0.25), opts.max_growth))
+                    grown = lte_regrow(h_step, err, dt, opts)
 
                 t += h_step
                 x = x_new
                 first_step = False
                 tel.accepted_steps += 1
                 obs_metrics.observe("repro_step_seconds", h_step)
-                recorder.append(t, x[: system.num_node_unknowns], step_currents)
+                recorder.append(t, x[:nn], step_currents)
 
-                if abs(t - next_bp) < 1e-21 or t >= next_bp:
+                if landed(t, next_bp):
                     # Source slope discontinuity: restart the integrator with a
                     # backward-Euler step, or the trapezoidal companion rings
                     # (i_new = -i_prev) on any element sitting across the corner.
                     first_step = True
-                    try:
-                        next_bp = next(bp_iter)
-                    except StopIteration:
-                        next_bp = tstop
+                    next_bp = next(bp_iter, tstop)
                 h = grown
             step_sp.set_attribute("accepted_steps", tel.accepted_steps)
 

@@ -12,16 +12,20 @@ so on ``[t0, tr]`` the simulated ``v(ssn)`` must converge to
 integrator's order.  Backward Euler is held to first order; the
 trapezoidal rule only to its error bound, because the turn-on kink at
 ``t0 = V0/sr`` is not a breakpoint and makes its observed order irregular.
-The batched lockstep engine must reproduce the scalar engine on the same
-circuits.
+Both adaptive engines are held to the same bound, and the batched lockstep
+engine must reproduce the scalar engine on the same circuits, fixed-step
+and adaptive.  Eqn 10's design claim closes the file: banks with equal
+``Z = N*L*sr`` bounce to the same peak through the real engine.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.asdm import AsdmMosfet
 from repro.core.ssn_inductive import InductiveSsnModel
-from repro.spice import Circuit, ConvergenceError, Dc, Ramp
+from repro.spice import Circuit, Dc, Ramp
 from repro.spice.batch import batch_transient
 from repro.spice.transient import TransientOptions, transient
 
@@ -31,8 +35,11 @@ RISE_TIME = 0.5e-9
 #: drivers on 3 nH.
 CASES = [(1, 1e-9), (2, 2e-9), (4, 2e-9), (8, 5e-9), (16, 5e-9), (30, 3e-9)]
 
-#: Step divisors ``tr / div`` every case converges at.
+#: Step divisors ``tr / div`` the error bound holds at.
 FINE_STEPS = (400, 800)
+
+#: Coarse step divisors: every case must complete through the turn-on kink.
+COARSE_STEPS = (100, 200)
 
 #: Max |v(ssn) - Eqn 6| on [t0, tr] at every FINE_STEPS step, per method.
 ERROR_BOUND = {"be": 1e-3, "trap": 1e-4}
@@ -40,26 +47,15 @@ ERROR_BOUND = {"be": 1e-3, "trap": 1e-4}
 #: Batched waveforms must stay within this of the scalar engine.
 PARITY_TOL = 1e-9
 
-#: Known defect: Newton fails unrecoverably at t0, the clamp kink of
-#: Eqn 3, on the large banks at coarse steps (the seed engine failed at
-#: exactly the same points).
-KINK_FAILURES = [
-    (method, n, inductance, div)
-    for method, banks in (("trap", [(8, 5e-9), (16, 5e-9), (30, 3e-9)]),
-                          ("be", [(16, 5e-9), (30, 3e-9)]))
-    for n, inductance in banks
-    for div in (100, 200)
-]
-
 
 def _case_id(case):
     n, inductance = case
     return f"N{n}-L{inductance * 1e9:g}nH"
 
 
-def _circuit(asdm, vdd, n, inductance):
+def _circuit(asdm, vdd, n, inductance, rise_time=RISE_TIME):
     c = Circuit("asdm-oracle")
-    c.vsource("Vin", "in", "0", Ramp(0.0, vdd, 0.0, RISE_TIME))
+    c.vsource("Vin", "in", "0", Ramp(0.0, vdd, 0.0, rise_time))
     c.vsource("Vd", "d", "0", Dc(vdd))
     c.inductor("L1", "ssn", "0", inductance, ic=0.0)
     c.mosfet("M1", "d", "in", "ssn", "ssn", AsdmMosfet(asdm.scaled(n), vdd))
@@ -67,39 +63,73 @@ def _circuit(asdm, vdd, n, inductance):
 
 
 @pytest.fixture(scope="module")
-def oracle(asdm018, tech018):
-    """``oracle(method, n, L, div)`` -> (scalar run, max error vs Eqn 6),
-    memoized across the module's tests."""
+def eqn6_error(asdm018, tech018):
+    """``eqn6_error(result, n, L)`` -> max |v(ssn) - Eqn 6| on [t0, tr]."""
+
+    def error(result, n, inductance):
+        model = InductiveSsnModel(asdm018, n, inductance, tech018.vdd, RISE_TIME)
+        t = result.times
+        window = t >= model.turn_on_time
+        return float(np.max(np.abs(
+            result.voltage("ssn").y[window] - model.voltage(t[window]))))
+
+    return error
+
+
+@pytest.fixture(scope="module")
+def oracle(asdm018, tech018, eqn6_error):
+    """``oracle(method, n, L, div, adaptive=False)`` -> (scalar run, max
+    error vs Eqn 6), memoized across the module's tests."""
     vdd = tech018.vdd
     runs = {}
 
-    def run(method, n, inductance, div):
-        key = (method, n, inductance, div)
+    def run(method, n, inductance, div, adaptive=False):
+        key = (method, n, inductance, div, adaptive)
         if key not in runs:
             result = transient(
                 _circuit(asdm018, vdd, n, inductance), RISE_TIME, RISE_TIME / div,
-                options=TransientOptions(method=method),
+                options=TransientOptions(method=method, adaptive=adaptive),
             )
-            model = InductiveSsnModel(asdm018, n, inductance, vdd, RISE_TIME)
-            t = result.times
-            window = t >= model.turn_on_time
-            error = float(np.max(np.abs(
-                result.voltage("ssn").y[window] - model.voltage(t[window]))))
-            runs[key] = (result, error)
+            runs[key] = (result, eqn6_error(result, n, inductance))
         return runs[key]
 
     run.circuit = lambda n, inductance: _circuit(asdm018, vdd, n, inductance)
     return run
 
 
+@pytest.fixture(scope="module")
+def batched(oracle):
+    """``batched(method, div, adaptive)`` -> one lockstep run over CASES,
+    memoized across the module's tests."""
+    runs = {}
+
+    def run(method, div, adaptive):
+        key = (method, div, adaptive)
+        if key not in runs:
+            runs[key] = batch_transient(
+                [oracle.circuit(*case) for case in CASES], RISE_TIME,
+                RISE_TIME / div,
+                options=TransientOptions(method=method, adaptive=adaptive),
+            )
+        return runs[key]
+
+    return run
+
+
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_backward_euler_converges_at_first_order(oracle, case):
-    divs = FINE_STEPS
-    if ("be", *case, 200) not in KINK_FAILURES:
-        divs = (200,) + divs
+    divs = COARSE_STEPS + FINE_STEPS
     errors = [oracle("be", *case, div)[1] for div in divs]
     for coarse, fine in zip(errors, errors[1:]):
         assert 1.7 <= coarse / fine <= 2.3, f"errors {errors} per halving"
+
+
+@pytest.mark.parametrize("div", COARSE_STEPS)
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_trap_completes_through_turn_on_kink(oracle, case, div):
+    result, error = oracle("trap", *case, div)
+    assert result.times[-1] == pytest.approx(RISE_TIME, rel=1e-12)
+    assert np.isfinite(error)
 
 
 @pytest.mark.parametrize("div", FINE_STEPS)
@@ -110,28 +140,62 @@ def test_error_bound(oracle, case, method, div):
     assert error <= ERROR_BOUND[method], f"|dV| = {error:.3e} V"
 
 
+@pytest.mark.parametrize("engine", ["scalar", "batch"])
+@pytest.mark.parametrize("div", FINE_STEPS)
 @pytest.mark.parametrize("method", ["be", "trap"])
-def test_batch_matches_scalar(oracle, method):
-    div = FINE_STEPS[0]
-    batched = batch_transient(
-        [oracle.circuit(*case) for case in CASES], RISE_TIME, RISE_TIME / div,
-        options=TransientOptions(method=method),
-    )
-    for case, got in zip(CASES, batched):
-        scalar, _ = oracle(method, *case, div)
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_adaptive_error_bound(oracle, batched, eqn6_error, case, method, div,
+                              engine):
+    if engine == "scalar":
+        _, error = oracle(method, *case, div, adaptive=True)
+    else:
+        result = batched(method, div, True)[CASES.index(case)]
+        error = eqn6_error(result, *case)
+    assert error <= ERROR_BOUND[method], f"|dV| = {error:.3e} V"
+
+
+def _assert_batch_matches_scalar(oracle, batched, method, div, adaptive):
+    for case, got in zip(CASES, batched(method, div, adaptive)):
+        scalar, _ = oracle(method, *case, div, adaptive=adaptive)
+        assert got.telemetry.batch_fallbacks == 0, _case_id(case)
         assert len(got.times) == len(scalar.times), _case_id(case)
         dv = np.max(np.abs(got.voltage("ssn").y - scalar.voltage("ssn").y))
         assert dv <= PARITY_TOL, f"{_case_id(case)}: |dV| = {dv:.3e} V"
 
 
-@pytest.mark.xfail(
-    strict=True, raises=ConvergenceError,
-    reason="known defect: Newton fails unrecoverably at t0, the Eqn 3 "
-           "clamp kink, on large banks at coarse steps",
-)
-@pytest.mark.parametrize(
-    "method,n,inductance,div", KINK_FAILURES,
-    ids=[f"{m}-N{n}-L{ind * 1e9:g}nH-tr{div}" for m, n, ind, div in KINK_FAILURES],
-)
-def test_coarse_step_through_turn_on_kink(oracle, method, n, inductance, div):
-    oracle(method, n, inductance, div)
+@pytest.mark.parametrize("method", ["be", "trap"])
+def test_batch_matches_scalar(oracle, batched, method):
+    _assert_batch_matches_scalar(oracle, batched, method, FINE_STEPS[0], False)
+
+
+@pytest.mark.parametrize("div", FINE_STEPS)
+@pytest.mark.parametrize("method", ["be", "trap"])
+def test_adaptive_batch_matches_scalar(oracle, batched, method, div):
+    _assert_batch_matches_scalar(oracle, batched, method, div, True)
+
+
+#: Banks of the Z-collapse property: N drivers, L in nH, tr in ns.
+_BANKS = st.tuples(st.integers(1, 30), st.floats(1.0, 5.0), st.floats(0.3, 1.0))
+
+
+@settings(max_examples=8, deadline=None)
+@given(first=_BANKS, n2=st.integers(1, 30), tr2=st.floats(0.3, 1.0),
+       method=st.sampled_from(["be", "trap"]))
+def test_equal_z_gives_equal_peak(asdm018, tech018, first, n2, tr2, method):
+    """Eqn 10: banks with equal Z = N*L*sr bounce to the same v(ssn) peak.
+
+    The second bank takes its own N and tr and the inductance that keeps
+    N*L*sr equal (sr = vdd/tr, so L2 = N1*L1*tr2 / (N2*tr1)).
+    """
+    n1, l1, tr1 = first
+    banks = [(n1, l1 * 1e-9, tr1 * 1e-9), (n2, n1 * l1 * tr2 / (n2 * tr1) * 1e-9,
+                                          tr2 * 1e-9)]
+    peaks = []
+    for n, inductance, rise_time in banks:
+        result = transient(
+            _circuit(asdm018, tech018.vdd, n, inductance, rise_time),
+            rise_time, rise_time / FINE_STEPS[0],
+            options=TransientOptions(method=method),
+        )
+        peaks.append(float(np.max(result.voltage("ssn").y)))
+    assert abs(peaks[0] - peaks[1]) <= ERROR_BOUND[method], peaks
