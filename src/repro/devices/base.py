@@ -14,9 +14,12 @@ Voltages follow the usual NMOS convention: ``vgs``, ``vds`` and ``vbs`` are
 gate, drain and bulk potentials referred to the source.  Models must be
 defined (and finite) for all real inputs; cutoff regions return 0 current.
 
-Subclasses may either override :meth:`partials` with analytic derivatives or
-inherit the central finite-difference default, which is accurate enough for
-Newton convergence on the well-scaled circuits used here.
+The models the circuit simulator stamps (the golden short-channel model, its
+PMOS mirror and the paper's ASDM model) override :meth:`partials` and
+:meth:`partials_array` with analytic derivatives: one device evaluation per
+stamp.  Other models inherit the central finite-difference default, seven
+evaluations per stamp, which is accurate enough for Newton convergence on
+the well-scaled circuits used here.
 """
 
 from __future__ import annotations
@@ -28,6 +31,13 @@ import numpy as np
 
 #: Perturbation used by the finite-difference default of ``partials``.
 _FD_STEP = 1e-6
+#: Bias offsets of the stacked finite-difference rows of ``partials_array``
+#: (rows: vgs, vds, vbs; columns: center, then +/- on each terminal in turn).
+_FD_OFFSETS = _FD_STEP * np.array([
+    [0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0],
+])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,43 +91,22 @@ class MosfetModel(abc.ABC):
     def partials_array(self, vgs, vds, vbs=0.0) -> OperatingPoint:
         """Array-in/array-out operating points over a batch of bias points.
 
-        Central finite differences through the vectorized :meth:`ids` with
-        the same step as the scalar :meth:`partials`, so a batched engine's
-        Newton iterates track the scalar engine's to floating-point noise.
-        The seven bias evaluations (center plus six perturbed) are stacked
-        into one ``(7, B)`` call so the model's elementwise math runs once
-        per iterate instead of seven times.
+        The default is central finite differences through the vectorized
+        :meth:`ids` with the same step as the scalar :meth:`partials`, so a
+        batched engine's Newton iterates track the scalar engine's to
+        floating-point noise.  The seven bias evaluations (center plus six
+        perturbed) are stacked into one ``(7, B)`` call, built per call, so
+        the model's elementwise math runs once per iterate instead of seven
+        times.
 
         Returns an :class:`OperatingPoint` whose fields are arrays shaped
         like the broadcast inputs.
         """
         h = _FD_STEP
-        vgs = np.asarray(vgs, dtype=float)
-        vds = np.asarray(vds, dtype=float)
-        vbs = np.asarray(vbs, dtype=float)
-        if not (vgs.shape == vds.shape == vbs.shape):
-            vgs, vds, vbs = np.broadcast_arrays(vgs, vds, vbs)
-        # Broadcast-fill preallocated grids instead of stacking seven
-        # temporaries: this runs once per batched Newton iterate, where
-        # python-level array plumbing is the dominant cost.  The grids are
-        # cached on the model (refilled in full every call, so stale
-        # perturbations never leak between iterates).
-        shape = (7,) + vgs.shape
-        grids = getattr(self, "_fd_grids", None)
-        if grids is None or grids[0].shape != shape:
-            grids = (np.empty(shape), np.empty(shape), np.empty(shape))
-            self._fd_grids = grids
-        grid_vgs, grid_vds, grid_vbs = grids
-        grid_vgs[:] = vgs
-        grid_vgs[1] += h
-        grid_vgs[2] -= h
-        grid_vds[:] = vds
-        grid_vds[3] += h
-        grid_vds[4] -= h
-        grid_vbs[:] = vbs
-        grid_vbs[5] += h
-        grid_vbs[6] -= h
-        i = np.asarray(self.ids(grid_vgs, grid_vds, grid_vbs), dtype=float)
+        vgs, vds, vbs = ensure_arrays(vgs, vds, vbs)
+        rows = (slice(None),) + (None,) * vgs.ndim
+        i = np.asarray(self.ids(vgs + _FD_OFFSETS[0][rows], vds + _FD_OFFSETS[1][rows],
+                                vbs + _FD_OFFSETS[2][rows]), dtype=float)
         return OperatingPoint(
             ids=i[0],
             gm=(i[1] - i[2]) / (2 * h),

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .base import MosfetModel, ensure_arrays
+from .base import MosfetModel, OperatingPoint, ensure_arrays
 
 #: Thermal voltage kT/q at 300 K, volts.
 THERMAL_VOLTAGE = 0.02585
@@ -38,6 +38,22 @@ REFERENCE_TEMPERATURE = 300.0
 VTH_TEMP_COEFF = -1.0e-3
 #: Mobility temperature exponent: mu ~ (T/T0)^-1.5 (phonon scattering).
 MOBILITY_TEMP_EXPONENT = -1.5
+# Literal operands of the vectorized bodies, as 0-d arrays for the reason
+# given in ``BsimLikeMosfet._array_consts``.
+_HALF = np.array(0.5)
+_ONE = np.array(1.0)
+
+
+def _bias_arrays(vgs, vds, vbs):
+    """The biases as same-shape float64 arrays, as given when they already are."""
+    if (
+        type(vgs) is np.ndarray and vgs.dtype == np.float64
+        and type(vds) is np.ndarray and vds.dtype == np.float64
+        and type(vbs) is np.ndarray and vbs.dtype == np.float64
+        and vgs.shape == vds.shape == vbs.shape
+    ):
+        return vgs, vds, vbs
+    return ensure_arrays(vgs, vds, vbs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,34 +141,39 @@ class BsimLikeMosfet(MosfetModel):
 
         ``vth0_t``/``mu0_t``/``thermal_voltage`` are dataclass properties;
         recomputing them on every Newton stamp is measurable.  ``params`` is
-        frozen, so identity is a sound cache key.
+        frozen, so identity is a sound cache key.  The key is written after
+        the values, so a thread sharing the model never pairs a key with
+        constants of another (or no) parameter object.
         """
         p = self.params
         if self._const_params is not p:
-            self._const_params = p
             self._consts = (
                 p.vth0_t, p.mu0_t, p.thermal_voltage,
                 math.sqrt(p.phi), p.ec * p.l,
             )
+            self._const_params = p
         return self._consts
 
     def _array_consts(self):
-        """Fused bias-independent constants of the vectorized current path.
+        """Fused bias-independent constants of the vectorized bodies.
 
-        Unlike the scalar cache this one tolerates stacked ``(B,)``
-        parameter fields (see :func:`stack_models`), so the vectorized
-        current path shares one cache with batched ensembles.  Every
-        product that does not involve a terminal voltage is folded here —
-        the vectorized evaluation runs once per batched Newton iterate on
+        Keyed like :meth:`_scalar_consts`.  Unlike the scalar cache this one
+        tolerates stacked ``(B,)`` parameter fields (see
+        :func:`stack_models`), so the vectorized current and partials paths
+        share one cache with batched ensembles.  Every product that does
+        not involve a terminal voltage is folded here — the vectorized
+        evaluations run once per batched Newton iterate or recorded step on
         small arrays, where each elementwise operation costs a fixed numpy
-        dispatch overhead regardless of width.
+        dispatch overhead regardless of width.  The constants are float
+        arrays (0-d for a single device): numpy converts a Python-float
+        operand on every operation, which costs about half as much again as
+        the operation itself at these widths.
         """
         p = self.params
         if self._aconst_params is not p:
-            self._aconst_params = p
             ecl = p.ec * p.l
             two_nvt = 2.0 * p.n * p.thermal_voltage
-            self._aconsts = (
+            self._aconsts = tuple(np.asarray(c, dtype=float) for c in (
                 # threshold: vth = vth_base + gamma*sqrt(phi - vbs) - sigma*vds
                 p.vth0_t - p.gamma * np.sqrt(p.phi),
                 p.gamma,
@@ -168,7 +189,12 @@ class BsimLikeMosfet(MosfetModel):
                 1.0 / ecl,
                 p.lam,
                 p.phi,
-            )
+                # partials only: gmbs = gm * gamma / (2 sqrt(phi - vbs)),
+                # and vdseff's vdsat partial needs t + 2*delta
+                0.5 * p.gamma,
+                2.0 * p.delta,
+            ))
+            self._aconst_params = p
         return self._aconsts
 
     # -- threshold and overdrive ------------------------------------------------
@@ -208,16 +234,19 @@ class BsimLikeMosfet(MosfetModel):
 
         Inlines :meth:`threshold` / :meth:`effective_overdrive` with the
         fused constants of :meth:`_array_consts`: this runs once per
-        batched Newton iterate on small arrays, where per-operation numpy
+        recorded batched step on small arrays, where per-operation numpy
         dispatch dominates, so every redundant ``asarray``/property
         evaluation and every foldable product is measurable.  The
         arithmetic is the public methods' up to floating-point
         reassociation (``logaddexp`` for the stable softplus, reciprocal
         multiplies for the constant divisors) — differences are at
-        rounding level, far inside every model and parity tolerance.
+        rounding level, far inside every model and parity tolerance.  It
+        stays apart from :meth:`_partials_forward` because the batched
+        engine reads currents at every recorded step, where that body's
+        derivative half would be wasted.
         """
         (vth_base, gamma, sigma, ecl, two_nvt, inv_two_nvt, four_delta,
-         delta, theta, beta0, inv_ecl, lam, phi) = self._array_consts()
+         delta, theta, beta0, inv_ecl, lam, phi, _, _) = self._array_consts()
         arg = np.maximum(phi - vbs, 1e-12)
         vth = vth_base + gamma * np.sqrt(arg) - sigma * vds
         x = (vgs - vth) * inv_two_nvt
@@ -227,28 +256,22 @@ class BsimLikeMosfet(MosfetModel):
 
         # Smooth minimum of (vds, vdsat): the BSIM3 Vdseff expression.
         t = vdsat - vds - delta
-        vdseff = vdsat - 0.5 * (t + np.sqrt(t * t + four_delta * vdsat))
+        vdseff = vdsat - _HALF * (t + np.sqrt(t * t + four_delta * vdsat))
         # Floating-point rounding can push vdseff infinitesimally below zero
         # at vds = 0, which would flip the sign of the (tiny) current.
         vdseff = np.maximum(vdseff, 0.0)
 
-        beta = beta0 / (1.0 + theta * vgsteff)
-        core = beta * (vgsteff - 0.5 * vdseff) * vdseff / (1.0 + vdseff * inv_ecl)
-        clm = 1.0 + lam * np.maximum(vds - vdseff, 0.0)
+        beta = beta0 / (_ONE + theta * vgsteff)
+        core = beta * (vgsteff - _HALF * vdseff) * vdseff / (_ONE + vdseff * inv_ecl)
+        clm = _ONE + lam * np.maximum(vds - vdseff, 0.0)
         return core * clm
 
     def ids(self, vgs, vds, vbs=0.0):
-        if not (
-            type(vgs) is np.ndarray and vgs.dtype == np.float64
-            and type(vds) is np.ndarray and vds.dtype == np.float64
-            and type(vbs) is np.ndarray and vbs.dtype == np.float64
-            and vgs.shape == vds.shape == vbs.shape
-        ):
-            vgs, vds, vbs = ensure_arrays(vgs, vds, vbs)
+        vgs, vds, vbs = _bias_arrays(vgs, vds, vbs)
         if vds.size and vds.min() >= 0.0:
             # All-forward fast path: the swapped branch would be discarded
             # element-for-element by the np.where below, so skip computing
-            # it.  Batched Newton iterates land here almost always (the SSN
+            # it.  Batched current reads land here almost always (the SSN
             # drivers never see a reversed channel), halving device cost.
             out = self._ids_forward(vgs, vds, vbs)
             if out.ndim == 0:
@@ -263,48 +286,169 @@ class BsimLikeMosfet(MosfetModel):
             return float(out)
         return out
 
-    # -- scalar fast path --------------------------------------------------------
+    def ids_scalar(self, vgs: float, vds: float, vbs: float = 0.0) -> float:
+        """Drain current at one bias point, read off the scalar partials body.
 
-    def _ids_forward_scalar(self, vgs: float, vds: float, vbs: float) -> float:
-        """Pure-``math`` twin of :meth:`_ids_forward` for one bias point.
+        The circuit simulator reads currents once per device per recorded
+        step, against one :meth:`partials` per device per Newton iterate,
+        so one scalar body serves both.
+        """
+        if vds >= 0.0:
+            return self._partials_forward_scalar(vgs, vds, vbs)[0]
+        return -self._partials_forward_scalar(vgs - vds, -vds, vbs - vds)[0]
 
-        Same IEEE-double operations in the same order as the vectorized
-        version, minus the per-call numpy broadcast/allocation overhead —
-        the circuit simulator stamps through this tens of thousands of
-        times per transient run.
+    # -- analytic partials ------------------------------------------------------
+    #
+    # Every terminal reaches the current through two quantities: the smooth
+    # overdrive vgsteff (vgs directly, vds through DIBL, vbs through the body
+    # effect) and vds itself.  So one forward pass gives Ig = dIds/dVgsteff
+    # and Id = dIds/dVds at fixed vgsteff, and with sig = dVgsteff/d(vgs -
+    # vth), the logistic of the softplus argument:
+    #
+    #     gm = Ig*sig,  gds = gm*sigma + Id,  gmbs = gm*gamma/(2*sqrt(phi - vbs))
+    #
+    # with gmbs = 0 where the phi - vbs clamp binds.  The floors on vdseff
+    # and on vds - vdseff only remove rounding at vds = 0 (both are >= 0
+    # for the smooth expressions), so the derivatives are the unfloored
+    # expressions'.  For vds < 0 the source/drain swap
+    # ids = -f(vgs - vds, -vds, vbs - vds) gives
+    # (ids, gm, gds, gmbs) = (-f, -f_g, f_g + f_d + f_b, -f_b).
+
+    def _partials_forward_scalar(self, vgs: float, vds: float, vbs: float):
+        """``(ids, gm, gds, gmbs)`` at one bias point with ``vds >= 0``.
+
+        Pure-``math`` twin of :meth:`_partials_forward`, minus the per-call
+        numpy broadcast/allocation overhead: the circuit simulator stamps
+        through this once per device per Newton iterate.
         """
         p = self.params
         vth0_t, mu0_t, vt, sqrt_phi, ecl = self._scalar_consts()
 
         arg = p.phi - vbs
-        if arg < 1e-12:
+        cut = arg < 1e-12
+        if cut:
             arg = 1e-12
-        vth = vth0_t + p.gamma * (math.sqrt(arg) - sqrt_phi) - p.sigma * vds
+        sq = math.sqrt(arg)
+        vth = vth0_t + p.gamma * (sq - sqrt_phi) - p.sigma * vds
 
         x = (vgs - vth) / (2.0 * p.n * vt)
         if x > 0.0:
-            soft = x + math.log1p(math.exp(-x))
+            e = math.exp(-x)
+            soft = x + math.log1p(e)
+            sig = 1.0 / (1.0 + e)
         else:
-            soft = math.log1p(math.exp(x))
+            e = math.exp(x)
+            soft = math.log1p(e)
+            sig = e / (1.0 + e)
         vgsteff = 2.0 * p.n * vt * soft
 
-        vdsat = vgsteff * ecl / (vgsteff + ecl)
+        u = vgsteff + ecl
+        vdsat = vgsteff * ecl / u
         t = vdsat - vds - p.delta
-        vdseff = vdsat - 0.5 * (t + math.sqrt(t * t + 4.0 * p.delta * vdsat))
+        r = math.sqrt(t * t + 4.0 * p.delta * vdsat)
+        vdseff = vdsat - 0.5 * (t + r)
         if vdseff < 0.0:
             vdseff = 0.0
 
-        mueff = mu0_t / (1.0 + p.theta * vgsteff)
-        beta = mueff * p.cox * p.w / p.l
-        core = beta * (vgsteff - 0.5 * vdseff) * vdseff / (1.0 + vdseff / ecl)
+        q = 1.0 + p.theta * vgsteff
+        beta = mu0_t / q * p.cox * p.w / p.l
+        a = vgsteff - 0.5 * vdseff
+        den = 1.0 + vdseff / ecl
+        core = beta * a * vdseff / den
         over = vds - vdseff
         clm = 1.0 + p.lam * (over if over > 0.0 else 0.0)
-        return core * clm
 
-    def ids_scalar(self, vgs: float, vds: float, vbs: float = 0.0) -> float:
+        # core's partials in vgsteff (vdseff held) and in vdseff; then the
+        # current's in vdseff, and vdseff's in vdsat and vds (h = 1/(2r)).
+        core_g = vdseff / den * beta - p.theta * core / q
+        core_e = (beta * (vgsteff - vdseff) - core / ecl) / den
+        core_lam = core * p.lam
+        ids_e = core_e * clm - core_lam
+        h = 0.5 / r
+        ecl_u = ecl / u
+        gm = (core_g * clm + ids_e * (0.5 - (t + 2.0 * p.delta) * h) * (ecl_u * ecl_u)) * sig
+        gds = gm * p.sigma + ids_e * (0.5 + t * h) + core_lam
+        gmbs = 0.0 if cut else 0.5 * p.gamma * gm / sq
+        return core * clm, gm, gds, gmbs
+
+    def _partials_forward(self, vgs, vds, vbs):
+        """Array twin of :meth:`_partials_forward_scalar` (``vds >= 0``).
+
+        Runs once per batched Newton iterate on small arrays, where each
+        elementwise operation costs a fixed numpy dispatch overhead: the
+        bias-independent products come from :meth:`_array_consts`, the two
+        clamps are built only when ``.min()`` shows they bind, and the
+        rounding floor on ``vds - vdseff`` is left out (it moves the
+        current by less than one ulp).
+        """
+        (vth_base, gamma, sigma, ecl, two_nvt, inv_two_nvt, four_delta,
+         delta, theta, beta0, inv_ecl, lam, phi, half_gamma,
+         two_delta) = self._array_consts()
+        arg = phi - vbs
+        cut = None
+        if arg.min() < 1e-12:
+            cut = arg < 1e-12
+            arg = np.maximum(arg, 1e-12)
+        sq = np.sqrt(arg)
+        x = (vgs - (vth_base + gamma * sq - sigma * vds)) * inv_two_nvt
+        soft = np.logaddexp(0.0, x)
+        # the logistic dsoftplus/dx, without overflow on either side
+        sig = np.exp(x - soft)
+        vgsteff = two_nvt * soft
+
+        ecl_u = ecl / (vgsteff + ecl)
+        vdsat = vgsteff * ecl_u
+        t = vdsat - vds - delta
+        r = np.sqrt(t * t + four_delta * vdsat)
+        vdseff = vdsat - _HALF * (t + r)
+        if vdseff.min() < 0.0:
+            vdseff = np.maximum(vdseff, 0.0)
+
+        q = _ONE + theta * vgsteff
+        beta = beta0 / q
+        den = _ONE + vdseff * inv_ecl
+        w = vdseff / den
+        core = beta * (vgsteff - _HALF * vdseff) * w
+        clm = _ONE + lam * (vds - vdseff)
+
+        core_g = w * beta - theta * core / q
+        core_e = (beta * (vgsteff - vdseff) - core * inv_ecl) / den
+        core_lam = core * lam
+        ids_e = core_e * clm - core_lam
+        h = _HALF / r
+        gm = (core_g * clm + ids_e * (_HALF - (t + two_delta) * h) * (ecl_u * ecl_u)) * sig
+        gds = gm * sigma + ids_e * (_HALF + t * h) + core_lam
+        gmbs = half_gamma * gm / sq
+        if cut is not None:
+            gmbs[cut] = 0.0
+        return core * clm, gm, gds, gmbs
+
+    def partials(self, vgs: float, vds: float, vbs: float = 0.0) -> OperatingPoint:
+        """Analytic current and conductances at one scalar bias point."""
         if vds >= 0.0:
-            return self._ids_forward_scalar(vgs, vds, vbs)
-        return -self._ids_forward_scalar(vgs - vds, -vds, vbs - vds)
+            return OperatingPoint(*self._partials_forward_scalar(vgs, vds, vbs))
+        f, f_g, f_d, f_b = self._partials_forward_scalar(vgs - vds, -vds, vbs - vds)
+        return OperatingPoint(-f, -f_g, f_g + f_d + f_b, -f_b)
+
+    def partials_array(self, vgs, vds, vbs=0.0) -> OperatingPoint:
+        """Analytic operating points over a batch of bias points.
+
+        One :meth:`_partials_forward` pass over the bias arrays; reversed
+        instances (``vds < 0``) are evaluated at their swapped biases in
+        the same pass.  Fields are arrays shaped like the broadcast inputs.
+        """
+        vgs, vds, vbs = _bias_arrays(vgs, vds, vbs)
+        if vds.min() >= 0.0:
+            return OperatingPoint(*self._partials_forward(vgs, vds, vbs))
+        rev = vds < 0.0
+        f, f_g, f_d, f_b = self._partials_forward(
+            np.where(rev, vgs - vds, vgs), np.abs(vds), np.where(rev, vbs - vds, vbs))
+        return OperatingPoint(
+            ids=np.where(rev, -f, f),
+            gm=np.where(rev, -f_g, f_g),
+            gds=np.where(rev, f_g + f_d + f_b, f_d),
+            gmbs=np.where(rev, -f_b, f_b),
+        )
 
 
 def stack_models(models) -> BsimLikeMosfet:

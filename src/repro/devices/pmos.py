@@ -22,7 +22,7 @@ power-rail experiments verify.
 
 from __future__ import annotations
 
-from .base import MosfetModel, ensure_arrays
+from .base import MosfetModel, OperatingPoint, ensure_arrays
 from .bsim_like import BsimLikeMosfet, BsimLikeParameters
 
 
@@ -43,6 +43,18 @@ class ComplementaryMosfet(MosfetModel):
 
     def ids_scalar(self, vgs: float, vds: float, vbs: float = 0.0) -> float:
         return -self.inner.ids_scalar(-vgs, -vds, -vbs)
+
+    # The mirror negates both the current and every terminal voltage, so the
+    # conductances carry over unchanged: d/dv [-f(-v)] = f'(-v).
+
+    def partials(self, vgs: float, vds: float, vbs: float = 0.0) -> OperatingPoint:
+        op = self.inner.partials(-vgs, -vds, -vbs)
+        return OperatingPoint(-op.ids, op.gm, op.gds, op.gmbs)
+
+    def partials_array(self, vgs, vds, vbs=0.0) -> OperatingPoint:
+        vgs, vds, vbs = ensure_arrays(vgs, vds, vbs)
+        op = self.inner.partials_array(-vgs, -vds, -vbs)
+        return OperatingPoint(-op.ids, op.gm, op.gds, op.gmbs)
 
     @property
     def params(self):

@@ -17,8 +17,8 @@ one vectorized Newton loop:
   gmin)`` and, per solve, a ``(B, n)`` right-hand-side stack.
 * **Batched device evaluation** — a stacked MOSFET's model is a
   :class:`~repro.spice.mosfet.MosfetBank` evaluating every instance at
-  once (stacked golden-model parameters, vectorized finite-difference
-  operating points with the scalar engine's step); its ``stamp_iterate``
+  once (stacked golden-model parameters, analytic vectorized operating
+  points, the array twin of the scalar engine's); its ``stamp_iterate``
   restamps the work stack at every Newton iterate.
 * **One Newton kernel, two drivers** — :meth:`_Ensemble.newton` runs one
   ``numpy.linalg.solve`` over the whole ``(B, n, n)`` stack per iterate,

@@ -92,9 +92,10 @@ class MosfetBank:
     * anything else: a per-instance Python loop — correct for arbitrary
       model mixes, just not vectorized.
 
-    Partials use the same central-difference step as the scalar engine
-    (:meth:`~repro.devices.base.MosfetModel.partials`), so batched Newton
-    iterates track the scalar engine's to floating-point noise.
+    Partials are the model's ``partials_array``, the array twin of the
+    scalar engine's :meth:`~repro.devices.base.MosfetModel.partials`
+    (analytic for the golden model), so batched Newton iterates track the
+    scalar engine's to floating-point noise.
     """
 
     def __init__(self, elements: list[MosfetElement]):

@@ -21,6 +21,7 @@ direct solve with an LU factorization cached under ``(mode, dt, method)``
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgesv as _dgesv
 
 from ..observability import metrics as obs_metrics
 from ..observability import trace
@@ -130,7 +131,7 @@ def newton_solve(
             np.copyto(work_z, base_z)
             with trace.span("lu_solve", level="full") if detailed else NOOP_SPAN:
                 x_new = system.solve_linear_cached((mode, dt, method), work_A, work_z)
-            if not np.all(np.isfinite(x_new)):
+            if not np.isfinite(x_new).all():
                 raise ConvergenceError(f"non-finite solution while solving at t={t}")
             ctx.x = x_new
             nsp.set_attribute("iterations", 0)
@@ -148,20 +149,22 @@ def newton_solve(
             with trace.span("assembly", level="full") if detailed else NOOP_SPAN:
                 system.assemble_nonlinear(ctx)
             with trace.span("lu_solve", level="full") if detailed else NOOP_SPAN:
-                try:
-                    x_new = np.linalg.solve(work_A, work_z)
-                except np.linalg.LinAlgError:
+                # LAPACK directly: numpy's solve wrapper costs more than
+                # the factorization at these sizes.  info > 0 is an exactly
+                # singular pivot.
+                _, _, x_new, info = _dgesv(work_A, work_z)
+                if info > 0:
                     x_new, *_ = np.linalg.lstsq(work_A, work_z, rcond=None)
-            if not np.all(np.isfinite(x_new)):
+            if not np.isfinite(x_new).all():
                 raise ConvergenceError(f"non-finite solution while solving at t={t}")
 
             dx = x_new - x
-            step = float(np.max(np.abs(dx))) if dx.size else 0.0
+            step = float(np.abs(dx).max()) if dx.size else 0.0
             if step > max_update:
                 x = x + dx * (max_update / step)
                 continue
             x = x_new
-            if np.all(np.abs(dx) <= abstol + reltol * np.abs(x)):
+            if (np.abs(dx) <= abstol + reltol * np.abs(x)).all():
                 # Reuse the last iterate's context: only ``x`` needs to move
                 # to the converged point (A/z stay one Newton update behind,
                 # which downstream state commits and current reads never
@@ -218,7 +221,7 @@ def _newton_solve_sparse(
         np.copyto(work_z, base_z)
         with trace.span("lu_solve", level="full") if detailed else NOOP_SPAN:
             x_new = system.solve_sparse_cached((mode, dt, method), base_A, work_z)
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             raise ConvergenceError(f"non-finite solution while solving at t={t}")
         base_ctx.x = x_new
         nsp.set_attribute("iterations", 0)
@@ -242,16 +245,16 @@ def _newton_solve_sparse(
                 x_new = lu.solve(work_z)
             else:
                 x_new = _dense_fallback_solve(A_iter, work_z)
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             raise ConvergenceError(f"non-finite solution while solving at t={t}")
 
         dx = x_new - x
-        step = float(np.max(np.abs(dx))) if dx.size else 0.0
+        step = float(np.abs(dx).max()) if dx.size else 0.0
         if step > max_update:
             x = x + dx * (max_update / step)
             continue
         x = x_new
-        if np.all(np.abs(dx) <= abstol + reltol * np.abs(x)):
+        if (np.abs(dx) <= abstol + reltol * np.abs(x)).all():
             ctx.x = x
             nsp.set_attribute("iterations", iterations)
             obs_metrics.observe("repro_newton_iterations_per_solve", iterations)

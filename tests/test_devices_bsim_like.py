@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.analysis.driver_bank import DriverBankSpec
+from repro.analysis.simulate import simulate_many, simulate_ssn
 from repro.devices import BsimLikeMosfet, BsimLikeParameters
+from repro.process import TSMC018
 
 
 @pytest.fixture
@@ -85,13 +88,74 @@ class TestCurrent:
         assert abs(dev.ids(1.5, eps) - dev.ids(1.5, -eps)) < 1e-6
 
     def test_smooth_derivatives_for_newton(self, dev):
-        """Central-difference gm/gds finite and positive over a bias grid."""
+        """gm/gds finite and non-negative over a bias grid."""
         for vgs in (0.3, 0.6, 1.0, 1.8):
             for vds in (0.05, 0.5, 1.8):
                 op = dev.partials(vgs, vds)
                 assert np.isfinite([op.ids, op.gm, op.gds, op.gmbs]).all()
                 assert op.gm >= 0.0
                 assert op.gds >= 0.0
+
+
+@pytest.fixture
+def evaluations_per_call(monkeypatch):
+    """``(bias points evaluated, bias points asked for)`` of every partials call.
+
+    Counts the bias points each of the golden model's forward bodies
+    evaluates while a ``partials``/``partials_array`` call runs: analytic
+    partials evaluate each asked-for point once, a 7-point finite difference
+    seven times.
+    """
+    evaluated = [0]
+    calls = []
+
+    def counting_body(body, points):
+        def counted(self, vgs, vds, vbs):
+            evaluated[0] += points(vgs, vds, vbs)
+            return body(self, vgs, vds, vbs)
+        return counted
+
+    def counting_entry(entry, points):
+        def counted(self, vgs, vds, vbs=0.0):
+            before = evaluated[0]
+            op = entry(self, vgs, vds, vbs)
+            calls.append((evaluated[0] - before, points(vgs)))
+            return op
+        return counted
+
+    def array_points(*bias):
+        return np.broadcast(*bias).size
+
+    for name, points in [("_partials_forward_scalar", lambda *bias: 1),
+                         ("_partials_forward", array_points),
+                         ("_ids_forward", array_points)]:
+        monkeypatch.setattr(BsimLikeMosfet, name,
+                            counting_body(getattr(BsimLikeMosfet, name), points))
+    monkeypatch.setattr(BsimLikeMosfet, "partials",
+                        counting_entry(BsimLikeMosfet.partials, lambda vgs: 1))
+    monkeypatch.setattr(BsimLikeMosfet, "partials_array",
+                        counting_entry(BsimLikeMosfet.partials_array, np.size))
+    return calls
+
+
+def _bank(n_drivers, **fields):
+    return DriverBankSpec(technology=TSMC018, n_drivers=n_drivers, inductance=5e-9,
+                          rise_time=0.5e-9, **fields)
+
+
+class TestOneEvaluationPerStamp:
+    """Deterministic work counters: one forward I-V evaluation per stamp."""
+
+    def test_scalar_transient_of_a_non_collapsed_bank(self, evaluations_per_call):
+        simulate_ssn(_bank(4, collapse=False))
+        assert len(evaluations_per_call) > 100
+        assert set(evaluations_per_call) == {(1, 1)}
+
+    def test_batched_sweep(self, evaluations_per_call):
+        sims = simulate_many([_bank(n) for n in range(1, 7)], engine="batch")
+        assert all(sim.telemetry.batch_fallbacks == 0 for sim in sims)
+        assert len(evaluations_per_call) > 10
+        assert set(evaluations_per_call) == {(6, 6)}
 
 
 class TestSourceSensitivity:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.devices import BsimLikeMosfet, BsimLikeParameters, ComplementaryMosfet
+from repro.devices.base import MosfetModel, OperatingPoint
 from repro.process import TSMC018
 
 
@@ -40,6 +41,34 @@ class TestMirrorMapping:
     def test_partials_finite(self, pmos):
         op = pmos.partials(-1.8, -1.8, 0.0)
         assert np.isfinite([op.ids, op.gm, op.gds, op.gmbs]).all()
+
+    MIRROR_BIASES = [(-1.8, -1.8, 0.0), (-1.0, -0.3, 0.2), (-0.4, -1.2, 0.0),
+                     (0.3, 0.5, -0.1), (-1.2, 0.4, 0.0)]
+
+    def test_partials_mirror_the_inner_analytic_partials(self, pmos):
+        """Current negated, conductances unchanged: d/dv [-f(-v)] = f'(-v)."""
+        for vgs, vds, vbs in self.MIRROR_BIASES:
+            inner = pmos.inner.partials(-vgs, -vds, -vbs)
+            assert pmos.partials(vgs, vds, vbs) == OperatingPoint(
+                -inner.ids, inner.gm, inner.gds, inner.gmbs)
+
+    def test_partials_match_finite_differences(self, pmos):
+        for bias in self.MIRROR_BIASES:
+            op = pmos.partials(*bias)
+            fd = MosfetModel.partials(pmos, *bias)
+            assert op.ids == fd.ids
+            scale = abs(fd.gm) + abs(fd.gds) + abs(fd.gmbs)
+            for field in ("gm", "gds", "gmbs"):
+                assert abs(getattr(op, field) - getattr(fd, field)) <= 1e-6 * scale
+
+    def test_partials_array_matches_scalar(self, pmos):
+        vgs, vds, vbs = (np.array(column) for column in zip(*self.MIRROR_BIASES))
+        arr = pmos.partials_array(vgs, vds, vbs)
+        for k, bias in enumerate(self.MIRROR_BIASES):
+            op = pmos.partials(*bias)
+            tol = 1e-12 * (abs(op.ids) + abs(op.gm) + abs(op.gds) + abs(op.gmbs))
+            for field in ("ids", "gm", "gds", "gmbs"):
+                assert abs(getattr(arr, field)[k] - getattr(op, field)) <= tol
 
     def test_params_exposes_inner(self, pmos):
         assert pmos.params.w == TSMC018.reference_width * TSMC018.pmos_width_ratio

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AsdmParameters
@@ -14,6 +14,7 @@ from repro.devices import (
     Level1Mosfet,
     Level1Parameters,
 )
+from repro.devices.base import MosfetModel
 
 vgs_values = st.floats(min_value=-0.5, max_value=2.5)
 vds_values = st.floats(min_value=0.0, max_value=2.5)
@@ -67,11 +68,72 @@ class TestGoldenDeviceProperties:
     @settings(max_examples=40)
     @given(dev=bsim_devices(), vgs=st.floats(0.5, 2.0), vds=st.floats(0.05, 2.0))
     def test_partials_match_definition(self, dev, vgs, vds):
-        """The finite-difference partials must be directional derivatives."""
+        """The partials must be directional derivatives."""
         op = dev.partials(vgs, vds, 0.0)
         h = 1e-4
         gm_ref = (dev.ids(vgs + h, vds) - dev.ids(vgs - h, vds)) / (2 * h)
         assert op.gm == pytest.approx(float(gm_ref), rel=1e-2, abs=1e-9)
+
+
+bias_vgs = st.floats(min_value=-0.5, max_value=2.0)
+bias_vds = st.floats(min_value=-1.9, max_value=1.9)
+bias_vbs = st.floats(min_value=-1.0, max_value=0.5)
+CONDUCTANCES = ("gm", "gds", "gmbs")
+
+
+def _body_headroom(dev, vds, vbs):
+    """``phi - vbs`` of the evaluated device (source/drain swapped for vds < 0)."""
+    return dev.params.phi - (vbs - vds if vds < 0.0 else vbs)
+
+
+def _scale(op):
+    return abs(op.gm) + abs(op.gds) + abs(op.gmbs)
+
+
+class TestGoldenDevicePartials:
+    """The golden model's analytic partials against the FD definition."""
+
+    @settings(max_examples=150)
+    @given(dev=bsim_devices(), vgs=bias_vgs, vds=bias_vds, vbs=bias_vbs)
+    def test_analytic_matches_finite_differences(self, dev, vgs, vds, vbs):
+        # Away from the body-effect clamp, where a central difference would
+        # straddle the sqrt kink, and from vds = 0, where the current's
+        # second derivative jumps and the central difference is only
+        # first-order accurate.  The absolute floor covers deep
+        # subthreshold, where the differences drown in the current's own
+        # rounding.
+        assume(_body_headroom(dev, vds, vbs) > 1e-2 and abs(vds) >= 1e-3)
+        op = dev.partials(vgs, vds, vbs)
+        fd = MosfetModel.partials(dev, vgs, vds, vbs)
+        assert op.ids == fd.ids
+        for field in CONDUCTANCES:
+            assert abs(getattr(op, field) - getattr(fd, field)) <= 1e-6 * _scale(fd) + 1e-15
+
+    @settings(max_examples=80)
+    @given(dev=bsim_devices(),
+           biases=st.lists(st.tuples(bias_vgs, bias_vds, bias_vbs), min_size=1, max_size=12))
+    def test_array_matches_scalar(self, dev, biases):
+        """Relative to the operating point's scale (current + conductances
+        times 1 V), plus 1e-20: at vds = 0 in subthreshold the current and
+        gds are themselves rounding-limited there, eight orders below gmin.
+        """
+        vgs, vds, vbs = (np.array(column) for column in zip(*biases))
+        arr = dev.partials_array(vgs, vds, vbs)
+        for k, bias in enumerate(biases):
+            op = dev.partials(*bias)
+            tol = 1e-12 * (abs(op.ids) + _scale(op)) + 1e-20
+            for field in ("ids",) + CONDUCTANCES:
+                assert abs(getattr(arr, field)[k] - getattr(op, field)) <= tol
+
+    @settings(max_examples=60)
+    @given(dev=bsim_devices(), vgs=bias_vgs, vds=st.floats(0.0, 1.9),
+           beyond=st.floats(0.0, 0.5))
+    def test_gmbs_zero_on_the_clamp(self, dev, vgs, vds, beyond):
+        """Forward bias with vbs >= phi, and its source/drain-swapped mirror."""
+        vbs = dev.params.phi + beyond
+        for bias in [(vgs, vds, vbs), (vgs - vds, -vds, vbs - vds)]:
+            assert dev.partials(*bias).gmbs == 0.0
+            assert dev.partials_array(*(np.array([v]) for v in bias)).gmbs[0] == 0.0
 
 
 class TestModelFamilyConsistency:

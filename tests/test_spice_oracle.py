@@ -12,7 +12,8 @@ so on ``[t0, tr]`` the simulated ``v(ssn)`` must converge to
 integrator's order.  Backward Euler is held to first order; the
 trapezoidal rule only to its error bound, because the turn-on kink at
 ``t0 = V0/sr`` is not a breakpoint and makes its observed order irregular.
-Both adaptive engines are held to the same bound, and the batched lockstep
+The sparse linear-algebra tier is held to the same order and bound, both
+adaptive engines to the same bound, and the batched lockstep
 engine must reproduce the scalar engine on the same circuits, fixed-step
 and adaptive.  Eqn 10's design claim closes the file: banks with equal
 ``Z = N*L*sr`` bounce to the same peak through the real engine.
@@ -78,17 +79,18 @@ def eqn6_error(asdm018, tech018):
 
 @pytest.fixture(scope="module")
 def oracle(asdm018, tech018, eqn6_error):
-    """``oracle(method, n, L, div, adaptive=False)`` -> (scalar run, max
-    error vs Eqn 6), memoized across the module's tests."""
+    """``oracle(method, n, L, div, adaptive=False, sparse="auto")`` ->
+    (scalar run, max error vs Eqn 6), memoized across the module's tests.
+    ``"auto"`` keeps these few-node circuits on the dense tier."""
     vdd = tech018.vdd
     runs = {}
 
-    def run(method, n, inductance, div, adaptive=False):
-        key = (method, n, inductance, div, adaptive)
+    def run(method, n, inductance, div, adaptive=False, sparse="auto"):
+        key = (method, n, inductance, div, adaptive, sparse)
         if key not in runs:
             result = transient(
                 _circuit(asdm018, vdd, n, inductance), RISE_TIME, RISE_TIME / div,
-                options=TransientOptions(method=method, adaptive=adaptive),
+                options=TransientOptions(method=method, adaptive=adaptive, sparse=sparse),
             )
             runs[key] = (result, eqn6_error(result, n, inductance))
         return runs[key]
@@ -116,12 +118,28 @@ def batched(oracle):
     return run
 
 
-@pytest.mark.parametrize("case", CASES, ids=_case_id)
-def test_backward_euler_converges_at_first_order(oracle, case):
+def _assert_first_order(oracle, case, sparse):
     divs = COARSE_STEPS + FINE_STEPS
-    errors = [oracle("be", *case, div)[1] for div in divs]
+    errors = [oracle("be", *case, div, sparse=sparse)[1] for div in divs]
     for coarse, fine in zip(errors, errors[1:]):
         assert 1.7 <= coarse / fine <= 2.3, f"errors {errors} per halving"
+
+
+def _assert_error_bound(oracle, case, method, div, sparse):
+    result, error = oracle(method, *case, div, sparse=sparse)
+    assert (result.telemetry.sparse_factorizations > 0) == (sparse is True)
+    assert error <= ERROR_BOUND[method], f"|dV| = {error:.3e} V"
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_backward_euler_converges_at_first_order(oracle, case):
+    _assert_first_order(oracle, case, sparse="auto")
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_sparse_backward_euler_converges_at_first_order(oracle, case):
+    """The sparse tier (CSC assembly, ``splu``) on the same banks."""
+    _assert_first_order(oracle, case, sparse=True)
 
 
 @pytest.mark.parametrize("div", COARSE_STEPS)
@@ -136,8 +154,14 @@ def test_trap_completes_through_turn_on_kink(oracle, case, div):
 @pytest.mark.parametrize("method", ["be", "trap"])
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_error_bound(oracle, case, method, div):
-    _, error = oracle(method, *case, div)
-    assert error <= ERROR_BOUND[method], f"|dV| = {error:.3e} V"
+    _assert_error_bound(oracle, case, method, div, sparse="auto")
+
+
+@pytest.mark.parametrize("div", FINE_STEPS)
+@pytest.mark.parametrize("method", ["be", "trap"])
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_sparse_error_bound(oracle, case, method, div):
+    _assert_error_bound(oracle, case, method, div, sparse=True)
 
 
 @pytest.mark.parametrize("engine", ["scalar", "batch"])
