@@ -35,9 +35,12 @@ campaign-smoke:
 
 # Observability smoke: a full-detail traced + metered CLI sweep, then
 # schema-validate the Chrome trace, read it back through the summarizer,
-# and check the Prometheus text carries the key histograms.
+# and check the Prometheus text carries the key histograms.  Then the same
+# scalar sweep serially and on a 2-worker pool: the pooled trace must hold
+# every task span once and both session telemetry dumps must agree.
 trace-smoke:
 	rm -f trace_smoke.json metrics_smoke.prom
+	rm -f trace_w1.json trace_w2.json telemetry_w1.json telemetry_w2.json
 	$(PY) -m repro sweep --values 1,2 --trace trace_smoke.json \
 	  --trace-detail full --metrics metrics_smoke.prom
 	$(PY) -c "import json; from repro.observability.export import \
@@ -49,7 +52,21 @@ trace-smoke:
 	  assert 'repro_newton_iterations_per_solve_bucket' in text, 'newton histogram missing'; \
 	  assert 'repro_phase_seconds_bucket' in text, 'phase histogram missing'; \
 	  print('prometheus export ok')"
+	$(PY) -m repro sweep --values 1,2,3 --engine scalar --workers 1 \
+	  --trace trace_w1.json --telemetry-json telemetry_w1.json
+	$(PY) -m repro sweep --values 1,2,3 --engine scalar --workers 2 \
+	  --trace trace_w2.json --telemetry-json telemetry_w2.json
+	$(PY) -c "import json; from repro.observability.export import \
+	  validate_chrome_trace; \
+	  trace = json.load(open('trace_w2.json')); validate_chrome_trace(trace); \
+	  tasks = [e for e in trace['traceEvents'] if e['name'] == 'task' and e['ph'] == 'X']; \
+	  assert len(tasks) == 3, f'{len(tasks)} task spans in the pooled trace'; \
+	  serial, pooled = [json.load(open(f'telemetry_w{n}.json')) for n in (1, 2)]; \
+	  serial.pop('phase_seconds'); pooled.pop('phase_seconds'); \
+	  assert serial == pooled, 'pooled session telemetry differs from serial'; \
+	  print('pooled trace and telemetry ok:', pooled['newton_solves'], 'solves')"
 	rm -f trace_smoke.json metrics_smoke.prom
+	rm -f trace_w1.json trace_w2.json telemetry_w1.json telemetry_w2.json
 
 # Serving-layer smoke: a live in-process server answers a cold /simulate
 # (miss), its bit-identical repeat from the persistent store (hit), and

@@ -38,7 +38,6 @@ _EXPORTS = {
     "peak_noise_distribution": "montecarlo",
     "transient_peak_distribution": "montecarlo",
     "parallel_map": "parallel",
-    "parallel_map_traced": "parallel",
     "resolve_workers": "parallel",
     "EffectiveRamp": "ramps",
     "crossing_time": "ramps",

@@ -63,7 +63,7 @@ from ..spice.transient import TransientOptions
 from ..testing import faults
 from .driver_bank import DriverBankSpec
 from .engine import degradation_rungs, resolve_engine
-from .parallel import parallel_map_traced
+from .parallel import parallel_map
 from .simulate import SsnSimulation, simulate_many, simulate_ssn_cached
 
 #: Journal schema version (bumped on incompatible format changes).
@@ -292,17 +292,8 @@ class CampaignRunner:
             return [_record_from(i, sim, rung) for i, sim in zip(indices, sims)]
         payloads = [(i, spec, rung, cfg.deadline, options)
                     for i, spec in zip(indices, specs)]
-        records, used_pool = parallel_map_traced(
-            _instance_record, payloads, max_workers=cfg.max_workers,
-            telemetry=tally,
-        )
-        if used_pool:
-            # Worker-side session aggregation dies with the workers;
-            # stitch their per-run counters into this process's session.
-            for rec in records:
-                if rec.get("telemetry"):
-                    record_session(SolverTelemetry.from_dict(rec["telemetry"]))
-        return records
+        return parallel_map(_instance_record, payloads,
+                            max_workers=cfg.max_workers, telemetry=tally)
 
     def _recover_instance(self, ci: int, index: int, spec: DriverBankSpec,
                           rung0: str, tally: SolverTelemetry,

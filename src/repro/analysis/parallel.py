@@ -2,7 +2,7 @@
 
 Sweep points and Monte Carlo trials are independent, so the experiment
 layer fans them out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-while keeping three invariants:
+while keeping four invariants:
 
 * **Deterministic ordering** — results come back in submission order
   (``Executor.map``), so parallel runs are element-for-element identical
@@ -18,6 +18,10 @@ while keeping three invariants:
 * **Configurable worker count** — pass ``max_workers`` explicitly or set
   the ``REPRO_MAX_WORKERS`` environment variable; ``0``/``None`` means
   "one worker per CPU".
+* **Exactly-once observability** — each worker task returns its result
+  plus one envelope of whatever the parent's collectors (spans, metrics,
+  events, session telemetry) recorded in the worker, and the map adopts
+  it in one step; a broken attempt's envelopes are discarded with it.
 
 Worker functions must be module-level (picklable) and their arguments
 pickle-round-trippable; the frozen spec dataclasses used by the sweep and
@@ -36,7 +40,9 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from ..observability import events as obs_events
 from ..observability import metrics as obs_metrics
 from ..observability import trace
-from ..spice.telemetry import SolverTelemetry, record_session
+from ..spice.telemetry import (SolverTelemetry, disable_session_telemetry,
+                               enable_session_telemetry, record_session,
+                               session_telemetry)
 from ..testing import faults
 
 T = TypeVar("T")
@@ -87,44 +93,46 @@ def resolve_workers(max_workers: int | None = None) -> int:
     return max_workers
 
 
-def _observability_config() -> tuple[dict | None, bool, dict | None] | None:
-    """The parent's tracing/metrics/events state as a picklable bootstrap.
+def _observability_config() -> tuple | None:
+    """The parent's collector state as a picklable worker bootstrap.
 
-    None when all three are disabled (the production default), keeping the
-    worker payload byte-identical to the uninstrumented one.
+    One entry per collector — tracer config, metrics on/off, journal
+    config, session telemetry on/off.  None when all four are disabled
+    (the production default), keeping the worker payload byte-identical to
+    the uninstrumented one.
     """
     tracer = trace.active_tracer()
     want_metrics = obs_metrics.active_registry() is not None
     journal = obs_events.active_journal()
-    if tracer is None and not want_metrics and journal is None:
+    want_session = session_telemetry() is not None
+    if tracer is None and not want_metrics and journal is None and not want_session:
         return None
     return (None if tracer is None else tracer.config(), want_metrics,
-            None if journal is None else journal.config())
+            None if journal is None else journal.config(), want_session)
 
 
 def _pool_invoke(
     payload: tuple[Callable[[T], R], int, T, tuple | None]
-) -> tuple[R, list | None, dict | None, list | None]:
+) -> tuple[R, dict | None]:
     """Worker-side shim: publish the task index as fault scope, then call.
 
     Module-level (picklable) on purpose.  The ``worker`` probe is what lets
     the fault injector kill this specific worker process deterministically;
     with no fault plan installed it is a no-op.
 
-    When the parent traces, collects metrics or journals events, a fresh
-    tracer/registry/journal is enabled around the call and its serialized
-    spans/metrics/events ride back with the result, where
-    :func:`parallel_map_traced` re-parents the spans under the dispatching
-    span and folds metrics and events into the parent (cross-process
-    stitching).  Worker journals are memory-only — the parent's file keeps
-    exactly one writer.
+    Returns ``(result, envelope)``: the envelope is None when the parent
+    runs no collector, else a dict of the ``spans``, ``metrics``,
+    ``events`` and ``session`` recorded by fresh collectors enabled around
+    the call.  Worker journals are memory-only (the parent's file keeps
+    one writer), and the session holds only runs that executed in this
+    task, so a fork-inherited memo hit records nothing.
     """
     fn, index, item, obs_cfg = payload
     with faults.scope(task=index):
         faults.probe("worker")
         if obs_cfg is None:
-            return fn(item), None, None, None
-        trace_cfg, want_metrics, events_cfg = obs_cfg
+            return fn(item), None
+        trace_cfg, want_metrics, events_cfg, want_session = obs_cfg
         if trace_cfg is not None:
             # Offset the sampling seed per task so head-based sampling
             # draws independently across the fleet, yet deterministically
@@ -140,15 +148,38 @@ def _pool_invoke(
             obs_metrics.enable_metrics()
         if events_cfg is not None:
             obs_events.enable_events(**events_cfg)
+        if want_session:
+            enable_session_telemetry()
         try:
             result = fn(item)
-            return (result, trace.snapshot_spans(),
-                    obs_metrics.snapshot_metrics(),
-                    obs_events.snapshot_events() or None)
+            return result, {
+                "spans": trace.snapshot_spans(),
+                "metrics": obs_metrics.snapshot_metrics(),
+                "events": obs_events.snapshot_events(),
+                "session": session_telemetry(),
+            }
         finally:
             trace.disable_tracing()
             obs_metrics.disable_metrics()
             obs_events.disable_events()
+            disable_session_telemetry()
+
+
+def _adopt(envelope: dict | None, parent_id: str | None) -> None:
+    """Fold one worker envelope into this process's collectors.
+
+    Spans re-parent under ``parent_id`` (the dispatching span), metrics
+    merge, events join the journal and the session record merges into the
+    session aggregator; each step is a no-op for a collector that is off.
+    """
+    if envelope is None:
+        return
+    trace.adopt_spans(envelope["spans"], parent_id=parent_id)
+    registry = obs_metrics.active_registry()
+    if registry is not None and envelope["metrics"]:
+        registry.merge_dict(envelope["metrics"])
+    obs_events.adopt_events(envelope["events"])
+    record_session(envelope["session"])
 
 
 def parallel_map(
@@ -162,52 +193,27 @@ def parallel_map(
     With one worker (or one item) this is a plain list comprehension —
     zero multiprocessing machinery.  Otherwise the items are dispatched to
     a process pool; results return in input order.  If the pool cannot be
-    created it is skipped silently; if it breaks mid-flight it is respawned
-    once and then the whole map is recomputed serially (with a
-    ``RuntimeWarning``), so callers always get a complete, ordered result.
-
-    Exceptions raised by ``fn`` itself propagate unchanged in both modes.
-    """
-    results, _ = parallel_map_traced(fn, items, max_workers=max_workers,
-                                     telemetry=telemetry)
-    return results
-
-
-def parallel_map_traced(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    max_workers: int | None = None,
-    telemetry: SolverTelemetry | None = None,
-) -> tuple[list[R], bool]:
-    """:func:`parallel_map` plus whether the pool path actually ran.
-
-    Returns ``(results, used_pool)``.  ``used_pool`` is False for the
-    serial fast path *and* for the serial recompute after a pool failure —
-    i.e. it is True exactly when the results were produced in worker
-    processes.  Callers that fold worker-side state (telemetry records)
-    back into the parent use this to avoid double counting.
+    created it is skipped silently.  Exceptions raised by ``fn`` itself
+    propagate unchanged in both modes.
 
     A :class:`~concurrent.futures.process.BrokenProcessPool` (a worker
     process died — OOM kill, segfault, injected crash) is retried on a
     fresh pool ``POOL_RESPAWNS`` times; if the pool keeps breaking the map
     is recomputed serially with a ``RuntimeWarning`` and a ``degradations``
-    tick on ``telemetry`` (and the session aggregator, if enabled), never
-    an exception: completed campaigns must survive crashed workers.
+    tick on ``telemetry`` (else on the session aggregator, if enabled),
+    never an exception: completed campaigns must survive crashed workers.
 
-    With tracing/metrics enabled (:mod:`repro.observability`), workers run
-    under their own tracer/registry; their spans come back with the results
-    and are re-parented under this call's ``parallel_map`` span, and their
-    metrics merge into the parent registry.  Spans of a pool attempt that
-    *broke* are discarded with its results, so every task appears in the
-    stitched trace exactly once — whether it ultimately ran in a worker, in
-    the respawned pool, or in the serial recompute.
+    Worker envelopes (see :func:`_pool_invoke`) are adopted into this
+    process, so every task is observed exactly once whichever process ran
+    it.  The ``parallel_map`` span's ``used_pool`` attribute records
+    whether the results came from workers.
     """
     work: Sequence[T] = list(items)
     workers = resolve_workers(max_workers)
     with trace.span("parallel_map", items=len(work), workers=workers) as sp:
         if workers <= 1 or len(work) <= 1:
             sp.set_attribute("used_pool", False)
-            return [fn(item) for item in work], False
+            return [fn(item) for item in work]
         obs_cfg = _observability_config()
         payloads = [(fn, i, item, obs_cfg) for i, item in enumerate(work)]
         for _ in range(1 + POOL_RESPAWNS):
@@ -218,28 +224,19 @@ def parallel_map_traced(
                 # A worker died mid-map.  Results from pure fns are
                 # deterministic, so re-running the full map (fresh pool, then
                 # serially) reproduces exactly what an unbroken run returns.
-                # Any spans from the dead attempt die with its results, so
-                # stitched traces stay exactly-once.
+                # The dead attempt's envelopes die with its results.
                 sp.add_event("broken_process_pool")
                 continue
             except (OSError, pickle.PicklingError, TypeError):
                 # Pool unavailable (sandbox/fork limits) or payload unpicklable:
                 # degrade to the serial path rather than failing the experiment.
                 sp.set_attribute("used_pool", False)
-                return [fn(item) for item in work], False
-            # Stitch worker-side observability back under this span before
-            # handing out the results.
+                return [fn(item) for item in work]
             parent_id = trace.current_span_id()
-            registry = obs_metrics.active_registry()
-            for _, spans_payload, metrics_payload, events_payload in outs:
-                if spans_payload:
-                    trace.adopt_spans(spans_payload, parent_id=parent_id)
-                if metrics_payload and registry is not None:
-                    registry.merge_dict(metrics_payload)
-                if events_payload:
-                    obs_events.adopt_events(events_payload)
+            for _, envelope in outs:
+                _adopt(envelope, parent_id)
             sp.set_attribute("used_pool", True)
-            return [result for result, _, _, _ in outs], True
+            return [result for result, _ in outs]
         warnings.warn(
             "process pool broke; recomputing the map serially",
             RuntimeWarning, stacklevel=2,
@@ -254,4 +251,4 @@ def parallel_map_traced(
         obs_events.emit("pool_degraded", items=len(work))
         sp.add_event("pool_degraded_to_serial")
         sp.set_attribute("used_pool", False)
-        return [fn(item) for item in work], False
+        return [fn(item) for item in work]

@@ -19,10 +19,10 @@ import threading
 from ..observability import metrics as obs_metrics
 from ..spice.batch import BatchIncompatibleError, batch_transient, lockstep_signature
 from ..spice.mna import default_sparse_mode
-from ..spice.telemetry import SolverTelemetry, record_session
+from ..spice.telemetry import SolverTelemetry
 from ..spice.transient import TransientOptions, transient
 from .engine import default_engine, resolve_engine
-from .parallel import parallel_map_traced
+from .parallel import parallel_map
 from ..spice.waveform import Waveform
 from .driver_bank import (
     DriverBankSpec,
@@ -221,9 +221,8 @@ def freeze_simulation(sim: SsnSimulation) -> SsnSimulation:
 class _SsnMemoCache:
     """Bounded, thread-safe LRU of frozen golden simulations.
 
-    Replaces the former ``functools.lru_cache`` so the cache can (a) tag
-    each lookup as hit or fresh compute — the pooled telemetry path and
-    the service layer both need that distinction — and (b) freeze every
+    Replaces the former ``functools.lru_cache`` so the cache can (a) count
+    hits and misses (:func:`simulate_ssn_cache_stats`) and (b) freeze every
     stored simulation's waveforms.  The simulation itself runs outside
     the lock; two threads racing on one key at worst compute it twice
     (the service layer's in-flight dedup prevents exactly that for HTTP
@@ -269,29 +268,6 @@ class _SsnMemoCache:
 _memo = _SsnMemoCache()
 
 
-def simulate_ssn_cached_fresh(
-    spec: DriverBankSpec,
-    tstop: float | None = None,
-    dt: float | None = None,
-    options: TransientOptions | None = None,
-) -> tuple[SsnSimulation, bool]:
-    """:func:`simulate_ssn_cached` plus whether the Newton loop really ran.
-
-    Returns ``(sim, fresh)``; ``fresh`` is False exactly when the result
-    came out of the memo, i.e. its ``telemetry`` describes work done by an
-    *earlier* call.  Callers that fold telemetry into session aggregates
-    (the pooled scalar path, the serving layer) must skip stale records or
-    they double-count Newton work that never ran.
-    """
-    key = ssn_memo_key(spec, tstop, dt, options)
-    sim = _memo.fetch(key)
-    if sim is not None:
-        return sim, False
-    sim = freeze_simulation(simulate_ssn(spec, tstop, dt, options))
-    _memo.insert(key, sim)
-    return sim, True
-
-
 def simulate_ssn_cached(
     spec: DriverBankSpec,
     tstop: float | None = None,
@@ -309,9 +285,14 @@ def simulate_ssn_cached(
     instead of returning a result (and telemetry) from the old backend.
     Results are shared, and their waveform arrays are frozen
     (``writeable=False``): an accidental mutation raises instead of
-    silently corrupting every later cache hit.
+    silently corrupting every later cache hit.  A hit records no session
+    telemetry: its Newton work was recorded when it actually ran.
     """
-    sim, _ = simulate_ssn_cached_fresh(spec, tstop, dt, options)
+    key = ssn_memo_key(spec, tstop, dt, options)
+    sim = _memo.fetch(key)
+    if sim is None:
+        sim = freeze_simulation(simulate_ssn(spec, tstop, dt, options))
+        _memo.insert(key, sim)
     return sim
 
 
@@ -343,11 +324,10 @@ def simulate_many(
 
     * scalar — one :func:`transient` per spec, optionally across a process
       pool (``max_workers``); serial results are memoized via
-      :func:`simulate_ssn_cached`.  When the runs execute in pool workers,
-      their telemetry records come back on the :class:`SsnSimulation`
-      objects and are folded into the parent process's session aggregator
-      (if enabled) — worker-side session state dies with the worker, so
-      this is where cross-process observability is stitched together.
+      :func:`simulate_ssn_cached`.  Pool workers ship their session
+      telemetry back with their results (see
+      :func:`repro.analysis.parallel.parallel_map`), so the session counts
+      each fresh compute once, whichever process ran it.
     * batch — specs whose circuits share a lockstep signature (same
       topology and time grid, different parameter values) are simulated
       together by one vectorized Newton loop
@@ -370,20 +350,9 @@ def simulate_many(
         return _simulate_many_surrogate(specs, max_workers, options)
     if resolved == "batch":
         return _simulate_many_batched(specs, options)
-    fn = _simulate_tagged if options is None else functools.partial(
-        _simulate_tagged, options=options)
-    tagged, used_pool = parallel_map_traced(fn, specs, max_workers=max_workers)
-    if used_pool:
-        # Worker-side session aggregation dies with the workers, so the
-        # parent stitches their telemetry in here — but only for *fresh*
-        # computes.  A worker-side memo hit (duplicate spec, or a fork
-        # inheriting the parent's warm memo) carries the telemetry of a run
-        # that was already recorded when it actually executed; re-recording
-        # it would double-count Newton work that never ran this call.
-        for sim, fresh in tagged:
-            if fresh:
-                record_session(sim.telemetry)
-    return [sim for sim, _ in tagged]
+    fn = simulate_ssn_cached if options is None else functools.partial(
+        simulate_ssn_cached, options=options)
+    return parallel_map(fn, specs, max_workers=max_workers)
 
 
 def _simulate_many_batched(specs, options) -> list[SsnSimulation]:
@@ -470,8 +439,3 @@ def _simulate_many_surrogate(specs, max_workers, options) -> list[SsnSimulation]
 def aggregate_telemetry(sims) -> SolverTelemetry:
     """Summed solver telemetry over many :class:`SsnSimulation` results."""
     return SolverTelemetry.aggregate(sim.telemetry for sim in sims)
-
-
-def _simulate_tagged(spec, options=None):
-    """Pool-worker mapper: memoized simulate plus the hit/fresh tag."""
-    return simulate_ssn_cached_fresh(spec, options=options)

@@ -24,6 +24,12 @@ Two operational layers build on those three:
   SLO rates, the ``/statusz`` payload, and the crash-time flight
   recorder.
 
+Everything is process-local, so a process pool carries the collectors
+across together: :func:`repro.analysis.parallel.parallel_map` gives each
+worker task fresh ones (session
+:class:`~repro.spice.telemetry.SolverTelemetry` included) and adopts the
+one envelope of spans, metrics, events and session the task returns.
+
 See ``docs/observability.md`` for the span taxonomy, event schema, bucket
 layouts, overhead budget and CLI workflow (``--trace`` / ``--metrics`` /
 ``repro trace summarize`` / ``repro events`` / ``repro status``).

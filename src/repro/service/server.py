@@ -60,7 +60,7 @@ import time
 from ..analysis.campaign import CampaignConfig, CampaignRunner
 from ..analysis.driver_bank import DriverBankSpec
 from ..analysis.montecarlo import DeviceSpread, transient_peak_distribution
-from ..analysis.simulate import canonical_options, simulate_ssn_cached_fresh
+from ..analysis.simulate import canonical_options, simulate_ssn_cached
 from ..observability import events as obs_events
 from ..observability import health as obs_health
 from ..observability import metrics as obs_metrics
@@ -780,7 +780,7 @@ class SsnService:
         records = runner.run_specs([spec], kind="service-simulate",
                                    options=options)
         rung = records[0]["engine"]
-        sim, _ = simulate_ssn_cached_fresh(spec, options=options)
+        sim = simulate_ssn_cached(spec, options=options)
         return simulation_record(key, sim, meta={
             "engine": rung,
             "request": canonical_request(spec, options=options),

@@ -18,9 +18,10 @@ workers and merge associatively: per-run records ride on
 For end-to-end CLI observability there is additionally a *session*
 aggregator: :func:`enable_session_telemetry` turns on a process-local
 accumulator that every completed engine run merges into, and the CLI's
-``--telemetry`` / ``--telemetry-json`` flags print or dump it.  Session
-telemetry is process-local; pool-parallel runs are folded back in by
-``simulate_many`` from the records returned by the workers.
+``--telemetry`` / ``--telemetry-json`` flags print or dump it.  Pool
+workers run their own session aggregator and return it in their
+observability envelope, which :func:`repro.analysis.parallel.parallel_map`
+merges here, so every run is counted once whichever process executed it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from typing import Iterable, Optional
 #: Keys :meth:`SolverTelemetry.as_dict` derives from counters rather than
 #: storing; never round-tripped into ``extras``.
 _DERIVED_KEYS = frozenset({"ok", "recovered_rejections"})
+
+#: Counters earlier versions stored and this one no longer has; stored
+#: records and checkpoints that carry them load silently without them.
+_RETIRED_KEYS = frozenset({"full_assemblies"})
 
 #: ``extras`` keys this version itself produces (the engaged linear-algebra
 #: backends); round-tripped through :meth:`from_dict` without the
@@ -84,9 +89,6 @@ class SolverTelemetry:
         base_assemblies: linear-base stamp passes (once per Newton solve).
         nonlinear_restamps: nonlinear-device restamp passes (once per
             Newton iterate).
-        full_assemblies: always 0.  Counted full re-assemblies of the
-            retired seed engine; kept so stored records and checkpoints
-            that carry it still load without a warning.
         batch_fallbacks: instances that left the batched ensemble engine
             for the scalar path (Newton failure needing the step-halving /
             gmin recovery ladder); the scalar re-run's counters replace the
@@ -138,7 +140,6 @@ class SolverTelemetry:
     mask_steps: int = 0
     base_assemblies: int = 0
     nonlinear_restamps: int = 0
-    full_assemblies: int = 0
     batch_fallbacks: int = 0
     retries: int = 0
     degradations: int = 0
@@ -183,11 +184,12 @@ class SolverTelemetry:
         """Rebuild a record from :meth:`as_dict` output (journal round trip).
 
         The derived ``ok`` / ``recovered_rejections`` entries ``as_dict``
-        adds are skipped.  Any *other* unknown key — a counter written by a
-        newer producer — is preserved in :attr:`extras` (numeric values
-        only) with a once-per-process warning per counter name, so loading
-        a newer journal degrades loudly and losslessly instead of silently
-        dropping counts.
+        adds and retired counters (``full_assemblies``) are skipped.  Any
+        *other* unknown key — a counter written by a newer producer — is
+        preserved in :attr:`extras` (numeric values only) with a
+        once-per-process warning per counter name, so loading a newer
+        journal degrades loudly and losslessly instead of silently dropping
+        counts.
         """
         tel = cls()
         known = {f.name for f in dataclasses.fields(cls)}
@@ -198,8 +200,8 @@ class SolverTelemetry:
                 pass  # never written as a wrapper; see as_dict
             elif f.name in data:
                 setattr(tel, f.name, int(data[f.name]))
-        unknown = {k: v for k, v in data.items()
-                   if k not in known and k not in _DERIVED_KEYS}
+        skip = known | _DERIVED_KEYS | _RETIRED_KEYS
+        unknown = {k: v for k, v in data.items() if k not in skip}
         dropped = []
         for key, value in unknown.items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -253,8 +255,8 @@ class SolverTelemetry:
             f"  LU cache hits / misses:       {self.lu_cache_hits} / {self.lu_cache_misses}"
             + (f" (+{self.lu_cache_invalidations} staleness drops)"
                if self.lu_cache_invalidations else ""),
-            f"  assemblies (base/nonlin/full): {self.base_assemblies} / "
-            f"{self.nonlinear_restamps} / {self.full_assemblies}",
+            f"  assemblies (base/nonlin):     {self.base_assemblies} / "
+            f"{self.nonlinear_restamps}",
         ]
         if self.sparse_factorizations or self.sparse_pattern_reuses:
             lines.append(

@@ -7,10 +7,11 @@ Regression coverage for two former bugs in the golden-simulation cache:
   ``REPRO_ENGINE`` between calls could serve a result (and telemetry)
   computed under the *old* backend — now the resolved backend snapshot is
   part of the key and a flip forces a recompute;
-* ``simulate_many``'s pooled scalar path folded *every* worker result's
-  telemetry into the parent's session aggregator, double counting Newton
-  work whenever a fork-inherited warm memo answered inside a worker — now
-  only freshly computed results are recorded.
+* the pooled scalar paths (``simulate_many`` and the campaign runner)
+  folded worker results' telemetry into the parent's session aggregator,
+  double counting Newton work whenever a fork-inherited warm memo answered
+  inside a worker — now each worker ships back its own session, which
+  holds only the runs it actually executed.
 
 Plus the shared-result safety contract: memoized waveform arrays are
 frozen, so accidental mutation raises instead of corrupting later hits.
@@ -18,6 +19,7 @@ frozen, so accidental mutation raises instead of corrupting later hits.
 
 import pytest
 
+from repro.analysis.campaign import CampaignRunner
 from repro.analysis.driver_bank import DriverBankSpec
 from repro.analysis.engine import default_engine, set_default_engine
 from repro.analysis.simulate import (
@@ -26,7 +28,6 @@ from repro.analysis.simulate import (
     simulate_ssn_cache_clear,
     simulate_ssn_cache_stats,
     simulate_ssn_cached,
-    simulate_ssn_cached_fresh,
     ssn_memo_key,
 )
 from repro.spice.mna import default_sparse_mode, set_default_sparse
@@ -84,6 +85,13 @@ class TestBackendResolution:
         assert dict(resolved_backend(TransientOptions()))["sparse"] == "on"
 
 
+def _cached_and_fresh(spec):
+    """``simulate_ssn_cached`` plus whether the call missed the memo."""
+    misses = simulate_ssn_cache_stats()["misses"]
+    sim = simulate_ssn_cached(spec)
+    return sim, simulate_ssn_cache_stats()["misses"] == misses + 1
+
+
 class TestMemoKeying:
     def test_repeat_call_hits(self, spec):
         first = simulate_ssn_cached(spec)
@@ -92,37 +100,37 @@ class TestMemoKeying:
         stats = simulate_ssn_cache_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
-    def test_fresh_flag_reports_compute_vs_hit(self, spec):
-        sim, fresh = simulate_ssn_cached_fresh(spec)
+    def test_stats_report_compute_vs_hit(self, spec):
+        sim, fresh = _cached_and_fresh(spec)
         assert fresh is True
-        again, fresh = simulate_ssn_cached_fresh(spec)
+        again, fresh = _cached_and_fresh(spec)
         assert fresh is False and again is sim
 
     def test_sparse_default_flip_forces_recompute(self, spec):
         baseline = simulate_ssn_cached(spec)
         set_default_sparse("on")
-        _, fresh = simulate_ssn_cached_fresh(spec)
+        _, fresh = _cached_and_fresh(spec)
         assert fresh is True
         set_default_sparse(None)
-        again, fresh = simulate_ssn_cached_fresh(spec)
+        again, fresh = _cached_and_fresh(spec)
         assert fresh is False and again is baseline
 
     def test_engine_default_flip_forces_recompute(self, spec):
         baseline = simulate_ssn_cached(spec)
         set_default_engine("batch")
-        _, fresh = simulate_ssn_cached_fresh(spec)
+        _, fresh = _cached_and_fresh(spec)
         assert fresh is True
         set_default_engine(None)
-        again, fresh = simulate_ssn_cached_fresh(spec)
+        again, fresh = _cached_and_fresh(spec)
         assert fresh is False and again is baseline
 
     def test_env_flip_forces_recompute(self, spec, monkeypatch):
         simulate_ssn_cached(spec)
         monkeypatch.setenv("REPRO_SPARSE", "on")
-        _, fresh = simulate_ssn_cached_fresh(spec)
+        _, fresh = _cached_and_fresh(spec)
         assert fresh is True
         monkeypatch.setenv("REPRO_ENGINE", "batch")
-        _, fresh = simulate_ssn_cached_fresh(spec)
+        _, fresh = _cached_and_fresh(spec)
         assert fresh is True
 
     def test_memo_key_is_hashable_and_backend_tagged(self, spec):
@@ -181,12 +189,27 @@ class TestPooledTelemetry:
         assert session.newton_solves == 0
         assert session.newton_iterations == 0
 
+    def test_campaign_memo_hits_do_not_rerecord_session_telemetry(self, tech018):
+        """The same warm-memo case through a pooled campaign.
+
+        The campaign's scalar rung used to re-record every worker record's
+        telemetry, memo hit or not, so a warm memo counted Newton work
+        that never ran.
+        """
+        specs = self._specs(tech018, (1, 2, 3, 4))
+        for spec in specs:
+            simulate_ssn_cached(spec)
+        session = enable_session_telemetry()
+        CampaignRunner(max_workers=2, engine="scalar").run_specs(specs)
+        assert session.newton_solves == 0
+        assert session.newton_iterations == 0
+
     def test_duplicate_specs_in_one_pooled_map_count_once(self, tech018):
         """Four duplicates across two workers solve at most twice.
 
         The former bug recorded every worker *result* (4x one run's
-        solves); the fix records fresh computes only — at most one per
-        worker, exactly one on the serial fallback.
+        solves); worker sessions hold fresh computes only — at most one
+        per worker, exactly one on the serial fallback.
         """
         (spec,) = self._specs(tech018, (3,))
         session = enable_session_telemetry()

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.analysis.parallel import parallel_map_traced
+from repro.analysis.parallel import parallel_map
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
 from repro.observability import trace
@@ -220,11 +220,8 @@ class TestPoolStitching:
     def test_two_workers_every_event_exactly_once(self, tmp_path):
         path = tmp_path / "events.jsonl"
         journal = obs_events.enable_events(path)
-        results, used_pool = parallel_map_traced(
-            _emitting_double, range(4), max_workers=2
-        )
+        results = parallel_map(_emitting_double, range(4), max_workers=2)
         assert results == [0, 2, 4, 6]
-        assert used_pool is True
 
         work = [e for e in journal.events() if e["name"] == "work_event"]
         assert sorted(e["attributes"]["index"] for e in work) == [0, 1, 2, 3]
@@ -251,11 +248,8 @@ class TestPoolStitching:
         path = tmp_path / "events.jsonl"
         journal = obs_events.enable_events(path)
         with pytest.warns(RuntimeWarning, match="process pool broke"):
-            results, used_pool = parallel_map_traced(
-                _emitting_double, range(4), max_workers=2
-            )
+            results = parallel_map(_emitting_double, range(4), max_workers=2)
         assert results == [0, 2, 4, 6]
-        assert used_pool is False
 
         work = [e for e in journal.events() if e["name"] == "work_event"]
         assert sorted(e["attributes"]["index"] for e in work) == [0, 1, 2, 3]

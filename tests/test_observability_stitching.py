@@ -1,17 +1,23 @@
-"""Cross-process span stitching through the parallel map.
+"""Cross-process stitching through the parallel map's worker envelope.
 
-Worker processes trace into their own tracer; their spans ship back with
-the results and re-parent under the dispatching ``parallel_map`` span.  The
-exactly-once guarantee is the point under test: every task appears in the
-stitched trace once — when it ran in a pool worker, when the pool broke and
-was respawned, and when the map finally degraded to the serial path.
+Worker processes record into their own tracer, registry and session
+aggregator; one envelope ships what they recorded back with each result,
+and the parent adopts it (spans re-parent under the dispatching
+``parallel_map`` span).  The exactly-once guarantee is the point under
+test: every task appears in the stitched trace, and every run in the
+session telemetry, once — when it ran in a pool worker, when the pool broke
+and was respawned, and when the map finally degraded to the serial path.
 """
 
 import pytest
 
-from repro.analysis.parallel import parallel_map_traced
+from repro.analysis.campaign import CampaignRunner
+from repro.analysis.driver_bank import DriverBankSpec
+from repro.analysis.parallel import _observability_config, _pool_invoke, parallel_map
+from repro.analysis.simulate import simulate_many, simulate_ssn_cache_clear
 from repro.observability import metrics as obs_metrics
 from repro.observability import trace
+from repro.spice.telemetry import disable_session_telemetry, enable_session_telemetry
 from repro.testing import faults
 
 
@@ -20,10 +26,14 @@ def _clean_state():
     faults.clear_faults()
     trace.disable_tracing()
     obs_metrics.disable_metrics()
+    disable_session_telemetry()
+    simulate_ssn_cache_clear()
     yield
     faults.clear_faults()
     trace.disable_tracing()
     obs_metrics.disable_metrics()
+    disable_session_telemetry()
+    simulate_ssn_cache_clear()
 
 
 def _traced_double(x):
@@ -46,11 +56,8 @@ class TestPoolStitching:
     def test_two_workers_every_task_span_exactly_once(self):
         tracer = trace.enable_tracing()
         registry = obs_metrics.enable_metrics()
-        results, used_pool = parallel_map_traced(
-            _traced_double, range(4), max_workers=2
-        )
+        results = parallel_map(_traced_double, range(4), max_workers=2)
         assert results == [0, 2, 4, 6]
-        assert used_pool is True
 
         by_name = _span_index(tracer)
         (pm,) = by_name["parallel_map"]
@@ -82,10 +89,8 @@ class TestPoolStitching:
 
     def test_worker_metrics_merge_without_tracing(self):
         registry = obs_metrics.enable_metrics()
-        results, used_pool = parallel_map_traced(
-            _traced_double, range(4), max_workers=2
-        )
-        assert results == [0, 2, 4, 6] and used_pool
+        results = parallel_map(_traced_double, range(4), max_workers=2)
+        assert results == [0, 2, 4, 6]
         assert registry.get("repro_test_tasks_total").value == 4
         assert trace.active_tracer() is None
 
@@ -101,11 +106,8 @@ class TestBrokenPoolStitching:
         tracer = trace.enable_tracing()
         registry = obs_metrics.enable_metrics()
         with pytest.warns(RuntimeWarning, match="process pool broke"):
-            results, used_pool = parallel_map_traced(
-                _traced_double, range(4), max_workers=2
-            )
+            results = parallel_map(_traced_double, range(4), max_workers=2)
         assert results == [0, 2, 4, 6]
-        assert used_pool is False
 
         by_name = _span_index(tracer)
         (pm,) = by_name["parallel_map"]
@@ -126,3 +128,56 @@ class TestBrokenPoolStitching:
 
         assert registry.get("repro_test_tasks_total").value == 4
         assert registry.get("repro_pool_degradations_total").value == 1
+
+
+def _run_simulate_many(specs, workers):
+    simulate_many(specs, max_workers=workers, engine="scalar")
+
+
+def _run_campaign(specs, workers):
+    CampaignRunner(max_workers=workers, engine="scalar",
+                   backoff_base=0.0).run_specs(specs)
+
+
+def _session_counts(run, specs, workers):
+    """Session counters of one cold-memo run (``phase_seconds`` dropped)."""
+    simulate_ssn_cache_clear()
+    session = enable_session_telemetry()
+    try:
+        run(specs, workers)
+    finally:
+        disable_session_telemetry()
+    counts = session.as_dict()
+    del counts["phase_seconds"]
+    return counts
+
+
+@pytest.fixture
+def specs(tech018):
+    return [DriverBankSpec(technology=tech018, n_drivers=n, inductance=1e-9,
+                           rise_time=0.5e-9) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("run", [_run_simulate_many, _run_campaign],
+                         ids=["simulate_many", "campaign"])
+class TestSessionExactlyOnce:
+    def test_pooled_session_equals_serial(self, run, specs):
+        serial = _session_counts(run, specs, 1)
+        assert serial["newton_solves"] > 0
+        assert _session_counts(run, specs, 2) == serial
+
+    def test_broken_pool_counts_each_instance_once(self, run, specs):
+        """The pool breaks on every attempt and the map degrades to serial:
+        the dead attempts' envelopes are discarded, so each instance is
+        counted once (by the serial recompute) plus one degradation."""
+        expected = _session_counts(run, specs, 1)
+        expected["degradations"] += 1
+        faults.install_faults("worker:task=0")
+        with pytest.warns(RuntimeWarning, match="process pool broke"):
+            assert _session_counts(run, specs, 2) == expected
+
+
+class TestEnvelope:
+    def test_all_collectors_off_sends_no_envelope(self):
+        assert _observability_config() is None
+        assert _pool_invoke((_traced_double, 0, 3, None)) == (6, None)

@@ -201,6 +201,21 @@ class TestForwardCompatExtras:
         # Round trip hands the newer consumer back its exact counter.
         assert a.as_dict()["future_counter"] == 8
 
+    def test_retired_full_assemblies_key_loads_silently(self):
+        """Records and checkpoints written before ``full_assemblies`` was
+        dropped carry it as 0; loading them neither warns nor keeps it."""
+        import warnings as _warnings
+
+        data = SolverTelemetry(newton_solves=2).as_dict()
+        data["full_assemblies"] = 0
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("error")
+            tel = SolverTelemetry.from_dict(data)
+        assert tel.newton_solves == 2
+        assert tel.extras == {}
+        assert "full_assemblies" not in tel.as_dict()
+        assert "full" not in tel.format_report()
+
 
 class TestSessionTelemetry:
     def test_disabled_by_default(self):
