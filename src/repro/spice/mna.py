@@ -16,17 +16,25 @@ Assembly
 
 Every element has an iterate-independent ``stamp`` and, if nonlinear (the
 MOSFETs), an iterate-dependent ``stamp_iterate`` (see
-:mod:`repro.spice.elements`).  The solver stamps every element's ``stamp``
-**once** per ``(mode, t, dt, method)`` into a cached base matrix/RHS pair,
-and per Newton iterate copies the base into preallocated work buffers and
-adds only the ``stamp_iterate`` of :attr:`MnaSystem.devices`.  The buffers
-are owned by the system and reused across every time step, so the
-steady-state allocation rate of a transient run is zero.
+:mod:`repro.spice.elements`).  The Newton solver drives one solve through
+three tier-aware steps of :class:`MnaSystem`, and only the system knows
+which linear-algebra tier runs them:
+
+* :meth:`~MnaSystem.stamp_base` stamps every element's ``stamp`` **once**
+  per ``(mode, t, dt, method)`` (:meth:`~MnaSystem.assemble_base`);
+* :meth:`~MnaSystem.stamp_iterate` adds the ``stamp_iterate`` of
+  :attr:`MnaSystem.devices` at one iterate
+  (:meth:`~MnaSystem.assemble_nonlinear`) and returns ``(A, z)``;
+* :meth:`~MnaSystem.solve` solves it, with the tier's singular fallback.
+
+The buffers are owned by the system and reused across every time step, so
+the steady-state allocation rate of a dense transient run is zero.
 
 For circuits with no nonlinear elements at all, the matrix depends only on
 ``(mode, dt, method)`` — ``method`` being the integrator the engine chose
-for the step — so its LU factorization is cached across time steps and
-invalidated exactly when that key changes; see ``docs/performance.md``.
+for the step — so :meth:`~MnaSystem.solve_base` solves the base through one
+factor cache for both tiers, reused across time steps and invalidated
+exactly when that key or the matrix changes; see ``docs/performance.md``.
 
 Sparse tier
 -----------
@@ -39,14 +47,16 @@ the first pass per ``(kind, mode)`` builds a symbolic CSC pattern (sorted
 unique coordinates plus a permutation from write order to data slots), and
 every later pass cursor-fills a preallocated value array and accumulates
 duplicates with one ``np.bincount`` — no python-level index work repeats.
-Factorization uses ``scipy.sparse.linalg.splu``; linear-only circuits cache
-the factorization under the same key (and the same staleness guard) as the
-dense LU cache.  Singular systems fall back to
-dense least squares exactly like the dense lane.
+The dense tier copies the base into work buffers and adds the devices on
+top; the sparse tier stamps the devices into their own small pattern and
+adds the base CSC matrix and right-hand side.  Factorization uses
+``scipy.sparse.linalg.splu``; singular systems fall back to dense least
+squares exactly like the dense tier.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 
@@ -54,6 +64,7 @@ import numpy as np
 
 from scipy import sparse as _sparse
 from scipy.linalg import lu_factor as _lu_factor, lu_solve as _lu_solve
+from scipy.linalg.lapack import dgesv as _dgesv
 from scipy.sparse.linalg import splu as _splu
 
 from .circuit import Circuit
@@ -102,39 +113,31 @@ def default_sparse_mode() -> str:
     fold this in so flipping the default between calls can never return a
     stale-keyed hit.
     """
-    mode = _default_sparse
-    if mode is None:
-        mode = os.environ.get(SPARSE_ENV) or "auto"
-        if mode not in SPARSE_MODES:
-            mode = "auto"
-    return mode
+    mode = _default_sparse or os.environ.get(SPARSE_ENV) or "auto"
+    return mode if mode in SPARSE_MODES else "auto"
 
 
 def resolve_sparse(option, size: int) -> bool:
     """Resolve a ``TransientOptions.sparse`` request to a concrete bool.
 
-    ``True``/``False`` are explicit; ``"auto"`` consults the process
-    default (:func:`set_default_sparse`), then ``REPRO_SPARSE``, then the
-    :data:`SPARSE_AUTO_THRESHOLD` size heuristic.
+    ``True``/``False`` are explicit; ``"auto"`` consults
+    :func:`default_sparse_mode` (the process default, then
+    ``REPRO_SPARSE``), then the :data:`SPARSE_AUTO_THRESHOLD` size
+    heuristic.  An invalid ``REPRO_SPARSE`` warns here and counts as
+    ``"auto"``.
     """
-    if option == "auto":
-        mode = _default_sparse
-        if mode is None:
-            mode = os.environ.get(SPARSE_ENV) or "auto"
-            if mode not in SPARSE_MODES:
-                warnings.warn(
-                    f"ignoring invalid {SPARSE_ENV}={mode!r}; "
-                    f"choose from {SPARSE_MODES}",
-                    RuntimeWarning, stacklevel=2,
-                )
-                mode = "auto"
-        if mode == "on":
-            option = True
-        elif mode == "off":
-            option = False
-        else:
-            option = size >= SPARSE_AUTO_THRESHOLD
-    return bool(option)
+    if option != "auto":
+        return bool(option)
+    mode = default_sparse_mode()
+    env = os.environ.get(SPARSE_ENV)
+    if _default_sparse is None and env and env not in SPARSE_MODES:
+        warnings.warn(
+            f"ignoring invalid {SPARSE_ENV}={env!r}; choose from {SPARSE_MODES}",
+            RuntimeWarning, stacklevel=2,
+        )
+    if mode == "auto":
+        return size >= SPARSE_AUTO_THRESHOLD
+    return mode == "on"
 
 
 class StampContext:
@@ -188,6 +191,11 @@ class StampContext:
     def branch_row(self, element, k: int = 0) -> int:
         """Global row/column index of the element's k-th branch unknown."""
         return self.system.branch_row_of(element, k)
+
+    def clear(self) -> None:
+        """Zero the matrix and right-hand side before a base pass."""
+        self.A[:] = 0.0
+        self.z[:] = 0.0
 
     # -- stamping primitives --------------------------------------------------------
 
@@ -273,21 +281,34 @@ class SparseStampContext(StampContext):
     dense vector — it is dense by nature and every solve reads it whole).
     With no ``pattern`` the context records coordinates for a first-pass
     symbolic analysis; with one it cursor-fills the pattern's value slots,
-    and the caller verifies the write count afterwards so any structural
-    drift rebuilds the pattern instead of corrupting the matrix.
+    and :meth:`MnaSystem._sparse_pass` checks the write count afterwards so
+    any structural drift rebuilds the pattern instead of corrupting the
+    matrix.
     """
 
     def __init__(self, system: "MnaSystem", mode: str, t: float, dt: float,
                  method: str, states: dict, x: np.ndarray, gmin: float,
-                 z: np.ndarray, pattern: _SparsePattern | None = None):
+                 z: np.ndarray):
         super().__init__(system, mode, t, dt, method, states, x, gmin,
                          buffers=(None, z))
-        self.pattern = pattern
+        self.pattern: _SparsePattern | None = None
         self.cursor = 0
-        if pattern is None:
+
+    def clear(self) -> None:
+        """Zero the right-hand side and rewind the matrix writes."""
+        self.z[:] = 0.0
+        self.cursor = 0
+        if self.pattern is None:
             self.rows: list = []
             self.cols: list = []
             self.vals: list = []
+
+    def record(self) -> _SparsePattern:
+        """The pattern (filled) of the pass just recorded."""
+        pattern = _SparsePattern(self.system.size, self.rows, self.cols)
+        pattern.vals[:] = self.vals
+        self.pattern = pattern
+        return pattern
 
     # -- matrix writes, rerouted ----------------------------------------------------
 
@@ -300,7 +321,7 @@ class SparseStampContext(StampContext):
             return
         k = self.cursor
         self.cursor = k + 1
-        if k < pattern.count:  # overflow detected by the caller's count check
+        if k < pattern.count:  # overflow detected by the pass's count check
             pattern.vals[k] = value
 
     def add_node_entry(self, row_node: int, col_node: int, value: float) -> None:
@@ -323,21 +344,15 @@ class SparseStampContext(StampContext):
     def set_branch_entry(self, row: int, col: int, value: float) -> None:
         self._entry(row, col, value)
 
-    def finish(self, kind: str, mode: str) -> bool:
-        """Close one stamp pass; True when the pattern is valid and filled."""
-        pattern = self.pattern
-        system = self.system
-        if pattern is None:
-            pattern = _SparsePattern(system.size, self.rows, self.cols)
-            pattern.vals[:] = self.vals
-            system._sparse_patterns[(kind, mode)] = pattern
-            self.pattern = pattern
-            return True
-        return self.cursor == pattern.count
-
 
 class MnaSystem:
-    """Unknown ordering and assembly for one circuit."""
+    """Unknown ordering, assembly and linear solves for one circuit.
+
+    The Newton solver drives one solve through three steps —
+    :meth:`stamp_base`, :meth:`stamp_iterate` and :meth:`solve` (or
+    :meth:`solve_base` for a circuit without nonlinear devices) — and only
+    this class knows which linear-algebra tier (:attr:`sparse`) runs them.
+    """
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
@@ -347,30 +362,30 @@ class MnaSystem:
             el.branch_start = nb if el.nbranches else None
             nb += el.nbranches
         self.num_branch_unknowns = nb
-        self.size = self.num_node_unknowns + nb
+        self.size = n = self.num_node_unknowns + nb
         #: Elements with a ``stamp_iterate``, restamped at every Newton
         #: iterate (MOSFETs).
         self.devices = [el for el in circuit.elements if el.nonlinear]
-        # Reusable assembly buffers, allocated on first use.
-        self._base_A: np.ndarray | None = None
-        self._base_z: np.ndarray | None = None
-        self._work_A: np.ndarray | None = None
-        self._work_z: np.ndarray | None = None
-        # LU cache for linear-only circuits: key -> LAPACK getrf factors,
-        # plus a copy of the factored matrix guarding against key collisions
-        # (two circuits/element values sharing one (mode, dt, method)).
-        self._lu_key = None
-        self._lu = None
-        self._lu_A: np.ndarray | None = None
         #: Whether solves route through the sparse CSC tier (set by the
         #: transient engine after resolving ``TransientOptions.sparse``).
         self.sparse = False
-        # Symbolic patterns keyed (kind, mode) plus the splu analogue of
-        # the dense LU cache (same key contract, data-array staleness guard).
+        # Reusable assembly buffers: the base and work right-hand sides on
+        # both tiers; the dense matrices (allocated on first dense use) and
+        # the sparse tier's base CSC matrix of the current solve.
+        self._base_z = np.zeros(n)
+        self._work_z = np.zeros(n)
+        self._base_A: np.ndarray | None = None
+        self._work_A: np.ndarray | None = None
+        self._base_csc = None
+        # Symbolic CSC patterns keyed (kind, mode).
         self._sparse_patterns: dict = {}
-        self._splu_key = None
-        self._splu = None
-        self._splu_data: np.ndarray | None = None
+        # Factor cache for linear-only circuits, one for both tiers: key ->
+        # a solve callable over the factors, plus a copy of the factored
+        # matrix (dense) or of its CSC data array (sparse) guarding against
+        # key collisions (two circuits/element values sharing one key).
+        self._lu_key = None
+        self._lu = None
+        self._lu_guard: np.ndarray | None = None
         #: Optional SolverTelemetry the current solve records into.
         self.telemetry = None
 
@@ -393,185 +408,172 @@ class MnaSystem:
 
     # -- assembly -------------------------------------------------------------------
 
-    def assembly_buffers(self):
-        """The system-owned (base_A, base_z, work_A, work_z) scratch buffers."""
-        if self._base_A is None:
-            n = self.size
-            self._base_A = np.zeros((n, n))
-            self._base_z = np.zeros(n)
-            self._work_A = np.zeros((n, n))
-            self._work_z = np.zeros(n)
-        return self._base_A, self._base_z, self._work_A, self._work_z
-
     def assemble_base(self, ctx: StampContext) -> None:
-        """Zero ``ctx``'s buffers and stamp every element's ``stamp``."""
+        """Clear ``ctx``'s buffers and stamp every element's ``stamp``."""
         if self.telemetry is not None:
             self.telemetry.base_assemblies += 1
-        ctx.A[:] = 0.0
-        ctx.z[:] = 0.0
+        ctx.clear()
         for el in self.circuit.elements:
             el.stamp(ctx)
 
     def assemble_nonlinear(self, ctx: StampContext) -> None:
-        """Add the nonlinear elements' ``stamp_iterate`` to the copied base."""
+        """Add the nonlinear elements' ``stamp_iterate`` to ``ctx``."""
         if self.telemetry is not None:
             self.telemetry.nonlinear_restamps += 1
         for el in self.devices:
             el.stamp_iterate(ctx)
 
-    # -- linear-circuit LU reuse ---------------------------------------------------
+    def stamp_base(self, mode: str, t: float, dt: float, method: str,
+                   states: dict, x: np.ndarray, gmin: float) -> StampContext:
+        """Stamp the iterate-independent base of one solve.
 
-    def solve_linear_cached(self, key, A: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Solve ``A x = z`` reusing the LU factors when ``key`` repeats.
+        Returns the context the solve's iterates stamp through, which the
+        solver hands back positioned at the converged point.
+        """
+        if self.sparse:
+            base = SparseStampContext(self, mode, t, dt, method, states, x,
+                                      gmin, self._base_z)
+            self._base_csc = self._sparse_pass(self.assemble_base, "base", base)
+            return SparseStampContext(self, mode, t, dt, method, states, x,
+                                      gmin, self._work_z)
+        if self._work_A is None:
+            n = self.size
+            self._base_A = np.zeros((n, n))
+            self._work_A = np.zeros((n, n))
+        self.assemble_base(self.context(mode, t, dt, method, states, x, gmin,
+                                        buffers=(self._base_A, self._base_z)))
+        return self.context(mode, t, dt, method, states, x, gmin,
+                            buffers=(self._work_A, self._work_z))
 
-        The key alone is not trusted: reuse additionally requires the
-        assembled matrix to equal the one that was factored (an O(n^2)
-        compare versus the O(n^3) factorization), so a different circuit —
-        or the same circuit with mutated element values — sharing an
-        identical ``(mode, dt, method)`` key can never pick up a stale
-        factorization.
+    def stamp_iterate(self, ctx: StampContext, x: np.ndarray):
+        """The ``(A, z)`` of Newton iterate ``x``: the base plus the
+        nonlinear devices restamped at ``x``.
 
-        Falls back to least squares when the matrix is singular (floating
-        subcircuits), mirroring the plain Newton path's behavior.
+        Dense: the base is copied into the work buffers and the devices add
+        onto it.  Sparse: the devices fill their own small CSC pattern over
+        a zeroed right-hand side, and the base is added to both.
+        """
+        ctx.x = x
+        if self.sparse:
+            nonlinear = self._sparse_pass(self.assemble_nonlinear, "nonlinear", ctx)
+            ctx.z += self._base_z
+            return self._base_csc + nonlinear, ctx.z
+        np.copyto(ctx.A, self._base_A)
+        np.copyto(ctx.z, self._base_z)
+        self.assemble_nonlinear(ctx)
+        return ctx.A, ctx.z
+
+    def _sparse_pass(self, assemble, kind: str, ctx: SparseStampContext):
+        """One counted stamp pass into ``ctx``; returns its CSC matrix.
+
+        The first pass per ``(kind, mode)`` records the symbolic pattern and
+        later passes cursor-fill it.  A pass that writes a different number
+        of entries than the recorded one (structural drift) is stamped once
+        more, recording a fresh pattern.
+        """
+        key = (kind, ctx.mode)
+        pattern = ctx.pattern = self._sparse_patterns.get(key)
+        ctx.clear()
+        assemble(ctx)
+        if pattern is not None:
+            if ctx.cursor == pattern.count:
+                if self.telemetry is not None:
+                    self.telemetry.sparse_pattern_reuses += 1
+                return pattern.matrix()
+            ctx.pattern = None
+            ctx.clear()
+            assemble(ctx)
+        pattern = self._sparse_patterns[key] = ctx.record()
+        return pattern.matrix()
+
+    # -- linear solves --------------------------------------------------------------
+
+    def solve(self, A, z: np.ndarray) -> np.ndarray:
+        """Solve one Newton iterate's ``A x = z`` afresh.
+
+        Dense: LAPACK ``dgesv`` directly (numpy's solve wrapper costs more
+        than the factorization at these sizes), least squares when a pivot
+        is exactly singular.  Sparse: ``splu``, degrading to a dense solve
+        when the factorization fails.
+        """
+        if self.sparse:
+            lu = self._factorize(A)
+            return lu(z) if lu is not None else _dense_fallback_solve(A, z)
+        _, _, x, info = _dgesv(A, z)
+        if info > 0:
+            x, *_ = np.linalg.lstsq(A, z, rcond=None)
+        return x
+
+    def solve_base(self, key) -> np.ndarray:
+        """Solve the last stamped base alone, through the factor cache: the
+        whole solve of a circuit with no nonlinear devices."""
+        A = self._base_csc if self.sparse else self._base_A
+        return self.solve_linear_cached(key, A, self._base_z)
+
+    def solve_linear_cached(self, key, A, z: np.ndarray) -> np.ndarray:
+        """Solve ``A x = z`` reusing the factors when ``key`` repeats.
+
+        One cache for both tiers.  The key alone is not trusted: reuse
+        additionally requires the assembled matrix — the dense array, or
+        the CSC data array on the sparse tier — to equal the one that was
+        factored (an O(n^2) or O(nnz) compare against a factorization), so
+        a different circuit, or the same circuit with mutated element
+        values, sharing one ``(mode, dt, method)`` key can never pick up a
+        stale factorization.
+
+        Singular matrices (floating subcircuits) fall back to a dense solve
+        and then least squares.
         """
         tel = self.telemetry
+        guard = A.data if self.sparse else A
         with warnings.catch_warnings():
-            # Exactly singular matrices (floating subcircuits) fall back
-            # to least squares below, as the plain path does — silence
-            # scipy's LinAlgWarning on the zero pivot.
+            # Exactly singular matrices fall back below; silence scipy's
+            # LinAlgWarning on the zero pivot.
             warnings.simplefilter("ignore")
-            stale = (
-                key == self._lu_key
-                and self._lu_A is not None
-                and not np.array_equal(A, self._lu_A)
-            )
+            stale = key == self._lu_key and not np.array_equal(guard, self._lu_guard)
             if stale and tel is not None:
                 tel.lu_cache_invalidations += 1
             if key != self._lu_key or stale:
                 if tel is not None:
                     tel.lu_cache_misses += 1
-                try:
-                    self._lu = _lu_factor(A)
-                    self._lu_key = key
-                    self._lu_A = A.copy()
-                except (ValueError, np.linalg.LinAlgError):
-                    self._lu = None
-                    self._lu_key = None
-                    self._lu_A = None
+                self._lu = self._factorize(A)
+                self._lu_key = None if self._lu is None else key
+                self._lu_guard = None if self._lu is None else guard.copy()
             elif tel is not None:
                 tel.lu_cache_hits += 1
             if self._lu is not None:
-                x = _lu_solve(self._lu, z)
+                x = self._lu(z)
                 if np.all(np.isfinite(x)):
                     return x
                 # Singular or near-singular: drop the cache entry and
                 # fall through to the dense solve below.
-                self._lu = None
-                self._lu_key = None
-                self._lu_A = None
-        try:
-            return np.linalg.solve(A, z)
-        except np.linalg.LinAlgError:
-            x, *_ = np.linalg.lstsq(A, z, rcond=None)
-            return x
-
-    # -- sparse tier ----------------------------------------------------------------
-
-    def assemble_sparse(self, kind: str, mode: str, t: float, dt: float,
-                        method: str, states: dict, x: np.ndarray, gmin: float,
-                        z: np.ndarray):
-        """One sparse stamp pass.
-
-        ``kind`` picks the pass — "base" runs every element's ``stamp``,
-        "nonlinear" the nonlinear elements' ``stamp_iterate`` — and scopes
-        the cached symbolic pattern; ``z`` is the caller's dense
-        right-hand-side buffer, zeroed here so a pattern rebuild can
-        restamp cleanly.  Returns ``(A, ctx)`` with ``A`` the assembled CSC
-        matrix.
-        """
-        tel = self.telemetry
-        if tel is not None:
-            if kind == "base":
-                tel.base_assemblies += 1
-            else:
-                tel.nonlinear_restamps += 1
-        if kind == "base":
-            stamps = [el.stamp for el in self.circuit.elements]
-        else:
-            stamps = [el.stamp_iterate for el in self.devices]
-        pattern = self._sparse_patterns.get((kind, mode))
-        for _ in range(2):
-            z[:] = 0.0
-            ctx = SparseStampContext(self, mode, t, dt, method, states, x,
-                                     gmin, z, pattern=pattern)
-            for stamp in stamps:
-                stamp(ctx)
-            if ctx.finish(kind, mode):
-                if pattern is not None and tel is not None:
-                    tel.sparse_pattern_reuses += 1
-                return ctx.pattern.matrix(), ctx
-            # Structural drift (a stamp wrote more or fewer entries than
-            # the recorded pass): rebuild the pattern from scratch.
-            pattern = None
-        raise RuntimeError("sparse pattern failed to stabilize after a rebuild")
-
-    def solve_sparse_cached(self, key, A, z: np.ndarray) -> np.ndarray:
-        """Sparse analogue of :meth:`solve_linear_cached`.
-
-        Reuses the cached ``splu`` factorization when ``key`` repeats *and*
-        the assembled data array matches the factored one (the same
-        staleness guard as the dense LU cache, O(nnz) instead of O(n^2)).
-        Singular systems fall back to dense least squares, mirroring the
-        dense lane's degradation.
-        """
-        tel = self.telemetry
-        stale = (
-            key == self._splu_key
-            and self._splu_data is not None
-            and not np.array_equal(A.data, self._splu_data)
-        )
-        if stale and tel is not None:
-            tel.lu_cache_invalidations += 1
-        if key != self._splu_key or stale:
-            if tel is not None:
-                tel.lu_cache_misses += 1
-            self._splu = self.sparse_factorize(A)
-            if self._splu is not None:
-                self._splu_key = key
-                self._splu_data = A.data.copy()
-            else:
-                self._splu_key = None
-                self._splu_data = None
-        elif tel is not None:
-            tel.lu_cache_hits += 1
-        if self._splu is not None:
-            x = self._splu.solve(z)
-            if np.all(np.isfinite(x)):
-                return x
-            # Near-singular factors: drop the cache entry and degrade.
-            self._splu = None
-            self._splu_key = None
-            self._splu_data = None
+                self._lu = self._lu_key = self._lu_guard = None
         return _dense_fallback_solve(A, z)
 
-    def sparse_factorize(self, A):
-        """``splu(A)`` with the singular-matrix degradation, or None."""
+    def _factorize(self, A):
+        """A solve callable over the factors of ``A`` on this tier, or None
+        when the matrix will not factor."""
+        if not self.sparse:
+            try:
+                return functools.partial(_lu_solve, _lu_factor(A))
+            except (ValueError, np.linalg.LinAlgError):
+                return None
         try:
             with warnings.catch_warnings():
-                # Singular/ill-conditioned factorizations degrade below, as
-                # the dense lane does; silence SuperLU's condition warnings.
+                # Singular/ill-conditioned factorizations degrade, as the
+                # dense tier does; silence SuperLU's condition warnings.
                 warnings.simplefilter("ignore")
                 lu = _splu(A)
         except (RuntimeError, ValueError):
             return None
         if self.telemetry is not None:
             self.telemetry.sparse_factorizations += 1
-        return lu
+        return lu.solve
 
 
 def _dense_fallback_solve(A, z: np.ndarray) -> np.ndarray:
-    """Densify and solve, degrading to least squares — the singular path."""
-    dense = A.toarray()
+    """Solve densely, degrading to least squares — the singular path."""
+    dense = A.toarray() if _sparse.issparse(A) else A
     try:
         return np.linalg.solve(dense, z)
     except np.linalg.LinAlgError:

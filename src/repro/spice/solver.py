@@ -1,33 +1,35 @@
 """Damped Newton-Raphson solve of one assembled MNA system.
 
 Used by both the DC/IC analyses and every transient time step.  The solver
-stamps the (possibly nonlinear) system at each iterate, solves the dense
+stamps the (possibly nonlinear) system at each iterate, solves the
 linearized system, damps oversized updates (the MOSFET subthreshold
 exponential punishes full steps from a bad guess), and declares convergence
 when the update is small in the usual mixed absolute/relative sense.
 
-Assembly: every element's iterate-independent ``stamp`` lands once per call
-in a cached base matrix/RHS (nothing in it can change while ``(mode, t, dt,
-method)`` and the element states are fixed); each Newton iterate copies the
-base into preallocated work buffers and adds only the nonlinear devices'
-``stamp_iterate``.  After convergence the last iterate's context is reused
-with ``x`` updated to the converged point — no final re-assembly, because
-state commits and current extraction read only ``x``/``dt``/``trap``/states,
-never ``A``/``z``.  Circuits with no nonlinear elements collapse to a single
-direct solve with an LU factorization cached under ``(mode, dt, method)``
-(see :mod:`repro.spice.mna`).
+One loop serves both linear-algebra tiers.  The loop owns the damping,
+convergence, fault and span logic; :class:`~repro.spice.mna.MnaSystem`
+owns the tier (dense LAPACK or sparse ``splu``) behind three steps:
+``stamp_base`` once per solve, ``stamp_iterate`` per iterate (the base
+plus the nonlinear devices' ``stamp_iterate``, returned as ``(A, z)``), and
+``solve``.  Nothing in the base can change while ``(mode, t, dt, method)``
+and the element states are fixed, so it is stamped once per call.  After
+convergence the last iterate's context is reused with ``x`` updated to the
+converged point — no final re-assembly, because state commits and current
+extraction read only ``x``/``dt``/``trap``/states, never ``A``/``z``.
+Circuits with no nonlinear elements collapse to a single direct solve of
+the base, with its factorization cached under ``(mode, dt, method)`` (see
+:mod:`repro.spice.mna`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgesv as _dgesv
 
 from ..observability import metrics as obs_metrics
 from ..observability import trace
 from ..observability.trace import NOOP_SPAN
 from ..testing.faults import fire as _fire_fault
-from .mna import MnaSystem, StampContext, _dense_fallback_solve
+from .mna import MnaSystem, StampContext
 from .telemetry import SolverTelemetry
 
 #: Per-iteration cap on the infinity norm of the Newton update; shared with
@@ -104,33 +106,17 @@ def newton_solve(
     tracer = trace.active_tracer()
     detailed = tracer is not None and tracer.wants("full")
     with trace.span("newton_solve", level="newton", mode=mode, t=t) as nsp:
-        if system.sparse:
-            return _newton_solve_sparse(
-                system, mode, t, dt, method, states, x0, gmin,
-                max_iter, abstol, reltol, max_update, telemetry, nsp, detailed,
-            )
-
         x = np.array(x0, dtype=float)
-        base_A, base_z, work_A, work_z = system.assembly_buffers()
-
-        # Base: stamped once — nothing in it can change across iterates.
-        base_ctx = system.context(mode, t, dt, method, states, x, gmin,
-                                  buffers=(base_A, base_z))
         with trace.span("assembly", level="full") if detailed else NOOP_SPAN:
-            system.assemble_base(base_ctx)
-
-        ctx = system.context(mode, t, dt, method, states, x, gmin,
-                             buffers=(work_A, work_z))
+            ctx = system.stamp_base(mode, t, dt, method, states, x, gmin)
 
         if not system.devices:
             # Purely linear: the Newton map is affine with a constant matrix,
             # so the damped iteration lands exactly on the direct solution;
-            # solve once, reusing the cached LU factors when the matrix is
+            # solve once, reusing the cached factors when the matrix is
             # unchanged.
-            np.copyto(work_A, base_A)
-            np.copyto(work_z, base_z)
             with trace.span("lu_solve", level="full") if detailed else NOOP_SPAN:
-                x_new = system.solve_linear_cached((mode, dt, method), work_A, work_z)
+                x_new = system.solve_base((mode, dt, method))
             if not np.isfinite(x_new).all():
                 raise ConvergenceError(f"non-finite solution while solving at t={t}")
             ctx.x = x_new
@@ -143,18 +129,10 @@ def newton_solve(
             iterations += 1
             if telemetry is not None:
                 telemetry.newton_iterations += 1
-            np.copyto(work_A, base_A)
-            np.copyto(work_z, base_z)
-            ctx.x = x
             with trace.span("assembly", level="full") if detailed else NOOP_SPAN:
-                system.assemble_nonlinear(ctx)
+                A, z = system.stamp_iterate(ctx, x)
             with trace.span("lu_solve", level="full") if detailed else NOOP_SPAN:
-                # LAPACK directly: numpy's solve wrapper costs more than
-                # the factorization at these sizes.  info > 0 is an exactly
-                # singular pivot.
-                _, _, x_new, info = _dgesv(work_A, work_z)
-                if info > 0:
-                    x_new, *_ = np.linalg.lstsq(work_A, work_z, rcond=None)
+                x_new = system.solve(A, z)
             if not np.isfinite(x_new).all():
                 raise ConvergenceError(f"non-finite solution while solving at t={t}")
 
@@ -176,90 +154,3 @@ def newton_solve(
         raise ConvergenceError(
             f"Newton failed to converge in {max_iter} iterations at t={t}"
         )
-
-
-def _newton_solve_sparse(
-    system: MnaSystem,
-    mode: str,
-    t: float,
-    dt: float,
-    method: str,
-    states: dict,
-    x0: np.ndarray,
-    gmin: float,
-    max_iter: int,
-    abstol: float,
-    reltol: float,
-    max_update: float,
-    telemetry: SolverTelemetry | None,
-    nsp,
-    detailed: bool,
-) -> tuple[np.ndarray, StampContext]:
-    """The Newton loop over the sparse CSC tier.
-
-    Same partition, damping and convergence logic as the dense path;
-    only the linear algebra differs: the base assembles once into a
-    cached-pattern CSC matrix, each iterate restamps the nonlinear devices
-    into their own (tiny) CSC pattern and factors the sum with ``splu`` —
-    O(nnz) work on the near-banded matrices MNA produces, against the dense
-    lane's O(n^3) per-iterate factorization.  Linear-only circuits reuse
-    the cached ``splu`` factors under the dense lane's ``(mode, dt,
-    method)`` key.
-    """
-    x = np.array(x0, dtype=float)
-    n = system.size
-    base_z = np.empty(n)
-    work_z = np.empty(n)
-
-    with trace.span("assembly", level="full") if detailed else NOOP_SPAN:
-        base_A, base_ctx = system.assemble_sparse(
-            "base", mode, t, dt, method, states, x, gmin, base_z,
-        )
-
-    if not system.devices:
-        # Purely linear: one direct solve, reusing cached splu factors.
-        np.copyto(work_z, base_z)
-        with trace.span("lu_solve", level="full") if detailed else NOOP_SPAN:
-            x_new = system.solve_sparse_cached((mode, dt, method), base_A, work_z)
-        if not np.isfinite(x_new).all():
-            raise ConvergenceError(f"non-finite solution while solving at t={t}")
-        base_ctx.x = x_new
-        nsp.set_attribute("iterations", 0)
-        obs_metrics.observe("repro_newton_iterations_per_solve", 0)
-        return x_new, base_ctx
-
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        if telemetry is not None:
-            telemetry.newton_iterations += 1
-        with trace.span("assembly", level="full") if detailed else NOOP_SPAN:
-            nl_A, ctx = system.assemble_sparse(
-                "nonlinear", mode, t, dt, method, states, x, gmin, work_z,
-            )
-            work_z += base_z
-        with trace.span("lu_solve", level="full") if detailed else NOOP_SPAN:
-            A_iter = base_A + nl_A
-            lu = system.sparse_factorize(A_iter)
-            if lu is not None:
-                x_new = lu.solve(work_z)
-            else:
-                x_new = _dense_fallback_solve(A_iter, work_z)
-        if not np.isfinite(x_new).all():
-            raise ConvergenceError(f"non-finite solution while solving at t={t}")
-
-        dx = x_new - x
-        step = float(np.abs(dx).max()) if dx.size else 0.0
-        if step > max_update:
-            x = x + dx * (max_update / step)
-            continue
-        x = x_new
-        if (np.abs(dx) <= abstol + reltol * np.abs(x)).all():
-            ctx.x = x
-            nsp.set_attribute("iterations", iterations)
-            obs_metrics.observe("repro_newton_iterations_per_solve", iterations)
-            return x, ctx
-    raise ConvergenceError(
-        f"Newton failed to converge in {max_iter} iterations at t={t}"
-    )
-

@@ -1,10 +1,18 @@
 """Transient analysis engine.
 
 Fixed user-chosen base step with automatic halving on Newton failure and
-re-growth afterwards; steps always land exactly on source breakpoints (ramp
-corners) and on ``tstop``.  Integration is trapezoidal by default with a
-backward-Euler first step after t=0 (no consistent history exists yet),
-which is the standard SPICE ``UIC`` start-up.
+re-growth afterwards, or (``TransientOptions(adaptive=True)``) step-doubling
+truncation-error control under that step; steps always land exactly on
+source breakpoints (ramp corners) and on ``tstop``.  Integration is
+trapezoidal by default with a backward-Euler first step after t=0 (no
+consistent history exists yet), which is the standard SPICE ``UIC``
+start-up.
+
+One time loop serves both stepping modes, as in SPICE3's ``DCtran``: each
+accepted step is reached through *attempts* — a fixed attempt is one solve
+on the committed states with error 0, an adaptive one the step-doubling
+triplet with its :func:`lte_norm` — and the next step comes from
+:func:`fixed_step_regrow` or :func:`lte_regrow`.
 
 Every accepted step records all node voltages and all element currents, so
 results expose full waveforms by name.  Samples land in preallocated
@@ -384,6 +392,27 @@ def transient(
         def snapshot():
             return {el: dict(state) for el, state in states.items()}
 
+        def attempt(h_step, method):
+            """One try at the step from ``(t, x, states)``: the solution, its
+            context, the states it commits into, and its LTE in units of the
+            tolerance.  A fixed step is one solve on the committed states
+            with no error estimate; an adaptive one is step doubling — one
+            h step vs two h/2 steps, whose gap estimates the local
+            truncation error of the coarse step."""
+            if not opts.adaptive:
+                x_new, step_ctx = solve_step(states, x, t + h_step, h_step, method)
+                return x_new, step_ctx, states, 0.0
+            x_big, _ = solve_step(snapshot(), x, t + h_step, h_step, method)
+            half_states = snapshot()
+            x_mid, ctx_mid = solve_step(half_states, x, t + h_step / 2,
+                                        h_step / 2, method)
+            commit_all(ctx_mid)
+            # The mid-point commit is companion history, so the second half
+            # step runs opts.method.
+            x_new, step_ctx = solve_step(half_states, x_mid, t + h_step,
+                                         h_step / 2, opts.method)
+            return x_new, step_ctx, half_states, lte_norm(x_big, x_new, nn, opts)
+
         def reject(exc, h_step):
             # Rejected step: committed state is untouched, so the retry at
             # half the step restarts from clean history.
@@ -398,55 +427,30 @@ def transient(
             while not landed(t, tstop):
                 h_step = clamp_step(h, t, next_bp)
                 method = "be" if first_step else opts.method
-
-                if not opts.adaptive:
-                    while True:
-                        try:
-                            x_new, step_ctx = solve_step(states, x, t + h_step,
-                                                         h_step, method)
-                            break
-                        except ConvergenceError as exc:
-                            h_step = reject(exc, h_step)
-                    # Record, then commit state (commit consumes the pre-step
-                    # state).
-                    step_currents = [_safe_current(el, step_ctx) for el in measured]
-                    commit_all(step_ctx)
-                    grown = fixed_step_regrow(h_step, dt)
-                else:
-                    # Step doubling: one h step vs two h/2 steps; their gap
-                    # estimates the local truncation error of the coarse step.
-                    while True:
-                        try:
-                            big_states = snapshot()
-                            x_big, _ = solve_step(big_states, x, t + h_step,
-                                                  h_step, method)
-
-                            half_states = snapshot()
-                            x_mid, ctx_mid = solve_step(
-                                half_states, x, t + h_step / 2, h_step / 2, method
-                            )
-                            commit_all(ctx_mid)
-                            # The mid-point commit is companion history, so
-                            # the second half step runs opts.method.
-                            x_new, step_ctx = solve_step(
-                                half_states, x_mid, t + h_step, h_step / 2,
-                                opts.method,
-                            )
-                        except ConvergenceError as exc:
-                            h_step = reject(exc, h_step)
-                            continue
-                        err = lte_norm(x_big, x_new, nn, opts)
-                        if err <= 1.0:
-                            break
-                        tel.lte_rejections += 1
-                        h_step, at_floor = lte_shrink(h_step, err, min_h)
-                        if at_floor:
-                            break  # accept at the floor rather than stall
-                    step_currents = [_safe_current(el, step_ctx) for el in measured]
-                    commit_all(step_ctx)
-                    states.clear()
-                    states.update(half_states)
+                while True:
+                    try:
+                        x_new, step_ctx, step_states, err = attempt(h_step, method)
+                    except ConvergenceError as exc:
+                        h_step = reject(exc, h_step)
+                        continue
+                    if err <= 1.0:
+                        break
+                    tel.lte_rejections += 1
+                    h_step, at_floor = lte_shrink(h_step, err, min_h)
+                    if at_floor:
+                        # Accept at the floor rather than stall.  Known
+                        # defect: x_new was solved at the larger step
+                        # (tests/test_spice_adaptive.py::TestAcceptAtFloor).
+                        break
+                # Record, then commit state (commit consumes the pre-step
+                # state).
+                step_currents = [_safe_current(el, step_ctx) for el in measured]
+                commit_all(step_ctx)
+                states = step_states
+                if opts.adaptive:
                     grown = lte_regrow(h_step, err, dt, opts)
+                else:
+                    grown = fixed_step_regrow(h_step, dt)
 
                 t += h_step
                 x = x_new

@@ -12,8 +12,9 @@ so on ``[t0, tr]`` the simulated ``v(ssn)`` must converge to
 integrator's order.  Backward Euler is held to first order; the
 trapezoidal rule only to its error bound, because the turn-on kink at
 ``t0 = V0/sr`` is not a breakpoint and makes its observed order irregular.
-The sparse linear-algebra tier is held to the same order and bound, both
-adaptive engines to the same bound, and the batched lockstep
+The sparse linear-algebra tier is held to the same order and bound, the
+adaptive scalar engine (dense and sparse) and the adaptive batched engine
+to the same bound, and the batched lockstep
 engine must reproduce the scalar engine on the same circuits, fixed-step
 and adaptive.  Eqn 10's design claim closes the file: banks with equal
 ``Z = N*L*sr`` bounce to the same peak through the real engine.
@@ -164,7 +165,7 @@ def test_sparse_error_bound(oracle, case, method, div):
     _assert_error_bound(oracle, case, method, div, sparse=True)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "batch"])
+@pytest.mark.parametrize("engine", ["scalar", "sparse", "batch"])
 @pytest.mark.parametrize("div", FINE_STEPS)
 @pytest.mark.parametrize("method", ["be", "trap"])
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -172,6 +173,9 @@ def test_adaptive_error_bound(oracle, batched, eqn6_error, case, method, div,
                               engine):
     if engine == "scalar":
         _, error = oracle(method, *case, div, adaptive=True)
+    elif engine == "sparse":
+        result, error = oracle(method, *case, div, adaptive=True, sparse=True)
+        assert result.telemetry.sparse_factorizations > 0
     else:
         result = batched(method, div, True)[CASES.index(case)]
         error = eqn6_error(result, *case)

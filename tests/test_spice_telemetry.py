@@ -54,21 +54,48 @@ def failing_spec(tech018):
     )
 
 
-class TestConvergenceRecovery:
-    def test_seeded_newton_failure_recovers_by_step_halving(self, failing_spec):
-        """The PR acceptance criterion, fast engine."""
-        circuit = build_driver_bank(failing_spec)
+#: Step and Newton counters that must not depend on the linear-algebra tier.
+TIER_COUNTERS = ("newton_solves", "newton_iterations", "step_rejections",
+                 "step_retries", "lte_rejections", "accepted_steps")
+
+tiers = pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+
+
+def _failing_run(spec, sparse, **options):
+    """The failing bank's telemetry on one tier: its result's, or the one
+    attached to the ConvergenceError it raised (returned with the error)."""
+    try:
         result = transient(
-            circuit, default_stop_time(failing_spec), failing_spec.rise_time,
-            options=TransientOptions(max_newton=5),
+            build_driver_bank(spec), default_stop_time(spec), spec.rise_time,
+            options=TransientOptions(max_newton=5, sparse=sparse, **options),
         )
-        tel = result.telemetry
+    except ConvergenceError as exc:
+        return exc.telemetry, exc
+    return result.telemetry, result
+
+
+def _assert_tiers_agree(tel, spec, sparse, **options):
+    """The tier engaged, and the other tier counts the same steps and
+    Newton work."""
+    assert (tel.sparse_factorizations > 0) == sparse
+    other, _ = _failing_run(spec, not sparse, **options)
+    for name in TIER_COUNTERS:
+        assert getattr(tel, name) == getattr(other, name), name
+
+
+class TestConvergenceRecovery:
+    @tiers
+    def test_seeded_newton_failure_recovers_by_step_halving(self, failing_spec,
+                                                            sparse):
+        """The recovery criterion, on both linear-algebra tiers."""
+        tel, result = _failing_run(failing_spec, sparse)
         assert tel.step_rejections >= 1
         assert tel.recovered_rejections >= 1
         assert tel.step_retries == tel.step_rejections
         assert tel.unrecovered_failures == 0
         assert tel.accepted_steps == len(result.times) - 1
         assert tel.newton_iterations > tel.newton_solves > 0
+        _assert_tiers_agree(tel, failing_spec, sparse)
 
     def test_recovery_parity_fast_vs_legacy(self, failing_spec, seed_reference):
         """The engine rejects exactly as the frozen seed engine did and lands
@@ -85,30 +112,27 @@ class TestConvergenceRecovery:
             dv = np.max(np.abs(fast.voltage(node).y - ref.voltage(node)))
             assert dv <= PARITY_TOL, f"node {node}: |dV| = {dv:.3e} V"
 
-    def test_adaptive_mode_also_recovers(self, failing_spec):
-        result = transient(
-            build_driver_bank(failing_spec), default_stop_time(failing_spec),
-            failing_spec.rise_time,
-            options=TransientOptions(max_newton=5, adaptive=True),
-        )
-        assert result.telemetry.unrecovered_failures == 0
-        assert result.telemetry.accepted_steps == len(result.times) - 1
+    @tiers
+    def test_adaptive_mode_also_recovers(self, failing_spec, sparse):
+        tel, result = _failing_run(failing_spec, sparse, adaptive=True)
+        assert tel.step_rejections >= 1
+        assert tel.unrecovered_failures == 0
+        assert tel.accepted_steps == len(result.times) - 1
+        _assert_tiers_agree(tel, failing_spec, sparse, adaptive=True)
 
-    def test_min_dt_floor_makes_failure_unrecoverable(self, failing_spec):
+    @tiers
+    def test_min_dt_floor_makes_failure_unrecoverable(self, failing_spec, sparse):
         """With the floor at the base step no halving is allowed: the run
         raises, and the exception carries the partial telemetry."""
         dt = failing_spec.rise_time
-        with pytest.raises(ConvergenceError) as excinfo:
-            transient(
-                build_driver_bank(failing_spec), default_stop_time(failing_spec),
-                dt, options=TransientOptions(max_newton=5, min_dt=dt),
-            )
-        tel = excinfo.value.telemetry
+        tel, error = _failing_run(failing_spec, sparse, min_dt=dt)
+        assert isinstance(error, ConvergenceError)
         assert tel is not None
         assert tel.unrecovered_failures == 1
         assert tel.step_rejections >= 1
         assert tel.recovered_rejections == tel.step_rejections - 1
         assert "total" in tel.phase_seconds
+        _assert_tiers_agree(tel, failing_spec, sparse, min_dt=dt)
 
     def test_min_dt_must_be_positive(self):
         with pytest.raises(ValueError, match="min_dt"):
