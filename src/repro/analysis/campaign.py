@@ -171,6 +171,11 @@ def _record_from(index: int, sim: SsnSimulation, rung: str) -> dict:
     }
 
 
+def _record_telemetry(rec: dict) -> SolverTelemetry | None:
+    """The solver counters a journal record carries, if any."""
+    return SolverTelemetry.from_dict(rec["telemetry"]) if rec.get("telemetry") else None
+
+
 def _instance_record(payload: tuple) -> dict:
     """Simulate one instance and summarize it (module-level: picklable).
 
@@ -470,7 +475,7 @@ class CampaignRunner:
         (they are pure functions of the spec, so resumed results are
         identical to uninterrupted ones).
         """
-        from .sweeps import SweepPoint, SweepResult
+        from .sweeps import assemble_sweep
 
         values = [float(v) for v in values]
         specs = [apply(base, v) for v in values]
@@ -479,63 +484,31 @@ class CampaignRunner:
             fingerprint_extra={"knob": knob, "values": [repr(v) for v in values],
                                "base": repr(base)},
         )
-        points = []
-        for value, spec, rec in zip(values, specs, records):
-            estimates = {name: float(fn(spec)) for name, fn in estimators.items()}
-            tel = (SolverTelemetry.from_dict(rec["telemetry"])
-                   if rec.get("telemetry") else None)
-            points.append(SweepPoint(
-                value=value, spec=spec, simulated_peak=rec["peak"],
-                estimates=estimates, telemetry=tel,
-            ))
-        return SweepResult(knob=knob, points=tuple(points))
+        return assemble_sweep(
+            knob, values, specs, [rec["peak"] for rec in records],
+            [_record_telemetry(rec) for rec in records], estimators,
+        )
 
     def run_montecarlo(self, spec: DriverBankSpec, spread=None, trials: int = 64,
                        seed: int = 0):
         """Fault-tolerant golden transient Monte Carlo (device variation).
 
-        Mirrors :func:`repro.analysis.montecarlo.transient_peak_distribution`:
-        the trial draws are fixed up front from ``seed``, so the sample
-        vector is identical for every chunking, worker count and recovery
-        path.
+        Mirrors :func:`repro.analysis.montecarlo.transient_peak_distribution`
+        through the same trial builder, so the sample vector is identical
+        for every chunking, worker count and recovery path.
         """
-        from .montecarlo import DeviceSpread, MonteCarloResult
+        from .montecarlo import MonteCarloResult, device_trials
 
-        if trials < 2:
-            raise ValueError("trials must be at least 2")
-        spread = spread or DeviceSpread()
-        rng = np.random.default_rng(seed)
-        tech = spec.technology
-        vths = tech.nmos.vth0 + rng.normal(0.0, spread.vth_sigma, size=trials)
-        mus = tech.nmos.mu0 * rng.lognormal(
-            mean=0.0, sigma=max(spread.mu_sigma, 1e-12), size=trials
-        )
-        trial_specs = [
-            dataclasses.replace(
-                spec,
-                technology=dataclasses.replace(
-                    tech, nmos=tech.nmos.scaled(vth0=float(v), mu0=float(m))
-                ),
-            )
-            for v, m in zip(vths, mus)
-        ]
+        spread, trial_specs = device_trials(spec, spread, trials, seed)
         records = self.run_specs(
             trial_specs, kind="montecarlo",
             fingerprint_extra={"trials": trials, "seed": seed,
                                "spread": repr(spread), "spec": repr(spec)},
         )
-        samples = np.array([rec["peak"] for rec in records])
-        tel = SolverTelemetry.aggregate(
-            SolverTelemetry.from_dict(rec["telemetry"])
-            for rec in records if rec.get("telemetry")
-        )
-        return MonteCarloResult(
-            samples=samples,
-            mean=float(np.mean(samples)),
-            std=float(np.std(samples)),
-            p95=float(np.percentile(samples, 95.0)),
-            nominal=simulate_ssn_cached(spec).peak_voltage,
-            telemetry=tel,
+        return MonteCarloResult.from_samples(
+            np.array([rec["peak"] for rec in records]),
+            simulate_ssn_cached(spec).peak_voltage,
+            SolverTelemetry.aggregate(_record_telemetry(rec) for rec in records),
         )
 
     def run_simulate(self, specs: Sequence[DriverBankSpec]) -> list[SimulationSummary]:
@@ -549,9 +522,7 @@ class CampaignRunner:
             SimulationSummary(
                 index=rec["index"], spec=specs[rec["index"]],
                 peak_voltage=rec["peak"], peak_time=rec["peak_time"],
-                engine=rec["engine"],
-                telemetry=(SolverTelemetry.from_dict(rec["telemetry"])
-                           if rec.get("telemetry") else None),
+                engine=rec["engine"], telemetry=_record_telemetry(rec),
             )
             for rec in records
         ]

@@ -64,6 +64,19 @@ class MonteCarloResult:
     nominal: float
     telemetry: SolverTelemetry | None = None
 
+    @classmethod
+    def from_samples(cls, samples: np.ndarray, nominal: float,
+                     telemetry: SolverTelemetry | None) -> "MonteCarloResult":
+        """Summarize per-trial peaks: mean, standard deviation and p95."""
+        return cls(
+            samples=samples,
+            mean=float(np.mean(samples)),
+            std=float(np.std(samples)),
+            p95=float(np.percentile(samples, 95.0)),
+            nominal=nominal,
+            telemetry=telemetry,
+        )
+
     @property
     def guard_band(self) -> float:
         """How much margin variation demands: p95 - nominal, volts."""
@@ -138,14 +151,8 @@ def peak_noise_distribution(
 
     tel.add_phase_seconds("montecarlo", trace.elapsed(msp, wall_start))
     record_session(tel)
-    return MonteCarloResult(
-        samples=samples,
-        mean=float(np.mean(samples)),
-        std=float(np.std(samples)),
-        p95=float(np.percentile(samples, 95.0)),
-        nominal=peak_noise_from_figure(z, params, vdd),
-        telemetry=tel,
-    )
+    return MonteCarloResult.from_samples(
+        samples, peak_noise_from_figure(z, params, vdd), tel)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,24 +174,55 @@ class DeviceSpread:
             raise ValueError("spreads must be non-negative")
 
 
+def device_trials(
+    spec: DriverBankSpec, spread: DeviceSpread | None, trials: int, seed: int,
+) -> tuple[DeviceSpread, list[DriverBankSpec]]:
+    """The spread used (``spread`` or the default) and one spec per trial.
+
+    Each trial perturbs the nominal NMOS threshold (normal) and mobility
+    (lognormal), drawn up front from ``seed``: the trial vector is the same
+    for every engine, chunking, worker count and recovery path.
+    """
+    if trials < 2:
+        raise ValueError("trials must be at least 2")
+    spread = spread or DeviceSpread()
+    rng = np.random.default_rng(seed)
+    tech = spec.technology
+    vths = tech.nmos.vth0 + rng.normal(0.0, spread.vth_sigma, size=trials)
+    mus = tech.nmos.mu0 * rng.lognormal(
+        mean=0.0, sigma=max(spread.mu_sigma, 1e-12), size=trials
+    )
+    return spread, [
+        dataclasses.replace(
+            spec,
+            technology=dataclasses.replace(
+                tech, nmos=tech.nmos.scaled(vth0=float(v), mu0=float(m))
+            ),
+        )
+        for v, m in zip(vths, mus)
+    ]
+
+
 def transient_peak_distribution(
     spec: DriverBankSpec,
     spread: DeviceSpread | None = None,
     trials: int = 64,
     seed: int = 0,
     engine: str | None = None,
-    campaign=None,
 ) -> MonteCarloResult:
     """Monte Carlo the *golden-simulated* peak SSN under device variation.
 
     Where :func:`peak_noise_distribution` propagates spread through the
     closed-form Eqn (10), this runs the full transient simulator on every
     trial: the nominal technology's NMOS threshold and mobility are
-    perturbed, a driver-bank circuit is built per draw, and the whole
-    fleet of same-topology circuits is simulated.  Under the batched
-    engine (``engine="batch"`` or ``REPRO_ENGINE=batch``) the fleet
-    advances in one vectorized Newton loop instead of ``trials``
-    independent runs, which is what makes golden Monte Carlo affordable.
+    perturbed, a driver-bank circuit is built per draw
+    (:func:`device_trials`), and the whole fleet of same-topology circuits
+    is simulated.  Under the batched engine (``engine="batch"`` or
+    ``REPRO_ENGINE=batch``) the fleet advances in one vectorized Newton
+    loop instead of ``trials`` independent runs, which is what makes
+    golden Monte Carlo affordable.  For checkpoints, retries and engine
+    degradation run the same workload through
+    :meth:`repro.analysis.campaign.CampaignRunner.run_montecarlo`.
 
     Args:
         spec: nominal driver-bank configuration.
@@ -195,13 +233,6 @@ def transient_peak_distribution(
             front, so samples are identical for every engine.
         engine: transient engine, as in
             :func:`repro.analysis.simulate.simulate_many`.
-        campaign: optional :class:`repro.analysis.campaign.CampaignConfig`
-            routing the trial fleet through the fault-tolerant
-            :class:`~repro.analysis.campaign.CampaignRunner`
-            (checkpoint/resume, retries, engine degradation).  The draw
-            vector is fixed up front from ``seed`` either way, so samples
-            are bit-identical to the direct path; ``engine`` here is
-            ignored in favor of the config's own knob.
 
     Returns:
         The sampled golden peak-SSN distribution and summary statistics;
@@ -211,43 +242,13 @@ def transient_peak_distribution(
     # Local import: simulate builds on driver_bank, keep module import light.
     from .simulate import aggregate_telemetry, simulate_many, simulate_ssn_cached
 
-    if campaign is not None:
-        from .campaign import CampaignRunner
-
-        runner = campaign if isinstance(campaign, CampaignRunner) \
-            else CampaignRunner(campaign)
-        return runner.run_montecarlo(spec, spread=spread, trials=trials, seed=seed)
-    if trials < 2:
-        raise ValueError("trials must be at least 2")
-    spread = spread or DeviceSpread()
     wall_start = time.perf_counter()
     with trace.span("montecarlo", kind="transient", trials=trials) as msp:
-        rng = np.random.default_rng(seed)
-        tech = spec.technology
-        vths = tech.nmos.vth0 + rng.normal(0.0, spread.vth_sigma, size=trials)
-        mus = tech.nmos.mu0 * rng.lognormal(
-            mean=0.0, sigma=max(spread.mu_sigma, 1e-12), size=trials
-        )
-
-        trial_specs = [
-            dataclasses.replace(
-                spec,
-                technology=dataclasses.replace(
-                    tech, nmos=tech.nmos.scaled(vth0=float(v), mu0=float(m))
-                ),
-            )
-            for v, m in zip(vths, mus)
-        ]
+        _, trial_specs = device_trials(spec, spread, trials, seed)
         sims = simulate_many(trial_specs, engine=engine)
         samples = np.array([sim.peak_voltage for sim in sims])
 
     tel = aggregate_telemetry(sims)
     tel.add_phase_seconds("montecarlo_transient", trace.elapsed(msp, wall_start))
-    return MonteCarloResult(
-        samples=samples,
-        mean=float(np.mean(samples)),
-        std=float(np.std(samples)),
-        p95=float(np.percentile(samples, 95.0)),
-        nominal=simulate_ssn_cached(spec).peak_voltage,
-        telemetry=tel,
-    )
+    return MonteCarloResult.from_samples(
+        samples, simulate_ssn_cached(spec).peak_voltage, tel)

@@ -112,6 +112,39 @@ class SweepResult:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+#: sweep knob -> pure spec transform deriving one point's spec from the base.
+KNOBS: dict[str, Callable[[DriverBankSpec, float], DriverBankSpec]] = {
+    "n_drivers": lambda spec, n: dataclasses.replace(spec, n_drivers=int(n)),
+    "capacitance": lambda spec, c: dataclasses.replace(spec, capacitance=float(c)),
+    "rise_time": lambda spec, tr: dataclasses.replace(spec, rise_time=float(tr)),
+}
+
+
+def assemble_sweep(
+    knob: str,
+    values: Sequence[float],
+    specs: Sequence[DriverBankSpec],
+    peaks: Sequence[float],
+    telemetries: Sequence[SolverTelemetry | None],
+    estimators: dict[str, Estimator],
+) -> SweepResult:
+    """Pair each point's golden peak with every estimator's answer.
+
+    The estimators are pure functions of the spec, so they run here, in the
+    calling process, after the golden simulations have landed.
+    """
+    return SweepResult(knob=knob, points=tuple(
+        SweepPoint(
+            value=float(value),
+            spec=spec,
+            simulated_peak=peak,
+            estimates={name: float(fn(spec)) for name, fn in estimators.items()},
+            telemetry=tel,
+        )
+        for value, spec, peak, tel in zip(values, specs, peaks, telemetries)
+    ))
+
+
 def sweep(
     knob: str,
     base: DriverBankSpec,
@@ -120,15 +153,19 @@ def sweep(
     estimators: dict[str, Estimator],
     max_workers: int | None = None,
     engine: str | None = None,
-    campaign=None,
 ) -> SweepResult:
     """Run the golden simulation and all estimators across ``values``.
+
+    For checkpoints, retries and engine degradation run the same workload
+    through :meth:`repro.analysis.campaign.CampaignRunner.run_sweep`; its
+    results are bit-identical to this direct path.
 
     Args:
         knob: label of the swept quantity (for reports).
         base: template spec; ``apply(base, value)`` yields each point's spec.
         values: knob values, in presentation order.
-        apply: pure function deriving a concrete spec from the template.
+        apply: pure function deriving a concrete spec from the template
+            (:data:`KNOBS` holds the standard ones).
         estimators: name -> callback evaluated on each concrete spec.
         max_workers: process-pool width for the golden simulations; the
             default (None) honors ``REPRO_MAX_WORKERS`` and otherwise runs
@@ -137,87 +174,62 @@ def sweep(
             ``"batch"`` or ``"auto"``); the default honors ``REPRO_ENGINE``
             per :func:`repro.analysis.engine.resolve_engine`.  The batched
             engine runs all sweep points in one vectorized Newton loop.
-        campaign: optional :class:`repro.analysis.campaign.CampaignConfig`
-            routing the golden simulations through the fault-tolerant
-            :class:`~repro.analysis.campaign.CampaignRunner`
-            (checkpoint/resume, retries, engine degradation).  Results are
-            bit-identical to the direct path; ``max_workers``/``engine``
-            here are ignored in favor of the config's own knobs.
 
     Returns:
         The populated :class:`SweepResult`.
     """
-    if campaign is not None:
-        # Local import: campaign builds on this module's result types.
-        from .campaign import CampaignRunner
-
-        runner = campaign if isinstance(campaign, CampaignRunner) \
-            else CampaignRunner(campaign)
-        return runner.run_sweep(knob, base, values, apply, estimators)
     with trace.span("sweep", knob=knob, points=len(values)):
         specs = [apply(base, value) for value in values]
         sims = simulate_many(specs, max_workers=max_workers, engine=engine)
-        points = []
-        for value, spec, sim in zip(values, specs, sims):
-            estimates = {name: float(fn(spec)) for name, fn in estimators.items()}
-            points.append(
-                SweepPoint(
-                    value=float(value),
-                    spec=spec,
-                    simulated_peak=sim.peak_voltage,
-                    estimates=estimates,
-                    telemetry=sim.telemetry,
-                )
-            )
-        return SweepResult(knob=knob, points=tuple(points))
+        return assemble_sweep(
+            knob, values, specs, [sim.peak_voltage for sim in sims],
+            [sim.telemetry for sim in sims], estimators,
+        )
 
 
 def sweep_driver_count(
     base: DriverBankSpec, counts: Sequence[int], estimators: dict[str, Estimator],
-    max_workers: int | None = None, engine: str | None = None, campaign=None,
+    max_workers: int | None = None, engine: str | None = None,
 ) -> SweepResult:
     """Sweep the number of simultaneously switching drivers (Figs. 3-4)."""
     return sweep(
         "n_drivers",
         base,
         list(counts),
-        lambda spec, n: dataclasses.replace(spec, n_drivers=int(n)),
+        KNOBS["n_drivers"],
         estimators,
         max_workers=max_workers,
         engine=engine,
-        campaign=campaign,
     )
 
 
 def sweep_ground_capacitance(
     base: DriverBankSpec, capacitances: Sequence[float], estimators: dict[str, Estimator],
-    max_workers: int | None = None, engine: str | None = None, campaign=None,
+    max_workers: int | None = None, engine: str | None = None,
 ) -> SweepResult:
     """Sweep the parasitic ground capacitance (Section 4 studies)."""
     return sweep(
         "capacitance",
         base,
         list(capacitances),
-        lambda spec, c: dataclasses.replace(spec, capacitance=float(c)),
+        KNOBS["capacitance"],
         estimators,
         max_workers=max_workers,
         engine=engine,
-        campaign=campaign,
     )
 
 
 def sweep_rise_time(
     base: DriverBankSpec, rise_times: Sequence[float], estimators: dict[str, Estimator],
-    max_workers: int | None = None, engine: str | None = None, campaign=None,
+    max_workers: int | None = None, engine: str | None = None,
 ) -> SweepResult:
     """Sweep the input ramp duration (slope design-knob studies)."""
     return sweep(
         "rise_time",
         base,
         list(rise_times),
-        lambda spec, tr: dataclasses.replace(spec, rise_time=float(tr)),
+        KNOBS["rise_time"],
         estimators,
         max_workers=max_workers,
         engine=engine,
-        campaign=campaign,
     )

@@ -57,7 +57,6 @@ Prometheus text.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import sys
 
@@ -546,14 +545,6 @@ def _run_report(args) -> str:
     return _report(args.experiment, args.tech)
 
 
-#: sweep-command knob -> pure spec transform (shared with the sweep layer).
-_SWEEP_APPLY = {
-    "n_drivers": lambda spec, v: dataclasses.replace(spec, n_drivers=int(v)),
-    "capacitance": lambda spec, v: dataclasses.replace(spec, capacitance=float(v)),
-    "rise_time": lambda spec, v: dataclasses.replace(spec, rise_time=float(v)),
-}
-
-
 def _asdm_estimator(models):
     """Closed-form peak-SSN estimate matched to each point's topology."""
     vdd = models.technology.vdd
@@ -576,6 +567,7 @@ def _campaign_summary(runner: CampaignRunner) -> str:
 
 
 def _run_sweep(args) -> str:
+    from .analysis.sweeps import KNOBS
     from .experiments.common import fitted_models
 
     models = fitted_models(args.tech)
@@ -586,7 +578,7 @@ def _run_sweep(args) -> str:
     )
     values = [float(v) for v in args.values.split(",") if v.strip()]
     runner = CampaignRunner(_campaign_config(args))
-    result = runner.run_sweep(args.knob, base, values, _SWEEP_APPLY[args.knob],
+    result = runner.run_sweep(args.knob, base, values, KNOBS[args.knob],
                               {"asdm": _asdm_estimator(models)})
     lines = [
         f"sweep {args.knob} over {len(values)} points "

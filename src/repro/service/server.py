@@ -59,7 +59,7 @@ import time
 
 from ..analysis.campaign import CampaignConfig, CampaignRunner
 from ..analysis.driver_bank import DriverBankSpec
-from ..analysis.montecarlo import DeviceSpread, transient_peak_distribution
+from ..analysis.montecarlo import DeviceSpread
 from ..analysis.simulate import canonical_options, simulate_ssn_cached
 from ..observability import events as obs_events
 from ..observability import health as obs_health
@@ -402,14 +402,15 @@ class SsnService:
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         raw_length = headers.get("content-length", "0") or "0"
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise BadRequest(f"invalid Content-Length {raw_length!r}") from None
-        if length < 0:
-            raise BadRequest(f"invalid Content-Length {raw_length!r}")
-        if length > MAX_BODY_BYTES:
+        # ASCII digits only: int() would also take "+5", "1_0" and
+        # non-ASCII digits.
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise BadRequest(f"invalid Content-Length {raw_length[:32]!r}")
+        # Count digits before int(), which refuses over-long digit strings.
+        digits = raw_length.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
             raise BadRequest("request body too large")
+        length = int(digits)
         body = await reader.readexactly(length) if length else b""
         return method, target.split("?", 1)[0], body
 
@@ -790,10 +791,8 @@ class SsnService:
                                  spread: DeviceSpread, trials: int,
                                  seed: int) -> dict:
         obs_metrics.inc("repro_service_computes_total")
-        result = transient_peak_distribution(
-            spec, spread=spread, trials=trials, seed=seed,
-            campaign=self._campaign_config(),
-        )
+        result = CampaignRunner(self._campaign_config()).run_montecarlo(
+            spec, spread=spread, trials=trials, seed=seed)
         return montecarlo_record(key, result, meta={
             "request": canonical_request(
                 spec, kind="montecarlo",

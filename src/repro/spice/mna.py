@@ -68,6 +68,7 @@ from scipy.linalg.lapack import dgesv as _dgesv
 from scipy.sparse.linalg import splu as _splu
 
 from .circuit import Circuit
+from .telemetry import SolverTelemetry
 
 #: Unknown-count above which ``sparse="auto"`` engages the CSC tier.  The
 #: crossover is where one dense O(n^3) factorization per Newton iterate
@@ -386,8 +387,8 @@ class MnaSystem:
         self._lu_key = None
         self._lu = None
         self._lu_guard: np.ndarray | None = None
-        #: Optional SolverTelemetry the current solve records into.
-        self.telemetry = None
+        #: SolverTelemetry the current solve records into.
+        self.telemetry = SolverTelemetry()
 
     def branch_row_of(self, element, k: int = 0) -> int:
         """Global row/column index of an element's k-th branch unknown.
@@ -410,16 +411,14 @@ class MnaSystem:
 
     def assemble_base(self, ctx: StampContext) -> None:
         """Clear ``ctx``'s buffers and stamp every element's ``stamp``."""
-        if self.telemetry is not None:
-            self.telemetry.base_assemblies += 1
+        self.telemetry.base_assemblies += 1
         ctx.clear()
         for el in self.circuit.elements:
             el.stamp(ctx)
 
     def assemble_nonlinear(self, ctx: StampContext) -> None:
         """Add the nonlinear elements' ``stamp_iterate`` to ``ctx``."""
-        if self.telemetry is not None:
-            self.telemetry.nonlinear_restamps += 1
+        self.telemetry.nonlinear_restamps += 1
         for el in self.devices:
             el.stamp_iterate(ctx)
 
@@ -477,8 +476,7 @@ class MnaSystem:
         assemble(ctx)
         if pattern is not None:
             if ctx.cursor == pattern.count:
-                if self.telemetry is not None:
-                    self.telemetry.sparse_pattern_reuses += 1
+                self.telemetry.sparse_pattern_reuses += 1
                 return pattern.matrix()
             ctx.pattern = None
             ctx.clear()
@@ -531,15 +529,14 @@ class MnaSystem:
             # LinAlgWarning on the zero pivot.
             warnings.simplefilter("ignore")
             stale = key == self._lu_key and not np.array_equal(guard, self._lu_guard)
-            if stale and tel is not None:
+            if stale:
                 tel.lu_cache_invalidations += 1
             if key != self._lu_key or stale:
-                if tel is not None:
-                    tel.lu_cache_misses += 1
+                tel.lu_cache_misses += 1
                 self._lu = self._factorize(A)
                 self._lu_key = None if self._lu is None else key
                 self._lu_guard = None if self._lu is None else guard.copy()
-            elif tel is not None:
+            else:
                 tel.lu_cache_hits += 1
             if self._lu is not None:
                 x = self._lu(z)
@@ -566,8 +563,7 @@ class MnaSystem:
                 lu = _splu(A)
         except (RuntimeError, ValueError):
             return None
-        if self.telemetry is not None:
-            self.telemetry.sparse_factorizations += 1
+        self.telemetry.sparse_factorizations += 1
         return lu.solve
 
 

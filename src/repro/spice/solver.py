@@ -81,8 +81,8 @@ def newton_solve(
         abstol: absolute convergence tolerance on every unknown.
         reltol: relative convergence tolerance on every unknown.
         max_update: per-iteration cap on the infinity norm of the update.
-        telemetry: optional counters record; iteration, assembly and
-            LU-cache activity of this solve are added to it.
+        telemetry: counters record the iteration, assembly and LU-cache
+            activity of this solve are added to (a fresh one when None).
 
     Returns:
         (x, ctx): the converged unknowns and a context positioned *at* the
@@ -92,9 +92,10 @@ def newton_solve(
         ConvergenceError: if the iteration budget is exhausted or the
             linearized system is singular beyond recovery.
     """
+    if telemetry is None:
+        telemetry = SolverTelemetry()
     system.telemetry = telemetry
-    if telemetry is not None:
-        telemetry.newton_solves += 1
+    telemetry.newton_solves += 1
     if _fire_fault("newton") is not None:
         # Deterministic fault injection (repro.testing.faults): report this
         # solve as diverged so the recovery ladders above get exercised.
@@ -127,8 +128,7 @@ def newton_solve(
         iterations = 0
         for _ in range(max_iter):
             iterations += 1
-            if telemetry is not None:
-                telemetry.newton_iterations += 1
+            telemetry.newton_iterations += 1
             with trace.span("assembly", level="full") if detailed else NOOP_SPAN:
                 A, z = system.stamp_iterate(ctx, x)
             with trace.span("lu_solve", level="full") if detailed else NOOP_SPAN:

@@ -266,15 +266,13 @@ class TestCrashAndResume:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(KeyboardInterrupt):
-                sweep("n_drivers", base, values, apply, estimators,
-                      campaign=first)
+                first.run_sweep("n_drivers", base, values, apply, estimators)
 
         second = CampaignRunner(CampaignConfig(
             checkpoint=ckpt, chunk_size=2, max_retries=2, backoff_base=0.0,
             max_workers=2, engine="scalar", resume=True,
         ))
-        result = sweep("n_drivers", base, values, apply, estimators,
-                       campaign=second)
+        result = second.run_sweep("n_drivers", base, values, apply, estimators)
         faults.clear_faults()
 
         assert result.values() == clean.values()

@@ -235,8 +235,8 @@ class TestWorkloadWrappers:
         estimators = {"linear": lambda spec: 0.02 * spec.n_drivers}
         direct = sweep("n_drivers", base, values, apply, estimators,
                        max_workers=1, engine="scalar")
-        via_campaign = sweep("n_drivers", base, values, apply, estimators,
-                             campaign=_config(chunk_size=2))
+        via_campaign = CampaignRunner(_config(chunk_size=2)).run_sweep(
+            "n_drivers", base, values, apply, estimators)
         assert via_campaign.knob == direct.knob
         assert via_campaign.values() == direct.values()
         assert via_campaign.simulated_peaks() == direct.simulated_peaks()
@@ -247,8 +247,8 @@ class TestWorkloadWrappers:
         spec = _specs(tech018, [2])[0]
         direct = transient_peak_distribution(spec, trials=4, seed=7,
                                              engine="scalar")
-        via_campaign = transient_peak_distribution(
-            spec, trials=4, seed=7, campaign=_config(chunk_size=2)
+        via_campaign = CampaignRunner(_config(chunk_size=2)).run_montecarlo(
+            spec, trials=4, seed=7
         )
         assert np.array_equal(via_campaign.samples, direct.samples)
         assert via_campaign.nominal == direct.nominal

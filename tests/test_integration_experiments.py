@@ -105,6 +105,15 @@ class TestFig3:
     def test_report_renders(self, fig3):
         assert "Most accurate" in fig3.format_report()
 
+    @pytest.mark.xfail(strict=True, reason="the global ASDM fit reads -5.7% "
+                       "at N = 1 on tsmc018, outside the paper's 3% (ROADMAP)")
+    def test_this_work_within_paper_three_percent_at_one_driver(self):
+        """The paper's <3% claim at the sweep's worst point, N = 1, which
+        the sampled N = 2, 8, 16 above never visit."""
+        single = fig3_model_comparison.run(driver_counts=(1,))
+        error = single.sweep.points[0].percent_error(fig3_model_comparison.THIS_WORK)
+        assert abs(error) < 3.0, f"{error:+.2f}%"
+
 
 class TestFig4:
     def test_l_only_fails_underdamped(self, fig4):

@@ -17,6 +17,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.driver_bank import DriverBankSpec
 from repro.analysis.simulate import simulate_ssn, simulate_ssn_cache_clear
@@ -476,12 +478,16 @@ class TestHttpSurface:
     @pytest.mark.parametrize("request_bytes", [
         b"POST /simulate HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
         b"POST /simulate HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        b"POST /simulate HTTP/1.1\r\nContent-Length: +5\r\n\r\n",
+        b"POST /simulate HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n",
+        b"POST /simulate HTTP/1.1\r\nContent-Length: 0x5\r\n\r\n",
         post_bytes("/sweep", b'{"knob":"n_drivers","values":[1e400]}'),
         post_bytes("/simulate", b'{"n_drivers": 1e400}'),
         post_bytes("/montecarlo", b'{"n_drivers": 1, "trials": 1e400}'),
         post_bytes("/montecarlo", b'{"n_drivers": 1, "seed": 1e400}'),
         post_bytes("/simulate", b"[" * 100_000),
-    ], ids=["length-not-a-number", "length-negative", "sweep-value-overflow",
+    ], ids=["length-not-a-number", "length-negative", "length-plus-sign",
+            "length-underscore", "length-hex", "sweep-value-overflow",
             "spec-field-overflow", "trials-overflow", "seed-overflow",
             "nesting-too-deep"])
     def test_malformed_request_is_a_400_and_stores_nothing(
@@ -669,3 +675,44 @@ class TestSurrogateFirst:
         assert registry.get("repro_store_hits_total") is None
         assert registry.get("repro_store_misses_total") is None
         assert all(b'"waveforms"' not in text for text in spy.texts)
+
+
+#: Content-Length values: valid, near-valid and junk, plus a digit string
+#: past int()'s conversion limit.
+_LENGTHS = st.one_of(
+    st.integers(min_value=-3, max_value=64).map(str),
+    st.sampled_from(["+5", "1_0", "0x5", " 7", "٥", "\u00b2", "00003",
+                     "9" * 5000]),
+    st.text(max_size=12),
+)
+
+
+def _request_bytes(length: str, body: bytes) -> bytes:
+    return (b"POST /simulate HTTP/1.1\r\nContent-Length: "
+            + length.encode("utf-8") + b"\r\n\r\n" + body)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.one_of(
+    st.binary(max_size=200),
+    st.builds(_request_bytes, _LENGTHS, st.binary(max_size=80)),
+))
+def test_read_request_returns_a_request_or_a_client_error(raw):
+    """Any byte stream ending in EOF parses to (method, path, body) or is
+    refused as the client's fault (a 400, or a body cut short): never
+    another exception."""
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await SsnService._read_request(reader)
+
+    try:
+        result = asyncio.run(read())
+    except (server_module.BadRequest, asyncio.IncompleteReadError):
+        return
+    assert isinstance(result, tuple) and len(result) == 3
+    method, path, body = result
+    assert isinstance(method, str) and isinstance(path, str)
+    assert isinstance(body, bytes)
