@@ -495,20 +495,24 @@ class CampaignRunner:
 
         Mirrors :func:`repro.analysis.montecarlo.transient_peak_distribution`
         through the same trial builder, so the sample vector is identical
-        for every chunking, worker count and recovery path.
+        for every chunking, worker count and recovery path, and the
+        telemetry carries the same ``montecarlo_transient`` wall clock.
         """
         from .montecarlo import MonteCarloResult, device_trials
 
-        spread, trial_specs = device_trials(spec, spread, trials, seed)
-        records = self.run_specs(
-            trial_specs, kind="montecarlo",
-            fingerprint_extra={"trials": trials, "seed": seed,
-                               "spread": repr(spread), "spec": repr(spec)},
-        )
+        wall_start = time.perf_counter()
+        with trace.span("montecarlo", kind="transient", trials=trials) as msp:
+            spread, trial_specs = device_trials(spec, spread, trials, seed)
+            records = self.run_specs(
+                trial_specs, kind="montecarlo",
+                fingerprint_extra={"trials": trials, "seed": seed,
+                                   "spread": repr(spread), "spec": repr(spec)},
+            )
+        tel = SolverTelemetry.aggregate(_record_telemetry(rec) for rec in records)
+        tel.add_phase_seconds("montecarlo_transient", trace.elapsed(msp, wall_start))
         return MonteCarloResult.from_samples(
             np.array([rec["peak"] for rec in records]),
-            simulate_ssn_cached(spec).peak_voltage,
-            SolverTelemetry.aggregate(_record_telemetry(rec) for rec in records),
+            simulate_ssn_cached(spec).peak_voltage, tel,
         )
 
     def run_simulate(self, specs: Sequence[DriverBankSpec]) -> list[SimulationSummary]:

@@ -88,6 +88,8 @@ class DriverBankSpec:
             raise ValueError("resistance must be non-negative")
         if self.rise_time <= 0 or self.load_capacitance <= 0:
             raise ValueError("rise_time and load_capacitance must be positive")
+        if self.driver_strength <= 0:
+            raise ValueError("driver_strength must be positive")
         if self.input_offsets is not None:
             if len(self.input_offsets) != self.n_drivers:
                 raise ValueError(

@@ -115,6 +115,7 @@ class SweepResult:
 #: sweep knob -> pure spec transform deriving one point's spec from the base.
 KNOBS: dict[str, Callable[[DriverBankSpec, float], DriverBankSpec]] = {
     "n_drivers": lambda spec, n: dataclasses.replace(spec, n_drivers=int(n)),
+    "inductance": lambda spec, ind: dataclasses.replace(spec, inductance=float(ind)),
     "capacitance": lambda spec, c: dataclasses.replace(spec, capacitance=float(c)),
     "rise_time": lambda spec, tr: dataclasses.replace(spec, rise_time=float(tr)),
 }

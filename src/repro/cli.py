@@ -11,7 +11,7 @@ Seven commands cover the library's day-to-day uses:
 * ``report``    — run a paper experiment and print its report (the same
   artifacts the benchmark harness regenerates).
 * ``sweep``     — golden-simulate one knob sweep (driver count, ground
-  capacitance or rise time) against the ASDM estimate.
+  inductance, ground capacitance or rise time) against the ASDM estimate.
 * ``montecarlo``— golden transient Monte Carlo under device variation.
 * ``simulate``  — golden-simulate a list of driver counts and print peaks.
 * ``serve``     — the SSN service (:mod:`repro.service`): an async HTTP
@@ -37,6 +37,7 @@ the fault-tolerant runner (:mod:`repro.analysis.campaign`): they accept
 (replay the journal and run only what's missing, bit-identical to an
 uninterrupted run), ``--max-retries``/``--deadline`` (per-chunk retry
 budget and per-task wall-clock limit) plus ``--chunk-size``/``--workers``.
+``serve`` takes the same four runner flags for its dispatched misses.
 
 Every command additionally accepts ``--telemetry`` (print aggregated solver
 counters — Newton iterations, step rejections/retries, LU-cache activity,
@@ -63,6 +64,7 @@ import sys
 from .analysis.campaign import CampaignConfig, CampaignRunner
 from .analysis.driver_bank import DriverBankSpec
 from .analysis.engine import ENGINES, set_default_engine
+from .analysis.sweeps import KNOBS
 from .spice.mna import SPARSE_MODES, set_default_sparse
 from .observability import atomic_write_json, summarize_trace_file
 from .observability import events as obs_events
@@ -169,19 +171,29 @@ def _telemetry_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _campaign_parent() -> argparse.ArgumentParser:
-    """Shared fault-tolerance flags of the campaign commands."""
+def _spec_parent() -> argparse.ArgumentParser:
+    """Shared ground-path and edge flags of the commands that build a bank."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--checkpoint", metavar="PATH", default=None,
-        help="journal completed chunks to PATH (atomic JSONL); a crashed or "
-        "interrupted run can be finished with --resume",
+    parent.add_argument("-l", "--inductance", type=float, default=5e-9,
+                        help="ground inductance in henries (default 5e-9)")
+    parent.add_argument("-c", "--capacitance", type=float, default=None,
+                        help="ground capacitance in farads (default: none -> Eqn 7)")
+    parent.add_argument("-t", "--rise-time", type=float, default=0.5e-9,
+                        help="input rise time in seconds (default 0.5e-9)")
+    return parent
+
+
+def _spec(args, technology, n: int) -> DriverBankSpec:
+    """The ``n``-driver bank behind the ``-l``/``-c``/``-t`` ground path."""
+    return DriverBankSpec(
+        technology=technology, n_drivers=n, inductance=args.inductance,
+        rise_time=args.rise_time, capacitance=args.capacitance,
     )
-    parent.add_argument(
-        "--resume", action="store_true",
-        help="replay the --checkpoint journal and run only missing chunks; "
-        "results are bit-identical to an uninterrupted run",
-    )
+
+
+def _runner_parent() -> argparse.ArgumentParser:
+    """Shared runner flags: retry ladder, deadline, chunking, pool width."""
+    parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
         help="re-attempts per chunk (and per recovery rung) after the first "
@@ -200,6 +212,22 @@ def _campaign_parent() -> argparse.ArgumentParser:
         "--workers", type=int, default=None, metavar="N",
         help="process-pool width for scalar-engine chunks (default: "
         "$REPRO_MAX_WORKERS, else serial; 0 = one per CPU)",
+    )
+    return parent
+
+
+def _campaign_parent() -> argparse.ArgumentParser:
+    """Checkpoint flags the campaign commands add to the runner flags."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--checkpoint", metavar="PATH", default=None,
+        help="journal completed chunks to PATH (atomic JSONL); a crashed or "
+        "interrupted run can be finished with --resume",
+    )
+    parent.add_argument(
+        "--resume", action="store_true",
+        help="replay the --checkpoint journal and run only missing chunks; "
+        "results are bit-identical to an uninterrupted run",
     )
     return parent
 
@@ -225,7 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     telemetry_parent = _telemetry_parent()
+    spec_parent = _spec_parent()
+    runner_parent = _runner_parent()
     _parent = {"parents": [telemetry_parent]}
+    _campaign = {"parents": [telemetry_parent, spec_parent, runner_parent,
+                             _campaign_parent()]}
 
     fit = sub.add_parser("fit", help="fit ASDM and baseline models to a process",
                          **_parent)
@@ -234,16 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="driver width as a multiple of the reference (default 1)")
 
     est = sub.add_parser("estimate", help="peak-SSN estimate for one configuration",
-                         **_parent)
+                         parents=[telemetry_parent, spec_parent])
     _add_tech_argument(est)
     est.add_argument("-n", "--drivers", type=int, required=True,
                      help="simultaneously switching drivers")
-    est.add_argument("-l", "--inductance", type=float, default=5e-9,
-                     help="ground inductance in henries (default 5e-9)")
-    est.add_argument("-c", "--capacitance", type=float, default=None,
-                     help="ground capacitance in farads (default: none -> Eqn 7)")
-    est.add_argument("-t", "--rise-time", type=float, default=0.5e-9,
-                     help="input rise time in seconds (default 0.5e-9)")
     est.add_argument("--gate-csv", default=None,
                      help="CSV of a measured gate waveform (t,y columns); "
                      "adds a PWL-drive estimate fed that waveform")
@@ -264,25 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tech_argument(report)
     report.add_argument("experiment", choices=sorted(_EXPERIMENTS) + ["all"])
 
-    campaign_parent = _campaign_parent()
-    _campaign = {"parents": [telemetry_parent, campaign_parent]}
-
     swp = sub.add_parser(
         "sweep", help="golden-simulate a knob sweep vs the ASDM estimate",
         **_campaign)
     _add_tech_argument(swp)
-    swp.add_argument("--knob", choices=("n_drivers", "capacitance", "rise_time"),
-                     default="n_drivers", help="quantity to sweep (default n_drivers)")
+    swp.add_argument("--knob", choices=sorted(KNOBS), default="n_drivers",
+                     help="quantity to sweep; the other flags set the base "
+                     "point (default n_drivers)")
     swp.add_argument("--values", required=True,
                      help="comma-separated knob values (e.g. 1,2,4,8)")
     swp.add_argument("-n", "--drivers", type=int, default=4,
                      help="base driver count (default 4)")
-    swp.add_argument("-l", "--inductance", type=float, default=5e-9,
-                     help="ground inductance in henries (default 5e-9)")
-    swp.add_argument("-c", "--capacitance", type=float, default=None,
-                     help="base ground capacitance in farads (default: none)")
-    swp.add_argument("-t", "--rise-time", type=float, default=0.5e-9,
-                     help="base input rise time in seconds (default 0.5e-9)")
     swp.add_argument("--csv", metavar="PATH", default=None,
                      help="also write the sweep as CSV to PATH")
 
@@ -292,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tech_argument(mc)
     mc.add_argument("-n", "--drivers", type=int, required=True,
                     help="simultaneously switching drivers")
-    mc.add_argument("-l", "--inductance", type=float, default=5e-9)
-    mc.add_argument("-c", "--capacitance", type=float, default=None)
-    mc.add_argument("-t", "--rise-time", type=float, default=0.5e-9)
     mc.add_argument("--trials", type=int, default=64,
                     help="Monte Carlo draws (default 64)")
     mc.add_argument("--seed", type=int, default=0,
@@ -310,15 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tech_argument(sim)
     sim.add_argument("-n", "--drivers", required=True,
                      help="comma-separated driver counts (e.g. 2,4,8)")
-    sim.add_argument("-l", "--inductance", type=float, default=5e-9)
-    sim.add_argument("-c", "--capacitance", type=float, default=None)
-    sim.add_argument("-t", "--rise-time", type=float, default=0.5e-9)
 
     srv = sub.add_parser(
         "serve",
         help="serve simulate/sweep/montecarlo over HTTP from the "
         "persistent result store",
-        parents=[_telemetry_parent()],
+        parents=[telemetry_parent, runner_parent],
     )
     srv.add_argument("--host", default="127.0.0.1",
                      help="bind address (default 127.0.0.1)")
@@ -327,18 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "it (default 8431)")
     srv.add_argument("--store", metavar="DIR", default=".repro_store",
                      help="result-database directory (default .repro_store)")
-    srv.add_argument("--max-retries", type=int, default=2, metavar="N",
-                     help="campaign retry budget for dispatched misses "
-                     "(default 2)")
-    srv.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                     help="per-task wall-clock budget of dispatched misses "
-                     "(default: none)")
-    srv.add_argument("--chunk-size", type=int, default=8, metavar="N",
-                     help="campaign chunk size for Monte Carlo fleets "
-                     "(default 8)")
-    srv.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="process-pool width for dispatched campaigns "
-                     "(default: $REPRO_MAX_WORKERS, else serial)")
     srv.add_argument("--no-surrogate", action="store_true",
                      help="disable surrogate-first answering (every "
                      "/simulate goes through the exact store/dispatch path)")
@@ -567,15 +567,10 @@ def _campaign_summary(runner: CampaignRunner) -> str:
 
 
 def _run_sweep(args) -> str:
-    from .analysis.sweeps import KNOBS
     from .experiments.common import fitted_models
 
     models = fitted_models(args.tech)
-    base = DriverBankSpec(
-        technology=models.technology, n_drivers=args.drivers,
-        inductance=args.inductance, rise_time=args.rise_time,
-        capacitance=args.capacitance,
-    )
+    base = _spec(args, models.technology, args.drivers)
     values = [float(v) for v in args.values.split(",") if v.strip()]
     runner = CampaignRunner(_campaign_config(args))
     result = runner.run_sweep(args.knob, base, values, KNOBS[args.knob],
@@ -602,16 +597,9 @@ def _run_montecarlo(args) -> str:
     from .experiments.common import fitted_models
 
     models = fitted_models(args.tech)
-    spec = DriverBankSpec(
-        technology=models.technology, n_drivers=args.drivers,
-        inductance=args.inductance, rise_time=args.rise_time,
-        capacitance=args.capacitance,
-    )
-    defaults = DeviceSpread()
-    spread = DeviceSpread(
-        vth_sigma=defaults.vth_sigma if args.vth_sigma is None else args.vth_sigma,
-        mu_sigma=defaults.mu_sigma if args.mu_sigma is None else args.mu_sigma,
-    )
+    spec = _spec(args, models.technology, args.drivers)
+    spread = DeviceSpread(**{k: getattr(args, k) for k in ("vth_sigma", "mu_sigma")
+                             if getattr(args, k) is not None})
     runner = CampaignRunner(_campaign_config(args))
     result = runner.run_montecarlo(spec, spread=spread, trials=args.trials,
                                    seed=args.seed)
@@ -831,14 +819,7 @@ def _run_simulate(args) -> str:
 
     models = fitted_models(args.tech)
     counts = [int(v) for v in args.drivers.split(",") if v.strip()]
-    specs = [
-        DriverBankSpec(
-            technology=models.technology, n_drivers=n,
-            inductance=args.inductance, rise_time=args.rise_time,
-            capacitance=args.capacitance,
-        )
-        for n in counts
-    ]
+    specs = [_spec(args, models.technology, n) for n in counts]
     runner = CampaignRunner(_campaign_config(args))
     summaries = runner.run_simulate(specs)
     lines = [

@@ -61,6 +61,7 @@ from ..analysis.campaign import CampaignConfig, CampaignRunner
 from ..analysis.driver_bank import DriverBankSpec
 from ..analysis.montecarlo import DeviceSpread
 from ..analysis.simulate import canonical_options, simulate_ssn_cached
+from ..analysis.sweeps import KNOBS
 from ..observability import events as obs_events
 from ..observability import health as obs_health
 from ..observability import metrics as obs_metrics
@@ -94,7 +95,14 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: body); a connection still mid-request after that is closed unanswered.
 READ_TIMEOUT_S = 30.0
 
-#: Spec fields a request may set, with coercions (None = required).
+def _json_bool(value) -> bool:
+    """A JSON boolean as is; ``bool()`` would read the string "false" as true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, not {value!r}")
+    return value
+
+
+#: Spec fields a request may set, with their coercions.
 _SPEC_FIELDS = {
     "n_drivers": int,
     "inductance": float,
@@ -103,15 +111,7 @@ _SPEC_FIELDS = {
     "resistance": float,
     "load_capacitance": float,
     "driver_strength": float,
-    "collapse": bool,
-}
-
-#: Sweepable spec knobs: name -> per-value coercion.
-_SWEEP_KNOBS = {
-    "n_drivers": int,
-    "inductance": float,
-    "capacitance": float,
-    "rise_time": float,
+    "collapse": _json_bool,
 }
 
 _REASONS = {
@@ -238,6 +238,14 @@ def _check_params(params, allowed: set[str], endpoint: str) -> dict:
     return params
 
 
+def _flag(params: dict, name: str) -> bool:
+    """A request's boolean switch (default true); only JSON booleans pass."""
+    try:
+        return _json_bool(params.get(name, True))
+    except TypeError as exc:
+        raise BadRequest(f"invalid {name!r}: {exc}") from exc
+
+
 _SPEC_PARAMS = set(_SPEC_FIELDS) | {"tech", "input_offsets", "options"}
 
 
@@ -248,6 +256,13 @@ class SsnService:
         if config is not None and kwargs:
             raise TypeError("pass either a ServiceConfig or keyword knobs, not both")
         self.config = config if config is not None else ServiceConfig(**kwargs)
+        cfg = self.config
+        # Checked here, so a bad runner setting fails at start-up rather
+        # than as a 500 on every miss.
+        self._runner_config = CampaignConfig(
+            chunk_size=cfg.chunk_size, max_retries=cfg.max_retries,
+            deadline=cfg.deadline, max_workers=cfg.max_workers,
+        )
         self.store = ResultStore(self.config.store_root)
         self._inflight: dict[str, asyncio.Task] = {}
         self._server: asyncio.AbstractServer | None = None
@@ -477,9 +492,8 @@ class SsnService:
             "/simulate")
         spec = _spec_from(params)
         options = _parse_options(params.get("options"))
-        include_waveforms = bool(params.get("include_waveforms", True))
-        use_surrogate = self.config.surrogate and bool(
-            params.get("surrogate", True))
+        include_waveforms = _flag(params, "include_waveforms")
+        use_surrogate = _flag(params, "surrogate") and self.config.surrogate
         with trace.span("service_request", endpoint="simulate"):
             key = result_key(spec, options=options)
             if use_surrogate and options is None:
@@ -494,26 +508,17 @@ class SsnService:
         params = _check_params(
             params, _SPEC_PARAMS | {"knob", "values"}, "/sweep")
         knob = str(params.get("knob", "n_drivers"))
-        coerce = _SWEEP_KNOBS.get(knob)
-        if coerce is None:
+        if knob not in KNOBS:
             raise BadRequest(
-                f"unknown sweep knob {knob!r}; choose from "
-                f"{sorted(_SWEEP_KNOBS)}")
+                f"unknown sweep knob {knob!r}; choose from {sorted(KNOBS)}")
         values = params.get("values")
         if not isinstance(values, list) or not values:
             raise BadRequest("'values' must be a non-empty JSON array")
-        base_params = {k: v for k, v in params.items()
-                       if k not in ("knob", "values")}
-        base_params.setdefault("n_drivers", 4)
+        if None in values:  # _spec_from reads null as "field not set"
+            raise BadRequest(f"invalid {knob} value None")
         options = _parse_options(params.get("options"))
-        specs = []
-        for value in values:
-            point = dict(base_params)
-            try:
-                point[knob] = coerce(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise BadRequest(f"invalid {knob} value {value!r}: {exc}") from exc
-            specs.append(_spec_from(point))
+        specs = [_spec_from({"n_drivers": 4, **params, knob: value})
+                 for value in values]
         with trace.span("service_request", endpoint="sweep", points=len(specs)):
             served = await asyncio.gather(*(
                 self._serve_simulation(result_key(spec, options=options),
@@ -556,7 +561,7 @@ class SsnService:
             stored, outcome = await self._serve_record(
                 key, "montecarlo", endpoint="montecarlo",
                 compute=lambda: self._compute_montecarlo_sync(
-                    key, spec, spread, trials, seed),
+                    key, spec, spread, extra),
             )
         record = stored.head
         return {
@@ -760,13 +765,6 @@ class SsnService:
         finally:
             self._inflight.pop(key, None)
 
-    def _campaign_config(self) -> CampaignConfig:
-        cfg = self.config
-        return CampaignConfig(
-            chunk_size=cfg.chunk_size, max_retries=cfg.max_retries,
-            deadline=cfg.deadline, max_workers=cfg.max_workers,
-        )
-
     def _compute_simulation_sync(self, key: str, spec: DriverBankSpec,
                                  options: TransientOptions | None) -> dict:
         """Miss path: dispatch one spec onto the fault-tolerant runner.
@@ -777,7 +775,7 @@ class SsnService:
         waveform set over without a second solve.
         """
         obs_metrics.inc("repro_service_computes_total")
-        runner = CampaignRunner(self._campaign_config())
+        runner = CampaignRunner(self._runner_config)
         records = runner.run_specs([spec], kind="service-simulate",
                                    options=options)
         rung = records[0]["engine"]
@@ -788,15 +786,13 @@ class SsnService:
         })
 
     def _compute_montecarlo_sync(self, key: str, spec: DriverBankSpec,
-                                 spread: DeviceSpread, trials: int,
-                                 seed: int) -> dict:
+                                 spread: DeviceSpread, extra: dict) -> dict:
+        """Miss path of ``/montecarlo``; ``extra`` is the key's payload."""
         obs_metrics.inc("repro_service_computes_total")
-        result = CampaignRunner(self._campaign_config()).run_montecarlo(
-            spec, spread=spread, trials=trials, seed=seed)
+        result = CampaignRunner(self._runner_config).run_montecarlo(
+            spec, spread=spread, trials=extra["trials"], seed=extra["seed"])
         return montecarlo_record(key, result, meta={
-            "request": canonical_request(
-                spec, kind="montecarlo",
-                extra={"trials": trials, "seed": seed, "spread": repr(spread)}),
+            "request": canonical_request(spec, kind="montecarlo", extra=extra),
         })
 
     # -- payload shaping -------------------------------------------------------------

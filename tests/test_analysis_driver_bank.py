@@ -59,6 +59,12 @@ class TestSpec:
                 technology=tech018, n_drivers=1, inductance=5e-9, rise_time=1e-9,
                 resistance=-1.0,
             )
+        for strength in (0.0, -1.0, False):
+            with pytest.raises(ValueError, match="driver_strength"):
+                DriverBankSpec(
+                    technology=tech018, n_drivers=1, inductance=5e-9,
+                    rise_time=1e-9, driver_strength=strength,
+                )
 
 
 class TestBuild:

@@ -254,6 +254,10 @@ class TestWorkloadWrappers:
         assert via_campaign.nominal == direct.nominal
         assert via_campaign.mean == direct.mean
         assert via_campaign.p95 == direct.p95
+        # Both carry the Monte Carlo wall clock beside the solver phases.
+        assert "montecarlo_transient" in direct.telemetry.phase_seconds
+        assert (sorted(via_campaign.telemetry.phase_seconds)
+                == sorted(direct.telemetry.phase_seconds))
 
     def test_journal_round_trip_preserves_float_bits(self, tech018, tmp_path):
         """Peaks replayed from the JSONL journal are the exact floats the

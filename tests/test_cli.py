@@ -32,6 +32,49 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report", "fig9"])
 
+    @pytest.mark.parametrize("knob", ["n_drivers", "inductance",
+                                      "capacitance", "rise_time"])
+    def test_sweep_takes_every_knob_the_service_sweeps(self, knob):
+        args = build_parser().parse_args(
+            ["sweep", "--knob", knob, "--values", "2e-9,5e-9"])
+        assert args.knob == knob
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "-n", "4"], ["sweep", "--values", "1"],
+        ["montecarlo", "-n", "4"], ["simulate", "-n", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_spec_flags_are_shared(self, command):
+        parser = build_parser()
+        defaults = parser.parse_args(command)
+        assert (defaults.inductance, defaults.capacitance,
+                defaults.rise_time) == (5e-9, None, 0.5e-9)
+        args = parser.parse_args(
+            command + ["-l", "2e-9", "-c", "1e-12", "-t", "1e-9"])
+        assert (args.inductance, args.capacitance, args.rise_time) == (
+            2e-9, 1e-12, 1e-9)
+
+    def test_serve_takes_the_campaign_runner_flags(self, monkeypatch):
+        """``serve`` shares the campaign commands' four runner flags (same
+        names, same defaults) and hands them to its ServiceConfig."""
+        import repro.service
+
+        parser = build_parser()
+        runner = ("max_retries", "deadline", "chunk_size", "workers")
+        serve = parser.parse_args(["serve"])
+        campaign = parser.parse_args(["simulate", "-n", "1"])
+        assert ({k: getattr(serve, k) for k in runner}
+                == {k: getattr(campaign, k) for k in runner}
+                == {"max_retries": 2, "deadline": None, "chunk_size": 8,
+                    "workers": None})
+        configs = []
+        monkeypatch.setattr(repro.service, "run_server",
+                            lambda config, announce: configs.append(config))
+        assert main(["serve", "--max-retries", "5", "--deadline", "30",
+                     "--chunk-size", "3", "--workers", "2"]) == 0
+        (config,) = configs
+        assert (config.max_retries, config.deadline, config.chunk_size,
+                config.max_workers) == (5, 30.0, 3, 2)
+
 
 class TestCommands:
     def test_fit_prints_parameters(self, capsys):

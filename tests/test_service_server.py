@@ -17,10 +17,10 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.driver_bank import DriverBankSpec
+from repro.analysis.driver_bank import DriverBankSpec, build_driver_bank
 from repro.analysis.simulate import simulate_ssn, simulate_ssn_cache_clear
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
@@ -364,6 +364,37 @@ class TestSweepAndMonteCarlo:
         assert point["key"] == single["key"]
         assert point["outcome"] == "hit"
 
+    def test_sweep_takes_every_knob_of_the_knob_table(self, tmp_path):
+        """``inductance`` sweeps like the other knobs, each point keyed as
+        the /simulate request for the same spec."""
+        body = {"knob": "inductance", "values": [1e-9, 2e-9],
+                "n_drivers": 1, "rise_time": 0.5e-9}
+
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                return await post(service, "/sweep", body)
+
+        status, swept = asyncio.run(scenario())
+        assert status == 200 and swept["knob"] == "inductance"
+        assert [p["key"] for p in swept["points"]] == [
+            server_module.result_key(spec_of(dict(body, inductance=value)))
+            for value in body["values"]]
+
+    def test_sweep_point_offsets_need_only_match_the_swept_count(
+            self, tmp_path):
+        """Each point is one request: offsets sized for the swept driver
+        count are valid even though the default base count is 4."""
+        body = {"knob": "n_drivers", "values": [2], "inductance": 1e-9,
+                "rise_time": 0.5e-9, "input_offsets": [0.0, 1e-10]}
+
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                return await post(service, "/sweep", body)
+
+        status, swept = asyncio.run(scenario())
+        assert status == 200
+        assert [p["outcome"] for p in swept["points"]] == ["miss"]
+
     def test_montecarlo_repeat_hit_is_bit_identical(self, tmp_path):
         body = {"n_drivers": 1, "inductance": 1e-9, "rise_time": 0.5e-9,
                 "trials": 6, "seed": 3}
@@ -502,6 +533,76 @@ class TestHttpSurface:
                             {"endpoint": "/simulate"}) is None
         assert len(ResultStore(tmp_path / "store")) == 0
 
+
+    @pytest.mark.parametrize("body", [
+        b'{"n_drivers": 1, "driver_strength": 0}',
+        b'{"n_drivers": 1, "driver_strength": -1}',
+        b'{"n_drivers": 1, "driver_strength": false}',
+    ], ids=["strength-zero", "strength-negative", "strength-false"])
+    def test_non_positive_driver_strength_is_a_400_before_any_compute(
+            self, tmp_path, registry, body):
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                raw = await raw_exchange(service, post_bytes("/simulate", body))
+                return raw, obs_events.snapshot_events()
+
+        raw, events = asyncio.run(scenario())
+        assert raw.startswith(b"HTTP/1.1 400"), raw[:200]
+        assert b"driver_strength must be positive" in raw
+        assert registry.get("repro_service_computes_total") is None
+        assert [e for e in events
+                if e["name"] == "service_compute_failed"] == []
+        assert len(ResultStore(tmp_path / "store")) == 0
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []],
+                             ids=["str-false", "str-true", "zero", "one",
+                                  "null", "list"])
+    @pytest.mark.parametrize("path,field", [
+        ("/simulate", "include_waveforms"), ("/simulate", "surrogate"),
+        ("/simulate", "collapse"), ("/sweep", "collapse"),
+    ])
+    def test_switches_take_json_booleans_only(
+            self, tmp_path, registry, path, field, value):
+        """``bool("false")`` is true: a switch that is not a JSON boolean is
+        a 400, never a silent coercion.  A null ``collapse`` is an unset
+        spec field, like every other null spec field."""
+        body = dict(PARAMS, **{field: value})
+        if path == "/sweep":
+            body.update(knob="n_drivers", values=[1])
+
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                return await post(service, path, body)
+
+        status, payload = asyncio.run(scenario())
+        if field == "collapse" and value is None:
+            assert status == 200
+            return
+        assert status == 400
+        assert field in payload["error"]
+        assert registry.get("repro_service_computes_total") is None
+        assert len(ResultStore(tmp_path / "store")) == 0
+
+    def test_null_sweep_value_is_a_400(self, tmp_path):
+        """A null spec field means "unset"; a null sweep value must not
+        silently fall back to the base spec's value."""
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                return await post(service, "/sweep", dict(
+                    PARAMS, knob="capacitance", values=[1e-12, None]))
+
+        status, payload = asyncio.run(scenario())
+        assert status == 400 and "capacitance" in payload["error"]
+        assert len(ResultStore(tmp_path / "store")) == 0
+
+    @pytest.mark.parametrize("setting", [
+        {"chunk_size": 0}, {"max_retries": -1}, {"deadline": 0.0},
+    ], ids=["chunk-size", "max-retries", "deadline"])
+    def test_bad_runner_setting_fails_at_construction(self, tmp_path, setting):
+        """Checked once at start-up, not as a 500 on every miss."""
+        with pytest.raises(ValueError):
+            SsnService(store_root=tmp_path / "store", port=0, **setting)
+        assert not (tmp_path / "store").exists()
 
     @pytest.mark.parametrize("request_bytes", [
         b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
@@ -716,3 +817,48 @@ def test_read_request_returns_a_request_or_a_client_error(raw):
     method, path, body = result
     assert isinstance(method, str) and isinstance(path, str)
     assert isinstance(body, bytes)
+
+
+#: Arbitrary JSON values: sign and type edges, any float, short strings.
+_JSON_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0, -1, 0.0, "1e-9", "nan", "false", []]),
+    st.integers(min_value=-3, max_value=80), st.floats(), st.text(max_size=6),
+    st.lists(st.floats(min_value=0.0, max_value=1e-9), max_size=4),
+)
+_POSITIVE = st.floats(min_value=1e-13, max_value=1e-6)
+
+#: A plausible request with up to three fields overwritten by arbitrary
+#: JSON values: any JSON object over the spec fields, weighted towards
+#: ones that almost validate.
+_SPEC_REQUESTS = st.builds(
+    lambda base, junk: {**base, **junk},
+    st.fixed_dictionaries({"n_drivers": st.integers(1, 80)}, optional={
+        "tech": st.sampled_from(["tsmc018", "tsmc025", "tsmc035"]),
+        "inductance": _POSITIVE, "rise_time": _POSITIVE,
+        "capacitance": _POSITIVE, "load_capacitance": _POSITIVE,
+        "resistance": st.floats(min_value=0.0, max_value=10.0),
+        "driver_strength": st.floats(min_value=0.1, max_value=8.0),
+        "collapse": st.booleans(),
+        "input_offsets": st.lists(st.floats(min_value=0.0, max_value=1e-9),
+                                  max_size=4),
+    }),
+    st.dictionaries(
+        st.sampled_from(sorted(server_module._SPEC_FIELDS)
+                        + ["tech", "input_offsets"]),
+        _JSON_VALUES, max_size=3),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(params=_SPEC_REQUESTS)
+@example(params={"n_drivers": 1, "driver_strength": False})
+def test_request_spec_is_refused_or_builds(params):
+    """Any JSON object over the spec fields is a 400 or a spec whose
+    netlist builds: validation never passes what the engine would refuse.
+    (A /sweep point is such an object with the knob's value set.)"""
+    try:
+        spec = server_module._spec_from(params)
+    except server_module.BadRequest:
+        return
+    if (spec.collapse and spec.input_offsets is None) or spec.n_drivers <= 64:
+        assert build_driver_bank(spec).elements
