@@ -37,9 +37,12 @@ campaign-smoke:
 # schema-validate the Chrome trace, read it back through the summarizer,
 # and check the Prometheus text carries the key histograms.  Then the same
 # scalar sweep serially and on a 2-worker pool: the pooled trace must hold
-# every task span once and both session telemetry dumps must agree.
+# every task span once and both session telemetry dumps must agree.  Last,
+# the Prometheus text: serial and pooled non-timing lines must be equal,
+# and a batch-engine sweep must export the scalar sweep's Newton series.
+SMOKE_METRICS = metrics_w1.prom metrics_w2.prom metrics_batch.prom
 trace-smoke:
-	rm -f trace_smoke.json metrics_smoke.prom
+	rm -f trace_smoke.json metrics_smoke.prom $(SMOKE_METRICS)
 	rm -f trace_w1.json trace_w2.json telemetry_w1.json telemetry_w2.json
 	$(PY) -m repro sweep --values 1,2 --trace trace_smoke.json \
 	  --trace-detail full --metrics metrics_smoke.prom
@@ -53,9 +56,13 @@ trace-smoke:
 	  assert 'repro_phase_seconds_bucket' in text, 'phase histogram missing'; \
 	  print('prometheus export ok')"
 	$(PY) -m repro sweep --values 1,2,3 --engine scalar --workers 1 \
-	  --trace trace_w1.json --telemetry-json telemetry_w1.json
+	  --trace trace_w1.json --telemetry-json telemetry_w1.json \
+	  --metrics metrics_w1.prom
 	$(PY) -m repro sweep --values 1,2,3 --engine scalar --workers 2 \
-	  --trace trace_w2.json --telemetry-json telemetry_w2.json
+	  --trace trace_w2.json --telemetry-json telemetry_w2.json \
+	  --metrics metrics_w2.prom
+	$(PY) -m repro sweep --values 1,2,3 --engine batch \
+	  --metrics metrics_batch.prom
 	$(PY) -c "import json; from repro.observability.export import \
 	  validate_chrome_trace; \
 	  trace = json.load(open('trace_w2.json')); validate_chrome_trace(trace); \
@@ -65,7 +72,15 @@ trace-smoke:
 	  serial.pop('phase_seconds'); pooled.pop('phase_seconds'); \
 	  assert serial == pooled, 'pooled session telemetry differs from serial'; \
 	  print('pooled trace and telemetry ok:', pooled['newton_solves'], 'solves')"
-	rm -f trace_smoke.json metrics_smoke.prom
+	$(PY) -c "lines = lambda name: [l for l in open(f'metrics_{name}.prom') \
+	  if '_seconds' not in l]; \
+	  assert lines('w1') == lines('w2'), 'pooled metrics differ from serial'; \
+	  newton = lambda name: [l for l in lines(name) if l.startswith(( \
+	    'repro_newton_iterations_per_solve_count ', 'repro_newton_solves_total '))]; \
+	  assert len(newton('w1')) == 2, newton('w1'); \
+	  assert newton('batch') == newton('w1'), 'batch Newton series differ from scalar'; \
+	  print('metrics ok:', *[l.strip() for l in newton('batch')])"
+	rm -f trace_smoke.json metrics_smoke.prom $(SMOKE_METRICS)
 	rm -f trace_w1.json trace_w2.json telemetry_w1.json telemetry_w2.json
 
 # Serving-layer smoke: a live in-process server answers a cold /simulate

@@ -25,12 +25,12 @@ sequence of *chunks* with four guarantees:
    its attempt is treated as failed (:class:`DeadlineExceeded`).
 4. **Graceful engine degradation** — when a chunk exhausts its bulk retry
    budget, each of its instances is recovered independently on the
-   scalar engine, the last rung of the surrogate -> batch -> scalar
-   ladder (:func:`repro.analysis.engine.degradation_rungs`).  Every recovery
-   action is counted in :class:`~repro.spice.telemetry.SolverTelemetry`
-   (``retries``, ``degradations``, ``chunks_failed``,
-   ``checkpoint_writes``), so harnesses assert exact recovery behavior
-   instead of mere survival.
+   scalar engine, which owns the step-halving recovery ladder (one
+   ``degradations`` tick each when the chunk ran on the batch or
+   surrogate engine).  Every recovery action is counted in
+   :class:`~repro.spice.telemetry.SolverTelemetry` (``retries``,
+   ``degradations``, ``chunks_failed``, ``checkpoint_writes``), so
+   harnesses assert exact recovery behavior instead of mere survival.
 
 Worker crashes below the chunk level are absorbed one layer down:
 :func:`repro.analysis.parallel.parallel_map` respawns a broken process
@@ -62,9 +62,9 @@ from ..spice.telemetry import SolverTelemetry, record_session
 from ..spice.transient import TransientOptions
 from ..testing import faults
 from .driver_bank import DriverBankSpec
-from .engine import degradation_rungs, resolve_engine
+from .engine import resolve_engine
 from .parallel import parallel_map
-from .simulate import SsnSimulation, simulate_many, simulate_ssn_cached
+from .simulate import SsnSimulation, simulate_on, simulate_ssn_cached
 
 #: Journal schema version (bumped on incompatible format changes).
 CHECKPOINT_VERSION = 1
@@ -293,7 +293,7 @@ class CampaignRunner:
             # inside simulate_many (falling back to full engines itself),
             # and lockstep shares one wall clock across the ensemble, so
             # the per-task deadline applies on the scalar rungs only.
-            sims = simulate_many(list(specs), engine=rung, options=options)
+            sims = simulate_on(rung, list(specs), options=options)
             return [_record_from(i, sim, rung) for i, sim in zip(indices, sims)]
         payloads = [(i, spec, rung, cfg.deadline, options)
                     for i, spec in zip(indices, specs)]
@@ -303,28 +303,27 @@ class CampaignRunner:
     def _recover_instance(self, ci: int, index: int, spec: DriverBankSpec,
                           rung0: str, tally: SolverTelemetry,
                           options: TransientOptions | None = None) -> dict:
-        """Retry one instance down the engine ladder until it lands."""
+        """Retry one instance on the scalar engine until it lands."""
         cfg = self.config
         last_exc: BaseException | None = None
-        for rung in degradation_rungs(rung0):
-            if rung != rung0:
-                tally.degradations += 1
-            for attempt in range(1 + cfg.max_retries):
-                with faults.scope(chunk=ci, task=index, attempt=attempt,
-                                  phase="instance", engine=rung):
-                    try:
-                        return _instance_record(
-                            (index, spec, rung, cfg.deadline, options))
-                    except Exception as exc:
-                        last_exc = exc
-                        if attempt < cfg.max_retries:
-                            tally.retries += 1
-                            self._sleep_backoff(attempt)
+        if rung0 != "scalar":
+            tally.degradations += 1
+        for attempt in range(1 + cfg.max_retries):
+            with faults.scope(chunk=ci, task=index, attempt=attempt,
+                              phase="instance", engine="scalar"):
+                try:
+                    return _instance_record(
+                        (index, spec, "scalar", cfg.deadline, options))
+                except Exception as exc:
+                    last_exc = exc
+                    if attempt < cfg.max_retries:
+                        tally.retries += 1
+                        self._sleep_backoff(attempt)
         tally.unrecovered_failures += 1
         self.telemetry.merge(tally)
         error = CampaignError(
-            f"instance {index} (chunk {ci}) failed every rung of the "
-            f"recovery ladder {degradation_rungs(rung0)}: {last_exc}"
+            f"instance {index} (chunk {ci}) failed on the scalar engine "
+            f"after {1 + cfg.max_retries} attempts: {last_exc}"
         )
         error.telemetry = self.telemetry
         # The campaign is about to die unrecovered: journal the moment and
@@ -410,6 +409,7 @@ class CampaignRunner:
         if n == 0:
             return []
         rung0 = resolve_engine(cfg.engine, n)
+        obs_metrics.inc("repro_engine_selected_total", labels={"engine": rung0})
         extra = dict(fingerprint_extra or {})
         if options is not None:
             extra["options"] = repr(options)
@@ -455,12 +455,7 @@ class CampaignRunner:
 
         records = [rec for ci in sorted(done) for rec in done[ci]["records"]]
         records.sort(key=lambda rec: rec["index"])
-        record_session(SolverTelemetry.from_dict({
-            "retries": self.telemetry.retries,
-            "degradations": self.telemetry.degradations,
-            "chunks_failed": self.telemetry.chunks_failed,
-            "checkpoint_writes": self.telemetry.checkpoint_writes,
-        }))
+        record_session(self.telemetry)  # the campaign counters only
         return records
 
     # -- workload wrappers -----------------------------------------------------------

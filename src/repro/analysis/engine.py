@@ -35,16 +35,8 @@ from __future__ import annotations
 
 import os
 
-from ..observability import metrics as obs_metrics
-
 #: Recognized engine names, in documentation order.
 ENGINES = ("auto", "batch", "scalar", "surrogate")
-
-#: The campaign runner's graceful-degradation ladder, strongest rung first:
-#: the fitted closed-form surrogate tier, the vectorized lockstep engine,
-#: and the scalar engine, which owns the step-halving recovery ladder.  An
-#: instance that fails on the scalar rung fails the campaign.
-DEGRADATION_LADDER = ("surrogate", "batch", "scalar")
 
 #: Environment variable consulted when no explicit engine is given.
 ENGINE_ENV = "REPRO_ENGINE"
@@ -56,11 +48,11 @@ def default_engine() -> str:
     """The engine a run with no explicit ``engine=`` argument would consult.
 
     Pure read of the process-wide default / ``REPRO_ENGINE`` precedence
-    chain — no ``"auto"`` resolution, no metrics side effects, no
-    validation (an invalid environment value is returned verbatim and
-    rejected later by :func:`resolve_engine`, exactly where it is
-    consumed).  Result-cache keys fold this in so flipping the default
-    between calls can never return a stale-keyed hit.
+    chain — no ``"auto"`` resolution, no validation (an invalid
+    environment value is returned verbatim and rejected later by
+    :func:`resolve_engine`, exactly where it is consumed).  Result-cache
+    keys fold this in so flipping the default between calls can never
+    return a stale-keyed hit.
     """
     engine = _default_engine
     if engine is None:
@@ -94,38 +86,13 @@ def resolve_engine(engine: str | None = None, n_items: int | None = None) -> str
     Returns:
         ``"surrogate"``, ``"batch"`` or ``"scalar"``.  ``"auto"`` never
         resolves to ``"surrogate"``; the approximate tier must be asked
-        for by name.
+        for by name.  Counting the selection is the caller's job, once
+        per request (``simulate_many``, ``CampaignRunner.run_specs``).
     """
     if engine is None:
-        engine = _default_engine
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or "scalar"
+        engine = default_engine()
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     if engine == "auto":
         engine = "scalar" if (n_items is not None and n_items < 2) else "batch"
-    obs_metrics.inc("repro_engine_selected_total", labels={"engine": engine})
     return engine
-
-
-def degradation_rungs(start: str) -> tuple[str, ...]:
-    """Per-instance recovery rungs at and below ``start``, strongest first.
-
-    The surrogate and batch rungs only exist for *bulk* (whole-chunk)
-    execution — the surrogate tier already degrades per-spec inside its
-    own routing, and a single instance has no lockstep to exploit — so
-    per-instance recovery after a failed chunk runs on the scalar engine:
-
-    >>> degradation_rungs("surrogate")
-    ('scalar',)
-    >>> degradation_rungs("batch")
-    ('scalar',)
-    >>> degradation_rungs("scalar")
-    ('scalar',)
-    """
-    if start not in DEGRADATION_LADDER:
-        raise ValueError(
-            f"unknown rung {start!r}; choose from {DEGRADATION_LADDER}"
-        )
-    rungs = DEGRADATION_LADDER[DEGRADATION_LADDER.index(start):]
-    return tuple(r for r in rungs if r not in ("surrogate", "batch"))

@@ -171,6 +171,7 @@ def _adopt(envelope: dict | None, parent_id: str | None) -> None:
     Spans re-parent under ``parent_id`` (the dispatching span), metrics
     merge, events join the journal and the session record merges into the
     session aggregator; each step is a no-op for a collector that is off.
+    The session skips ``record_session``: its runs are in the metrics.
     """
     if envelope is None:
         return
@@ -179,7 +180,9 @@ def _adopt(envelope: dict | None, parent_id: str | None) -> None:
     if registry is not None and envelope["metrics"]:
         registry.merge_dict(envelope["metrics"])
     obs_events.adopt_events(envelope["events"])
-    record_session(envelope["session"])
+    session = session_telemetry()
+    if session is not None and envelope["session"] is not None:
+        session.merge(envelope["session"])
 
 
 def parallel_map(
@@ -247,7 +250,6 @@ def parallel_map(
             telemetry.degradations += 1
         else:
             record_session(SolverTelemetry(degradations=1))
-        obs_metrics.inc("repro_pool_degradations_total")
         obs_events.emit("pool_degraded", items=len(work))
         sp.add_event("pool_degraded_to_serial")
         sp.set_attribute("used_pool", False)

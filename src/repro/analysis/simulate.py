@@ -346,9 +346,17 @@ def simulate_many(
     """
     specs = list(specs)
     resolved = resolve_engine(engine, len(specs))
-    if resolved == "surrogate":
+    obs_metrics.inc("repro_engine_selected_total", labels={"engine": resolved})
+    return simulate_on(resolved, specs, max_workers, options)
+
+
+def simulate_on(engine: str, specs, max_workers: int | None = None,
+                options: TransientOptions | None = None) -> list[SsnSimulation]:
+    """:func:`simulate_many` on a resolved engine, for work inside a request
+    that already counted its engine (campaign chunks, surrogate fallbacks)."""
+    if engine == "surrogate":
         return _simulate_many_surrogate(specs, max_workers, options)
-    if resolved == "batch":
+    if engine == "batch":
         return _simulate_many_batched(specs, options)
     fn = simulate_ssn_cached if options is None else functools.partial(
         simulate_ssn_cached, options=options)
@@ -425,9 +433,9 @@ def _simulate_many_surrogate(specs, max_workers, options) -> list[SsnSimulation]
         else:
             sims[i] = sim
     if fallback:
-        full = simulate_many([specs[i] for i, _ in fallback],
-                             max_workers=max_workers, options=options,
-                             engine="auto")
+        full = simulate_on(resolve_engine("auto", len(fallback)),
+                           [specs[i] for i, _ in fallback],
+                           max_workers=max_workers, options=options)
         for (i, outcome), sim in zip(fallback, full):
             telemetry = copy.deepcopy(sim.telemetry) or SolverTelemetry()
             key = "surrogate_misses" if outcome == "miss" else "surrogate_refusals"

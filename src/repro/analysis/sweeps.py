@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import Callable, Sequence
 
 from ..observability import trace
@@ -112,9 +113,17 @@ class SweepResult:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def whole_number(value) -> int:
+    """An integral number (2 or 2.0) as an int; ``int()`` truncates 2.7."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not float(value).is_integer():
+        raise ValueError(f"expected a whole number, not {value!r}")
+    return int(value)
+
+
 #: sweep knob -> pure spec transform deriving one point's spec from the base.
 KNOBS: dict[str, Callable[[DriverBankSpec, float], DriverBankSpec]] = {
-    "n_drivers": lambda spec, n: dataclasses.replace(spec, n_drivers=int(n)),
+    "n_drivers": lambda spec, n: dataclasses.replace(spec, n_drivers=whole_number(n)),
     "inductance": lambda spec, ind: dataclasses.replace(spec, inductance=float(ind)),
     "capacitance": lambda spec, c: dataclasses.replace(spec, capacitance=float(c)),
     "rise_time": lambda spec, tr: dataclasses.replace(spec, rise_time=float(tr)),

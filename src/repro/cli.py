@@ -164,9 +164,9 @@ def _telemetry_parent() -> argparse.ArgumentParser:
     )
     parent.add_argument(
         "--metrics", metavar="PATH", default=None,
-        help="collect session metrics (Newton-iteration, step-size and "
-        "phase-time histograms; engine/retry counters) and write Prometheus "
-        "text to PATH",
+        help="collect session metrics (per-run Newton-iteration and "
+        "phase-time histograms; solver, engine and retry counters) and "
+        "write Prometheus text to PATH",
     )
     return parent
 
@@ -571,7 +571,12 @@ def _run_sweep(args) -> str:
 
     models = fitted_models(args.tech)
     base = _spec(args, models.technology, args.drivers)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+        for value in values:
+            KNOBS[args.knob](base, value)
+    except ValueError as exc:
+        raise SystemExit(f"--values: {exc}") from None
     runner = CampaignRunner(_campaign_config(args))
     result = runner.run_sweep(args.knob, base, values, KNOBS[args.knob],
                               {"asdm": _asdm_estimator(models)})
@@ -856,10 +861,8 @@ def main(argv=None) -> int:
     }
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics", None)
-    # --metrics wants the session telemetry too: record_telemetry projects
-    # the aggregated counters and phase timings into the registry at export.
     collect = bool(getattr(args, "telemetry", False) or
-                   getattr(args, "telemetry_json", None) or metrics_path)
+                   getattr(args, "telemetry_json", None))
     session = enable_session_telemetry() if collect else None
     tracer = obs_trace.enable_tracing(
         sample=args.trace_sample, detail=args.trace_detail,
@@ -877,7 +880,6 @@ def main(argv=None) -> int:
         if tracer is not None:
             write_chrome_trace(trace_path, tracer.spans, tracer)
         if registry is not None:
-            registry.record_telemetry(session)
             write_prometheus(metrics_path, registry)
     finally:
         set_default_engine(None)

@@ -2,8 +2,8 @@
 
 :class:`~repro.spice.telemetry.SolverTelemetry` answers "how many" per run;
 this registry answers "how are they *distributed*" across a whole session —
-Newton iterations per solve, accepted step sizes, per-phase wall clock,
-chunk retry latency — in a form Prometheus can scrape
+Newton iterations per solve and per-phase wall clock per engine run, chunk
+retry latency, request latency — in a form Prometheus can scrape
 (:func:`repro.observability.export.to_prometheus_text`).
 
 Merge semantics mirror ``SolverTelemetry.merge`` so records compose the
@@ -16,7 +16,7 @@ telemetry records, and fold back with :meth:`MetricsRegistry.merge_dict`.
 
 Like tracing, the module-level helpers (:func:`inc`, :func:`observe`,
 :func:`set_gauge`) are no-ops after a single global read while metrics are
-disabled, so permanently-instrumented hot paths stay inside the <3%
+disabled, so permanently-instrumented paths stay inside the <3%
 disabled-overhead budget.
 """
 
@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from typing import Mapping, Sequence
 
 #: Default histogram buckets by metric name (upper bounds; +Inf implied).
 #: Powers of two for iteration counts, log-spaced decades for seconds.
 DEFAULT_BUCKETS: dict[str, tuple[float, ...]] = {
     "repro_newton_iterations_per_solve": (1, 2, 4, 8, 16, 32, 64),
-    "repro_step_seconds": tuple(10.0 ** e for e in range(-15, -6)),
     "repro_phase_seconds": (1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0),
     "repro_chunk_retry_latency_seconds": (1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0),
     "repro_checkpoint_write_seconds": (1e-4, 1e-3, 1e-2, 0.1, 1.0),
@@ -126,6 +126,8 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics: dict[tuple, object] = {}
         self._help: dict[str, str] = {}
+        # Every update holds it: server compute threads share one registry.
+        self._lock = threading.Lock()
 
     # -- registration ----------------------------------------------------------------
 
@@ -217,49 +219,54 @@ class MetricsRegistry:
         return {"metrics": out, "help": dict(self._help)}
 
     def merge_dict(self, data: dict) -> "MetricsRegistry":
-        for name, text in data.get("help", {}).items():
-            self._help.setdefault(name, text)
-        for entry in data.get("metrics", []):
-            labels = dict(entry.get("labels", []))
-            kind = entry["kind"]
-            if kind == "counter":
-                self.counter(entry["name"], labels).inc(entry["value"])
-            elif kind == "gauge":
-                if entry.get("is_set", True):
-                    self.gauge(entry["name"], labels).set(entry["value"])
-            else:
-                hist = self.histogram(entry["name"], labels,
-                                      buckets=entry["bounds"])
-                if tuple(hist.bounds) != tuple(entry["bounds"]):
-                    raise ValueError(
-                        f"histogram {entry['name']!r} bucket mismatch on merge"
-                    )
-                for i, n in enumerate(entry["counts"]):
-                    hist.counts[i] += n
-                hist.sum += entry["sum"]
-                hist.count += entry["count"]
+        with self._lock:
+            for name, text in data.get("help", {}).items():
+                self._help.setdefault(name, text)
+            for entry in data.get("metrics", []):
+                labels = dict(entry.get("labels", []))
+                kind = entry["kind"]
+                if kind == "counter":
+                    self.counter(entry["name"], labels).inc(entry["value"])
+                elif kind == "gauge":
+                    if entry.get("is_set", True):
+                        self.gauge(entry["name"], labels).set(entry["value"])
+                else:
+                    hist = self.histogram(entry["name"], labels,
+                                          buckets=entry["bounds"])
+                    if tuple(hist.bounds) != tuple(entry["bounds"]):
+                        raise ValueError(
+                            f"histogram {entry['name']!r} bucket mismatch on merge"
+                        )
+                    for i, n in enumerate(entry["counts"]):
+                        hist.counts[i] += n
+                    hist.sum += entry["sum"]
+                    hist.count += entry["count"]
         return self
 
     def record_telemetry(self, telemetry) -> None:
-        """Project a SolverTelemetry record into counters + phase histogram.
+        """Project one run's SolverTelemetry record into counters + histograms.
 
-        Counter fields map to ``repro_<field>_total``; ``phase_seconds``
-        entries are observed into ``repro_phase_seconds{phase=...}``.
-        Merging two registries built this way equals building one from the
-        merged telemetry — the compatibility contract with
+        Counter fields map to ``repro_<field>_total``; the run's phases and
+        its mean Newton iterations per solve are observed into
+        ``repro_phase_seconds{phase=...}`` and
+        ``repro_newton_iterations_per_solve``.  Counters merge like
         :meth:`repro.spice.telemetry.SolverTelemetry.merge`.
         """
-        for field in dataclasses.fields(telemetry):
-            if field.name in ("phase_seconds", "extras"):
-                continue
-            value = getattr(telemetry, field.name)
-            if value:
-                self.counter(f"repro_{field.name}_total").inc(value)
-        for key, value in getattr(telemetry, "extras", {}).items():
-            self.counter(f"repro_{key}_total").inc(value)
-        for phase, seconds in telemetry.phase_seconds.items():
-            self.histogram("repro_phase_seconds",
-                           labels={"phase": phase}).observe(seconds)
+        with self._lock:
+            for field in dataclasses.fields(telemetry):
+                if field.name in ("phase_seconds", "extras"):
+                    continue
+                value = getattr(telemetry, field.name)
+                if value:
+                    self.counter(f"repro_{field.name}_total").inc(value)
+            for key, value in telemetry.extras.items():
+                self.counter(f"repro_{key}_total").inc(value)
+            for phase, seconds in telemetry.phase_seconds.items():
+                self.histogram("repro_phase_seconds",
+                               labels={"phase": phase}).observe(seconds)
+            if telemetry.newton_solves:
+                self.histogram("repro_newton_iterations_per_solve").observe(
+                    telemetry.newton_iterations / telemetry.newton_solves)
 
 
 # -- process-local registry ----------------------------------------------------------
@@ -290,7 +297,8 @@ def inc(name: str, amount: float = 1.0,
     """Bump a counter in the live registry (no-op while disabled)."""
     registry = _registry
     if registry is not None:
-        registry.counter(name, labels).inc(amount)
+        with registry._lock:
+            registry.counter(name, labels).inc(amount)
 
 
 def observe(name: str, value: float,
@@ -299,7 +307,8 @@ def observe(name: str, value: float,
     """Observe into a histogram in the live registry (no-op while disabled)."""
     registry = _registry
     if registry is not None:
-        registry.histogram(name, labels, buckets=buckets).observe(value)
+        with registry._lock:
+            registry.histogram(name, labels, buckets=buckets).observe(value)
 
 
 def set_gauge(name: str, value: float,
@@ -307,7 +316,8 @@ def set_gauge(name: str, value: float,
     """Set a gauge in the live registry (no-op while disabled)."""
     registry = _registry
     if registry is not None:
-        registry.gauge(name, labels).set(value)
+        with registry._lock:
+            registry.gauge(name, labels).set(value)
 
 
 def snapshot_metrics() -> dict | None:

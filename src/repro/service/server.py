@@ -61,7 +61,7 @@ from ..analysis.campaign import CampaignConfig, CampaignRunner
 from ..analysis.driver_bank import DriverBankSpec
 from ..analysis.montecarlo import DeviceSpread
 from ..analysis.simulate import canonical_options, simulate_ssn_cached
-from ..analysis.sweeps import KNOBS
+from ..analysis.sweeps import KNOBS, whole_number
 from ..observability import events as obs_events
 from ..observability import health as obs_health
 from ..observability import metrics as obs_metrics
@@ -102,15 +102,18 @@ def _json_bool(value) -> bool:
     return value
 
 
+def _json_number(value) -> float:
+    """A JSON number as a float; ``float()`` would take ``"3"`` and ``true``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, not {value!r}")
+    return float(value)
+
+
 #: Spec fields a request may set, with their coercions.
 _SPEC_FIELDS = {
-    "n_drivers": int,
-    "inductance": float,
-    "rise_time": float,
-    "capacitance": float,
-    "resistance": float,
-    "load_capacitance": float,
-    "driver_strength": float,
+    "n_drivers": whole_number,
+    **dict.fromkeys(("inductance", "rise_time", "capacitance", "resistance",
+                     "load_capacitance", "driver_strength"), _json_number),
     "collapse": _json_bool,
 }
 
@@ -218,8 +221,8 @@ def _spec_from(params: dict) -> DriverBankSpec:
     offsets = params.get("input_offsets")
     if offsets is not None:
         try:
-            kwargs["input_offsets"] = tuple(float(v) for v in offsets)
-        except (TypeError, ValueError) as exc:
+            kwargs["input_offsets"] = tuple(_json_number(v) for v in offsets)
+        except TypeError as exc:
             raise BadRequest(f"invalid 'input_offsets': {exc}") from exc
     try:
         return DriverBankSpec(technology=technology, **kwargs)
@@ -546,15 +549,15 @@ class SsnService:
         if options is not None:
             raise BadRequest("/montecarlo does not accept 'options' yet")
         try:
-            trials = int(params.get("trials", 64))
-            seed = int(params.get("seed", 0))
+            trials = whole_number(params.get("trials", 64))
+            seed = whole_number(params.get("seed", 0))
             spread = DeviceSpread(
-                **{k: float(params[k]) for k in ("vth_sigma", "mu_sigma")
+                **{k: _json_number(params[k]) for k in ("vth_sigma", "mu_sigma")
                    if params.get(k) is not None})
         except (TypeError, ValueError, OverflowError) as exc:
             raise BadRequest(f"invalid Monte Carlo parameters: {exc}") from exc
-        if trials < 1:
-            raise BadRequest("'trials' must be at least 1")
+        if trials < 2 or seed < 0:  # a spread needs two draws; numpy seeds are >= 0
+            raise BadRequest("'trials' must be at least 2 and 'seed' non-negative")
         extra = {"trials": trials, "seed": seed, "spread": repr(spread)}
         key = result_key(spec, kind="montecarlo", extra=extra)
         with trace.span("service_request", endpoint="montecarlo"):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..observability import metrics as obs_metrics
 from ..observability import trace
 from ..observability.trace import NOOP_SPAN
 from ..testing.faults import fire as _fire_fault
@@ -122,7 +121,6 @@ def newton_solve(
                 raise ConvergenceError(f"non-finite solution while solving at t={t}")
             ctx.x = x_new
             nsp.set_attribute("iterations", 0)
-            obs_metrics.observe("repro_newton_iterations_per_solve", 0)
             return x_new, ctx
 
         iterations = 0
@@ -149,7 +147,6 @@ def newton_solve(
                 # consult).
                 ctx.x = x
                 nsp.set_attribute("iterations", iterations)
-                obs_metrics.observe("repro_newton_iterations_per_solve", iterations)
                 return x, ctx
         raise ConvergenceError(
             f"Newton failed to converge in {max_iter} iterations at t={t}"

@@ -30,6 +30,8 @@ import dataclasses
 import warnings
 from typing import Iterable, Optional
 
+from ..observability import metrics as obs_metrics
+
 #: Keys :meth:`SolverTelemetry.as_dict` derives from counters rather than
 #: storing; never round-tripped into ``extras``.
 _DERIVED_KEYS = frozenset({"ok", "recovered_rejections"})
@@ -98,9 +100,9 @@ class SolverTelemetry:
             from ``step_retries``, which counts time-step halvings inside
             one transient run.
         degradations: execution-path downgrades taken to keep a workload
-            alive: a campaign chunk or instance dropping one rung of the
-            surrogate -> batch -> scalar engine ladder, or a broken process
-            pool falling back to the serial path
+            alive: a campaign instance recovering on the scalar engine
+            after its chunk failed on the batch or surrogate engine, or a
+            broken process pool falling back to the serial path
             (:func:`repro.analysis.parallel.parallel_map`).
         chunks_failed: campaign chunks whose bulk execution exhausted its
             retry budget and entered per-instance recovery; a chunk that
@@ -333,6 +335,12 @@ def session_telemetry() -> SolverTelemetry | None:
 
 
 def record_session(telemetry: SolverTelemetry | None) -> None:
-    """Merge one finished run's record into the session aggregator, if on."""
-    if _session is not None and telemetry is not None and telemetry is not _session:
+    """Count one finished run into the session aggregator and the live
+    metrics registry (each if on): the one path from engine work to both."""
+    if telemetry is None or telemetry is _session:
+        return
+    if _session is not None:
         _session.merge(telemetry)
+    registry = obs_metrics.active_registry()
+    if registry is not None:
+        registry.record_telemetry(telemetry)

@@ -42,7 +42,6 @@ import time
 
 import numpy as np
 
-from ..observability import metrics as obs_metrics
 from ..observability import trace
 from .circuit import Circuit
 from .mna import MnaSystem, resolve_sparse
@@ -456,7 +455,6 @@ def transient(
                 x = x_new
                 first_step = False
                 tel.accepted_steps += 1
-                obs_metrics.observe("repro_step_seconds", h_step)
                 recorder.append(t, x[:nn], step_currents)
 
                 if landed(t, next_bp):

@@ -10,12 +10,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis.campaign import CampaignRunner
 from repro.analysis.driver_bank import DriverBankSpec
 from repro.analysis.engine import ENGINES, resolve_engine, set_default_engine
 from repro.analysis.montecarlo import DeviceSpread, transient_peak_distribution
 from repro.analysis.simulate import simulate_many, simulate_ssn_cache_clear
 from repro.analysis.sweeps import sweep_driver_count
 from repro.cli import build_parser
+from repro.observability import metrics as obs_metrics
 
 #: Batched analysis results must stay within this of the scalar path.
 PARITY_TOL = 1e-9
@@ -68,6 +70,30 @@ class TestResolveEngine:
 
     def test_engine_names_frozen(self):
         assert ENGINES == ("auto", "batch", "scalar", "surrogate")
+
+
+class TestEngineSelectedOncePerRequest:
+    """``repro_engine_selected_total`` counts requests, not the internal
+    calls a request makes (chunks, bulk attempts, surrogate fallbacks)."""
+
+    @pytest.mark.parametrize("run", [
+        lambda specs: CampaignRunner(engine="batch").run_specs(specs),
+        lambda specs: CampaignRunner(engine="batch", chunk_size=2).run_specs(specs),
+        lambda specs: CampaignRunner(engine="scalar").run_specs(specs),
+        lambda specs: simulate_many(specs),
+        lambda specs: simulate_many(specs, engine="surrogate"),
+    ], ids=["batch-campaign", "batch-campaign-chunked", "scalar-campaign",
+            "simulate_many", "surrogate-fallback"])
+    def test_one_request_counts_one_selection(self, base, run):
+        specs = [dataclasses.replace(base, n_drivers=n) for n in (1, 2, 3)]
+        registry = obs_metrics.enable_metrics()
+        try:
+            run(specs)
+        finally:
+            obs_metrics.disable_metrics()
+        counts = [metric.value for name, _, metric in registry.items()
+                  if name == "repro_engine_selected_total"]
+        assert counts == [1]
 
 
 class TestSimulateManyRouting:

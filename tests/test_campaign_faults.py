@@ -164,7 +164,7 @@ class TestRecoveryLadder:
             "newton:phase=bulk,newton:phase=instance:engine=scalar"
         )
         runner = CampaignRunner(_config(chunk_size=2, max_retries=1))
-        with pytest.raises(CampaignError, match=r"\('scalar',\)") as err:
+        with pytest.raises(CampaignError, match="failed on the scalar engine") as err:
             runner.run_simulate(specs)
         faults.clear_faults()
 

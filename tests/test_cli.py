@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis.simulate import simulate_ssn_cache_clear
 from repro.cli import build_parser, main
 from repro.spice.telemetry import session_telemetry
 
@@ -102,6 +103,13 @@ class TestCommands:
         assert "max simultaneous drivers" in out
         assert "skewed launch" in out
 
+    @pytest.mark.parametrize("values", ["2,2.7", "2,abc"],
+                             ids=["fraction", "not-a-number"])
+    def test_sweep_refuses_values_the_knob_cannot_take(self, values):
+        """A fractional driver count is refused, never truncated to 2."""
+        with pytest.raises(SystemExit, match="--values"):
+            main(["sweep", "--values", values])
+
     def test_report_fig1(self, capsys):
         assert main(["report", "fig1"]) == 0
         out = capsys.readouterr().out
@@ -131,6 +139,21 @@ class TestTelemetryFlags:
         assert data["unrecovered_failures"] == 0
         assert data["newton_solves"] > 0
         assert data["accepted_steps"] > 0
+
+    def test_metrics_count_each_engine_run_once(self, tmp_path, capsys):
+        """``--metrics`` sees every run as it finishes: the solver counters
+        equal the session's, and each run is one phase sample."""
+        simulate_ssn_cache_clear()
+        prom, tel = tmp_path / "m.prom", tmp_path / "t.json"
+        assert main(["sweep", "--values", "1,2", "-l", "1e-9",
+                     "--metrics", str(prom), "--telemetry-json", str(tel)]) == 0
+        capsys.readouterr()
+        lines = prom.read_text().splitlines()
+        solves = json.loads(tel.read_text())["newton_solves"]
+        assert solves > 0
+        assert f"repro_newton_solves_total {float(solves)!r}" in lines
+        assert 'repro_phase_seconds_count{phase="total"} 2' in lines
+        assert "repro_newton_iterations_per_solve_count 2" in lines
 
     def test_session_disabled_after_command(self, capsys):
         assert main(["report", "fig2", "--telemetry"]) == 0

@@ -11,6 +11,8 @@ import dataclasses
 import json
 import math
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -106,7 +108,7 @@ class TestDisabledMode:
 
     def test_metric_helpers_are_noops(self):
         obs_metrics.inc("repro_anything_total")
-        obs_metrics.observe("repro_step_seconds", 1e-12)
+        obs_metrics.observe("repro_example_seconds", 1e-12)
         obs_metrics.set_gauge("repro_depth", 3)
         assert obs_metrics.active_registry() is None
         assert obs_metrics.snapshot_metrics() is None
@@ -264,15 +266,51 @@ class TestMetricsRegistry:
     def test_dict_round_trip_and_bucket_mismatch(self):
         reg = MetricsRegistry()
         reg.counter("repro_retries_total").inc(3)
-        reg.histogram("repro_step_seconds").observe(1e-12)
+        reg.histogram("repro_example_seconds").observe(1e-12)
         clone = MetricsRegistry().merge_dict(reg.as_dict())
         assert clone.as_dict() == reg.as_dict()
 
         bad = reg.as_dict()
         other = MetricsRegistry()
-        other.histogram("repro_step_seconds", buckets=(1.0, 2.0))
+        other.histogram("repro_example_seconds", buckets=(1.0, 2.0))
         with pytest.raises(ValueError, match="bucket mismatch"):
             other.merge_dict(bad)
+
+    def test_one_newton_sample_per_run(self):
+        reg = MetricsRegistry()
+        reg.record_telemetry(SolverTelemetry(newton_solves=4, newton_iterations=10))
+        reg.record_telemetry(SolverTelemetry(retries=1))  # no solve, no sample
+        hist = reg.get("repro_newton_iterations_per_solve")
+        assert (hist.count, hist.sum) == (1, 2.5)
+
+    def test_concurrent_runs_lose_no_update(self):
+        """Server compute threads record runs at once; the first use of a
+        series must not drop a concurrent thread's increment."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                reg = obs_metrics.enable_metrics()
+                barrier = threading.Barrier(4, timeout=10)
+                run = SolverTelemetry(newton_solves=1, newton_iterations=3)
+
+                def record():
+                    barrier.wait()
+                    reg.record_telemetry(run)
+                    obs_metrics.inc("repro_x_total")
+
+                threads = [threading.Thread(target=record) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert reg.get("repro_newton_solves_total").value == 4
+                assert reg.get("repro_newton_iterations_per_solve").count == 4
+                assert reg.get("repro_x_total").value == 4
+        finally:
+            sys.setswitchinterval(interval)
+            obs_metrics.disable_metrics()
 
     def test_telemetry_extras_flow_into_counters(self):
         tel = SolverTelemetry()
@@ -283,13 +321,13 @@ class TestMetricsRegistry:
 
     def test_quantile_accessor(self):
         reg = MetricsRegistry()
-        hist = reg.histogram("repro_step_seconds", buckets=(0.1, 1.0, 10.0))
+        hist = reg.histogram("repro_example_seconds", buckets=(0.1, 1.0, 10.0))
         for v in (0.05, 0.5, 0.7, 5.0):
             hist.observe(v)
         # Registry accessor delegates to the histogram's bucket-bound
         # quantile estimate.
-        assert reg.quantile("repro_step_seconds", 0.5) == hist.quantile(0.5)
-        assert reg.quantile("repro_step_seconds", 0.99) == hist.quantile(0.99)
+        assert reg.quantile("repro_example_seconds", 0.5) == hist.quantile(0.5)
+        assert reg.quantile("repro_example_seconds", 0.99) == hist.quantile(0.99)
         # Unknown series is nan, not a KeyError — callers poll optimistically.
         assert math.isnan(reg.quantile("repro_absent_seconds", 0.5))
         reg.counter("repro_x_total").inc()
@@ -334,7 +372,7 @@ class TestPrometheusText:
         reg = MetricsRegistry()
         reg.counter("repro_retries_total").inc(3)
         reg.gauge("repro_depth").set(0.1 + 0.2)  # a classic non-exact float
-        hist = reg.histogram("repro_step_seconds",
+        hist = reg.histogram("repro_example_seconds",
                              buckets=(1e-12, 3.3333333333333335e-1, 2.0))
         for v in (7e-13, 0.1, 0.30000000000000004, 1.9999999999999998):
             hist.observe(v)

@@ -17,6 +17,7 @@ from repro.analysis.parallel import _observability_config, _pool_invoke, paralle
 from repro.analysis.simulate import simulate_many, simulate_ssn_cache_clear
 from repro.observability import metrics as obs_metrics
 from repro.observability import trace
+from repro.observability.export import to_prometheus_text
 from repro.spice.telemetry import disable_session_telemetry, enable_session_telemetry
 from repro.testing import faults
 
@@ -127,7 +128,7 @@ class TestBrokenPoolStitching:
         assert len(by_name["work_inner"]) == 4
 
         assert registry.get("repro_test_tasks_total").value == 4
-        assert registry.get("repro_pool_degradations_total").value == 1
+        assert registry.get("repro_degradations_total").value == 1
 
 
 def _run_simulate_many(specs, workers):
@@ -150,6 +151,18 @@ def _session_counts(run, specs, workers):
     counts = session.as_dict()
     del counts["phase_seconds"]
     return counts
+
+
+def _metric_lines(run, specs, workers):
+    """Non-timing Prometheus lines of one cold-memo run (session off)."""
+    simulate_ssn_cache_clear()
+    registry = obs_metrics.enable_metrics()
+    try:
+        run(specs, workers)
+    finally:
+        obs_metrics.disable_metrics()
+    return [line for line in to_prometheus_text(registry).splitlines()
+            if "_seconds" not in line]
 
 
 @pytest.fixture
@@ -175,6 +188,45 @@ class TestSessionExactlyOnce:
         faults.install_faults("worker:task=0")
         with pytest.warns(RuntimeWarning, match="process pool broke"):
             assert _session_counts(run, specs, 2) == expected
+
+
+@pytest.mark.parametrize("run", [_run_simulate_many, _run_campaign],
+                         ids=["simulate_many", "campaign"])
+class TestMetricsExactlyOnce:
+    """Every run reaches the registry once, through ``record_session``, in
+    whichever process it ran."""
+
+    def test_pooled_metrics_equal_serial(self, run, specs):
+        serial = _metric_lines(run, specs, 1)
+        assert "repro_newton_iterations_per_solve_count 3" in serial
+        assert _metric_lines(run, specs, 2) == serial
+
+    def test_broken_pool_counts_one_degradation(self, run, specs):
+        serial = _metric_lines(run, specs, 1)
+        faults.install_faults("worker:task=0")
+        with pytest.warns(RuntimeWarning, match="process pool broke"):
+            broken = _metric_lines(run, specs, 2)
+        assert "repro_degradations_total 1.0" in broken
+        assert [line for line in broken
+                if "repro_degradations_total" not in line] == serial
+
+
+def test_batch_and_scalar_export_the_same_newton_series(tech018):
+    """One lockstep group on the batch engine observes what the scalar
+    engine observes: one Newton histogram sample per instance."""
+    specs = [DriverBankSpec(technology=tech018, n_drivers=2, inductance=ind,
+                            rise_time=0.5e-9) for ind in (1e-9, 2e-9, 3e-9)]
+
+    def newton_lines(engine):
+        lines = _metric_lines(
+            lambda s, _: simulate_many(s, engine=engine), specs, 1)
+        assert f'repro_engine_selected_total{{engine="{engine}"}} 1.0' in lines
+        assert "repro_batch_fallbacks_total" not in "\n".join(lines)
+        return [line for line in lines if line.startswith("repro_newton_")]
+
+    scalar = newton_lines("scalar")
+    assert "repro_newton_iterations_per_solve_count 3" in scalar
+    assert newton_lines("batch") == scalar
 
 
 class TestEnvelope:

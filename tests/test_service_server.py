@@ -517,10 +517,23 @@ class TestHttpSurface:
         post_bytes("/montecarlo", b'{"n_drivers": 1, "trials": 1e400}'),
         post_bytes("/montecarlo", b'{"n_drivers": 1, "seed": 1e400}'),
         post_bytes("/simulate", b"[" * 100_000),
+        post_bytes("/simulate", b'{"n_drivers": 2.7}'),
+        post_bytes("/simulate", b'{"n_drivers": true}'),
+        post_bytes("/simulate", b'{"n_drivers": "3"}'),
+        post_bytes("/simulate", b'{"n_drivers": 1, "inductance": true}'),
+        post_bytes("/sweep", b'{"knob":"n_drivers","values":[2.7]}'),
+        post_bytes("/sweep", b'{"knob":"inductance","values":["1e-9"]}'),
+        post_bytes("/montecarlo", b'{"n_drivers": 1, "trials": 2.5}'),
+        post_bytes("/montecarlo", b'{"n_drivers": 1, "trials": "8"}'),
+        post_bytes("/montecarlo", b'{"n_drivers": 1, "seed": true}'),
+        post_bytes("/montecarlo", b'{"n_drivers": 1, "seed": -1}'),
     ], ids=["length-not-a-number", "length-negative", "length-plus-sign",
             "length-underscore", "length-hex", "sweep-value-overflow",
             "spec-field-overflow", "trials-overflow", "seed-overflow",
-            "nesting-too-deep"])
+            "nesting-too-deep", "count-fraction", "count-true",
+            "count-string", "inductance-true", "sweep-count-fraction",
+            "sweep-value-string", "trials-fraction", "trials-string",
+            "seed-true", "seed-negative"])
     def test_malformed_request_is_a_400_and_stores_nothing(
             self, tmp_path, registry, request_bytes):
         async def scenario():
@@ -534,13 +547,53 @@ class TestHttpSurface:
         assert len(ResultStore(tmp_path / "store")) == 0
 
 
-    @pytest.mark.parametrize("body", [
-        b'{"n_drivers": 1, "driver_strength": 0}',
-        b'{"n_drivers": 1, "driver_strength": -1}',
-        b'{"n_drivers": 1, "driver_strength": false}',
+    def test_single_trial_montecarlo_is_a_400_before_any_compute(
+            self, tmp_path, registry):
+        """A Monte Carlo needs two draws for a spread: one trial is the
+        client's error, not a failed computation."""
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                raw = await raw_exchange(service, post_bytes(
+                    "/montecarlo", b'{"n_drivers": 1, "trials": 1}'))
+                return raw, obs_events.snapshot_events()
+
+        raw, events = asyncio.run(scenario())
+        assert raw.startswith(b"HTTP/1.1 400"), raw[:200]
+        assert b"'trials' must be at least 2" in raw
+        assert registry.get("repro_service_computes_total") is None
+        assert [e for e in events
+                if e["name"] == "service_compute_failed"] == []
+        assert len(ResultStore(tmp_path / "store")) == 0
+
+    def test_miss_reaches_metrics_through_its_telemetry(self, tmp_path):
+        """The miss's engine run is projected into /metrics from the same
+        record the response carries."""
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                _, payload = await post(service, "/simulate",
+                                        dict(PARAMS, include_waveforms=False))
+                _, text = await self._get(service, "/metrics")
+            return payload, text
+
+        payload, text = asyncio.run(scenario())
+        assert payload["outcome"] == "miss"
+        solves = payload["telemetry"]["newton_solves"]
+        assert solves > 0
+        lines = text.splitlines()
+        assert f"repro_newton_solves_total {float(solves)!r}" in lines
+        assert "repro_newton_iterations_per_solve_count 1" in lines
+        assert 'repro_phase_seconds_count{phase="total"} 1' in lines
+
+    @pytest.mark.parametrize("body,error", [
+        (b'{"n_drivers": 1, "driver_strength": 0}',
+         b"driver_strength must be positive"),
+        (b'{"n_drivers": 1, "driver_strength": -1}',
+         b"driver_strength must be positive"),
+        (b'{"n_drivers": 1, "driver_strength": false}',
+         b"expected a number, not False"),
     ], ids=["strength-zero", "strength-negative", "strength-false"])
     def test_non_positive_driver_strength_is_a_400_before_any_compute(
-            self, tmp_path, registry, body):
+            self, tmp_path, registry, body, error):
         async def scenario():
             async with service_on(tmp_path) as service:
                 raw = await raw_exchange(service, post_bytes("/simulate", body))
@@ -548,7 +601,7 @@ class TestHttpSurface:
 
         raw, events = asyncio.run(scenario())
         assert raw.startswith(b"HTTP/1.1 400"), raw[:200]
-        assert b"driver_strength must be positive" in raw
+        assert error in raw
         assert registry.get("repro_service_computes_total") is None
         assert [e for e in events
                 if e["name"] == "service_compute_failed"] == []
@@ -849,16 +902,35 @@ _SPEC_REQUESTS = st.builds(
 )
 
 
+def _is_json_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @settings(max_examples=500, deadline=None)
 @given(params=_SPEC_REQUESTS)
 @example(params={"n_drivers": 1, "driver_strength": False})
+@example(params={"n_drivers": 2.7})
+@example(params={"n_drivers": True})
+@example(params={"n_drivers": "3"})
+@example(params={"n_drivers": 1, "inductance": True})
+@example(params={"n_drivers": 3, "input_offsets": "123"})
 def test_request_spec_is_refused_or_builds(params):
     """Any JSON object over the spec fields is a 400 or a spec whose
     netlist builds: validation never passes what the engine would refuse.
-    (A /sweep point is such an object with the knob's value set.)"""
+    A spec that builds holds every numeric field exactly as sent, and only
+    JSON numbers get there: no truncated count, no string or boolean
+    read as a number.  (A /sweep point is such an object with the knob's
+    value set.)"""
     try:
         spec = server_module._spec_from(params)
     except server_module.BadRequest:
         return
+    for name, value in params.items():
+        if name in server_module._SPEC_FIELDS and name != "collapse" \
+                and value is not None:
+            assert _is_json_number(value) and getattr(spec, name) == value
+    if params.get("input_offsets") is not None:
+        assert all(map(_is_json_number, params["input_offsets"]))
+        assert list(spec.input_offsets) == params["input_offsets"]
     if (spec.collapse and spec.input_offsets is None) or spec.n_drivers <= 64:
         assert build_driver_bank(spec).elements

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.driver_bank import DriverBankSpec
-from repro.analysis.engine import ENGINES, degradation_rungs
+from repro.analysis.engine import ENGINES
 from repro.analysis.simulate import simulate_many, simulate_ssn
 from repro.process import get_technology
 from repro.service import ResultStore, surrogate_key
@@ -198,7 +198,6 @@ class TestSurrogateEngine:
 
     def test_ladder_names(self):
         assert ENGINES == ("auto", "batch", "scalar", "surrogate")
-        assert degradation_rungs("surrogate") == ("scalar",)
 
     def test_in_region_hit_does_zero_solver_work(self, model, tech):
         [sim] = simulate_many([in_region_spec(tech)], engine="surrogate")
