@@ -23,7 +23,6 @@ _EXPORTS = {
     "build_driver_bank": "driver_bank",
     "ENGINES": "engine",
     "resolve_engine": "engine",
-    "set_default_engine": "engine",
     "ErrorSummary": "metrics",
     "WaveformComparison": "metrics",
     "batch_peaks": "metrics",

@@ -72,8 +72,8 @@ CHECKPOINT_VERSION = 1
 class CampaignError(RuntimeError):
     """A campaign instance failed every rung of the recovery ladder.
 
-    The runner's :class:`~repro.spice.telemetry.SolverTelemetry` (with
-    ``unrecovered_failures`` incremented) is attached as ``.telemetry``.
+    The failing run's campaign :class:`~repro.spice.telemetry.SolverTelemetry`
+    (with ``unrecovered_failures`` incremented) is attached as ``.telemetry``.
     """
 
     telemetry: SolverTelemetry | None = None
@@ -111,8 +111,9 @@ class CampaignConfig:
         backoff_cap: upper bound on one backoff sleep.
         max_workers: process-pool width for scalar bulk execution (as in
             :func:`repro.analysis.parallel.parallel_map`).
-        engine: starting engine rung (``"batch"``/``"scalar"``/``"auto"``;
-            default per :func:`repro.analysis.engine.resolve_engine`).
+        engine: starting engine rung (``"batch"``/``"scalar"``/``"auto"``/
+            ``"surrogate"``; None runs ``"scalar"``, see
+            :func:`repro.analysis.engine.resolve_engine`).
         flight_dir: directory for a flight-recorder bundle (last events +
             spans + metrics) dumped when an instance exhausts the whole
             recovery ladder (default: ``$REPRO_FLIGHT_DIR``, else none).
@@ -206,7 +207,8 @@ class CampaignRunner:
     One runner instance accumulates campaign telemetry across its runs in
     ``self.telemetry`` (campaign counters only — per-instance solver
     counters ride on the returned results, exactly as in direct sweeps, so
-    nothing is double counted when callers aggregate both).
+    nothing is double counted when callers aggregate both).  Each
+    :meth:`run_specs` call records only its own counters into the session.
     """
 
     def __init__(self, config: CampaignConfig | None = None, **kwargs):
@@ -404,10 +406,22 @@ class CampaignRunner:
         unchanged, so existing checkpoints stay resumable.
         """
         specs = list(specs)
+        if not specs:
+            return []
+        # Count this call apart from the runner's lifetime totals, so the
+        # session gets each counter once however often the runner is reused.
+        lifetime, self.telemetry = self.telemetry, SolverTelemetry()
+        try:
+            return self._run_specs(specs, kind, fingerprint_extra, options)
+        finally:
+            call, self.telemetry = self.telemetry, lifetime.merge(self.telemetry)
+            record_session(call)
+
+    def _run_specs(self, specs: list[DriverBankSpec], kind: str,
+                   fingerprint_extra: dict | None,
+                   options: TransientOptions | None) -> list[dict]:
         cfg = self.config
         n = len(specs)
-        if n == 0:
-            return []
         rung0 = resolve_engine(cfg.engine, n)
         obs_metrics.inc("repro_engine_selected_total", labels={"engine": rung0})
         extra = dict(fingerprint_extra or {})
@@ -455,7 +469,6 @@ class CampaignRunner:
 
         records = [rec for ci in sorted(done) for rec in done[ci]["records"]]
         records.sort(key=lambda rec: rec["index"])
-        record_session(self.telemetry)  # the campaign counters only
         return records
 
     # -- workload wrappers -----------------------------------------------------------

@@ -6,6 +6,10 @@ parameter spread to a noise distribution is essentially free — one of the
 practical payoffs of an analytic model over simulation.  This module draws
 correlated-lognormal K and normal V0/lambda perturbations and reports the
 resulting peak-SSN statistics.
+
+:func:`transient_peak_distribution` runs the same draws through the golden
+simulator instead, on the engine its ``engine=`` argument names (scalar
+when omitted).
 """
 
 from __future__ import annotations
@@ -217,9 +221,8 @@ def transient_peak_distribution(
     trial: the nominal technology's NMOS threshold and mobility are
     perturbed, a driver-bank circuit is built per draw
     (:func:`device_trials`), and the whole fleet of same-topology circuits
-    is simulated.  Under the batched engine (``engine="batch"`` or
-    ``REPRO_ENGINE=batch``) the fleet advances in one vectorized Newton
-    loop instead of ``trials`` independent runs, which is what makes
+    is simulated.  Under the batched engine (``engine="batch"``) the
+    fleet advances in one vectorized Newton loop instead of ``trials`` independent runs, which is what makes
     golden Monte Carlo affordable.  For checkpoints, retries and engine
     degradation run the same workload through
     :meth:`repro.analysis.campaign.CampaignRunner.run_montecarlo`.

@@ -5,6 +5,11 @@ experiments can ask one question — "what does the real (simulated) circuit
 do?" — in one call.  The peak is reported over the *full* simulated span,
 like the paper's HSPICE measurements, not just over the model validity
 window.
+
+A run depends only on its call: the engine is the explicit ``engine=``
+(else ``"scalar"``) and the linear-algebra tier is
+``TransientOptions.sparse``.  So :func:`ssn_memo_key` is just
+``(spec, tstop, dt, options)``, and equal keys are equal simulations.
 """
 
 from __future__ import annotations
@@ -18,10 +23,9 @@ import threading
 
 from ..observability import metrics as obs_metrics
 from ..spice.batch import BatchIncompatibleError, batch_transient, lockstep_signature
-from ..spice.mna import default_sparse_mode
 from ..spice.telemetry import SolverTelemetry
 from ..spice.transient import TransientOptions, transient
-from .engine import default_engine, resolve_engine
+from .engine import resolve_engine
 from .parallel import parallel_map
 from ..spice.waveform import Waveform
 from .driver_bank import (
@@ -144,32 +148,6 @@ def _package_simulation(spec: DriverBankSpec, result) -> SsnSimulation:
     )
 
 
-def resolved_backend(options: TransientOptions | None = None) -> tuple:
-    """Snapshot of the process-global backend defaults a run resolves under.
-
-    A golden simulation's exact output (including its telemetry and
-    ``extras`` backend records) depends not only on the explicit arguments
-    but on two process-wide defaults that can be flipped between calls:
-    the engine default (:func:`repro.analysis.engine.set_default_engine` /
-    ``REPRO_ENGINE``) and the sparse-tier default
-    (:func:`repro.spice.mna.set_default_sparse` / ``REPRO_SPARSE``).
-    Returns a sorted tuple of ``(name, value)`` pairs, hashable and JSON-friendly, that every result-cache key — the
-    in-process memo and the persistent service store — must fold in so a
-    default flip is a cache miss, never a stale hit.
-
-    An explicit ``TransientOptions.sparse`` of ``True``/``False`` pins the
-    tier, so the global sparse default is irrelevant (and excluded) for
-    such option sets.
-    """
-    sparse = "auto" if options is None else options.sparse
-    if sparse == "auto":
-        sparse = default_sparse_mode()
-    return (
-        ("engine", default_engine()),
-        ("sparse", str(sparse)),
-    )
-
-
 _DEFAULT_OPTIONS = TransientOptions()
 
 
@@ -192,15 +170,13 @@ def ssn_memo_key(
 ) -> tuple:
     """The exact memo key of one golden simulation request.
 
-    Every component is a frozen dataclass or scalar plus the
-    :func:`resolved_backend` snapshot, so equality means "the same
-    simulation under the same process-global defaults".  The persistent
-    service store (:mod:`repro.service`) derives its content-addressed
-    fingerprints from this same function, keeping the two cache tiers'
-    key contracts identical by construction.
+    Every component is a frozen dataclass or scalar, and a run depends on
+    nothing else (no process-wide engine or sparse-tier default exists),
+    so equality means "the same simulation".  The persistent service
+    store (:mod:`repro.service.keys`) hashes the same four inputs, with
+    ``options`` canonicalized through the same :func:`canonical_options`.
     """
-    options = canonical_options(options)
-    return (spec, tstop, dt, options, resolved_backend(options))
+    return (spec, tstop, dt, canonical_options(options))
 
 
 def freeze_simulation(sim: SsnSimulation) -> SsnSimulation:
@@ -274,16 +250,12 @@ def simulate_ssn_cached(
     dt: float | None = None,
     options: TransientOptions | None = None,
 ) -> SsnSimulation:
-    """Memoized :func:`simulate_ssn` keyed on the frozen spec *and* backend.
+    """Memoized :func:`simulate_ssn` keyed on its arguments (:func:`ssn_memo_key`).
 
     Paper figures revisit the same configurations (the Fig. 3 and Fig. 4
     sweeps share their base points; ablations re-run nominal corners), so
     repeated points are free.  Every argument is a frozen dataclass (or
-    scalar), and the key additionally folds in :func:`resolved_backend` —
-    flipping ``set_default_sparse``/``REPRO_SPARSE`` or
-    ``set_default_engine``/``REPRO_ENGINE`` between calls recomputes
-    instead of returning a result (and telemetry) from the old backend.
-    Results are shared, and their waveform arrays are frozen
+    scalar) and nothing outside them changes a run.  Results are shared, and their waveform arrays are frozen
     (``writeable=False``): an accidental mutation raises instead of
     silently corrupting every later cache hit.  A hit records no session
     telemetry: its Newton work was recorded when it actually ran.
@@ -319,7 +291,7 @@ def simulate_many(
     count, so sweeps are element-for-element comparable however they ran.
 
     ``engine`` selects the transient engine (``"scalar"``, ``"batch"``,
-    ``"surrogate"`` or ``"auto"``; default per
+    ``"surrogate"`` or ``"auto"``; default ``"scalar"``, see
     :func:`repro.analysis.engine.resolve_engine`):
 
     * scalar — one :func:`transient` per spec, optionally across a process

@@ -7,7 +7,8 @@ callers provide a base :class:`DriverBankSpec`, the values to sweep, how to
 apply a value to the spec, and named estimator callbacks.
 
 The golden simulations — the expensive part — are memoized on the frozen
-spec and can fan out across a process pool (``max_workers``); the cheap
+spec, run on the engine the ``engine=`` argument names (scalar when
+omitted) and can fan out across a process pool (``max_workers``); the cheap
 closed-form estimators always run in the calling process, so estimator
 callbacks are free to be closures.  Parallel sweeps return points in the
 same order as serial sweeps, element for element.
@@ -181,8 +182,8 @@ def sweep(
             default (None) honors ``REPRO_MAX_WORKERS`` and otherwise runs
             serially.  Results are order- and value-identical either way.
         engine: transient engine for the golden simulations (``"scalar"``,
-            ``"batch"`` or ``"auto"``); the default honors ``REPRO_ENGINE``
-            per :func:`repro.analysis.engine.resolve_engine`.  The batched
+            ``"batch"`` or ``"auto"``); the default is ``"scalar"``, see
+            :func:`repro.analysis.engine.resolve_engine`.  The batched
             engine runs all sweep points in one vectorized Newton loop.
 
     Returns:

@@ -31,6 +31,10 @@ Seven commands cover the library's day-to-day uses:
   campaign commands answers in-region points from the process-default
   registry.
 
+``sweep``/``montecarlo``/``simulate`` and ``surrogate fit`` take
+``--engine``; nothing else picks an engine, so a command runs the same
+way in every environment.
+
 ``sweep``/``montecarlo``/``simulate`` run *campaigns* — long multi-simulation workloads — through
 the fault-tolerant runner (:mod:`repro.analysis.campaign`): they accept
 ``--checkpoint PATH`` (journal completed chunks atomically), ``--resume``
@@ -63,9 +67,8 @@ import sys
 
 from .analysis.campaign import CampaignConfig, CampaignRunner
 from .analysis.driver_bank import DriverBankSpec
-from .analysis.engine import ENGINES, set_default_engine
+from .analysis.engine import ENGINES
 from .analysis.sweeps import KNOBS
-from .spice.mna import SPARSE_MODES, set_default_sparse
 from .observability import atomic_write_json, summarize_trace_file
 from .observability import events as obs_events
 from .observability import metrics as obs_metrics
@@ -118,7 +121,7 @@ def _add_tech_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _telemetry_parent() -> argparse.ArgumentParser:
-    """Shared ``--telemetry``/``--telemetry-json``/``--engine``/``--sparse`` flags."""
+    """Shared ``--telemetry``/``--telemetry-json`` and observability flags."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--telemetry", action="store_true",
@@ -127,22 +130,6 @@ def _telemetry_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--telemetry-json", metavar="PATH", default=None,
         help="write the solver-telemetry run summary as JSON to PATH",
-    )
-    parent.add_argument(
-        "--engine", choices=list(ENGINES), default=None,
-        help="transient engine for golden simulations: 'batch' runs "
-        "same-topology ensembles in one vectorized Newton loop, 'scalar' "
-        "simulates them one at a time, 'surrogate' answers in-region "
-        "points from fitted closed-form models (falling back to full "
-        "engines otherwise), 'auto' picks per workload "
-        "(default: $REPRO_ENGINE, else scalar)",
-    )
-    parent.add_argument(
-        "--sparse", choices=list(SPARSE_MODES), default=None,
-        help="linear-algebra tier: 'on' forces CSC assembly + splu "
-        "factorization, 'off' forces the dense LAPACK path, 'auto' "
-        "engages sparse above the size threshold "
-        "(default: $REPRO_SPARSE, else auto)",
     )
     parent.add_argument(
         "--trace", metavar="PATH", default=None,
@@ -169,6 +156,19 @@ def _telemetry_parent() -> argparse.ArgumentParser:
         "write Prometheus text to PATH",
     )
     return parent
+
+
+def _add_engine_argument(parser: argparse.ArgumentParser, default: str,
+                         choices=ENGINES) -> None:
+    parser.add_argument(
+        "--engine", choices=list(choices), default=default,
+        help="transient engine for golden simulations: 'batch' runs "
+        "same-topology ensembles in one vectorized Newton loop, 'scalar' "
+        "simulates them one at a time, 'surrogate' (campaign commands) "
+        "answers in-region points from fitted closed-form models (falling "
+        "back to full engines otherwise), 'auto' picks per workload "
+        f"(default: {default})",
+    )
 
 
 def _spec_parent() -> argparse.ArgumentParser:
@@ -217,8 +217,9 @@ def _runner_parent() -> argparse.ArgumentParser:
 
 
 def _campaign_parent() -> argparse.ArgumentParser:
-    """Checkpoint flags the campaign commands add to the runner flags."""
+    """Engine and checkpoint flags the campaign commands add to the runner flags."""
     parent = argparse.ArgumentParser(add_help=False)
+    _add_engine_argument(parent, "scalar")
     parent.add_argument(
         "--checkpoint", metavar="PATH", default=None,
         help="journal completed chunks to PATH (atomic JSONL); a crashed or "
@@ -240,7 +241,7 @@ def _campaign_config(args) -> CampaignConfig:
         max_retries=args.max_retries,
         deadline=args.deadline,
         max_workers=args.workers,
-        engine=getattr(args, "engine", None),
+        engine=args.engine,
     )
 
 
@@ -397,6 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     sg_fit = sg_sub.add_parser(
         "fit", help="fit a surrogate over a parameter box and store it")
     _add_tech_argument(sg_fit)
+    # Trains batched by default, the fastest exact path for the factorial
+    # grid; training data must come from a full engine.
+    _add_engine_argument(sg_fit, "batch",
+                         [e for e in ENGINES if e != "surrogate"])
     sg_fit.add_argument("--store", metavar="DIR", default=".repro_store",
                         help="result-database directory to persist the "
                         "fitted model into (default .repro_store)")
@@ -601,6 +606,8 @@ def _run_montecarlo(args) -> str:
     from .analysis.montecarlo import DeviceSpread
     from .experiments.common import fitted_models
 
+    if args.trials < 2:
+        raise SystemExit(f"--trials: a spread needs at least 2 draws, got {args.trials}")
     models = fitted_models(args.tech)
     spec = _spec(args, models.technology, args.drivers)
     spread = DeviceSpread(**{k: getattr(args, k) for k in ("vth_sigma", "mu_sigma")
@@ -795,9 +802,7 @@ def _run_surrogate(args) -> str:
         tolerance_percent=args.tolerance,
         samples_per_knob=args.samples,
         driver_strength=args.strength,
-        # Honor an explicit --engine; otherwise train batched, the fastest
-        # exact path for the factorial grid.
-        engine=None if args.engine else "batch",
+        engine=args.engine,
     )
     key = surrogate_key(model.technology, model.topology, model.operating_region)
     store.put_surrogate(key, model)
@@ -868,8 +873,6 @@ def main(argv=None) -> int:
         sample=args.trace_sample, detail=args.trace_detail,
     ) if trace_path else None
     registry = obs_metrics.enable_metrics() if metrics_path else None
-    set_default_engine(getattr(args, "engine", None))
-    set_default_sparse(getattr(args, "sparse", None))
     try:
         print(handlers[args.command](args))
         if session is not None:
@@ -882,8 +885,6 @@ def main(argv=None) -> int:
         if registry is not None:
             write_prometheus(metrics_path, registry)
     finally:
-        set_default_engine(None)
-        set_default_sparse(None)
         obs_trace.disable_tracing()
         obs_metrics.disable_metrics()
         if session is not None:

@@ -1,25 +1,27 @@
 """Content-addressed result keys for the persistent SSN store.
 
-One golden simulation is exactly determined by four things: the frozen
-circuit spec, the resolved time grid, the transient-option set, and the
-process-global backend defaults the run resolves under (engine and sparse
-tier).  :func:`result_key` hashes a
-canonical JSON rendering of all four into a hex fingerprint; equal keys
-mean "bit-identical simulation", so the store can serve a repeat query
-without re-entering the Newton loop, and a flipped backend default is a
-different key — a miss, never a stale hit.
+One golden simulation is exactly determined by three things: the frozen
+circuit spec, the resolved time grid, and the transient-option set.
+Nothing else changes a run: the engine is an explicit argument (else
+scalar) and the linear-algebra tier is ``TransientOptions.sparse``.
+:func:`result_key` hashes a canonical JSON rendering of the three into a
+hex fingerprint; equal keys mean "bit-identical simulation", so the store
+can serve a repeat query without re-entering the Newton loop.
 
-The backend snapshot is the *same* :func:`repro.analysis.simulate.resolved_backend`
-the in-process memo folds into its key, so the two cache tiers share one
-key contract by construction.  Floats are rendered with :func:`repr`
+The in-process memo (:func:`repro.analysis.simulate.ssn_memo_key`) keys on
+the same inputs through the same :func:`canonical_options`, so the two
+cache tiers share one key contract.  Floats are rendered with :func:`repr`
 (the shortest exact round trip), dataclasses with their deterministic
 ``repr``; the digest is SHA-256, never truncated — keys are the full
 64 hex characters.
 
 Scheme 2 dropped the compiled-kernel entry from the backend snapshot and
-the retired seed-engine flag from the ``TransientOptions`` repr.  Records
-stored under scheme 1 stay on disk and load, but no scheme-2 request
-hashes to their keys, so they are never served.
+the retired seed-engine flag from the ``TransientOptions`` repr; scheme 3
+dropped the backend snapshot itself.  Records stored under an older
+scheme stay on disk and load, but no scheme-3 request hashes to their
+keys, so they are never served.  Surrogate keys name a slot, not a run,
+and keep their scheme-2 payload, so a refit still overwrites its
+predecessor in place.
 """
 
 from __future__ import annotations
@@ -28,17 +30,12 @@ import hashlib
 import json
 
 from ..analysis.driver_bank import DriverBankSpec
-from ..analysis.simulate import (
-    canonical_options,
-    default_stop_time,
-    default_time_step,
-    resolved_backend,
-)
+from ..analysis.simulate import canonical_options, default_stop_time, default_time_step
 from ..spice.transient import TransientOptions
 
 #: Bumped whenever the canonical payload layout changes; part of the hash,
 #: so a scheme change invalidates every previously stored key at once.
-KEY_SCHEME_VERSION = 2
+KEY_SCHEME_VERSION = 3
 
 
 def canonical_request(
@@ -58,15 +55,13 @@ def canonical_request(
     transient run (Monte Carlo trial count and seed, sweep identity);
     its values must be JSON-serializable.
     """
-    options = canonical_options(options)
     return {
         "scheme": KEY_SCHEME_VERSION,
         "kind": str(kind),
         "spec": repr(spec),
         "tstop": repr(default_stop_time(spec) if tstop is None else float(tstop)),
         "dt": repr(default_time_step(spec) if dt is None else float(dt)),
-        "options": repr(options),
-        "backend": [list(pair) for pair in resolved_backend(options)],
+        "options": repr(canonical_options(options)),
         "extra": dict(sorted((extra or {}).items())),
     }
 
@@ -97,7 +92,7 @@ def surrogate_key(technology: str, topology: str, operating_region: str) -> str:
     predecessor in place.
     """
     payload = {
-        "scheme": KEY_SCHEME_VERSION,
+        "scheme": 2,  # frozen: identity keys must not move with result keys
         "kind": "surrogate",
         "technology": str(technology),
         "topology": str(topology),

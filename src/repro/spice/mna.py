@@ -39,9 +39,10 @@ exactly when that key or the matrix changes; see ``docs/performance.md``.
 Sparse tier
 -----------
 
-Above :data:`SPARSE_AUTO_THRESHOLD` unknowns (or on explicit request via
-``TransientOptions(sparse=True)``) assembly and factorization switch to
-compressed sparse column form.  :class:`SparseStampContext` records each
+At :data:`SPARSE_AUTO_THRESHOLD` unknowns and above (or on explicit request
+via ``TransientOptions(sparse=True)``) assembly and factorization switch to
+compressed sparse column form; ``TransientOptions.sparse`` alone picks the
+tier (:func:`resolve_sparse`).  :class:`SparseStampContext` records each
 element's matrix writes as triplets through the *same* stamping primitives;
 the first pass per ``(kind, mode)`` builds a symbolic CSC pattern (sorted
 unique coordinates plus a permutation from write order to data slots), and
@@ -57,7 +58,6 @@ squares exactly like the dense tier.
 from __future__ import annotations
 
 import functools
-import os
 import warnings
 
 import numpy as np
@@ -78,67 +78,16 @@ from .telemetry import SolverTelemetry
 #: above).
 SPARSE_AUTO_THRESHOLD = 150
 
-#: Environment variable consulted by ``sparse="auto"`` when no process
-#: default is installed: "on", "off" or "auto".
-SPARSE_ENV = "REPRO_SPARSE"
-
-SPARSE_MODES = ("auto", "on", "off")
-
-_default_sparse: str | None = None
-
-
-def set_default_sparse(mode: str | None) -> None:
-    """Install a process-wide default for ``sparse="auto"`` resolution.
-
-    ``"on"`` / ``"off"`` force the tier regardless of circuit size,
-    ``"auto"`` (or ``None``) restores the size-threshold heuristic.  Sits
-    between explicit ``TransientOptions(sparse=...)`` values and the
-    ``REPRO_SPARSE`` environment variable, mirroring the engine-selection
-    precedence of :mod:`repro.analysis.engine`; the CLI's ``--sparse`` flag
-    is a thin wrapper around this.
-    """
-    global _default_sparse
-    if mode is not None and mode not in SPARSE_MODES:
-        raise ValueError(f"unknown sparse mode {mode!r}; choose from {SPARSE_MODES}")
-    _default_sparse = mode
-
-
-def default_sparse_mode() -> str:
-    """The effective process-wide ``sparse="auto"`` default mode.
-
-    Pure read of the :func:`set_default_sparse` / ``REPRO_SPARSE``
-    precedence chain, normalized to one of :data:`SPARSE_MODES`.  An
-    invalid environment value silently maps to ``"auto"`` here — the
-    :class:`RuntimeWarning` for it belongs to :func:`resolve_sparse` at
-    simulation time, not to every cache-key derivation.  Result-cache keys
-    fold this in so flipping the default between calls can never return a
-    stale-keyed hit.
-    """
-    mode = _default_sparse or os.environ.get(SPARSE_ENV) or "auto"
-    return mode if mode in SPARSE_MODES else "auto"
-
 
 def resolve_sparse(option, size: int) -> bool:
     """Resolve a ``TransientOptions.sparse`` request to a concrete bool.
 
-    ``True``/``False`` are explicit; ``"auto"`` consults
-    :func:`default_sparse_mode` (the process default, then
-    ``REPRO_SPARSE``), then the :data:`SPARSE_AUTO_THRESHOLD` size
-    heuristic.  An invalid ``REPRO_SPARSE`` warns here and counts as
-    ``"auto"``.
+    ``True``/``False`` pin the tier; ``"auto"`` engages sparse at
+    :data:`SPARSE_AUTO_THRESHOLD` unknowns and above.
     """
     if option != "auto":
         return bool(option)
-    mode = default_sparse_mode()
-    env = os.environ.get(SPARSE_ENV)
-    if _default_sparse is None and env and env not in SPARSE_MODES:
-        warnings.warn(
-            f"ignoring invalid {SPARSE_ENV}={env!r}; choose from {SPARSE_MODES}",
-            RuntimeWarning, stacklevel=2,
-        )
-    if mode == "auto":
-        return size >= SPARSE_AUTO_THRESHOLD
-    return mode == "on"
+    return size >= SPARSE_AUTO_THRESHOLD
 
 
 class StampContext:

@@ -28,6 +28,9 @@ run carries a :class:`~repro.spice.telemetry.SolverTelemetry` record on
 cache activity and per-phase wall clock; an unrecoverable failure raises
 ``ConvergenceError`` with the partial record attached as ``.telemetry``.
 
+The linear-algebra tier (dense LAPACK or sparse ``splu``) comes from
+``TransientOptions.sparse`` alone, so equal arguments give equal runs.
+
 Step control is written once, as the pure functions of the "step control"
 section below; the batched engine (:mod:`repro.spice.batch`) calls the
 same functions on per-instance arrays.
@@ -81,10 +84,9 @@ class TransientOptions:
         sparse: linear-algebra tier selection.  ``True`` forces CSC
             assembly plus ``scipy.sparse.linalg.splu`` factorization,
             ``False`` forces the dense LAPACK path, and ``"auto"`` (the
-            default) engages sparse above
-            :data:`repro.spice.mna.SPARSE_AUTO_THRESHOLD` unknowns —
-            overridable process-wide via
-            :func:`repro.spice.mna.set_default_sparse` or ``REPRO_SPARSE``.
+            default) engages sparse from
+            :data:`repro.spice.mna.SPARSE_AUTO_THRESHOLD` unknowns up.
+            This field alone picks the tier.
     """
 
     method: str = "trap"
@@ -102,7 +104,9 @@ class TransientOptions:
     def __post_init__(self):
         if self.method not in ("trap", "be"):
             raise ValueError(f"unknown integration method {self.method!r}")
-        if self.sparse not in (True, False, "auto"):
+        if not isinstance(self.adaptive, bool):
+            raise ValueError(f"adaptive must be a bool, not {self.adaptive!r}")
+        if not (isinstance(self.sparse, bool) or self.sparse == "auto"):
             raise ValueError(
                 f"sparse must be True, False or 'auto', not {self.sparse!r}"
             )

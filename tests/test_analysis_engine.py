@@ -1,8 +1,8 @@
 """Tests for execution-engine selection and the batched analysis routing.
 
-Covers :mod:`repro.analysis.engine` (precedence of explicit argument,
-process default, ``REPRO_ENGINE``), the lockstep grouping inside
-:func:`simulate_many`, sweep/Monte-Carlo pass-through, and the CLI flag.
+Covers :mod:`repro.analysis.engine` (the explicit argument, else scalar),
+the lockstep grouping inside :func:`simulate_many`, sweep/Monte-Carlo
+pass-through, and the CLI flag of the commands that run an engine.
 """
 
 import dataclasses
@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.campaign import CampaignRunner
 from repro.analysis.driver_bank import DriverBankSpec
-from repro.analysis.engine import ENGINES, resolve_engine, set_default_engine
+from repro.analysis.engine import ENGINES, resolve_engine
 from repro.analysis.montecarlo import DeviceSpread, transient_peak_distribution
 from repro.analysis.simulate import simulate_many, simulate_ssn_cache_clear
 from repro.analysis.sweeps import sweep_driver_count
@@ -21,14 +21,6 @@ from repro.observability import metrics as obs_metrics
 
 #: Batched analysis results must stay within this of the scalar path.
 PARITY_TOL = 1e-9
-
-
-@pytest.fixture(autouse=True)
-def _clean_engine_state(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    set_default_engine(None)
-    yield
-    set_default_engine(None)
 
 
 @pytest.fixture
@@ -44,18 +36,9 @@ class TestResolveEngine:
         assert resolve_engine() == "scalar"
         assert resolve_engine(None, n_items=10) == "scalar"
 
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "batch")
-        assert resolve_engine("scalar") == "scalar"
-
-    def test_env_var_honored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "batch")
-        assert resolve_engine() == "batch"
-
-    def test_process_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "batch")
-        set_default_engine("scalar")
-        assert resolve_engine() == "scalar"
+    def test_explicit_argument_wins(self):
+        assert resolve_engine("batch", n_items=1) == "batch"
+        assert resolve_engine("surrogate") == "surrogate"
 
     def test_auto_picks_by_ensemble_size(self):
         assert resolve_engine("auto", n_items=1) == "scalar"
@@ -65,8 +48,6 @@ class TestResolveEngine:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             resolve_engine("vectorized")
-        with pytest.raises(ValueError):
-            set_default_engine("vectorized")
 
     def test_engine_names_frozen(self):
         assert ENGINES == ("auto", "batch", "scalar", "surrogate")
@@ -141,15 +122,6 @@ class TestSimulateManyRouting:
             assert sim.peak_voltage == ref.peak_voltage > 0.0
             assert sim.telemetry.batch_fallbacks == 0
 
-    def test_env_var_routes_batch(self, base, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "batch")
-        specs = [dataclasses.replace(base, n_drivers=n) for n in (1, 2)]
-        scalar = simulate_many(specs, engine="scalar")
-        simulate_ssn_cache_clear()
-        routed = simulate_many(specs)
-        for s, r in zip(scalar, routed):
-            assert abs(s.peak_voltage - r.peak_voltage) <= PARITY_TOL
-
 
 class TestSweepPassThrough:
     def test_sweep_engines_agree(self, base):
@@ -196,16 +168,44 @@ class TestTransientMonteCarlo:
 
 
 class TestCliFlag:
-    def test_engine_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["estimate", "-n", "4", "--engine", "batch"]
-        )
+    """``--engine`` sits on the commands that run an engine, and only there."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--values", "1,2"],
+        ["simulate", "-n", "2,4"],
+        ["montecarlo", "-n", "4"],
+        ["surrogate", "fit"],
+    ])
+    def test_engine_flag_parsed(self, argv):
+        args = build_parser().parse_args(argv + ["--engine", "batch"])
         assert args.engine == "batch"
 
-    def test_engine_flag_default_none(self):
-        args = build_parser().parse_args(["estimate", "-n", "4"])
-        assert args.engine is None
+    def test_engine_flag_defaults(self):
+        parse = build_parser().parse_args
+        assert parse(["sweep", "--values", "1,2"]).engine == "scalar"
+        assert parse(["simulate", "-n", "2"]).engine == "scalar"
+        # Surrogate fitting trains on the batched engine unless told otherwise.
+        assert parse(["surrogate", "fit"]).engine == "batch"
 
     def test_engine_flag_rejects_unknown(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["estimate", "-n", "4", "--engine", "turbo"])
+            build_parser().parse_args(["sweep", "--values", "1", "--engine", "turbo"])
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "-n", "4", "--engine", "batch"],
+        ["estimate", "-n", "4", "--sparse", "on"],
+        ["sweep", "--values", "1,2", "--sparse", "on"],
+        ["fit", "--engine", "batch"],
+        ["plan", "-b", "0.3", "-w", "8", "--engine", "batch"],
+        ["report", "fig3", "--engine", "batch"],
+        ["serve", "--engine", "batch"],
+        ["surrogate", "inspect", "--engine", "batch"],
+        ["surrogate", "--engine", "batch", "fit"],
+        # Training data must come from a full engine.
+        ["surrogate", "fit", "--engine", "surrogate"],
+    ])
+    def test_unsupported_engine_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err

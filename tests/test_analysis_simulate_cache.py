@@ -1,12 +1,9 @@
 """Memoized-simulation correctness: key resolution, freezing, telemetry.
 
-Regression coverage for two former bugs in the golden-simulation cache:
+The memo key is exactly the call's arguments: no process-wide setting
+can change a run, so none is part of the key.  Plus regression coverage
+for a former bug in the golden-simulation cache:
 
-* the memo key ignored the process-global backend defaults, so flipping
-  ``set_default_sparse``/``REPRO_SPARSE`` or ``set_default_engine``/
-  ``REPRO_ENGINE`` between calls could serve a result (and telemetry)
-  computed under the *old* backend — now the resolved backend snapshot is
-  part of the key and a flip forces a recompute;
 * the pooled scalar paths (``simulate_many`` and the campaign runner)
   folded worker results' telemetry into the parent's session aggregator,
   double counting Newton work whenever a fork-inherited warm memo answered
@@ -21,16 +18,13 @@ import pytest
 
 from repro.analysis.campaign import CampaignRunner
 from repro.analysis.driver_bank import DriverBankSpec
-from repro.analysis.engine import default_engine, set_default_engine
 from repro.analysis.simulate import (
-    resolved_backend,
     simulate_many,
     simulate_ssn_cache_clear,
     simulate_ssn_cache_stats,
     simulate_ssn_cached,
     ssn_memo_key,
 )
-from repro.spice.mna import default_sparse_mode, set_default_sparse
 from repro.spice.telemetry import (
     disable_session_telemetry,
     enable_session_telemetry,
@@ -39,15 +33,11 @@ from repro.spice.transient import TransientOptions
 
 
 @pytest.fixture(autouse=True)
-def _clean_cache_and_defaults():
+def _clean_cache_and_session():
     simulate_ssn_cache_clear()
-    set_default_engine(None)
-    set_default_sparse(None)
     disable_session_telemetry()
     yield
     simulate_ssn_cache_clear()
-    set_default_engine(None)
-    set_default_sparse(None)
     disable_session_telemetry()
 
 
@@ -56,33 +46,6 @@ def spec(tech018):
     return DriverBankSpec(
         technology=tech018, n_drivers=1, inductance=1e-9, rise_time=0.5e-9
     )
-
-
-class TestBackendResolution:
-    def test_defaults_resolve(self):
-        assert default_engine() == "scalar"
-        assert default_sparse_mode() == "auto"
-        backend = dict(resolved_backend())
-        assert set(backend) == {"engine", "sparse"}
-
-    def test_setters_and_env_feed_the_snapshot(self, monkeypatch):
-        set_default_engine("batch")
-        assert dict(resolved_backend())["engine"] == "batch"
-        set_default_engine(None)
-        monkeypatch.setenv("REPRO_ENGINE", "batch")
-        assert dict(resolved_backend())["engine"] == "batch"
-        set_default_sparse("on")
-        assert dict(resolved_backend())["sparse"] == "on"
-        set_default_sparse(None)
-        monkeypatch.setenv("REPRO_SPARSE", "off")
-        assert dict(resolved_backend())["sparse"] == "off"
-
-    def test_explicit_sparse_option_wins_over_the_default(self):
-        set_default_sparse("on")
-        options = TransientOptions(sparse=False)
-        assert dict(resolved_backend(options))["sparse"] == "False"
-        # "auto" in the options defers to the process default.
-        assert dict(resolved_backend(TransientOptions()))["sparse"] == "on"
 
 
 def _cached_and_fresh(spec):
@@ -106,39 +69,25 @@ class TestMemoKeying:
         again, fresh = _cached_and_fresh(spec)
         assert fresh is False and again is sim
 
-    def test_sparse_default_flip_forces_recompute(self, spec):
-        baseline = simulate_ssn_cached(spec)
-        set_default_sparse("on")
-        _, fresh = _cached_and_fresh(spec)
-        assert fresh is True
-        set_default_sparse(None)
-        again, fresh = _cached_and_fresh(spec)
-        assert fresh is False and again is baseline
-
-    def test_engine_default_flip_forces_recompute(self, spec):
-        baseline = simulate_ssn_cached(spec)
-        set_default_engine("batch")
-        _, fresh = _cached_and_fresh(spec)
-        assert fresh is True
-        set_default_engine(None)
-        again, fresh = _cached_and_fresh(spec)
-        assert fresh is False and again is baseline
-
-    def test_env_flip_forces_recompute(self, spec, monkeypatch):
-        simulate_ssn_cached(spec)
-        monkeypatch.setenv("REPRO_SPARSE", "on")
-        _, fresh = _cached_and_fresh(spec)
-        assert fresh is True
-        monkeypatch.setenv("REPRO_ENGINE", "batch")
-        _, fresh = _cached_and_fresh(spec)
-        assert fresh is True
-
-    def test_memo_key_is_hashable_and_backend_tagged(self, spec):
+    def test_memo_key_is_exactly_the_arguments(self, spec):
         key = ssn_memo_key(spec)
+        assert key == (spec, None, None, None)
         assert hash(key) == hash(ssn_memo_key(spec))
-        assert dict(key[-1]) == dict(resolved_backend())
-        set_default_sparse("on")
-        assert ssn_memo_key(spec) != key
+        # Default options spell no options: one key, one memo entry.
+        assert ssn_memo_key(spec, options=TransientOptions()) == key
+        pinned = TransientOptions(sparse=True)
+        assert ssn_memo_key(spec, 1e-9, 1e-12, pinned) == (spec, 1e-9, 1e-12, pinned)
+
+    def test_sparse_tier_is_part_of_the_options(self, spec):
+        """The tier is chosen by the options alone, so asking for the
+        other tier is another key and a recompute, and asking again for
+        the first returns its memoized result."""
+        baseline = simulate_ssn_cached(spec)
+        sparse = simulate_ssn_cached(spec, options=TransientOptions(sparse=True))
+        assert sparse is not baseline
+        assert sparse.telemetry.extras.get("backend_sparse_splu") == 1
+        again, fresh = _cached_and_fresh(spec)
+        assert fresh is False and again is baseline
 
 
 class TestFrozenResults:

@@ -22,8 +22,9 @@ from repro.analysis.campaign import (
 )
 from repro.analysis.driver_bank import DriverBankSpec
 from repro.analysis.montecarlo import transient_peak_distribution
-from repro.analysis.simulate import simulate_many
+from repro.analysis.simulate import simulate_many, simulate_ssn_cache_clear
 from repro.analysis.sweeps import sweep
+from repro.spice.telemetry import disable_session_telemetry, enable_session_telemetry
 from repro.spice.transient import TransientOptions
 from repro.testing import faults
 
@@ -225,6 +226,49 @@ class TestCheckpointJournal:
         )
         summaries = runner.run_simulate(_specs(tech018, [1, 2]))
         assert len(summaries) == 2
+
+
+@pytest.fixture
+def session():
+    tel = enable_session_telemetry()
+    yield tel
+    disable_session_telemetry()
+
+
+def _campaign_counts(tel):
+    return (tel.checkpoint_writes, tel.retries, tel.chunks_failed)
+
+
+class TestSessionCountsPerCall:
+    """A reused runner records each call's campaign counters once; its own
+    ``telemetry`` keeps the lifetime totals."""
+
+    def test_reused_runner_records_each_call_once(self, tech018, tmp_path, session):
+        runner = CampaignRunner(_config(checkpoint=tmp_path / "run.jsonl",
+                                        chunk_size=1))
+        runner.run_simulate(_specs(tech018, [1, 2]))  # header + 2 commits
+        assert session.checkpoint_writes == 3
+        runner.run_simulate(_specs(tech018, [3, 4]))
+        assert session.checkpoint_writes == 6
+        assert runner.telemetry.checkpoint_writes == 6
+
+    def test_restored_chunks_count_in_the_restoring_call(
+            self, tech018, tmp_path, session):
+        specs = _specs(tech018, [1, 2])
+        ckpt = tmp_path / "run.jsonl"
+        simulate_ssn_cache_clear()  # force the bulk attempt through the solver
+        faults.install_faults("newton:chunk=0:phase=bulk")
+        CampaignRunner(_config(checkpoint=ckpt, chunk_size=1,
+                               max_retries=2)).run_simulate(specs)
+        faults.clear_faults()
+        assert _campaign_counts(session) == (3, 2, 1)
+
+        resumed = CampaignRunner(_config(checkpoint=ckpt, chunk_size=1,
+                                         resume=True))
+        for calls in (1, 2):
+            resumed.run_simulate(specs)  # restores both chunks, runs none
+            assert _campaign_counts(session) == (3, 2 + 2 * calls, 1 + calls)
+            assert _campaign_counts(resumed.telemetry) == (0, 2 * calls, calls)
 
 
 class TestWorkloadWrappers:

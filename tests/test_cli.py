@@ -110,6 +110,12 @@ class TestCommands:
         with pytest.raises(SystemExit, match="--values"):
             main(["sweep", "--values", values])
 
+    @pytest.mark.parametrize("trials", ["1", "0", "-3"])
+    def test_montecarlo_refuses_fewer_than_two_trials(self, trials):
+        """A spread needs two draws: a usage error, not a traceback."""
+        with pytest.raises(SystemExit, match="--trials:"):
+            main(["montecarlo", "-n", "2", "--trials", trials])
+
     def test_report_fig1(self, capsys):
         assert main(["report", "fig1"]) == 0
         out = capsys.readouterr().out

@@ -487,6 +487,24 @@ class TestHttpSurface:
         assert "lte_rtol" in payload["error"]
         assert len(ResultStore(tmp_path / "store")) == 0
 
+    @pytest.mark.parametrize("options, field", [
+        ({"adaptive": "false"}, "adaptive"),
+        ({"sparse": 1}, "sparse"),
+    ], ids=["adaptive-string", "sparse-one"])
+    def test_mistyped_option_is_a_400_and_stores_nothing(
+            self, tmp_path, options, field):
+        """``"false"`` is truthy and ``1 == True``: accepting either would
+        run (and key) a different simulation than the client asked for."""
+        async def scenario():
+            async with service_on(tmp_path) as service:
+                return await post(service, "/simulate",
+                                  dict(PARAMS, options=options))
+
+        status, payload = asyncio.run(scenario())
+        assert status == 400
+        assert field in payload["error"]
+        assert len(ResultStore(tmp_path / "store")) == 0
+
     def test_malformed_json_is_a_400(self, tmp_path):
         async def scenario():
             async with service_on(tmp_path) as service:

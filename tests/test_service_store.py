@@ -1,8 +1,9 @@
 """Persistent result store: key contract, atomicity, and quarantine.
 
 The store's one promise is "equal key, bit-identical result" — so these
-tests pin the key function (backend flips change the key, defaults and
-explicit defaults spell the same key), the JSON round trip (arrays come
+tests pin the key function (its exact inputs and literal values, no
+process setting in it, defaults and explicit defaults spelling the same
+key), the JSON round trip (arrays come
 back exactly equal and frozen), and every validation failure path
 (garbage, stolen name, stale schema, tampered payload), each of which
 must quarantine-and-miss rather than crash or serve a wrong answer.  The
@@ -25,7 +26,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.driver_bank import DriverBankSpec
-from repro.analysis.engine import set_default_engine
 from repro.analysis.simulate import (
     default_stop_time,
     default_time_step,
@@ -35,29 +35,26 @@ from repro.analysis.simulate import (
 from repro.observability import metrics as obs_metrics
 from repro.process import TSMC018, get_technology
 from repro.service import (
+    KEY_SCHEME_VERSION,
     RECORD_SCHEMA_VERSION,
     ResultStore,
     canonical_request,
     result_key,
     simulation_from_record,
     simulation_record,
+    surrogate_key,
 )
 from repro.service.store import WAVEFORM_FIELDS, read_head
-from repro.spice.mna import set_default_sparse
 from repro.spice.transient import TransientOptions
 from repro.testing import faults
 from repro.testing.faults import FaultRule, InjectedCrash
 
 
 @pytest.fixture(autouse=True)
-def _clean_process_state():
+def _clean_faults():
     faults.clear_faults()
-    set_default_engine(None)
-    set_default_sparse(None)
     yield
     faults.clear_faults()
-    set_default_engine(None)
-    set_default_sparse(None)
 
 
 @pytest.fixture
@@ -94,37 +91,53 @@ class TestKeys:
         other = dataclasses.replace(spec, n_drivers=3)
         assert result_key(other) != base
 
-    def test_backend_default_flip_changes_the_key(self, spec):
-        base = result_key(spec)
-        set_default_sparse("on")
-        sparse_key = result_key(spec)
-        set_default_sparse(None)
-        set_default_engine("batch")
-        engine_key = result_key(spec)
-        assert len({base, sparse_key, engine_key}) == 3
+    def test_default_bank_key_is_pinned(self):
+        """The default 4-driver tsmc018 bank (``/simulate {"n_drivers": 4}``)
+        under scheme 3.  A change here orphans every stored record."""
+        default_bank = DriverBankSpec(
+            technology=TSMC018, n_drivers=4, inductance=5e-9, rise_time=0.5e-9)
+        assert result_key(default_bank) == (
+            "4f6f6db68fbcf660d81f316ea0d3c9f0c4b627c41357226400409f2f922be907")
 
-    def test_backend_env_flip_changes_the_key(self, spec, monkeypatch):
-        base = result_key(spec)
-        monkeypatch.setenv("REPRO_SPARSE", "on")
-        sparse_key = result_key(spec)
-        monkeypatch.setenv("REPRO_SPARSE", "off")
-        monkeypatch.setenv("REPRO_ENGINE", "batch")
-        engine_key = result_key(spec)
-        assert len({base, sparse_key, engine_key}) == 3
+    def test_surrogate_key_is_pinned(self):
+        """Surrogate keys name a slot: a refit must overwrite its old record,
+        so the value may not move with the result-key scheme."""
+        assert surrogate_key("tsmc018", "l", "first_order") == (
+            "694c37845025c8b9de69b54e6c41e3982938fc17c2e36938edb8b06e03d0ec53")
 
-    def test_explicit_sparse_option_ignores_the_global_default(self, spec):
-        pinned = result_key(spec, options=TransientOptions(sparse=False))
-        set_default_sparse("on")
-        assert result_key(spec, options=TransientOptions(sparse=False)) == pinned
-
-    def test_scheme_1_record_stays_on_disk_but_is_never_served(self, store, spec):
-        """Scheme 2 dropped the compiled-kernel backend entry and the
-        seed-engine flag of the options repr.  A record stored under a
-        scheme-1 key is still a valid record (no quarantine), but no
-        scheme-2 request hashes to it."""
+    def test_canonical_request_fields(self, spec):
         payload = canonical_request(spec)
-        payload["scheme"] = 1
-        payload["backend"] = sorted(payload["backend"] + [["kernel", "numpy"]])
+        assert set(payload) == {
+            "scheme", "kind", "spec", "tstop", "dt", "options", "extra"}
+        assert payload["scheme"] == KEY_SCHEME_VERSION == 3
+
+    def test_no_process_setting_enters_a_key(self, spec):
+        """A key is a function of the request alone: the memo key is the
+        argument tuple, and the store payload renders the same arguments."""
+        options = TransientOptions(sparse=True)
+        assert ssn_memo_key(spec, 1e-9, 1e-12, options) == (spec, 1e-9, 1e-12, options)
+        payload = canonical_request(spec, 1e-9, 1e-12, options)
+        assert (payload["spec"], payload["tstop"], payload["dt"], payload["options"]) \
+            == (repr(spec), repr(1e-9), repr(1e-12), repr(options))
+
+    def test_sparse_tier_is_a_request_option(self, spec):
+        keys = {result_key(spec, options=TransientOptions(sparse=sparse))
+                for sparse in (True, False, "auto")}
+        assert len(keys) == 3
+        assert result_key(spec, options=TransientOptions(sparse="auto")) == result_key(spec)
+
+    @pytest.mark.parametrize("scheme", [1, 2])
+    def test_old_scheme_record_stays_on_disk_but_is_never_served(
+            self, store, spec, scheme):
+        """Scheme 2 dropped the compiled-kernel backend entry and the
+        seed-engine flag of the options repr; scheme 3 dropped the backend
+        snapshot.  A record stored under an older key is still a valid
+        record (no quarantine), but no scheme-3 request hashes to it."""
+        payload = canonical_request(spec)
+        payload["scheme"] = scheme
+        payload["backend"] = [["engine", "scalar"], ["sparse", "auto"]]
+        if scheme == 1:
+            payload["backend"] = sorted(payload["backend"] + [["kernel", "numpy"]])
         old_key = hashlib.sha256(json.dumps(
             payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
         store.put(old_key, simulation_record(old_key, simulate_ssn(spec)))
@@ -137,16 +150,9 @@ class TestKeys:
             result_key(spec, options=TransientOptions()),
             result_key(spec, options=TransientOptions(sparse=False)),
         ]
-        set_default_engine("batch")
-        requests.append(result_key(spec))
         assert old_key not in requests
         assert all(store.load(key) is None for key in requests)
         assert len(store) == 1 and store.quarantined() == []
-
-    def test_store_key_and_memo_key_share_the_backend_snapshot(self, spec):
-        backend_of = lambda: dict(ssn_memo_key(spec)[-1])
-        payload = canonical_request(spec)
-        assert dict(tuple(pair) for pair in payload["backend"]) == backend_of()
 
 
 _positive = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)

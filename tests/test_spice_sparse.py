@@ -14,12 +14,7 @@ import pytest
 
 from repro.analysis.driver_bank import DriverBankSpec, build_driver_bank
 from repro.analysis.simulate import default_stop_time, default_time_step
-from repro.spice import mna
-from repro.spice.mna import (
-    SPARSE_AUTO_THRESHOLD,
-    resolve_sparse,
-    set_default_sparse,
-)
+from repro.spice.mna import SPARSE_AUTO_THRESHOLD, resolve_sparse
 from repro.spice.transient import TransientOptions, transient
 from repro.testing.netlists import ladder_circuit
 
@@ -111,42 +106,22 @@ class TestBackendTelemetry:
 
 
 class TestResolution:
-    def teardown_method(self):
-        set_default_sparse(None)
-
-    def test_threshold_heuristic(self, monkeypatch):
-        monkeypatch.delenv(mna.SPARSE_ENV, raising=False)
+    def test_threshold_heuristic(self):
         small = resolve_sparse("auto", SPARSE_AUTO_THRESHOLD - 1)
         large = resolve_sparse("auto", SPARSE_AUTO_THRESHOLD)
         assert small is False
         assert large is True
 
-    def test_process_default_overrides_threshold(self, monkeypatch):
-        monkeypatch.delenv(mna.SPARSE_ENV, raising=False)
-        set_default_sparse("on")
-        assert resolve_sparse("auto", 2) is True
-        set_default_sparse("off")
-        assert resolve_sparse("auto", 10 * SPARSE_AUTO_THRESHOLD) is False
-
-    def test_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv(mna.SPARSE_ENV, "on")
-        assert resolve_sparse("auto", 2) is True
-        monkeypatch.setenv(mna.SPARSE_ENV, "off")
-        assert resolve_sparse("auto", 10 * SPARSE_AUTO_THRESHOLD) is False
-
-    def test_invalid_environment_warns_and_uses_auto(self, monkeypatch):
-        monkeypatch.setenv(mna.SPARSE_ENV, "banana")
-        with pytest.warns(RuntimeWarning, match="REPRO_SPARSE"):
-            assert resolve_sparse("auto", 2) is False
-
-    def test_explicit_option_beats_default(self, monkeypatch):
-        monkeypatch.delenv(mna.SPARSE_ENV, raising=False)
-        set_default_sparse("on")
+    def test_explicit_option_pins_the_tier(self):
         assert resolve_sparse(False, 10 * SPARSE_AUTO_THRESHOLD) is False
+        assert resolve_sparse(True, 2) is True
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_sparse("sideways")
-        with pytest.raises(ValueError):
-            TransientOptions(sparse="sideways")
+    @pytest.mark.parametrize("value", ["sideways", "on", "off", "True", 1, 0,
+                                       0.0, 1.0, None, np.True_])
+    def test_anything_but_true_false_auto_rejected(self, value):
+        with pytest.raises(ValueError, match="sparse"):
+            TransientOptions(sparse=value)
 
+    @pytest.mark.parametrize("value", [True, False, "auto"])
+    def test_true_false_auto_accepted(self, value):
+        assert TransientOptions(sparse=value).sparse is value

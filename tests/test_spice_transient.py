@@ -180,6 +180,12 @@ class TestEngine:
         with pytest.raises(ValueError):
             TransientOptions(**kwargs)
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, 0.0, None])
+    def test_adaptive_must_be_a_bool(self, value):
+        # ``if opts.adaptive:`` would run the string "false" adaptive.
+        with pytest.raises(ValueError, match="adaptive"):
+            TransientOptions(adaptive=value)
+
     def test_first_sample_at_tstart(self):
         c = Circuit()
         c.resistor("R1", "a", "0", 1e3)
