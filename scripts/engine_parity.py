@@ -1,11 +1,12 @@
-"""Bitwise parity of the scalar transient engine between two source trees.
+"""Bitwise parity of the transient engines between two source trees.
 
-Runs a fixed case set through ``repro.spice.transient`` and writes every
+Runs a fixed case set through ``repro.spice.transient`` (scalar cases) and
+``repro.spice.batch.batch_transient`` (batched ensembles) and writes every
 waveform sample and every telemetry counter (all but the wall-clock
-``phase_seconds``) to one ``.npz`` file; ``compare`` then checks two such
-files bit for bit.  Dump once from each tree and compare to show that a
-refactor of the engine changed nothing it computes; dump twice from one
-tree to check run-to-run determinism.
+``phase_seconds``) to one ``.npz`` file, per instance for the ensembles;
+``compare`` then checks two such files bit for bit.  Dump once from each
+tree and compare to show that a refactor of the engines changed nothing
+they compute; dump twice from one tree to check run-to-run determinism.
 
 Usage::
 
@@ -25,12 +26,18 @@ The case set:
   failure unrecoverable (its telemetry is recorded);
 * a 160-section driven RC ladder (sparse by size) and a 60-section linear
   ladder (the cached-factorization path), each on both tiers;
-* the coupled-inductor nets of ``tests/test_spice_mutual.py``.
+* the coupled-inductor nets of ``tests/test_spice_mutual.py``;
+* batched ensembles: Fig. 3 (L-only) and Fig. 4-class (LC) driver sweeps
+  at B = 8 and B = 30 through trap and BE on the fixed grid, an adaptive
+  sweep through both methods, a 16-trial Monte Carlo fleet, and the
+  ``max_newton=5`` ensemble in which one instance fails Newton, fixed and
+  adaptive.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -127,11 +134,61 @@ def _mutual_cases():
                transformer, 2e-10, 1e-13, TransientOptions(sparse=sparse))
 
 
+def _batch_cases():
+    from repro.analysis.driver_bank import DriverBankSpec, build_driver_bank
+    from repro.analysis.montecarlo import device_trials
+    from repro.analysis.simulate import default_stop_time, default_time_step
+    from repro.process import TSMC018
+    from repro.spice.transient import TransientOptions
+
+    def ensemble(specs):
+        return lambda: [build_driver_bank(s) for s in specs]
+
+    def sweep(counts, rise_time=0.5e-9, **fields):
+        base = DriverBankSpec(technology=TSMC018, n_drivers=1, inductance=5e-9,
+                              rise_time=rise_time, **fields)
+        return [dataclasses.replace(base, n_drivers=n) for n in counts]
+
+    for size in (8, 30):
+        for cap in (None, 2e-12):
+            specs = sweep(range(1, size + 1), capacitance=cap)
+            tstop, dt = default_stop_time(specs[0]), default_time_step(specs[0])
+            for method in ("trap", "be"):
+                yield (f"batch-B{size}-{'C' if cap else 'L'}-{method}-fixed",
+                       ensemble(specs), tstop, dt, TransientOptions(method=method))
+    specs = sweep(range(2, 17, 2))
+    tstop, dt = default_stop_time(specs[0]), 4.0 * default_time_step(specs[0])
+    for method in ("trap", "be"):
+        yield (f"batch-B8-L-{method}-adaptive", ensemble(specs), tstop, dt,
+               TransientOptions(method=method, adaptive=True))
+
+    (nominal,) = sweep([4])
+    _, trials = device_trials(nominal, None, 16, seed=7)
+    yield ("batch-montecarlo16", ensemble(trials), default_stop_time(nominal),
+           default_time_step(nominal), TransientOptions())
+
+    # Of these, only the N = 8 bank fails Newton at the half-rise step with
+    # max_newton=5: one lane leaves the fixed lockstep for the scalar
+    # ladder, and halves its own step in the adaptive one.
+    failing = sweep((1, 2, 8, 4), rise_time=0.2e-9, capacitance=2e-12,
+                    load_capacitance=10e-12)
+    tstop, dt = default_stop_time(failing[0]), failing[0].rise_time / 2
+    for adaptive in (False, True):
+        yield (f"batch-failing-{'adaptive' if adaptive else 'fixed'}",
+               ensemble(failing), tstop, dt,
+               TransientOptions(max_newton=5, adaptive=adaptive))
+
+
 def cases():
-    """Every ``(name, build, tstop, dt, options)`` of the parity set."""
+    """Every ``(name, build, tstop, dt, options)`` of the parity set.
+
+    ``build`` returns one circuit (the scalar engine) or a list of circuits
+    (one batched ensemble).
+    """
     yield from _bank_cases()
     yield from _ladder_cases()
     yield from _mutual_cases()
+    yield from _batch_cases()
 
 
 def _telemetry_json(tel) -> str:
@@ -140,17 +197,7 @@ def _telemetry_json(tel) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-def run_case(build, tstop, dt, options) -> dict:
-    """The arrays and telemetry of one case, keyed by field name."""
-    from repro.spice.solver import ConvergenceError
-    from repro.spice.transient import transient
-
-    circuit = build()
-    try:
-        result = transient(circuit, tstop, dt, options=options)
-    except ConvergenceError as exc:
-        return {"error": np.array(str(exc)),
-                "telemetry": np.array(_telemetry_json(exc.telemetry))}
+def _result_arrays(circuit, result) -> dict:
     out = {"times": result.times,
            "telemetry": np.array(_telemetry_json(result.telemetry))}
     for node in result.node_names:
@@ -161,6 +208,27 @@ def run_case(build, tstop, dt, options) -> dict:
         except KeyError:
             continue
     return out
+
+
+def run_case(build, tstop, dt, options) -> dict:
+    """The arrays and telemetry of one case, keyed by field name; an
+    ensemble's fields are prefixed by the instance index (``"3/times"``)."""
+    from repro.spice.batch import batch_transient
+    from repro.spice.solver import ConvergenceError
+    from repro.spice.transient import transient
+
+    built = build()
+    if isinstance(built, list):
+        results = batch_transient(built, tstop, dt, options=options)
+        return {f"{b}/{field}": value
+                for b, (circuit, result) in enumerate(zip(built, results))
+                for field, value in _result_arrays(circuit, result).items()}
+    try:
+        result = transient(built, tstop, dt, options=options)
+    except ConvergenceError as exc:
+        return {"error": np.array(str(exc)),
+                "telemetry": np.array(_telemetry_json(exc.telemetry))}
+    return _result_arrays(built, result)
 
 
 def dump(path: str) -> int:

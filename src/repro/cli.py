@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import sys
 
 from .analysis.campaign import CampaignConfig, CampaignRunner
@@ -118,6 +119,31 @@ def _add_tech_argument(parser: argparse.ArgumentParser) -> None:
         choices=list_technologies(),
         help="technology card (default: tsmc018)",
     )
+
+
+def _at_least(minimum: int):
+    """An argparse ``type``: an int no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _spread(text: str) -> float:
+    """An argparse ``type``: a finite, non-negative sigma."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite non-negative sigma, got {text}")
+    return value
+
+
+_spread.__name__ = "float"
 
 
 def _telemetry_parent() -> argparse.ArgumentParser:
@@ -205,7 +231,7 @@ def _runner_parent() -> argparse.ArgumentParser:
         "failed and enters the retry/degradation ladder (default: none)",
     )
     parent.add_argument(
-        "--chunk-size", type=int, default=8, metavar="N",
+        "--chunk-size", type=_at_least(1), default=8, metavar="N",
         help="simulations per journaled chunk (default 8)",
     )
     parent.add_argument(
@@ -313,11 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="simultaneously switching drivers")
     mc.add_argument("--trials", type=int, default=64,
                     help="Monte Carlo draws (default 64)")
-    mc.add_argument("--seed", type=int, default=0,
+    mc.add_argument("--seed", type=_at_least(0), default=0,
                     help="RNG seed; draws are fixed up front (default 0)")
-    mc.add_argument("--vth-sigma", type=float, default=None,
+    mc.add_argument("--vth-sigma", type=_spread, default=None,
                     help="threshold 1-sigma in volts (default: DeviceSpread)")
-    mc.add_argument("--mu-sigma", type=float, default=None,
+    mc.add_argument("--mu-sigma", type=_spread, default=None,
                     help="mobility lognormal sigma (default: DeviceSpread)")
 
     sim = sub.add_parser(
@@ -392,11 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     sg = sub.add_parser(
         "surrogate",
         help="fit / inspect the microsecond surrogate tier",
-        parents=[telemetry_parent],
     )
     sg_sub = sg.add_subparsers(dest="surrogate_command", required=True)
     sg_fit = sg_sub.add_parser(
-        "fit", help="fit a surrogate over a parameter box and store it")
+        "fit", help="fit a surrogate over a parameter box and store it",
+        **_parent)
     _add_tech_argument(sg_fit)
     # Trains batched by default, the fastest exact path for the factorial
     # grid; training data must come from a full engine.
@@ -430,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="driver width multiple frozen into the model "
                         "(default 1)")
     sg_inspect = sg_sub.add_parser(
-        "inspect", help="list the fitted surrogate models in a store")
+        "inspect", help="list the fitted surrogate models in a store",
+        **_parent)
     sg_inspect.add_argument("--store", metavar="DIR", default=".repro_store",
                             help="result-database directory "
                             "(default .repro_store)")

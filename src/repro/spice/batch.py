@@ -26,8 +26,17 @@ one vectorized Newton loop:
   converged instances leave the active set at exactly the iterate the
   scalar loop would stop.  The fixed-step driver calls it with one shared
   ``(t, dt, integrator-phase)``; the adaptive driver calls it with
-  per-instance ``(B,)`` arrays, so every instance walks its own
-  LTE-controlled step sequence while the ensemble stays phase-aligned.
+  per-lane arrays, so every instance walks its own LTE-controlled step
+  sequence while the ensemble stays phase-aligned.
+* **Paired step doubling** — the adaptive ensemble holds every circuit
+  twice (``2B`` lanes sharing one companion history), so one Newton call
+  solves a round's full step on lanes ``[0, B)`` together with its first
+  half step on lanes ``[B, 2B)``: two calls per round instead of three.
+* **Device currents once per run** — MOSFET currents depend only on node
+  voltages, which every recorded sample keeps, so they are evaluated once
+  at the end over the recorded ``(steps, B)`` samples, in chunks, rather
+  than at every step; only the linear elements' currents are sampled per
+  step.
 * **Scalar fallback** — an instance whose Newton solve fails where the
   scalar engine would need its recovery ladder (the fixed-step batch never
   halves the shared step; the adaptive batch halves per instance down to
@@ -45,7 +54,7 @@ floating-point noise — the golden-parity suite bounds the difference at
 bitwise-deterministic: identical inputs produce identical ensembles
 regardless of how instances converge or fall back.
 
-Memory: the engine holds ``O(B * n^2)`` for the matrix stacks plus
+Memory: the engine holds ``O(lanes * n^2)`` for the matrix stacks plus
 ``O(steps * B * n)`` recorded samples; callers batching thousands of
 instances should split the ensemble themselves.
 """
@@ -73,7 +82,6 @@ from .mosfet import MosfetBank, MosfetElement
 from .solver import DEFAULT_MAX_UPDATE
 from .telemetry import SolverTelemetry, record_backend, record_session
 from .transient import (
-    _SampleRecorder,
     TransientOptions,
     TransientResult,
     breakpoints_between,
@@ -284,41 +292,94 @@ class _BatchContext(StampContext):
 
 
 class _BatchRecorder:
-    """Capacity-doubling (steps, B, ...) sample buffers for one ensemble."""
+    """Capacity-doubling ``(steps, B, ...)`` sample buffers, one column per instance.
+
+    The fixed-step driver records every instance at every step on one
+    shared time grid; the adaptive driver records only the instances that
+    accepted, each at its own time and row count (``instances``).  Buffers start
+    zeroed and grow zero-padded, so the rows past an instance's last sample
+    hold finite values that the deferred device currents can be evaluated
+    over harmlessly.
+    """
 
     def __init__(self, batch: int, num_nodes: int, num_currents: int,
-                 capacity: int = 256):
-        self._n = 0
-        self._times = np.empty(capacity)
-        self._nodes = np.empty((capacity, batch, num_nodes))
-        self._currents = np.empty((capacity, batch, num_currents))
+                 shared_grid: bool, capacity: int = 256):
+        self.count = np.zeros(batch, dtype=int)
+        self._times = np.zeros(capacity if shared_grid else (capacity, batch))
+        self.nodes = np.zeros((capacity, batch, num_nodes))
+        self.currents = np.zeros((capacity, batch, num_currents))
 
-    def append(self, t: float, node_x: np.ndarray, currents: np.ndarray) -> None:
-        if self._n == len(self._times):
-            cap = 2 * len(self._times)
-            self._times = np.resize(self._times, cap)
-            self._nodes = np.resize(self._nodes, (cap,) + self._nodes.shape[1:])
-            self._currents = np.resize(self._currents, (cap,) + self._currents.shape[1:])
-        i = self._n
-        self._times[i] = t
-        self._nodes[i] = node_x
-        self._currents[i] = currents
-        self._n += 1
+    def _grow(self) -> None:
+        def grown(a):
+            out = np.zeros((2 * len(a),) + a.shape[1:])
+            out[:len(a)] = a
+            return out
 
-    def finish(self):
-        n = self._n
-        return (np.array(self._times[:n]), self._nodes[:n], self._currents[:n])
+        self._times, self.nodes, self.currents = (
+            grown(self._times), grown(self.nodes), grown(self.currents))
+
+    def append(self, t, node_x: np.ndarray, currents: np.ndarray,
+               instances: np.ndarray | None = None) -> None:
+        """Record ``node_x``/``currents`` rows at time ``t``: every instance
+        at the shared time (``instances`` None), or the masked instances
+        at their own ``t[instances]``."""
+        if instances is None:
+            i = self.count[0]
+            if i == len(self._times):
+                self._grow()
+            self._times[i] = t
+            self.nodes[i] = node_x
+            self.currents[i] = currents
+            self.count += 1
+            return
+        b = np.flatnonzero(instances)
+        rows = self.count[b]
+        if rows.size and rows.max() == len(self._times):
+            self._grow()
+        self._times[rows, b] = t[b]
+        self.nodes[rows, b] = node_x[b]
+        self.currents[rows, b] = currents[b]
+        self.count[b] += 1
+
+    def waveform(self, b: int, names: list[str]):
+        """Instance ``b``'s ``(times, nodes, currents-by-name)``."""
+        n = self.count[b]
+        # The shared grid is one vector for the whole ensemble.
+        times = (self._times[:n] if self._times.ndim == 1
+                 else np.array(self._times[:n, b]))
+        return (times, np.array(self.nodes[:n, b, :]),
+                {name: np.array(self.currents[:n, b, j])
+                 for j, name in enumerate(names)})
+
+
+class _SampleView:
+    """Node voltages of recorded ``(steps, B, nodes)`` samples, read through
+    the stamp-context ``v`` an element's ``current`` uses."""
+
+    def __init__(self, nodes: np.ndarray):
+        self._nodes = nodes
+        self._ground = np.zeros(nodes.shape[:2])
+
+    def v(self, node: int):
+        if node == 0:
+            return self._ground
+        return self._nodes[:, :, node - 1]
 
 
 class _Ensemble:
     """One lockstep ensemble: what both drivers share, and the Newton kernel.
 
     Holds the stacked elements, their companion ``states`` (keyed like the
-    scalar engine's, with ``(B,)`` values), the cached linear stack, the
-    per-iterate work stacks, the per-instance telemetry counters and the
-    ``alive``/``fallback`` masks.  The fixed-step driver passes scalar
-    ``t``/``dt``/``trap``; the adaptive driver passes ``(B,)`` arrays, one
-    entry per instance.
+    scalar engine's, with per-lane values), the cached linear stack, the
+    per-iterate work stacks, the per-lane telemetry counters and the
+    per-instance ``alive``/``fallback`` masks.  The fixed-step driver passes
+    scalar ``t``/``dt``/``trap``; the adaptive driver passes per-lane
+    arrays.
+
+    ``copies`` stacks every circuit that many times: lane ``c * B + b``
+    simulates instance ``b``.  The adaptive driver uses two copies to solve
+    a step-doubling round's full step and first half step in one Newton
+    call; :meth:`finish` folds each instance's counters over its lanes.
     """
 
     #: Per-instance counters, named after the SolverTelemetry fields they
@@ -329,37 +390,57 @@ class _Ensemble:
                 "step_rejections", "step_retries", "lte_rejections",
                 "mask_steps")
 
+    #: Recorded steps per deferred device-current evaluation: large enough
+    #: to amortize numpy dispatch, small enough that its temporaries stay
+    #: far below the recorded samples themselves.
+    CURRENT_CHUNK = 128
+
     def __init__(self, circuits, opts: TransientOptions, tstop: float,
-                 dt: float, tstart: float):
+                 dt: float, tstart: float, copies: int = 1):
         self.circuits = circuits
         self.opts = opts
         self.tstop, self.dt, self.tstart = tstop, dt, tstart
         self.batch = batch = len(circuits)
+        self.lanes = lanes = copies * batch
         self.system = system = MnaSystem(circuits[0])  # assigns branch layout
         n = self.size = system.size
         self.nn = system.num_node_unknowns
         if n == 0:
             raise BatchIncompatibleError("circuit has no unknowns")
-        self.elements = _stack_elements(circuits)
+        self.elements = _stack_elements(list(circuits) * copies)
         self.devices = [el for el in self.elements if el.nonlinear]
         self.measured = [el for el in self.elements if hasattr(el, "current")]
+        self._sampled = [(j, el) for j, el in enumerate(self.measured)
+                         if not el.nonlinear]
+        # Device currents depend on node voltages alone, which every
+        # recorded sample keeps: they are evaluated once per run over the
+        # recorded (steps, B) samples (device_currents), not at every step,
+        # through one copy's stacked devices.
+        one_copy = self.elements if copies == 1 else _stack_elements(circuits)
+        self._deferred = [
+            (j, el) for j, el in
+            enumerate(el for el in one_copy if hasattr(el, "current"))
+            if el.nonlinear]
         self.states: dict = {}
 
         # Vectorized counters, folded into SolverTelemetry records by
         # finish(): python-object updates per step would cost more than the
         # solves.
-        self.count = {name: np.zeros(batch, dtype=int) for name in self.COUNTERS}
+        self.count = {name: np.zeros(lanes, dtype=int) for name in self.COUNTERS}
         self.alive = np.ones(batch, dtype=bool)      # still simulated in lockstep
         self.fallback = np.zeros(batch, dtype=bool)  # needs the scalar engine
 
-        self._ground = np.zeros(batch)
-        self._lin_A = np.zeros((batch, n, n))
-        self._lin_z = np.zeros((batch, n))
+        self._ground = np.zeros(lanes)
+        self._lin_A = np.zeros((lanes, n, n))
+        self._lin_z = np.zeros((lanes, n))
         self._lin_key: tuple | None = None
-        self._work_A = np.empty((batch, n, n))
-        self._work_z = np.empty((batch, n))
+        self._work_A = np.empty((lanes, n, n))
+        self._work_z = np.empty((lanes, n))
         self._identity = np.eye(n)
-        self._currents = np.empty((batch, len(self.measured)))
+        self._currents = np.zeros((lanes, len(self.measured)))
+
+    def recorder(self, shared_grid: bool) -> _BatchRecorder:
+        return _BatchRecorder(self.batch, self.nn, len(self.measured), shared_grid)
 
     def drop(self, failed: np.ndarray) -> None:
         """Hand the ``failed`` instances to the scalar engine."""
@@ -367,8 +448,10 @@ class _Ensemble:
         self.fallback[failed] = True
 
     def tally(self, name: str, mask: np.ndarray) -> None:
-        """Add one to counter ``name`` for every instance in ``mask``."""
-        np.add(self.count[name], mask, out=self.count[name])
+        """Add one to counter ``name`` for every lane in ``mask`` (a mask
+        shorter than the lanes covers the first copy)."""
+        count = self.count[name][:len(mask)]
+        np.add(count, mask, out=count)
 
     def context(self, mode: str, t, dt, trap, x: np.ndarray, gmin: float = 0.0,
                 A=None, z=None) -> _BatchContext:
@@ -390,17 +473,34 @@ class _Ensemble:
         return {el: dict(state) for el, state in self.states.items()}
 
     def restore(self, snap: dict, mask: np.ndarray) -> None:
-        """Put the ``mask`` instances' state back to ``snap``."""
+        """Put the ``mask`` lanes' state back to ``snap``."""
         for el, saved in snap.items():
             state = self.states[el]
             for key, old in saved.items():
                 state[key] = np.where(mask, old, state[key])
 
     def sample_currents(self, ctx: _BatchContext) -> np.ndarray:
-        """``(B, measured)`` element currents at ``ctx.x`` (a reused buffer)."""
-        for j, el in enumerate(self.measured):
+        """``(lanes, measured)`` element currents at ``ctx.x`` (a reused
+        buffer); the device columns are left to :meth:`device_currents`."""
+        for j, el in self._sampled:
             self._currents[:, j] = el.current(ctx)
         return self._currents
+
+    def device_currents(self, recorder: _BatchRecorder) -> None:
+        """Fill the recorder's device-current columns from its node samples.
+
+        The same element ``current`` the per-step sampling would call, over
+        ``(steps, B)`` bias blocks: the device arithmetic is elementwise, so
+        every sample gets the bits it would have got at its own step.
+        """
+        if not self._deferred:
+            return
+        steps = int(recorder.count.max())
+        for start in range(0, steps, self.CURRENT_CHUNK):
+            stop = min(start + self.CURRENT_CHUNK, steps)
+            view = _SampleView(recorder.nodes[start:stop])
+            for j, el in self._deferred:
+                recorder.currents[start:stop, :, j] = el.current(view)
 
     # -- assembly and solve ---------------------------------------------------------
 
@@ -408,8 +508,8 @@ class _Ensemble:
         """Every element's ``stamp``, restamping the matrix only on a new key.
 
         The matrix is constant while (mode, dt, trap-phase, gmin) are.
-        Per-instance steps and phases enter the key by value, so the stack
-        is also reused whenever an adaptive round repeats them (e.g. every
+        Per-lane steps and phases enter the key by value, so the stack is
+        also reused whenever an adaptive round repeats them (e.g. every
         instance regrowing at the cap); otherwise only the right-hand side
         is restamped.
         """
@@ -425,52 +525,56 @@ class _Ensemble:
             el.stamp(ctx)
         return self._lin_A, self._lin_z
 
-    def _solve(self, A, z, ctx: _BatchContext, off: np.ndarray) -> np.ndarray:
+    def _solve(self, A, z, ctx: _BatchContext, off: np.ndarray | None) -> np.ndarray:
         """Solve the linear stack plus the device stamps at ``ctx.x``.
 
         ``ctx`` writes into the work stacks this copies ``A``/``z`` to.  The
-        ``off`` rows may hold garbage stamps, so they are swapped for a
-        trivial identity system that keeps the stack solvable.
+        ``off`` rows (None: no row is off) may hold garbage stamps, so they
+        are swapped for a trivial identity system that keeps the stack
+        solvable.
         """
         np.copyto(self._work_A, A)
         np.copyto(self._work_z, z)
         for el in self.devices:
             el.stamp_iterate(ctx)
-        if off.any():
+        if off is not None:
             self._work_A[off] = self._identity
             self._work_z[off] = 0.0
         return _solve_stack(self._work_A, self._work_z)
 
     def newton(self, mode: str, t, dt, trap, gmin: float, mask: np.ndarray,
                x0: np.ndarray):
-        """One lockstep Newton solve over the ``mask`` instances.
+        """One lockstep Newton solve over the ``mask`` lanes.
 
         Returns ``(x, failed)``: rows outside ``mask`` keep ``x0``'s values,
-        ``failed`` flags masked instances whose solve did not converge
+        ``failed`` flags masked lanes whose solve did not converge
         (iteration budget exhausted or a non-finite iterate) — the
         per-instance analogue of the scalar engine's ConvergenceError.
 
-        The whole ensemble is computed every iterate and the masks gate only
+        The whole stack is computed every iterate and the masks gate only
         the bookkeeping (which rows accept the update, which count an
         iteration): at ensemble sizes where numpy's per-operation dispatch
         dominates, redundant flops on settled rows are cheaper than
-        gather/scatter index machinery.  Converged instances leave the
-        active set at exactly the iterate the scalar loop would stop.
+        gather/scatter index machinery.  Converged lanes leave the active
+        set at exactly the iterate the scalar loop would stop.
         """
         x = x0.copy()
-        failed = np.zeros(self.batch, dtype=bool)
+        failed = np.zeros(self.lanes, dtype=bool)
         if not mask.any():
             return x, failed
         opts = self.opts
         self.tally("newton_solves", mask)
         A, z = self._linear_stack(mode, t, dt, trap, gmin, x)
         ctx = self.context(mode, t, dt, trap, x, gmin, self._work_A, self._work_z)
+        off = ~mask
+        if not off.any():
+            off = None
 
         if not self.devices:
             # Purely linear: the Newton map is affine, one direct batched
             # solve lands on the solution (iteration count stays 0, matching
             # the scalar direct-solve path).
-            xn = self._solve(A, z, ctx, ~mask)
+            xn = self._solve(A, z, ctx, off)
             finite = np.isfinite(xn).all(axis=1)
             return np.where((mask & finite)[:, None], xn, x), mask & ~finite
 
@@ -478,50 +582,61 @@ class _Ensemble:
         for _ in range(opts.max_newton):
             self.tally("newton_iterations", active)
             ctx.x = x
-            xn = self._solve(A, z, ctx, ~mask | failed)
-            if not np.isfinite(xn).all():
-                finite = np.isfinite(xn).all(axis=1)
+            xn = self._solve(A, z, ctx, off)
+            adx = np.abs(xn - x)
+            step = adx.max(axis=1)
+            largest = step.max()
+            if not np.isfinite(largest):
+                # A non-finite iterate (x itself is always finite) shows as
+                # a non-finite row update: fail those lanes and neutralize
+                # their rows so the update arithmetic below stays
+                # warning-free (their x must not move anyway).
+                finite = np.isfinite(step)
                 failed |= active & ~finite
                 active &= finite
                 if not active.any():
                     return x, failed
-                # Neutralize the non-finite rows so the update arithmetic
-                # below stays warning-free (their x must not move anyway).
+                off = ~mask | failed
                 xn = np.where(finite[:, None], xn, x)
-            dx = xn - x
-            adx = np.abs(dx)
-            step = adx.max(axis=1)
-            damped = step > DEFAULT_MAX_UPDATE
-            if damped.any():
+                adx = np.abs(xn - x)
+                step = adx.max(axis=1)
+                largest = step.max()
+            if largest > DEFAULT_MAX_UPDATE:
+                damped = step > DEFAULT_MAX_UPDATE
                 scale = DEFAULT_MAX_UPDATE / np.maximum(step, DEFAULT_MAX_UPDATE)
-                moved = np.where(damped[:, None], x + dx * scale[:, None], xn)
+                moved = np.where(damped[:, None], x + (xn - x) * scale[:, None], xn)
+                x = np.where(active[:, None], moved, x)
             else:
-                moved = xn
-            x = np.where(active[:, None], moved, x)
+                damped = False
+                x = np.where(active[:, None], xn, x)
             # Same test as the scalar loop: damped iterations never declare
             # convergence; undamped ones converge when the update is small.
             conv = (adx <= opts.abstol + opts.reltol * np.abs(xn)).all(axis=1)
             active &= damped | ~conv
             if not active.any():
                 return x, failed
-        # Iteration budget exhausted: the remaining active instances would
-        # need the recovery ladder.
+        # Iteration budget exhausted: the remaining active lanes would need
+        # the recovery ladder.
         return x, failed | active
 
-    def finish(self, span, waveform, ic_s: float, stepping_s: float,
-               wall_start: float) -> list[TransientResult]:
+    def finish(self, span, recorder: _BatchRecorder, ic_s: float,
+               stepping_s: float, wall_start: float) -> list[TransientResult]:
         """Per-instance results: lockstep survivors, then scalar re-runs.
 
-        ``waveform(b)`` returns instance ``b``'s ``(times, nodes, currents)``.
-        The shared wall clock is split evenly across instance records so
-        that aggregated telemetry still sums to real elapsed time.
+        The recorder's device currents are evaluated here, once for the
+        run.  The shared wall clock is split evenly across instance records
+        so that aggregated telemetry still sums to real elapsed time.
         """
         batch = self.batch
+        self.device_currents(recorder)
+        names = [el.name for el in self.measured]
         shares = {"ic": ic_s / batch, "stepping": stepping_s / batch,
                   "total": (time.perf_counter() - wall_start) / batch}
+        folded = {name: c.reshape(-1, batch).sum(axis=0)
+                  for name, c in self.count.items()}
         results: list[TransientResult | None] = [None] * batch
         for b in np.flatnonzero(self.alive):
-            counts = {name: int(c[b]) for name, c in self.count.items()}
+            counts = {name: int(c[b]) for name, c in folded.items()}
             tel = SolverTelemetry(**counts,
                                   base_assemblies=counts["newton_solves"],
                                   nonlinear_restamps=counts["newton_iterations"])
@@ -529,7 +644,8 @@ class _Ensemble:
             for phase, seconds in shares.items():
                 tel.add_phase_seconds(phase, seconds)
             record_session(tel)
-            results[b] = TransientResult(self.circuits[b], *waveform(b),
+            results[b] = TransientResult(self.circuits[b],
+                                         *recorder.waveform(b, names),
                                          telemetry=tel)
 
         span.set_attribute("fallbacks", int(self.fallback.sum()))
@@ -591,7 +707,10 @@ def batch_transient(
                 f"circuit {c.title!r} does not share the ensemble topology"
             )
 
-    ens = _Ensemble(circuits, opts, tstop, dt, tstart)
+    # The adaptive driver solves each round's step-doubling pair in one
+    # Newton call over two copies of the ensemble.
+    ens = _Ensemble(circuits, opts, tstop, dt, tstart,
+                    copies=2 if opts.adaptive else 1)
     wall_start = time.perf_counter()
     drive = _adaptive_lockstep if opts.adaptive else _fixed_lockstep
     attrs = {"adaptive": True} if opts.adaptive else {}
@@ -600,8 +719,8 @@ def batch_transient(
     # (trace.elapsed), otherwise from perf-counter anchors.
     with trace.span("batch_transient", batch=len(circuits), tstop=tstop,
                     dt=dt, **attrs) as span:
-        waveform, ic_s, stepping_s = drive(ens, wall_start)
-        return ens.finish(span, waveform, ic_s, stepping_s, wall_start)
+        recorder, ic_s, stepping_s = drive(ens, wall_start)
+        return ens.finish(span, recorder, ic_s, stepping_s, wall_start)
 
 
 def _fixed_lockstep(ens: _Ensemble, wall_start: float):
@@ -610,7 +729,7 @@ def _fixed_lockstep(ens: _Ensemble, wall_start: float):
     The step sequence comes from the scalar engine's step-control
     functions; an instance whose Newton solve fails leaves the ensemble
     (the batch never halves the shared step).  Returns
-    ``(waveform, ic_seconds, stepping_seconds)`` for :meth:`_Ensemble.finish`.
+    ``(recorder, ic_seconds, stepping_seconds)`` for :meth:`_Ensemble.finish`.
     """
     opts, dt, tstart, tstop = ens.opts, ens.dt, ens.tstart, ens.tstop
     nn = ens.nn
@@ -625,7 +744,7 @@ def _fixed_lockstep(ens: _Ensemble, wall_start: float):
     ic_ctx = ens.context("ic", tstart, dt, False, x)
     ens.init_state(ic_ctx)
 
-    recorder = _BatchRecorder(ens.batch, nn, len(ens.measured))
+    recorder = ens.recorder(shared_grid=True)
     recorder.append(tstart, x[:, :nn], ens.sample_currents(ic_ctx))
 
     t = tstart
@@ -659,15 +778,7 @@ def _fixed_lockstep(ens: _Ensemble, wall_start: float):
                 next_bp = next(bp_iter, tstop)
             h = fixed_step_regrow(h_step, dt)
     stepping_s = trace.elapsed(step_sp, stepping_start)
-
-    times, nodes, currents = recorder.finish()
-    names = [el.name for el in ens.measured]
-
-    def waveform(b):
-        return (times, np.array(nodes[:, b, :]),
-                {name: np.array(currents[:, b, j]) for j, name in enumerate(names)})
-
-    return waveform, ic_s, stepping_s
+    return recorder, ic_s, stepping_s
 
 
 def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
@@ -676,23 +787,33 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
     The fixed-step lockstep shares one grid across the ensemble; the
     adaptive controller cannot, because each instance's local truncation
     error drives its own step sizes.  Instead of serializing, the engine
-    keeps the ensemble *phase-aligned*: every outer round runs the step-
-    doubling triplet — one full ``h`` step (BIG), two ``h/2`` steps (MID,
-    HALF2) — for all unfinished instances at once, each at its **own**
-    ``(t, h, integrator-phase)`` carried as per-instance arrays.  A
-    participation mask gates which rows of each vectorized solve are real;
-    masked-out lanes get identity rows and their results are discarded.
+    keeps the ensemble *phase-aligned*: every outer round runs step
+    doubling — one full ``h`` step against two ``h/2`` steps — for all
+    unfinished instances at once, each at its **own** ``(t, h,
+    integrator-phase)`` carried as per-lane arrays.  A participation mask
+    gates which rows of each vectorized solve are real; masked-out lanes
+    get identity rows and their results are discarded.
+
+    Paired step doubling: the ensemble holds every circuit twice (see
+    :class:`_Ensemble`), and both copies share one companion history —
+    every init, commit and restore gets the same inputs on both.  The full
+    step and the first half step start from the same state, so one Newton
+    call solves them together, the full step on lanes ``[0, B)`` and the
+    first half step on lanes ``[B, 2B)``; the second half step then runs on
+    lanes ``[B, 2B)`` alone.  Two Newton calls per round instead of three.
 
     Parity contract: the controller is the scalar engine's step-control
     functions called on per-lane arrays, over the same companion
     arithmetic per lane (``np.where`` blends preserve the selected branch
     bitwise) and the same Newton damping and convergence tests.  Each
-    instance therefore accepts and rejects *exactly*
-    the steps the scalar engine would, with identical telemetry counts
+    instance therefore accepts and rejects *exactly* the steps the scalar
+    engine would, with identical telemetry counts
     (``newton_solves``/``iterations``, ``accepted_steps``,
-    ``step_rejections``/``retries``, ``lte_rejections``); ``mask_steps``
-    additionally counts the instance's masked solve participations —
-    a batch-only diagnostic of lockstep efficiency.
+    ``step_rejections``/``retries``, ``lte_rejections``): the scalar
+    controller never takes the half step after a failed full step, so that
+    lane's half-step effort is not counted.  ``mask_steps`` additionally
+    counts the instance's pending rounds — a batch-only diagnostic of
+    lockstep efficiency.
 
     Newton failure handling is per instance: a failing lane halves its own
     step without disturbing its neighbours; only a lane that bottoms out
@@ -708,27 +829,37 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
     min_h = min_step(opts, dt)
     x_acc = np.zeros((batch, ens.size))
 
-    # -- t=0 consistency solve -------------------------------------------------------
-    no_trap = np.zeros(batch, dtype=bool)
+    def lanes(first, second):
+        """Lanes ``[0, B)`` from ``first``, lanes ``[B, 2B)`` from ``second``."""
+        return np.concatenate((first, second))
+
+    def pair(a):
+        """A per-instance array on both copies' lanes."""
+        return lanes(a, a)
+
+    idle = np.zeros(batch, dtype=bool)
+
+    # -- t=0 consistency solve (first copy; init_state fills both) -----------------
+    no_trap = pair(idle)
     t_i = np.full(batch, tstart)
     h_i = np.full(batch, dt)
     with trace.span("ic") as ic_sp:
-        x_acc, ic_failed = ens.newton(
-            "ic", t_i, h_i, no_trap, max(opts.gmin, 1e-9), alive, x_acc)
-        ens.drop(ic_failed)
+        x_ic, ic_failed = ens.newton("ic", pair(t_i), pair(h_i), no_trap,
+                                     max(opts.gmin, 1e-9), lanes(alive, idle),
+                                     pair(x_acc))
+        x_acc = x_ic[:batch]
+        ens.drop(ic_failed[:batch])
     ic_s = trace.elapsed(ic_sp, wall_start)
-    ic_ctx = ens.context("ic", t_i, h_i, no_trap, x_acc)
+    ic_ctx = ens.context("ic", pair(t_i), pair(h_i), no_trap, pair(x_acc))
     ens.init_state(ic_ctx)
 
     bps = np.array(breakpoints_between(ens.circuits[0], tstart, tstop))
     bp_idx = np.zeros(batch, dtype=int)
     last_bp = len(bps) - 1
 
-    recorders = [_SampleRecorder(nn, [el.name for el in ens.measured])
-                 for _ in range(batch)]
-    cur_block = ens.sample_currents(ic_ctx)
-    for b in np.flatnonzero(alive):
-        recorders[b].append(tstart, x_acc[b, :nn], cur_block[b])
+    recorder = ens.recorder(shared_grid=False)
+    recorder.append(t_i, x_acc[:, :nn], ens.sample_currents(ic_ctx)[:batch],
+                    instances=alive)
 
     # Per-instance integrator state (t_i, h_i above).  A pending
     # reject-retry overrides the breakpoint clamp: the scalar controller
@@ -736,6 +867,10 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
     # means "no retry pending".
     retry_h = np.full(batch, np.nan)
     first_step = np.ones(batch, dtype=bool)
+    # The second half step always runs on post-commit history, so it takes
+    # opts.method (as in the scalar engine).
+    trap_h2 = pair(np.full(batch, method_trap))
+    effort = ("newton_solves", "newton_iterations")
     stepping_start = time.perf_counter()
 
     with trace.span("stepping") as step_sp:
@@ -750,32 +885,34 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
             # step (their results are never consumed; the dummy keeps the
             # vectorized companion math division-safe).
             h_step = np.where(pending, h_step, 1.0)
-            trap_big = pending & ~first_step if method_trap else no_trap
-
-            # Step-doubling triplet, every lane at its own (t, h).
-            x_big, fail_big = ens.newton(
-                "tran", t_i + h_step, h_step, trap_big, opts.gmin, pending, x_acc)
-            ok = pending & ~fail_big
-
             half = h_step / 2.0
-            x_mid, fail_mid = ens.newton(
-                "tran", t_i + half, half, trap_big, opts.gmin, ok, x_acc)
-            ok = ok & ~fail_mid
+            trap_big = pair(pending & ~first_step if method_trap else idle)
+
+            # The full step and the first half step, in one solve.
+            spent = {name: ens.count[name][batch:].copy() for name in effort}
+            x_pair, fail_pair = ens.newton(
+                "tran", lanes(t_i + h_step, t_i + half), lanes(h_step, half),
+                trap_big, opts.gmin, pair(pending), pair(x_acc))
+            x_big, x_mid = x_pair[:batch], x_pair[batch:]
+            fail_big = fail_pair[:batch]
+            for name, before in spent.items():
+                ens.count[name][batch:][fail_big] = before[fail_big]
+            ok = pending & ~fail_big & ~fail_pair[batch:]
 
             # Mid-point commit for lanes still in flight; the snapshot
             # restores every other lane afterwards (commit is all-lane
             # vectorized math) and, at the end of the round, every lane that
             # did not accept.
             snap = ens.snapshot()
-            ens.commit(ens.context("tran", t_i + half, half, trap_big, x_mid))
-            ens.restore(snap, ~ok)
+            ens.commit(ens.context("tran", pair(t_i + half), pair(half),
+                                   trap_big, pair(x_mid)))
+            ens.restore(snap, pair(~ok))
 
-            # The second half step always runs on post-commit history, so
-            # it takes opts.method (as in the scalar engine).
-            trap_h2 = np.full(batch, method_trap)
-            x_new, fail_h2 = ens.newton(
-                "tran", t_i + h_step, half, trap_h2, opts.gmin, ok, x_mid)
-            ok = ok & ~fail_h2
+            x_fine, fail_h2 = ens.newton(
+                "tran", pair(t_i + h_step), pair(half), trap_h2, opts.gmin,
+                lanes(idle, ok), x_pair)
+            x_new = x_fine[batch:]
+            ok = ok & ~fail_h2[batch:]
 
             # Newton failures: per-instance step halving, scalar-engine
             # fallback once a lane's ladder bottoms out.
@@ -805,10 +942,11 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
             # Currents sample the pre-commit (mid-committed) history, then
             # the final half-step commit lands; every lane that did not
             # accept is rolled back to its pre-round state.
-            new_ctx = ens.context("tran", t_i + h_step, half, trap_h2, x_new)
-            cur_block = ens.sample_currents(new_ctx)
+            new_ctx = ens.context("tran", pair(t_i + h_step), pair(half),
+                                  trap_h2, pair(x_new))
+            cur_block = ens.sample_currents(new_ctx)[:batch]
             ens.commit(new_ctx)
-            ens.restore(snap, ~accepted)
+            ens.restore(snap, pair(~accepted))
 
             if accepted.any():
                 # Regrowth from the rejecting err on floor-accepts, from the
@@ -826,11 +964,10 @@ def _adaptive_lockstep(ens: _Ensemble, wall_start: float):
                     # integrator with a backward-Euler step.
                     first_step = first_step | hit
                     bp_idx = np.where(hit, np.minimum(bp_idx + 1, last_bp), bp_idx)
-                for b in np.flatnonzero(accepted):
-                    recorders[b].append(t_i[b], x_new[b, :nn], cur_block[b])
+                recorder.append(t_i, x_new[:, :nn], cur_block, instances=accepted)
     stepping_s = trace.elapsed(step_sp, stepping_start)
 
-    return (lambda b: recorders[b].finish()), ic_s, stepping_s
+    return recorder, ic_s, stepping_s
 
 
 def _solve_stack(A: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -127,13 +127,19 @@ class MosfetBank:
         )
 
     def ids_scalar(self, vgs, vds, vbs) -> np.ndarray:
-        """Per-instance channel currents drain -> source, shape ``(B,)``.
+        """Per-instance channel currents drain -> source.
 
         Named after the model call :meth:`MosfetElement.current` makes.
+        Instances lie along the last axis: ``(B,)`` biases at one step, or
+        ``(steps, B)`` recorded samples evaluated after the run.
         """
         if self._model is not None:
             return np.asarray(self._model.ids(vgs, vds, vbs), dtype=float)
-        return np.array([
-            m.ids_scalar(float(g), float(d), float(b))
-            for m, g, d, b in zip(self._models, vgs, vds, vbs)
-        ])
+        out = np.empty(np.shape(vgs))
+        for k, m in enumerate(self._models):
+            g, d, b = vgs[..., k], vds[..., k], vbs[..., k]
+            out[..., k] = np.reshape([
+                m.ids_scalar(float(gi), float(di), float(bi))
+                for gi, di, bi in zip(g.flat, d.flat, b.flat)
+            ], g.shape)
+        return out

@@ -116,6 +116,42 @@ class TestCommands:
         with pytest.raises(SystemExit, match="--trials:"):
             main(["montecarlo", "-n", "2", "--trials", trials])
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["montecarlo", "-n", "2", "--seed", "-1"], "--seed"),
+        (["montecarlo", "-n", "2", "--vth-sigma", "-0.01"], "--vth-sigma"),
+        (["montecarlo", "-n", "2", "--mu-sigma", "-0.05"], "--mu-sigma"),
+        (["montecarlo", "-n", "2", "--mu-sigma", "nan"], "--mu-sigma"),
+        (["sweep", "--values", "1,2", "--chunk-size", "0"], "--chunk-size"),
+        (["montecarlo", "-n", "2", "--chunk-size", "0"], "--chunk-size"),
+        (["simulate", "-n", "1,2", "--chunk-size", "0"], "--chunk-size"),
+        (["serve", "--chunk-size", "0"], "--chunk-size"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_out_of_range_flags_are_usage_errors(self, argv, flag, capsys):
+        """Refused at parse time with the flag named, not a ValueError
+        traceback from deep inside the run."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_in_range_flags_parse(self):
+        args = build_parser().parse_args(
+            ["montecarlo", "-n", "2", "--seed", "0", "--vth-sigma", "0",
+             "--mu-sigma", "0.1", "--chunk-size", "1"])
+        assert (args.seed, args.vth_sigma, args.mu_sigma, args.chunk_size) == (
+            0, 0.0, 0.1, 1)
+
+    def test_surrogate_subcommands_take_the_observability_flags(self):
+        """Like every other command, the flags follow the subcommand."""
+        parser = build_parser()
+        args = parser.parse_args(["surrogate", "fit", "--telemetry",
+                                  "--trace", "t.json", "--metrics", "m.prom"])
+        assert (args.telemetry, args.trace, args.metrics) == (
+            True, "t.json", "m.prom")
+        assert parser.parse_args(["surrogate", "inspect", "--telemetry"]).telemetry
+        with pytest.raises(SystemExit):
+            parser.parse_args(["surrogate", "--telemetry", "fit"])
+
     def test_report_fig1(self, capsys):
         assert main(["report", "fig1"]) == 0
         out = capsys.readouterr().out

@@ -33,6 +33,13 @@ def test_run_case_captures_waveforms_and_counters(parity):
     assert "phase_seconds" not in str(out["telemetry"])
 
 
+def test_run_case_dumps_an_ensemble_per_instance(parity):
+    """A build returning a list runs as one batched ensemble."""
+    out = parity.run_case(lambda: [_rc(), _rc()], 2e-9, 0.1e-9, TransientOptions())
+    assert {"0/times", "0/i:C1", "1/v:out", "1/telemetry"} <= set(out)
+    assert np.array_equal(out["0/v:out"], out["1/v:out"])
+
+
 def test_compare_flags_one_flipped_bit_and_a_missing_case(parity, tmp_path, capsys):
     arrays = {f"rc/{k}": v for k, v in
               parity.run_case(_rc, 2e-9, 0.1e-9, TransientOptions()).items()}

@@ -16,12 +16,15 @@ import pytest
 
 from repro.analysis.driver_bank import DriverBankSpec, build_driver_bank
 from repro.analysis.simulate import default_stop_time, default_time_step
+from repro.core.asdm import AsdmMosfet
 from repro.spice import Circuit, Dc, Ramp
+from repro.spice import batch as batch_mod
 from repro.spice.batch import (
     BatchIncompatibleError,
     batch_transient,
     lockstep_signature,
 )
+from repro.spice.mosfet import MosfetBank
 from repro.spice.transient import TransientOptions, transient
 
 #: Batched waveforms must stay within this of the scalar fast path.
@@ -141,6 +144,71 @@ class TestGoldenParity:
             assert di <= PARITY_TOL, f"|dI| = {di:.3e} A"
 
 
+def _per_step_device_currents(circuits, results, tstop, dt, options):
+    """Every MOSFET current read the way a per-step sample reads it: the
+    stacked element's ``current`` through a ``(B, n)`` stamp context over
+    one recorded step's node voltages.  Returns ``{name: (steps, B)}``; an
+    instance past its last step repeats that step."""
+    ens = batch_mod._Ensemble(circuits, options, tstop, dt, 0.0)
+    steps = max(len(r.times) for r in results)
+    out = {}
+    for el in ens.devices:
+        per_step = []
+        for k in range(steps):
+            x = np.zeros((len(circuits), ens.size))
+            for b, r in enumerate(results):
+                x[b, :ens.nn] = r._nodes[min(k, len(r.times) - 1)]
+            per_step.append(el.current(ens.context("tran", 0.0, dt, False, x)))
+        out[el.name] = np.array(per_step)
+    return out
+
+
+class TestDeferredDeviceCurrents:
+    """Device currents are evaluated once per run over the recorded node
+    samples, in chunks of ``_Ensemble.CURRENT_CHUNK`` steps; each sample
+    must carry the bits a per-step evaluation would have given it."""
+
+    def _assert_bitwise(self, circuits, results, tstop, dt, options):
+        reference = _per_step_device_currents(circuits, results, tstop, dt, options)
+        assert reference
+        for name, per_step in reference.items():
+            for b, r in enumerate(results):
+                got = r.current(name).y
+                assert np.array_equal(got, per_step[:len(got), b]), (name, b)
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+    def test_golden_bank_longer_than_one_chunk(self, tech018, adaptive):
+        specs = _driver_specs(tech018, [1, 6, 17, 30])
+        tstop, dt = default_stop_time(specs[0]), default_time_step(specs[0])
+        options = TransientOptions(adaptive=adaptive)
+        circuits = [build_driver_bank(s) for s in specs]
+        results = batch_transient(circuits, tstop, dt, options=options)
+        assert all(r.telemetry.batch_fallbacks == 0 for r in results)
+        assert len(results[0].times) > batch_mod._Ensemble.CURRENT_CHUNK
+        self._assert_bitwise(circuits, results, tstop, dt, options)
+
+    def test_mixed_model_bank(self, asdm018, tech018):
+        """Distinct ASDM objects per instance: the bank's per-instance
+        model loop, which takes ``(steps, B)`` samples too."""
+        def circuit(n):
+            c = Circuit("asdm")
+            c.vsource("Vin", "in", "0", Ramp(0.0, tech018.vdd, 0.0, 0.5e-9))
+            c.vsource("Vd", "d", "0", Dc(tech018.vdd))
+            c.inductor("L1", "ssn", "0", 5e-9, ic=0.0)
+            c.mosfet("M1", "d", "in", "ssn", "ssn",
+                     AsdmMosfet(asdm018.scaled(n), tech018.vdd))
+            return c
+
+        circuits = [circuit(n) for n in (2, 9, 24)]
+        tstop, dt = 0.5e-9, 0.5e-9 / 200
+        options = TransientOptions()
+        results = batch_transient(circuits, tstop, dt, options=options)
+        # No shared or stackable model: the per-instance loop runs.
+        assert MosfetBank([c.elements[-1] for c in circuits])._model is None
+        assert len(results[0].times) > batch_mod._Ensemble.CURRENT_CHUNK
+        self._assert_bitwise(circuits, results, tstop, dt, options)
+
+
 class TestCoupledPinEnsemble:
     """The element types no other batch test stacks: two ground pins
     coupled by a mutual inductance (one coupling per instance), a current
@@ -249,8 +317,6 @@ class TestScalarFallback:
         step-halving/gmin recovery ladder) and flagged in telemetry.  The
         batched solves are sabotaged to return non-finite iterates, which
         fails every instance out of the lockstep loop deterministically."""
-        from repro.spice import batch as batch_mod
-
         monkeypatch.setattr(batch_mod, "_solve_stack",
                             lambda A, z: np.full(z.shape, np.nan))
 
@@ -269,8 +335,6 @@ class TestScalarFallback:
         returns a non-finite row for instance 1 only, from the 41st batched
         solve on, while instances 0 and 2 keep running in lockstep with
         the scalar engine's waveforms and Newton effort."""
-        from repro.spice import batch as batch_mod
-
         monkeypatch.setattr(batch_mod, "_solve_stack",
                             _nan_row_after(batch_mod._solve_stack, calls=40, row=1))
 

@@ -156,6 +156,53 @@ class TestAdaptivePerInstanceParity:
         assert all(b.telemetry.mask_steps == 0 for b in batched)
 
 
+class TestPairedStepDoubling:
+    """Each round solves the full step and the first half step in one
+    Newton call over two copies of the ensemble, then the second half step
+    on the second copy."""
+
+    def test_each_round_makes_two_newton_calls(self, tech018, monkeypatch):
+        calls = []
+        newton = batch_mod._Ensemble.newton
+
+        def counted(self, *args):
+            calls.append(args[0])
+            return newton(self, *args)
+
+        monkeypatch.setattr(batch_mod._Ensemble, "newton", counted)
+        specs = _driver_specs(tech018, [2, 9, 16])
+        tstop, dt = _grid(specs[0])
+        batched = batch_transient([build_driver_bank(s) for s in specs], tstop,
+                                  dt, options=TransientOptions(adaptive=True))
+        assert all(b.telemetry.batch_fallbacks == 0 for b in batched)
+        # An instance is pending for a prefix of the rounds, so the round
+        # count is the largest per-instance mask_steps.
+        rounds = max(b.telemetry.mask_steps for b in batched)
+        assert rounds > 0
+        assert calls == ["ic"] + ["tran"] * (2 * rounds)
+
+    @pytest.mark.parametrize("method", ["trap", "be"])
+    def test_full_step_failing_on_some_lanes_keeps_scalar_counters(
+            self, tech018, method):
+        """With max_newton=5 only the N = 8 bank fails Newton at the
+        half-rise step.  Its first half step was solved alongside the failed
+        full step, but the scalar controller never takes it, so its effort
+        must not be counted: every instance's counters equal the scalar
+        engine's."""
+        base = DriverBankSpec(technology=tech018, n_drivers=1, inductance=5e-9,
+                              rise_time=0.2e-9, capacitance=2e-12,
+                              load_capacitance=10e-12)
+        specs = [dataclasses.replace(base, n_drivers=n) for n in (1, 2, 8, 4)]
+        tstop, dt = default_stop_time(base), base.rise_time / 2
+        options = TransientOptions(max_newton=5, adaptive=True, method=method)
+        scalar, batched = _run_pair(
+            lambda: [build_driver_bank(s) for s in specs], tstop, dt, options)
+        assert [s.telemetry.step_rejections > 0 for s in scalar] == [
+            False, False, True, False]
+        assert all(b.telemetry.batch_fallbacks == 0 for b in batched)
+        _assert_adaptive_parity(scalar, batched)
+
+
 class TestScalarFallback:
     def test_failed_instances_rerun_on_scalar_ladder(self, tech018, monkeypatch):
         """Sabotaged batched solves fail every instance out of the adaptive
