@@ -1,18 +1,17 @@
-"""Surrogate-tier smoke: fit -> in-region answer -> provable refusal.
+"""Surrogate-tier smoke: fit -> registry hit -> refusal.
 
 Drives the microsecond answering tier (``repro.surrogate``) end to end
-in well under a minute:
+in well under a minute, through the same two calls the HTTP service
+makes (``registry.lookup(spec)``, then ``model.simulation(spec)``):
 
 * fit a surrogate over a small 3-knob box from golden fast-path sweeps
   and check the fitted error bound honors the declared tolerance;
-* register it in the process-wide registry and serve an in-region spec
-  through ``simulate_many(engine="surrogate")`` — zero Newton
+* register it in a registry and answer an in-region spec — zero Newton
   iterations, ``surrogate_hits == 1`` in telemetry, and the closed-form
   peak within the fitted error bound of the golden simulation;
-* push an out-of-region spec down the same rung and prove the refusal
-  routed to the full simulator: ``surrogate_refusals == 1``, the SSN
-  waveform within 1e-9 V of a direct scalar run, and Newton iterations
-  actually spent.
+* look up an out-of-region spec and check the registry refuses it with
+  a reason whose category names the violated check (``validity-box``),
+  the refusal that sends a server down its full simulation path.
 
 Run via ``make surrogate-smoke``; CI's ``surrogate-smoke`` job executes
 it next to the surrogate test suite.
@@ -20,14 +19,10 @@ it next to the surrogate test suite.
 
 import dataclasses
 
-import numpy as np
-
 from repro.analysis.driver_bank import DriverBankSpec
 from repro.analysis.simulate import simulate_many, simulate_ssn_cache_clear
 from repro.process import get_technology
-from repro.surrogate import default_registry, fit_surrogate
-
-PARITY_TOL = 1e-9
+from repro.surrogate import SurrogateRegistry, fit_surrogate
 
 
 def check(condition, label):
@@ -52,42 +47,32 @@ def main() -> None:
           f"fitted bound {model.error.max_abs_percent:.2f}% within "
           f"{model.tolerance_percent:.0f}% tolerance")
 
-    registry = default_registry()
+    registry = SurrogateRegistry()
     registry.register(model)
-    try:
-        in_region = DriverBankSpec(
-            technology=tech, n_drivers=4, inductance=3e-9, rise_time=0.5e-9
-        )
-        print("in-region query through the surrogate engine rung")
-        simulate_ssn_cache_clear()
-        (hit,) = simulate_many([in_region], engine="surrogate")
-        check(hit.telemetry.extras.get("surrogate_hits") == 1,
-              "telemetry tagged the surrogate hit")
-        check(hit.telemetry.newton_iterations == 0,
-              "closed-form answer spent zero Newton iterations")
-        simulate_ssn_cache_clear()
-        (golden,) = simulate_many([in_region], engine="scalar")
-        error = abs(hit.peak_voltage - golden.peak_voltage) / golden.peak_voltage
-        check(error * 100.0 <= model.error.max_abs_percent,
-              f"peak error {error * 100.0:.2f}% within the fitted bound")
+    in_region = DriverBankSpec(
+        technology=tech, n_drivers=4, inductance=3e-9, rise_time=0.5e-9
+    )
+    print("in-region query answered from the registry")
+    found, reason = registry.lookup(in_region)
+    check(found is model and reason is None, "registry lookup hit the model")
+    hit = found.simulation(in_region)
+    check(hit.telemetry.extras.get("surrogate_hits") == 1,
+          "telemetry tagged the surrogate hit")
+    check(hit.telemetry.newton_iterations == 0,
+          "closed-form answer spent zero Newton iterations")
+    simulate_ssn_cache_clear()
+    (golden,) = simulate_many([in_region], engine="scalar")
+    error = abs(hit.peak_voltage - golden.peak_voltage) / golden.peak_voltage
+    check(error * 100.0 <= model.error.max_abs_percent,
+          f"peak error {error * 100.0:.2f}% within the fitted bound")
 
-        print("out-of-region query routes to the full simulator")
-        out_region = dataclasses.replace(in_region, n_drivers=40)
-        simulate_ssn_cache_clear()
-        (routed,) = simulate_many([out_region], engine="surrogate")
-        check(routed.telemetry.extras.get("surrogate_refusals") == 1,
-              "telemetry tagged the validity-region refusal")
-        check(routed.telemetry.newton_iterations > 0,
-              "fallback ran the real Newton loop")
-        simulate_ssn_cache_clear()
-        (direct,) = simulate_many([out_region], engine="scalar")
-        worst = float(np.max(np.abs(routed.ssn.y - direct.ssn.y)))
-        check(worst <= PARITY_TOL,
-              f"fallback waveform parity {worst:.3e} V <= 1e-9")
-        check(abs(routed.peak_voltage - direct.peak_voltage) <= PARITY_TOL,
-              "fallback peak matches the direct scalar run")
-    finally:
-        registry.clear()
+    print("out-of-region query is refused")
+    out_region = dataclasses.replace(in_region, n_drivers=40)
+    found, reason = registry.lookup(out_region)
+    check(found is None and reason is not None, "registry lookup refused")
+    category = reason.split(":", 1)[0]
+    check(category == "validity-box",
+          f"refusal names the violated check ({category})")
 
     print("surrogate smoke passed")
 

@@ -26,8 +26,8 @@ sequence of *chunks* with four guarantees:
 4. **Graceful engine degradation** — when a chunk exhausts its bulk retry
    budget, each of its instances is recovered independently on the
    scalar engine, which owns the step-halving recovery ladder (one
-   ``degradations`` tick each when the chunk ran on the batch or
-   surrogate engine).  Every recovery action is counted in
+   ``degradations`` tick each when the chunk ran on the batch engine).
+   Every recovery action is counted in
    :class:`~repro.spice.telemetry.SolverTelemetry` (``retries``,
    ``degradations``, ``chunks_failed``, ``checkpoint_writes``), so
    harnesses assert exact recovery behavior instead of mere survival.
@@ -46,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -111,8 +112,8 @@ class CampaignConfig:
         backoff_cap: upper bound on one backoff sleep.
         max_workers: process-pool width for scalar bulk execution (as in
             :func:`repro.analysis.parallel.parallel_map`).
-        engine: starting engine rung (``"batch"``/``"scalar"``/``"auto"``/
-            ``"surrogate"``; None runs ``"scalar"``, see
+        engine: starting engine rung (``"batch"``/``"scalar"``/``"auto"``;
+            None runs ``"scalar"``, see
             :func:`repro.analysis.engine.resolve_engine`).
         flight_dir: directory for a flight-recorder bundle (last events +
             spans + metrics) dumped when an instance exhausts the whole
@@ -135,10 +136,13 @@ class CampaignConfig:
             raise ValueError("chunk_size must be at least 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive when given")
+        if self.deadline is not None and not (
+                math.isfinite(self.deadline) and self.deadline > 0):
+            raise ValueError("deadline must be finite and positive when given")
         if self.backoff_base < 0 or self.backoff_cap < 0:
             raise ValueError("backoff times must be non-negative")
+        if self.max_workers is not None and self.max_workers < 0:
+            raise ValueError("max_workers must be non-negative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -290,11 +294,9 @@ class CampaignRunner:
         """One whole-chunk execution attempt at one engine rung."""
         faults.probe("engine")
         cfg = self.config
-        if rung in ("surrogate", "batch"):
-            # Whole-ensemble rungs: the surrogate tier routes per spec
-            # inside simulate_many (falling back to full engines itself),
-            # and lockstep shares one wall clock across the ensemble, so
-            # the per-task deadline applies on the scalar rungs only.
+        if rung == "batch":
+            # Lockstep shares one wall clock across the ensemble, so the
+            # per-task deadline applies on the scalar rung only.
             sims = simulate_on(rung, list(specs), options=options)
             return [_record_from(i, sim, rung) for i, sim in zip(indices, sims)]
         payloads = [(i, spec, rung, cfg.deadline, options)
@@ -305,7 +307,11 @@ class CampaignRunner:
     def _recover_instance(self, ci: int, index: int, spec: DriverBankSpec,
                           rung0: str, tally: SolverTelemetry,
                           options: TransientOptions | None = None) -> dict:
-        """Retry one instance on the scalar engine until it lands."""
+        """Retry one instance on the scalar engine until it lands.
+
+        A chunk that started on the batch rung counts one ``degradations``
+        tick per recovered instance; each further attempt counts a retry.
+        """
         cfg = self.config
         last_exc: BaseException | None = None
         if rung0 != "scalar":

@@ -8,14 +8,8 @@ The golden simulations can run on several engines:
 * ``"batch"`` — configurations that share a lockstep signature are folded
   into one :func:`repro.spice.batch.batch_transient` call: a single
   vectorized Newton loop advances the whole ensemble at once.
-* ``"surrogate"`` — in-region queries answered in microseconds by fitted
-  closed-form models (:mod:`repro.surrogate`) before any MNA assembly;
-  out-of-region, bound-violating or uncovered queries fall through to the
-  full engines with the decision recorded in telemetry.
 * ``"auto"`` — ``"batch"`` whenever more than one configuration is
-  requested, ``"scalar"`` otherwise.  ``"auto"`` never resolves to the
-  surrogate tier: an approximate answer path must be opted into
-  explicitly.
+  requested, ``"scalar"`` otherwise.
 
 A run's engine is its explicit ``engine=`` argument, else ``"scalar"``:
 no process-wide setting or environment variable can change it, so equal
@@ -33,11 +27,11 @@ behind per-instance masks.
 from __future__ import annotations
 
 #: Recognized engine names, in documentation order.
-ENGINES = ("auto", "batch", "scalar", "surrogate")
+ENGINES = ("auto", "batch", "scalar")
 
 
 def resolve_engine(engine: str | None = None, n_items: int | None = None) -> str:
-    """Resolve an engine request to ``"surrogate"``, ``"batch"`` or ``"scalar"``.
+    """Resolve an engine request to ``"batch"`` or ``"scalar"``.
 
     Args:
         engine: explicit request, or None for ``"scalar"``.
@@ -46,10 +40,9 @@ def resolve_engine(engine: str | None = None, n_items: int | None = None) -> str
             leaves ``"auto"`` resolved toward ``"batch"``.
 
     Returns:
-        ``"surrogate"``, ``"batch"`` or ``"scalar"``.  ``"auto"`` never
-        resolves to ``"surrogate"``; the approximate tier must be asked
-        for by name.  Counting the selection is the caller's job, once
-        per request (``simulate_many``, ``CampaignRunner.run_specs``).
+        ``"batch"`` or ``"scalar"``.  Counting the selection is the
+        caller's job, once per request (``simulate_many``,
+        ``CampaignRunner.run_specs``).
     """
     if engine is None:
         engine = "scalar"

@@ -15,7 +15,6 @@ A run depends only on its call: the engine is the explicit ``engine=``
 from __future__ import annotations
 
 import collections
-import copy
 import dataclasses
 import functools
 import math
@@ -290,8 +289,8 @@ def simulate_many(
     Results preserve the order of ``specs`` regardless of engine or worker
     count, so sweeps are element-for-element comparable however they ran.
 
-    ``engine`` selects the transient engine (``"scalar"``, ``"batch"``,
-    ``"surrogate"`` or ``"auto"``; default ``"scalar"``, see
+    ``engine`` selects the transient engine (``"scalar"``, ``"batch"`` or
+    ``"auto"``; default ``"scalar"``, see
     :func:`repro.analysis.engine.resolve_engine`):
 
     * scalar — one :func:`transient` per spec, optionally across a process
@@ -307,14 +306,6 @@ def simulate_many(
       a lockstep group — incompatible topologies or singleton groups —
       fall back to the scalar path, so ``"batch"`` never fails where
       ``"scalar"`` succeeds.
-    * surrogate — specs accepted by a fitted model in the default
-      surrogate registry (:func:`repro.surrogate.default_registry`) are
-      answered in closed form before any MNA assembly; everything else
-      (misses, out-of-region or bound-violating refusals) runs through
-      ``engine="auto"`` exactly as it would have without the surrogate
-      tier, with the routing decision tagged into each result's
-      ``telemetry.extras`` (``surrogate_hits`` / ``surrogate_misses`` /
-      ``surrogate_refusals``).
     """
     specs = list(specs)
     resolved = resolve_engine(engine, len(specs))
@@ -325,9 +316,7 @@ def simulate_many(
 def simulate_on(engine: str, specs, max_workers: int | None = None,
                 options: TransientOptions | None = None) -> list[SsnSimulation]:
     """:func:`simulate_many` on a resolved engine, for work inside a request
-    that already counted its engine (campaign chunks, surrogate fallbacks)."""
-    if engine == "surrogate":
-        return _simulate_many_surrogate(specs, max_workers, options)
+    that already counted its engine (campaign chunks)."""
     if engine == "batch":
         return _simulate_many_batched(specs, options)
     fn = simulate_ssn_cached if options is None else functools.partial(
@@ -376,43 +365,6 @@ def _simulate_many_batched(specs, options) -> list[SsnSimulation]:
         if not ran_batched:
             for i in members:
                 sims[i] = simulate_ssn_cached(specs[i], options=options)
-    return sims
-
-
-def _simulate_many_surrogate(specs, max_workers, options) -> list[SsnSimulation]:
-    """The ``"surrogate"`` top rung of :func:`simulate_many`'s ladder.
-
-    Each spec is routed through the process-default surrogate registry:
-    hits come back as synthesized closed-form simulations (microseconds,
-    no MNA assembly); misses and refusals are simulated together through
-    ``engine="auto"`` — the exact runs the request would have produced
-    without the surrogate tier.  Fallback results get the routing
-    decision tagged into a *copy* of their telemetry (memoized
-    simulations are shared; mutating their records in place would corrupt
-    every other holder and double-count on repeat tags).
-    """
-    # Inside the function to break the cycle: repro.surrogate builds its
-    # training data with this module's simulate_many.
-    from ..surrogate import default_registry
-
-    registry = default_registry()
-    sims: list[SsnSimulation | None] = [None] * len(specs)
-    fallback: list[tuple[int, str]] = []
-    for i, spec in enumerate(specs):
-        sim, outcome = registry.route_simulation(spec, options=options)
-        if sim is None:
-            fallback.append((i, outcome))
-        else:
-            sims[i] = sim
-    if fallback:
-        full = simulate_on(resolve_engine("auto", len(fallback)),
-                           [specs[i] for i, _ in fallback],
-                           max_workers=max_workers, options=options)
-        for (i, outcome), sim in zip(fallback, full):
-            telemetry = copy.deepcopy(sim.telemetry) or SolverTelemetry()
-            key = "surrogate_misses" if outcome == "miss" else "surrogate_refusals"
-            telemetry.extras[key] = telemetry.extras.get(key, 0) + 1
-            sims[i] = dataclasses.replace(sim, telemetry=telemetry)
     return sims
 
 

@@ -27,9 +27,8 @@ Seven commands cover the library's day-to-day uses:
   (:mod:`repro.surrogate`): ``surrogate fit`` characterizes a technology
   over a parameter box and persists the fitted model (with validity
   region and error bounds) into the result store; ``surrogate inspect``
-  lists the store's fitted models.  ``--engine surrogate`` on the
-  campaign commands answers in-region points from the process-default
-  registry.
+  lists the store's fitted models.  ``serve`` answers in-region
+  ``/simulate`` requests from them.
 
 ``sweep``/``montecarlo``/``simulate`` and ``surrogate fit`` take
 ``--engine``; nothing else picks an engine, so a command runs the same
@@ -146,6 +145,18 @@ def _spread(text: str) -> float:
 _spread.__name__ = "float"
 
 
+def _duration(text: str) -> float:
+    """An argparse ``type``: a finite, positive number of seconds."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number of seconds, got {text}")
+    return value
+
+
+_duration.__name__ = "float"
+
+
 def _telemetry_parent() -> argparse.ArgumentParser:
     """Shared ``--telemetry``/``--telemetry-json`` and observability flags."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -184,15 +195,12 @@ def _telemetry_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _add_engine_argument(parser: argparse.ArgumentParser, default: str,
-                         choices=ENGINES) -> None:
+def _add_engine_argument(parser: argparse.ArgumentParser, default: str) -> None:
     parser.add_argument(
-        "--engine", choices=list(choices), default=default,
+        "--engine", choices=list(ENGINES), default=default,
         help="transient engine for golden simulations: 'batch' runs "
         "same-topology ensembles in one vectorized Newton loop, 'scalar' "
-        "simulates them one at a time, 'surrogate' (campaign commands) "
-        "answers in-region points from fitted closed-form models (falling "
-        "back to full engines otherwise), 'auto' picks per workload "
+        "simulates them one at a time, 'auto' picks per workload "
         f"(default: {default})",
     )
 
@@ -221,12 +229,12 @@ def _runner_parent() -> argparse.ArgumentParser:
     """Shared runner flags: retry ladder, deadline, chunking, pool width."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
+        "--max-retries", type=_at_least(0), default=2, metavar="N",
         help="re-attempts per chunk (and per recovery rung) after the first "
         "failure (default 2)",
     )
     parent.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
+        "--deadline", type=_duration, default=None, metavar="SECONDS",
         help="per-task wall-clock budget; an attempt exceeding it counts as "
         "failed and enters the retry/degradation ladder (default: none)",
     )
@@ -235,7 +243,7 @@ def _runner_parent() -> argparse.ArgumentParser:
         help="simulations per journaled chunk (default 8)",
     )
     parent.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_at_least(0), default=None, metavar="N",
         help="process-pool width for scalar-engine chunks (default: "
         "$REPRO_MAX_WORKERS, else serial; 0 = one per CPU)",
     )
@@ -425,9 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
         **_parent)
     _add_tech_argument(sg_fit)
     # Trains batched by default, the fastest exact path for the factorial
-    # grid; training data must come from a full engine.
-    _add_engine_argument(sg_fit, "batch",
-                         [e for e in ENGINES if e != "surrogate"])
+    # grid.
+    _add_engine_argument(sg_fit, "batch")
     sg_fit.add_argument("--store", metavar="DIR", default=".repro_store",
                         help="result-database directory to persist the "
                         "fitted model into (default .repro_store)")

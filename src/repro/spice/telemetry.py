@@ -45,9 +45,9 @@ _RETIRED_KEYS = frozenset({"full_assemblies"})
 #: newer-producer warning.
 BACKEND_PREFIX = "backend_"
 
-#: Surrogate-tier routing decisions (``surrogate_hits`` /
-#: ``surrogate_misses`` / ``surrogate_refusals``), likewise written by this
-#: version and round-tripped silently.
+#: Surrogate-answer tags (``surrogate_hits``, set by
+#: :meth:`repro.surrogate.SurrogateModel.simulation`), likewise written by
+#: this version and round-tripped silently.
 SURROGATE_PREFIX = "surrogate_"
 
 #: Unknown-counter names already warned about in this process (warn once).
@@ -101,7 +101,7 @@ class SolverTelemetry:
             one transient run.
         degradations: execution-path downgrades taken to keep a workload
             alive: a campaign instance recovering on the scalar engine
-            after its chunk failed on the batch or surrogate engine, or a
+            after its chunk failed on the batch engine, or a
             broken process pool falling back to the serial path
             (:func:`repro.analysis.parallel.parallel_map`).
         chunks_failed: campaign chunks whose bulk execution exhausted its
@@ -210,7 +210,7 @@ class SolverTelemetry:
                 tel.extras[key] = tel.extras.get(key, 0) + value
             else:
                 dropped.append(key)
-        # Backend and surrogate-routing counters are extras this version
+        # Backend and surrogate-answer counters are extras this version
         # writes itself — they round-trip silently, not as newer-producer
         # surprises.
         unknown = {k: v for k, v in unknown.items()

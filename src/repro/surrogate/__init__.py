@@ -8,10 +8,9 @@ parameter box against the golden engines; the resulting
 ``ErrorSummary`` error bounds; a :class:`SurrogateRegistry` routes
 queries (hit / refusal / miss) with full metrics and trace coverage.
 
-The :func:`default_registry` is what the engine ladder's ``surrogate``
-rung (``simulate_many(engine="surrogate")``, ``--engine surrogate``)
-consults; the HTTP service keeps its own per-server registry warmed from
-the persistent store.  See ``docs/surrogate.md``.
+The HTTP service answers from its own per-server registry, warmed from
+the persistent store and checked by the shadow audit; that is the one
+path a fitted model serves through.  See ``docs/surrogate.md``.
 """
 
 from .audit import AuditObservation, SurrogateAuditor
@@ -24,7 +23,7 @@ from .model import (
     ValidityRegion,
     topology_signature,
 )
-from .registry import SurrogateRegistry, default_registry
+from .registry import SurrogateRegistry
 
 __all__ = [
     "AuditObservation",
@@ -35,7 +34,6 @@ __all__ = [
     "SurrogateModel",
     "SurrogateRegistry",
     "ValidityRegion",
-    "default_registry",
     "fit_surrogate",
     "topology_signature",
     "training_specs",

@@ -28,7 +28,7 @@ The :class:`SurrogateAuditor` closes the loop without adding solver work:
    ``tolerance_percent``, the slot is demoted in the registry (event
    ``surrogate_demoted``, counter
    ``repro_surrogate_audit_demotions_total``): subsequent queries take the
-   exact batch-rung path until a refit reinstates it.
+   exact full-simulation path until a refit reinstates it.
 """
 
 from __future__ import annotations

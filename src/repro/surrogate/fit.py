@@ -33,6 +33,7 @@ import itertools
 import numpy as np
 
 from ..analysis.driver_bank import DriverBankSpec
+from ..analysis.engine import resolve_engine
 from ..core.asdm import AsdmParameters
 from ..analysis.metrics import ErrorSummary
 from ..analysis.simulate import simulate_many
@@ -129,7 +130,7 @@ def fit_surrogate(
             the model (queries must match them exactly).
         samples_per_knob: training-grid density per knob (2 = corners).
         engine: execution engine for the golden training simulations
-            (default ``"batch"``; never ``"surrogate"``).
+            (default ``"batch"``).
 
     Returns:
         The fitted :class:`SurrogateModel`, error bounds included.  The
@@ -138,8 +139,7 @@ def fit_surrogate(
     """
     if isinstance(technology, str):
         technology = get_technology(technology)
-    if engine == "surrogate":
-        raise ValueError("training simulations must run on a full engine")
+    resolve_engine(engine)  # an unknown engine fails before the I-V sweep
     if samples_per_knob < 2:
         raise ValueError("samples_per_knob must be at least 2")
 

@@ -236,18 +236,15 @@ class SurrogateModel:
 
     # -- the validity contract -------------------------------------------------------
 
-    def validate(self, spec: DriverBankSpec, options=None) -> str | None:
+    def validate(self, spec: DriverBankSpec) -> str | None:
         """None when the model may answer ``spec``, else the refusal reason.
 
         Reasons are ``"category: detail"`` strings; the category (the part
         before the colon) doubles as the metrics label.  Checks, in order:
-        explicit solver options (a closed form has no solver to configure),
         technology identity, topology signature, the frozen template
         fields, the validity box, the operating region, and finally the
         model's own error bound.
         """
-        if options is not None:
-            return "options: explicit transient options request the full engine"
         if spec.technology.name != self.technology:
             return (f"technology: query is {spec.technology.name!r}, "
                     f"model fitted on {self.technology!r}")
@@ -314,8 +311,7 @@ class SurrogateModel:
             error_bound_percent=float(self.error.max_abs_percent),
         )
 
-    def simulation(self, spec: DriverBankSpec, tstop: float | None = None,
-                   dt: float | None = None) -> SsnSimulation:
+    def simulation(self, spec: DriverBankSpec) -> SsnSimulation:
         """Synthesize a full :class:`SsnSimulation` from the closed forms.
 
         Waveforms follow the core models' validity convention — zero
@@ -327,8 +323,8 @@ class SurrogateModel:
         counters, one ``surrogate_hits`` extra.
         """
         model = self.ssn_model(spec)
-        tstop = default_stop_time(spec) if tstop is None else float(tstop)
-        dt = default_time_step(spec) if dt is None else float(dt)
+        tstop = default_stop_time(spec)
+        dt = default_time_step(spec)
         t = np.arange(0.0, tstop + 0.5 * dt, dt)
 
         vn = np.asarray(model.voltage(t), dtype=float)

@@ -29,7 +29,7 @@ from ..analysis.driver_bank import DriverBankSpec
 from ..observability import events as obs_events
 from ..observability import metrics as obs_metrics
 from ..observability import trace
-from .model import SurrogateAnswer, SurrogateModel, topology_signature
+from .model import SurrogateModel, topology_signature
 
 #: Prometheus-side counters (``repro_surrogate_refusals_total`` additionally
 #: carries a ``reason`` label with the refusal category).
@@ -82,9 +82,10 @@ class SurrogateRegistry:
         """Bench one (technology, topology, region) slot.
 
         A demoted model stays registered but every lookup refuses it
-        (category ``"demoted"``), so queries take the exact batch-rung
-        path until a refit reinstates the slot.  Returns False when the
-        slot was already demoted (idempotent — one breach, one event).
+        (category ``"demoted"``), so queries take the exact
+        full-simulation path until a refit reinstates the slot.  Returns
+        False when the slot was already demoted (idempotent — one breach,
+        one event).
         """
         with self._lock:
             if key in self._demoted:
@@ -103,8 +104,7 @@ class SurrogateRegistry:
 
     # -- routing ---------------------------------------------------------------------
 
-    def lookup(self, spec: DriverBankSpec, options=None
-               ) -> tuple[SurrogateModel | None, str | None]:
+    def lookup(self, spec: DriverBankSpec) -> tuple[SurrogateModel | None, str | None]:
         """Route one query: ``(model, None)`` hit, ``(None, reason)`` refusal,
         ``(None, None)`` miss.
 
@@ -124,7 +124,7 @@ class SurrogateRegistry:
             if candidate.key in demoted:
                 why = f"demoted: {demoted[candidate.key]}"
             else:
-                why = candidate.validate(spec, options=options)
+                why = candidate.validate(spec)
             if why is None:
                 outcome, model = "hit", candidate
                 break
@@ -148,35 +148,3 @@ class SurrogateRegistry:
                         reason=reason or ""):
             pass
         return model, reason
-
-    def answer(self, spec: DriverBankSpec, options=None) -> SurrogateAnswer | None:
-        """The microsecond peak answer, or None on refusal/miss."""
-        model, _ = self.lookup(spec, options=options)
-        if model is None:
-            return None
-        return model.answer(spec)
-
-    def route_simulation(self, spec: DriverBankSpec, options=None):
-        """``(simulation | None, outcome)`` for the engine-ladder integration.
-
-        ``outcome`` is ``"hit"``/``"refusal"``/``"miss"``; the simulation is
-        the synthesized closed-form :class:`SsnSimulation` on a hit, None
-        otherwise (the caller falls back to a full engine and tags the
-        fallback's telemetry with the outcome).
-        """
-        model, reason = self.lookup(spec, options=options)
-        if model is not None:
-            return model.simulation(spec), "hit"
-        return None, "refusal" if reason is not None else "miss"
-
-
-#: Process-wide default registry — what ``simulate_many(engine="surrogate")``
-#: and the ``--engine surrogate`` CLI flag consult.  Empty until something
-#: registers a fitted model, so the surrogate rung degrades to a pure
-#: pass-through (every spec a miss) out of the box.
-_default = SurrogateRegistry()
-
-
-def default_registry() -> SurrogateRegistry:
-    """The process-wide registry the surrogate engine rung consults."""
-    return _default

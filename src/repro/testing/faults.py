@@ -1,7 +1,7 @@
 """Deterministic, scoped fault injection for the recovery-path test suite.
 
 Every recovery path in the campaign runner — step-halving inside a
-transient, per-chunk retries, the surrogate -> batch -> scalar engine ladder,
+transient, per-chunk retries, the batch -> scalar engine ladder,
 broken-process-pool fallback, checkpoint/resume after an interrupt — must
 be *exercised*, not trusted.  This module plants cheap probes at the
 engine's failure-sensitive sites; with no plan installed (the production
@@ -92,8 +92,7 @@ class FaultRule:
             task index (``None`` matches any).
         attempts: fire only on these attempt numbers (``None`` = all).
         phase: fire only in this campaign phase (``"bulk"``/``"instance"``).
-        engine: fire only on this engine rung (``"surrogate"``/``"batch"``/
-            ``"scalar"``).
+        engine: fire only on this engine rung (``"batch"``/``"scalar"``).
         at: fire only on the N-th (0-based) scope-matching probe; ``None``
             fires on every match.
         seconds: sleep duration of a ``stall`` rule.

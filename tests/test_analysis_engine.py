@@ -38,7 +38,6 @@ class TestResolveEngine:
 
     def test_explicit_argument_wins(self):
         assert resolve_engine("batch", n_items=1) == "batch"
-        assert resolve_engine("surrogate") == "surrogate"
 
     def test_auto_picks_by_ensemble_size(self):
         assert resolve_engine("auto", n_items=1) == "scalar"
@@ -48,23 +47,24 @@ class TestResolveEngine:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             resolve_engine("vectorized")
+        with pytest.raises(ValueError):
+            resolve_engine("surrogate")
 
     def test_engine_names_frozen(self):
-        assert ENGINES == ("auto", "batch", "scalar", "surrogate")
+        assert ENGINES == ("auto", "batch", "scalar")
 
 
 class TestEngineSelectedOncePerRequest:
     """``repro_engine_selected_total`` counts requests, not the internal
-    calls a request makes (chunks, bulk attempts, surrogate fallbacks)."""
+    calls a request makes (chunks, bulk attempts)."""
 
     @pytest.mark.parametrize("run", [
         lambda specs: CampaignRunner(engine="batch").run_specs(specs),
         lambda specs: CampaignRunner(engine="batch", chunk_size=2).run_specs(specs),
         lambda specs: CampaignRunner(engine="scalar").run_specs(specs),
         lambda specs: simulate_many(specs),
-        lambda specs: simulate_many(specs, engine="surrogate"),
     ], ids=["batch-campaign", "batch-campaign-chunked", "scalar-campaign",
-            "simulate_many", "surrogate-fallback"])
+            "simulate_many"])
     def test_one_request_counts_one_selection(self, base, run):
         specs = [dataclasses.replace(base, n_drivers=n) for n in (1, 2, 3)]
         registry = obs_metrics.enable_metrics()
@@ -201,8 +201,11 @@ class TestCliFlag:
         ["serve", "--engine", "batch"],
         ["surrogate", "inspect", "--engine", "batch"],
         ["surrogate", "--engine", "batch", "fit"],
-        # Training data must come from a full engine.
+        # The surrogate tier answers through the service, not as an engine.
         ["surrogate", "fit", "--engine", "surrogate"],
+        ["sweep", "--values", "2", "--engine", "surrogate"],
+        ["montecarlo", "--engine", "surrogate"],
+        ["simulate", "--drivers", "2", "--engine", "surrogate"],
     ])
     def test_unsupported_engine_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

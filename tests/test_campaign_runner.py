@@ -327,12 +327,24 @@ class TestConfigValidation:
             {"chunk_size": 0},
             {"max_retries": -1},
             {"deadline": 0.0},
+            {"deadline": float("nan")},
+            {"deadline": float("inf")},
             {"backoff_base": -0.1},
+            {"max_workers": -3},
         ],
     )
     def test_bad_knobs_raise(self, kwargs):
         with pytest.raises(ValueError):
             CampaignConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"deadline": float("nan")}, {"max_workers": -3}])
+    def test_service_refuses_bad_runner_knobs_at_construction(
+            self, kwargs, tmp_path):
+        from repro.service import SsnService
+
+        with pytest.raises(ValueError):
+            SsnService(store_root=tmp_path / "store", **kwargs)
 
     def test_config_and_kwargs_are_exclusive(self):
         with pytest.raises(TypeError):

@@ -76,6 +76,24 @@ class TestParser:
         assert (config.max_retries, config.deadline, config.chunk_size,
                 config.max_workers) == (5, 30.0, 3, 2)
 
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--values", "2"], ["montecarlo", "-n", "4"],
+        ["simulate", "-n", "4"], ["serve"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("flag,value", [
+        ("--workers", "-3"), ("--workers", "-1"), ("--max-retries", "-1"),
+        ("--deadline", "0"), ("--deadline", "-5"), ("--deadline", "nan"),
+        ("--deadline", "inf"),
+    ])
+    def test_bad_runner_flags_are_usage_errors(self, command, flag, value,
+                                               capsys):
+        """A runner setting that cannot work is refused before any run
+        starts, naming the flag (never retried, never silently ignored)."""
+        with pytest.raises(SystemExit) as exc:
+            main(command + [flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_fit_prints_parameters(self, capsys):

@@ -9,6 +9,7 @@ imports its whole compute stack at start-up on purpose, so no request
 pays an import.)
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -51,6 +52,33 @@ def test_analysis_package_loads_no_engine():
     loaded = _loaded_after("import repro.analysis")
     assert "repro.spice" not in loaded
     assert not any(name.startswith("repro.analysis.") for name in loaded)
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Absolute names of every module ``path`` imports, at any depth."""
+    package = ".".join(path.relative_to(SRC).with_suffix("").parts[:-1])
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package.split(".")
+            base = base[:len(base) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_analysis_never_imports_the_surrogate_tier():
+    """The dependency runs one way: the surrogate tier trains on the
+    analysis layer, and no analysis module reaches back into it."""
+    offenders = sorted(
+        str(path.relative_to(SRC))
+        for path in (SRC / "repro" / "analysis").rglob("*.py")
+        if any(name == "repro.surrogate" or name.startswith("repro.surrogate.")
+               for name in _imported_modules(path)))
+    assert offenders == []
 
 
 def test_driver_bank_alone_skips_the_other_analysis_modules():

@@ -791,6 +791,20 @@ class TestSurrogateFirst:
         payload = asyncio.run(scenario())
         assert payload["outcome"] == "miss"  # computed, not surrogate
 
+    def test_explicit_options_take_the_full_path(self, tmp_path, model, registry):
+        """A closed form has no solver to configure: non-default transient
+        options are computed in full, even for an in-region spec."""
+        async def scenario():
+            self.warmed_store(tmp_path, model)
+            async with service_on(tmp_path) as service:
+                params = dict(self.IN_REGION, options={"method": "be"})
+                _, payload = await post(service, "/simulate", params)
+            return payload
+
+        payload = asyncio.run(scenario())
+        assert payload["outcome"] == "miss"
+        assert "surrogate_hits" not in payload["telemetry"]
+
     def test_per_request_and_per_server_opt_out(self, tmp_path, model, registry):
         async def scenario():
             self.warmed_store(tmp_path, model)

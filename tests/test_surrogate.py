@@ -1,11 +1,12 @@
-"""The surrogate tier: fit, validity routing, engine wiring, persistence.
+"""The surrogate tier: fit, validity routing, the answer path, persistence.
 
 The serving contract under test: an in-region query is answered purely
 from the fitted closed forms (zero Newton solves, ``surrogate_hits``
 tagged), anything the model cannot vouch for — out-of-box, wrong
-topology, explicit solver options, a blown error bound — routes to the
-full engines *bit-identically* to calling them directly, and the fitted
-model survives a JSON round trip through the service store unchanged.
+topology, a blown error bound — is refused with a reason the caller can
+read, ``"surrogate"`` is no engine name, and the fitted model survives a
+JSON round trip through the service store unchanged.  The server's
+fallthrough to the full engines is covered in ``test_service_server.py``.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import pytest
 
 from repro.analysis.driver_bank import DriverBankSpec
 from repro.analysis.engine import ENGINES
+from repro.analysis.campaign import CampaignRunner
 from repro.analysis.simulate import simulate_many, simulate_ssn
 from repro.process import get_technology
 from repro.service import ResultStore, surrogate_key
@@ -25,7 +27,6 @@ from repro.surrogate import (
     SurrogateModel,
     SurrogateRegistry,
     ValidityRegion,
-    default_registry,
     fit_surrogate,
     topology_signature,
     training_specs,
@@ -131,8 +132,13 @@ class TestFit:
         counts = {s.n_drivers for s in specs}
         assert counts == {2, 4, 6}
 
-    def test_fit_rejects_surrogate_engine_and_thin_grids(self):
-        with pytest.raises(ValueError, match="full engine"):
+    def test_fit_rejects_unknown_engine_and_thin_grids(self, monkeypatch):
+        # An unknown engine fails up front, before the I-V sweep runs.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the I-V sweep ran before the engine check")
+
+        monkeypatch.setattr("repro.surrogate.fit.sweep_id_vg", no_sweep)
+        with pytest.raises(ValueError, match="unknown engine"):
             fit_surrogate("tsmc018", engine="surrogate", **BOX)
         with pytest.raises(ValueError, match="samples_per_knob"):
             fit_surrogate("tsmc018", samples_per_knob=1, **BOX)
@@ -143,12 +149,6 @@ class TestFit:
 
 
 class TestRefusals:
-    def test_options_always_refuse(self, model, tech):
-        from repro.spice.transient import TransientOptions
-
-        reason = model.validate(in_region_spec(tech), options=TransientOptions())
-        assert reason.startswith("options:")
-
     def test_out_of_box_refuses(self, model, tech):
         reason = model.validate(in_region_spec(tech, n_drivers=40))
         assert reason.startswith("validity-box:")
@@ -185,52 +185,22 @@ class TestRegistry:
         assert hit is None and reason is None
 
 
-class TestSurrogateEngine:
-    """simulate_many(engine="surrogate"): the new top rung of the ladder."""
+class TestServingPath:
+    """The registry's answer path: ``lookup`` then ``model.simulation``."""
 
-    @pytest.fixture(autouse=True)
-    def registered(self, model):
-        registry = default_registry()
-        registry.clear()
-        registry.register(model)
-        yield registry
-        registry.clear()
-
-    def test_ladder_names(self):
-        assert ENGINES == ("auto", "batch", "scalar", "surrogate")
-
-    def test_in_region_hit_does_zero_solver_work(self, model, tech):
-        [sim] = simulate_many([in_region_spec(tech)], engine="surrogate")
+    def test_simulation_does_zero_solver_work(self, model, tech):
+        spec = in_region_spec(tech)
+        sim = model.simulation(spec)
         assert sim.telemetry.extras.get("surrogate_hits") == 1
         assert sim.telemetry.newton_iterations == 0
-        assert sim.peak_voltage == pytest.approx(
-            model.answer(in_region_spec(tech)).peak_voltage)
+        assert sim.peak_voltage == pytest.approx(model.answer(spec).peak_voltage)
 
-    def test_out_of_region_falls_back_bit_identically(self, tech):
-        spec = in_region_spec(tech, n_drivers=40)
-        [sim] = simulate_many([spec], engine="surrogate")
-        assert sim.telemetry.extras.get("surrogate_refusals") == 1
-        direct = simulate_ssn(spec)
-        assert sim.ssn.max_abs_difference(direct.ssn) <= 1e-9
-        assert sim.peak_voltage == direct.peak_voltage
-
-    def test_miss_falls_back_and_tags_misses(self, tech):
-        default_registry().clear()
-        spec = in_region_spec(tech)
-        [sim] = simulate_many([spec], engine="surrogate")
-        assert sim.telemetry.extras.get("surrogate_misses") == 1
-        direct = simulate_ssn(spec)
-        assert sim.ssn.max_abs_difference(direct.ssn) <= 1e-9
-
-    def test_mixed_batch_partitions_per_spec(self, tech):
-        specs = [in_region_spec(tech), in_region_spec(tech, n_drivers=40)]
-        sims = simulate_many(specs, engine="surrogate")
-        assert sims[0].telemetry.extras.get("surrogate_hits") == 1
-        assert sims[1].telemetry.extras.get("surrogate_refusals") == 1
-
-    def test_auto_never_resolves_to_surrogate(self, tech):
-        [sim] = simulate_many([in_region_spec(tech)], engine="auto")
-        assert "surrogate_hits" not in sim.telemetry.extras
+    def test_surrogate_is_not_an_engine(self, tech):
+        assert "surrogate" not in ENGINES
+        with pytest.raises(ValueError, match="unknown engine"):
+            simulate_many([in_region_spec(tech)], engine="surrogate")
+        with pytest.raises(ValueError, match="unknown engine"):
+            CampaignRunner(engine="surrogate").run_specs([in_region_spec(tech)])
 
 
 class TestPersistence:
