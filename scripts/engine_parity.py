@@ -24,6 +24,9 @@ The case set:
 * the ``max_newton=5`` bank that fails Newton at its base step, fixed and
   adaptive, on both tiers, plus the run whose ``min_dt`` floor makes that
   failure unrecoverable (its telemetry is recorded);
+* multi-device banks, where per-device stamping matters most: a skewed
+  launch (N = 7, one input ramp per driver) and a non-collapsed bank
+  (N = 13), fixed and adaptive, dense;
 * a 160-section driven RC ladder (sparse by size) and a 60-section linear
   ladder (the cached-factorization path), each on both tiers;
 * the coupled-inductor nets of ``tests/test_spice_mutual.py``;
@@ -82,6 +85,27 @@ def _bank_cases():
         opts = TransientOptions(max_newton=5, min_dt=dt, sparse=sparse)
         yield (f"failing-unrecoverable-{'sparse' if sparse else 'dense'}",
                (lambda: build_driver_bank(failing)), tstop, dt, opts)
+
+
+def _multi_device_cases():
+    from repro.analysis.driver_bank import DriverBankSpec, build_driver_bank
+    from repro.analysis.simulate import default_stop_time
+    from repro.process import TSMC018
+    from repro.spice.transient import TransientOptions
+
+    rise = 0.5e-9
+    skewed = DriverBankSpec(technology=TSMC018, n_drivers=7, inductance=5e-9,
+                            rise_time=rise,
+                            input_offsets=tuple(0.04 * k * rise for k in range(7)))
+    bank = DriverBankSpec(technology=TSMC018, n_drivers=13, inductance=5e-9,
+                          rise_time=rise, collapse=False)
+    for label, spec in (("skew-N7", skewed), ("bank-N13-explicit", bank)):
+        tstop = default_stop_time(spec)
+        for adaptive in (False, True):
+            dt = rise / (20 if adaptive else 50)
+            yield (f"{label}-{'adaptive' if adaptive else 'fixed'}-dense",
+                   (lambda s=spec: build_driver_bank(s)), tstop, dt,
+                   TransientOptions(adaptive=adaptive, sparse=False))
 
 
 def _ladder_cases():
@@ -186,6 +210,7 @@ def cases():
     (one batched ensemble).
     """
     yield from _bank_cases()
+    yield from _multi_device_cases()
     yield from _ladder_cases()
     yield from _mutual_cases()
     yield from _batch_cases()

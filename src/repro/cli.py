@@ -157,6 +157,29 @@ def _duration(text: str) -> float:
 _duration.__name__ = "float"
 
 
+def _fraction(text: str) -> float:
+    """An argparse ``type``: a probability or fraction in ``[0, 1]``."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+_fraction.__name__ = "float"
+
+
+def _port(text: str) -> int:
+    """An argparse ``type``: a TCP port, 0 (ephemeral) to 65535."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be a port in [0, 65535], got {value}")
+    return value
+
+
+_port.__name__ = "int"
+
+
 def _telemetry_parent() -> argparse.ArgumentParser:
     """Shared ``--telemetry``/``--telemetry-json`` and observability flags."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -181,7 +204,7 @@ def _telemetry_parent() -> argparse.ArgumentParser:
         "assembly/LU spans (default: newton)",
     )
     parent.add_argument(
-        "--trace-sample", type=float, default=1.0, metavar="P",
+        "--trace-sample", type=_fraction, default=1.0, metavar="P",
         help="record each root span with probability P in [0, 1]; children "
         "inherit the root's decision, so sampled traces stay whole trees "
         "(default: 1.0)",
@@ -369,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument("--host", default="127.0.0.1",
                      help="bind address (default 127.0.0.1)")
-    srv.add_argument("--port", type=int, default=8431,
+    srv.add_argument("--port", type=_port, default=8431,
                      help="bind port; 0 picks an ephemeral port and prints "
                      "it (default 8431)")
     srv.add_argument("--store", metavar="DIR", default=".repro_store",
@@ -385,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "events.jsonl inside the store)")
     srv.add_argument("--no-events", action="store_true",
                      help="disable the durable event journal")
-    srv.add_argument("--audit-fraction", type=float, default=0.1,
+    srv.add_argument("--audit-fraction", type=_fraction, default=0.1,
                      metavar="F",
                      help="fraction of surrogate answers shadow-audited "
                      "against their golden refinement (default 0.1; "

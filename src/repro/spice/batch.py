@@ -185,11 +185,11 @@ def _stacked_shape(shapes):
     def value(t):
         """Per-instance stimulus at a scalar or per-instance ``(B,)`` time."""
         if isinstance(t, np.ndarray):
-            # Adaptive lockstep: every instance sits at its own time.  The
-            # shape dataclasses are scalar piecewise evaluators, so walk the
-            # batch (sources are few; the loop is invisible next to solves).
+            # Adaptive lockstep: every instance sits at its own time.  A
+            # shared shape is evaluated over the lanes in one pass; distinct
+            # shapes walk the batch.
             if shared is not None:
-                return np.array([shared(tb) for tb in t])
+                return shared.values(t)
             return np.array([s(tb) for s, tb in zip(shapes, t)])
         if shared is not None:
             return shared(t)
@@ -260,6 +260,13 @@ class _BatchContext(StampContext):
         if self.A is None or row_node == 0 or col_node == 0:
             return
         self.A[:, row_node - 1, col_node - 1] += value
+
+    def add_entries(self, entries, values) -> None:
+        A = self.A
+        if A is None:
+            return
+        for (row, col), k in entries:
+            A[:, row, col] += values[k]
 
     def add_rhs_current(self, frm: int, to: int, i) -> None:
         if frm != 0:

@@ -20,21 +20,27 @@ MOSFETs), an iterate-dependent ``stamp_iterate`` (see
 three tier-aware steps of :class:`MnaSystem`, and only the system knows
 which linear-algebra tier runs them:
 
-* :meth:`~MnaSystem.stamp_base` stamps every element's ``stamp`` **once**
-  per ``(mode, t, dt, method)`` (:meth:`~MnaSystem.assemble_base`);
+* :meth:`~MnaSystem.stamp_base` stamps every element's ``stamp`` once per
+  solve (:meth:`~MnaSystem.assemble_base`).  The base *matrix* depends
+  only on ``(mode, dt, method, gmin)``, so the dense tier keeps it while
+  that key repeats and the pass restamps only the right-hand side
+  (sources at ``t``, companion history);
 * :meth:`~MnaSystem.stamp_iterate` adds the ``stamp_iterate`` of
   :attr:`MnaSystem.devices` at one iterate
   (:meth:`~MnaSystem.assemble_nonlinear`) and returns ``(A, z)``;
 * :meth:`~MnaSystem.solve` solves it, with the tier's singular fallback.
 
 The buffers are owned by the system and reused across every time step, so
-the steady-state allocation rate of a dense transient run is zero.
+the steady-state allocation rate of a dense transient run is zero.  The
+system reads element values as they stand when a key is first stamped: it
+is built per analysis, over a circuit that analysis does not mutate.
 
-For circuits with no nonlinear elements at all, the matrix depends only on
-``(mode, dt, method)`` — ``method`` being the integrator the engine chose
-for the step — so :meth:`~MnaSystem.solve_base` solves the base through one
-factor cache for both tiers, reused across time steps and invalidated
-exactly when that key or the matrix changes; see ``docs/performance.md``.
+For circuits with no nonlinear elements at all, the whole system depends
+only on ``(mode, dt, method)`` — ``method`` being the integrator the engine
+chose for the step — so :meth:`~MnaSystem.solve_base` solves the base
+through one factor cache for both tiers, reused across time steps and
+invalidated exactly when that key or the matrix changes; see
+``docs/performance.md``.
 
 Sparse tier
 -----------
@@ -102,6 +108,10 @@ class StampContext:
 
     ``trap`` is the step's integrator phase (``method == "trap"``); the
     transient engine owns it and passes ``"be"`` on restart steps.
+
+    With ``buffers=(None, z)`` matrix writes are dropped, so a base pass
+    restamps only the right-hand side over a kept matrix (the rule of the
+    batched engine's linear stack).
     """
 
     def __init__(self, system: "MnaSystem", mode: str, t: float, dt: float,
@@ -144,16 +154,31 @@ class StampContext:
 
     def clear(self) -> None:
         """Zero the matrix and right-hand side before a base pass."""
-        self.A[:] = 0.0
+        if self.A is not None:
+            self.A[:] = 0.0
         self.z[:] = 0.0
 
     # -- stamping primitives --------------------------------------------------------
 
     def add_node_entry(self, row_node: int, col_node: int, value: float) -> None:
         """A[row, col] += value for two node ids, skipping ground."""
-        if row_node == 0 or col_node == 0:
+        if self.A is None or row_node == 0 or col_node == 0:
             return
         self.A[row_node - 1, col_node - 1] += value
+
+    def add_entries(self, entries, values) -> None:
+        """``A[rc] += values[k]`` for every ``(rc, k)`` of ``entries``, in order.
+
+        ``rc`` is a ``(row, col)`` pair of unknown indices, ground already
+        dropped (a device computes its list once; see
+        :class:`~repro.spice.mosfet.MosfetElement`).  Repeated pairs
+        accumulate in list order, as the same writes one at a time would.
+        """
+        A = self.A
+        if A is None:
+            return
+        for rc, k in entries:
+            A[rc] += values[k]
 
     def add_conductance(self, a: int, b: int, g: float) -> None:
         """Standard two-terminal conductance stamp between nodes a and b."""
@@ -171,6 +196,8 @@ class StampContext:
 
     def add_branch_kcl(self, a: int, b: int, row: int) -> None:
         """KCL coupling of a branch current flowing a -> b."""
+        if self.A is None:
+            return
         if a != 0:
             self.A[a - 1, row] += 1.0
         if b != 0:
@@ -178,13 +205,16 @@ class StampContext:
 
     def add_branch_voltage(self, row: int, plus: int, minus: int) -> None:
         """Branch-equation terms ``+v(plus) - v(minus)`` on the given row."""
+        if self.A is None:
+            return
         if plus != 0:
             self.A[row, plus - 1] += 1.0
         if minus != 0:
             self.A[row, minus - 1] -= 1.0
 
     def set_branch_entry(self, row: int, col: int, value: float) -> None:
-        self.A[row, col] += value
+        if self.A is not None:
+            self.A[row, col] += value
 
     def set_branch_rhs(self, row: int, value: float) -> None:
         self.z[row] += value
@@ -227,8 +257,9 @@ class SparseStampContext(StampContext):
     """Stamp context recording matrix writes as sparse triplets.
 
     Elements stamp through the exact primitives of :class:`StampContext`;
-    only the matrix-touching ones are rerouted (the right-hand side stays a
-    dense vector — it is dense by nature and every solve reads it whole).
+    every matrix-touching one is rerouted, so its ``A`` is unused (the
+    right-hand side stays a dense vector — it is dense by nature and every
+    solve reads it whole).
     With no ``pattern`` the context records coordinates for a first-pass
     symbolic analysis; with one it cursor-fills the pattern's value slots,
     and :meth:`MnaSystem._sparse_pass` checks the write count afterwards so
@@ -294,6 +325,10 @@ class SparseStampContext(StampContext):
     def set_branch_entry(self, row: int, col: int, value: float) -> None:
         self._entry(row, col, value)
 
+    def add_entries(self, entries, values) -> None:
+        for (row, col), k in entries:
+            self._entry(row, col, values[k])
+
 
 class MnaSystem:
     """Unknown ordering, assembly and linear solves for one circuit.
@@ -327,6 +362,8 @@ class MnaSystem:
         self._base_A: np.ndarray | None = None
         self._work_A: np.ndarray | None = None
         self._base_csc = None
+        # The (mode, dt, method, gmin) the dense _base_A was stamped for.
+        self._base_key = None
         # Symbolic CSC patterns keyed (kind, mode).
         self._sparse_patterns: dict = {}
         # Factor cache for linear-only circuits, one for both tiers: key ->
@@ -375,8 +412,11 @@ class MnaSystem:
                    states: dict, x: np.ndarray, gmin: float) -> StampContext:
         """Stamp the iterate-independent base of one solve.
 
-        Returns the context the solve's iterates stamp through, which the
-        solver hands back positioned at the converged point.
+        Dense: the base matrix is kept while ``(mode, dt, method, gmin)``
+        repeats, and the pass then restamps only the right-hand side.
+        Sparse: every pass refills the base pattern.  Returns the context
+        the solve's iterates stamp through, which the solver hands back
+        positioned at the converged point.
         """
         if self.sparse:
             base = SparseStampContext(self, mode, t, dt, method, states, x,
@@ -388,8 +428,12 @@ class MnaSystem:
             n = self.size
             self._base_A = np.zeros((n, n))
             self._work_A = np.zeros((n, n))
+        key = (mode, dt, method, gmin)
+        base_A = None if key == self._base_key else self._base_A
+        self._base_key = None  # until the pass completes
         self.assemble_base(self.context(mode, t, dt, method, states, x, gmin,
-                                        buffers=(self._base_A, self._base_z)))
+                                        buffers=(base_A, self._base_z)))
+        self._base_key = key
         return self.context(mode, t, dt, method, states, x, gmin,
                             buffers=(self._work_A, self._work_z))
 

@@ -6,12 +6,20 @@ present Newton iterate:
     Id  ~=  Id0 + gm*(vgs - vgs0) + gds*(vds - vds0) + gmbs*(vbs - vbs0)
 
 which :meth:`MosfetElement.stamp_iterate` stamps as three conductances plus
-an equivalent current source at every Newton iterate.  A small ``gmin``
-between drain and source keeps the Jacobian nonsingular when the device is
-cut off; it does not depend on the iterate, so it is the element's
-:meth:`~MosfetElement.stamp` and lives in the cached base system.  Per-iteration gate/drain voltage limiting (a light
-version of SPICE's ``pnjlim``/``fetlim``) is handled globally by the Newton
-damping in :mod:`repro.spice.solver`.
+an equivalent current source at every Newton iterate: eight matrix entries,
+whose ground-dropped ``(row, col)`` list the element computes once and
+stamps through one context call.  A small ``gmin`` between drain and source
+keeps the Jacobian nonsingular when the device is cut off; it does not
+depend on the iterate, so it is the element's :meth:`~MosfetElement.stamp`
+and lives in the cached base system.  Per-iteration gate/drain voltage
+limiting (a light version of SPICE's ``pnjlim``/``fetlim``) is handled
+globally by the Newton damping in :mod:`repro.spice.solver`.
+
+The scalar engine reads a device's current at every accepted point, and the
+next solve starts from that point, so its first iterate stamps at exactly
+the bias just read.  :meth:`MosfetElement.current` therefore evaluates the
+whole operating point there and keeps it as a one-entry memo, which
+:meth:`MosfetElement.stamp_iterate` uses on an exact bias match.
 
 Device parasitic capacitances are intentionally not modeled: the SSN
 networks of the paper are dominated by multi-picofarad pad loads and the
@@ -33,9 +41,22 @@ class MosfetElement(Element):
 
     nonlinear = True
 
+    #: ``(model, bias, op)`` of the last scalar :meth:`current` read, or
+    #: None.  One attribute, replaced whole and matched on exact float
+    #: equality of the bias (and identity of the model), so concurrent
+    #: runs never pair one bias with another bias's operating point.
+    _memo = None
+
     def __init__(self, name: str, drain: int, gate: int, source: int, bulk: int, model):
         super().__init__(name, (drain, gate, source, bulk))
         self.model = model
+        # The channel's matrix entries as ((row, col), k) with k indexing
+        # the value tuple of stamp_iterate: KCL at drain +Id, at source -Id.
+        # Ground rows/columns are dropped; a bulk tied to the source keeps
+        # its repeated (row, col) pairs, which accumulate in this order.
+        d, g, s, b = (node - 1 for node in self.nodes)
+        pairs = ((d, g), (d, d), (d, b), (d, s), (s, g), (s, d), (s, b), (s, s))
+        self._entries = tuple((rc, k) for k, rc in enumerate(pairs) if min(rc) >= 0)
 
     def _bias(self, ctx) -> tuple[float, float, float]:
         d, g, s, b = self.nodes
@@ -49,27 +70,32 @@ class MosfetElement(Element):
 
     def stamp_iterate(self, ctx) -> None:
         """The channel current linearized at the present iterate."""
-        d, g, s, b = self.nodes
-        vgs, vds, vbs = self._bias(ctx)
-        op = self.model.partials(vgs, vds, vbs)
-        ieq = op.ids - op.gm * vgs - op.gds * vds - op.gmbs * vbs
-
-        gsum = op.gm + op.gds + op.gmbs
-        # KCL at drain: +Id; at source: -Id.
-        ctx.add_node_entry(d, g, op.gm)
-        ctx.add_node_entry(d, d, op.gds)
-        ctx.add_node_entry(d, b, op.gmbs)
-        ctx.add_node_entry(d, s, -gsum)
-        ctx.add_node_entry(s, g, -op.gm)
-        ctx.add_node_entry(s, d, -op.gds)
-        ctx.add_node_entry(s, b, -op.gmbs)
-        ctx.add_node_entry(s, s, gsum)
+        bias = vgs, vds, vbs = self._bias(ctx)
+        memo = self._memo
+        if memo is not None and memo[0] is self.model and memo[1] == bias:
+            op = memo[2]
+        else:
+            op = self.model.partials(vgs, vds, vbs)
+        gm, gds, gmbs = op.gm, op.gds, op.gmbs
+        ieq = op.ids - gm * vgs - gds * vds - gmbs * vbs
+        gsum = gm + gds + gmbs
+        ctx.add_entries(self._entries, (gm, gds, gmbs, -gsum, -gm, -gds, -gmbs, gsum))
+        d, _, s, _ = self.nodes
         ctx.add_rhs_current(d, s, ieq)
 
-    def current(self, ctx) -> float:
-        """Channel current drain -> source at the present iterate."""
-        vgs, vds, vbs = self._bias(ctx)
-        return self.model.ids_scalar(vgs, vds, vbs)
+    def current(self, ctx):
+        """Channel current drain -> source at the present iterate.
+
+        A scalar read evaluates the whole operating point and keeps it as
+        the memo (see the module docstring).  The batched engine reads
+        ``(steps, B)`` bias blocks once per run and needs the current alone.
+        """
+        bias = self._bias(ctx)
+        if isinstance(bias[0], np.ndarray):
+            return self.model.ids_scalar(*bias)
+        op = self.model.partials(*bias)
+        self._memo = (self.model, bias, op)
+        return op.ids
 
 
 class MosfetBank:

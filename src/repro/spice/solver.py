@@ -12,16 +12,26 @@ owns the tier (dense LAPACK or sparse ``splu``) behind three steps:
 ``stamp_base`` once per solve, ``stamp_iterate`` per iterate (the base
 plus the nonlinear devices' ``stamp_iterate``, returned as ``(A, z)``), and
 ``solve``.  Nothing in the base can change while ``(mode, t, dt, method)``
-and the element states are fixed, so it is stamped once per call.  After
+and the element states are fixed, so its right-hand side is stamped once
+per call; its matrix depends on ``(mode, dt, method, gmin)`` alone and the
+dense tier keeps it across calls while that key repeats.  After
 convergence the last iterate's context is reused with ``x`` updated to the
 converged point — no final re-assembly, because state commits and current
 extraction read only ``x``/``dt``/``trap``/states, never ``A``/``z``.
 Circuits with no nonlinear elements collapse to a single direct solve of
 the base, with its factorization cached under ``(mode, dt, method)`` (see
 :mod:`repro.spice.mna`).
+
+Newton control works on the five-to-fifty-unknown systems of the SSN banks,
+where each numpy call costs more than its arithmetic: one ``|dx|`` serves
+the damping cap, the finiteness check (a non-finite solution shows as a
+non-finite largest update, since the iterate itself is always finite) and
+the convergence test.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -131,16 +141,17 @@ def newton_solve(
                 A, z = system.stamp_iterate(ctx, x)
             with trace.span("lu_solve", level="full") if detailed else NOOP_SPAN:
                 x_new = system.solve(A, z)
-            if not np.isfinite(x_new).all():
-                raise ConvergenceError(f"non-finite solution while solving at t={t}")
 
             dx = x_new - x
-            step = float(np.abs(dx).max()) if dx.size else 0.0
+            adx = np.abs(dx)
+            step = float(adx.max()) if dx.size else 0.0
+            if not math.isfinite(step):
+                raise ConvergenceError(f"non-finite solution while solving at t={t}")
             if step > max_update:
                 x = x + dx * (max_update / step)
                 continue
             x = x_new
-            if (np.abs(dx) <= abstol + reltol * np.abs(x)).all():
+            if (adx <= abstol + reltol * np.abs(x)).all():
                 # Reuse the last iterate's context: only ``x`` needs to move
                 # to the converged point (A/z stay one Newton update behind,
                 # which downstream state commits and current reads never

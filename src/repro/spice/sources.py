@@ -3,7 +3,9 @@
 Each shape is a callable ``value(t)`` plus a ``breakpoints()`` list of corner
 times; the transient engine forces time steps to land exactly on breakpoints
 so that piecewise-linear corners (e.g. the end of the input ramp, where the
-maximum SSN occurs) are never straddled.
+maximum SSN occurs) are never straddled.  ``values(times)`` evaluates a
+shape over an array of times (the batched engine's per-instance clocks),
+elementwise bit for bit equal to the scalar call.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ class SourceShape:
     def __call__(self, t: float) -> float:
         raise NotImplementedError
 
+    def values(self, times: np.ndarray) -> np.ndarray:
+        """The value at every time of ``times``; the built-in shapes
+        override this elementwise loop with one vectorized pass."""
+        return np.array([self(t) for t in times])
+
     def breakpoints(self) -> list[float]:
         """Times at which the waveform has slope discontinuities."""
         return []
@@ -32,6 +39,9 @@ class Dc(SourceShape):
 
     def __call__(self, t: float) -> float:
         return self.value
+
+    def values(self, times: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(times), self.value, dtype=float)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,6 +71,12 @@ class Ramp(SourceShape):
         if t >= self.t_start + self.t_rise:
             return self.v1
         return self.v0 + self.slope * (t - self.t_start)
+
+    def values(self, times: np.ndarray) -> np.ndarray:
+        t = np.asarray(times, dtype=float)
+        ramp = self.v0 + self.slope * (t - self.t_start)
+        return np.where(t <= self.t_start, self.v0,
+                        np.where(t >= self.t_start + self.t_rise, self.v1, ramp))
 
     def breakpoints(self) -> list[float]:
         return [self.t_start, self.t_start + self.t_rise]
@@ -95,6 +111,17 @@ class Pulse(SourceShape):
             return self.v1 + (self.v0 - self.v1) * t / self.fall
         return self.v0
 
+    def values(self, times: np.ndarray) -> np.ndarray:
+        # The scalar branches in order, each on its own shifted clock.
+        t = np.asarray(times, dtype=float) - self.delay
+        t_width = t - self.rise
+        t_fall = t_width - self.width
+        return np.select(
+            [t <= 0, t < self.rise, t_width < self.width, t_fall < self.fall],
+            [self.v0, self.v0 + (self.v1 - self.v0) * t / self.rise, self.v1,
+             self.v1 + (self.v0 - self.v1) * t_fall / self.fall],
+            default=self.v0)
+
     def breakpoints(self) -> list[float]:
         edges = np.cumsum([self.delay, self.rise, self.width, self.fall])
         return [float(e) for e in edges]
@@ -115,6 +142,9 @@ class Pwl(SourceShape):
 
     def __call__(self, t: float) -> float:
         return float(np.interp(t, self._t, self._v))
+
+    def values(self, times: np.ndarray) -> np.ndarray:
+        return np.interp(np.asarray(times, dtype=float), self._t, self._v)
 
     def breakpoints(self) -> list[float]:
         return [float(t) for t in self._t]

@@ -143,6 +143,15 @@ class TestCommands:
         (["montecarlo", "-n", "2", "--chunk-size", "0"], "--chunk-size"),
         (["simulate", "-n", "1,2", "--chunk-size", "0"], "--chunk-size"),
         (["serve", "--chunk-size", "0"], "--chunk-size"),
+        (["serve", "--audit-fraction", "nan"], "--audit-fraction"),
+        (["serve", "--audit-fraction", "1.5"], "--audit-fraction"),
+        (["serve", "--audit-fraction", "-0.1"], "--audit-fraction"),
+        (["estimate", "-n", "4", "--trace", "t.json", "--trace-sample", "5"],
+         "--trace-sample"),
+        (["estimate", "-n", "4", "--trace", "t.json", "--trace-sample", "nan"],
+         "--trace-sample"),
+        (["serve", "--port", "-5"], "--port"),
+        (["serve", "--port", "65536"], "--port"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_out_of_range_flags_are_usage_errors(self, argv, flag, capsys):
         """Refused at parse time with the flag named, not a ValueError
@@ -158,6 +167,15 @@ class TestCommands:
              "--mu-sigma", "0.1", "--chunk-size", "1"])
         assert (args.seed, args.vth_sigma, args.mu_sigma, args.chunk_size) == (
             0, 0.0, 0.1, 1)
+
+    @pytest.mark.parametrize("port,fraction", [("0", "0"), ("65535", "1")])
+    def test_fraction_and_port_edges_parse(self, port, fraction):
+        """The ends of ``[0, 1]`` and of the port range are accepted."""
+        args = build_parser().parse_args(
+            ["serve", "--port", port, "--audit-fraction", fraction,
+             "--trace-sample", fraction])
+        assert (args.port, args.audit_fraction, args.trace_sample) == (
+            int(port), float(fraction), float(fraction))
 
     def test_surrogate_subcommands_take_the_observability_flags(self):
         """Like every other command, the flags follow the subcommand."""

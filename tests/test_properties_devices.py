@@ -191,3 +191,27 @@ class TestAsdmProperties:
         assert params.scaled(factor).drain_current(1.6, 0.1) == pytest.approx(
             factor * params.drain_current(1.6, 0.1), rel=1e-12
         )
+
+
+def _stamped_models():
+    from repro.core.asdm import AsdmMosfet
+    from repro.devices.pmos import ComplementaryMosfet
+
+    return [BsimLikeMosfet(), ComplementaryMosfet(BsimLikeMosfet()),
+            AsdmMosfet(AsdmParameters(k=0.02, v0=0.5, lam=1.3), vdd=1.8),
+            Level1Mosfet(), AlphaPowerMosfet()]
+
+
+class TestRecordedCurrentIsPartialsIds:
+    """The scalar engine records a device's current as ``partials(...).ids``
+    (the operating point it keeps for the next solve's first iterate); it
+    must be ``ids_scalar`` bit for bit, for every model the engine stamps."""
+
+    @settings(max_examples=100)
+    @given(model=st.sampled_from(_stamped_models()),
+           vgs=st.floats(-2.5, 2.5), vds=st.floats(-2.5, 2.5),
+           vbs=st.floats(-1.5, 1.0))
+    def test_partials_ids_equals_ids_scalar(self, model, vgs, vds, vbs):
+        recorded = float(model.partials(vgs, vds, vbs).ids)
+        expected = float(model.ids_scalar(vgs, vds, vbs))
+        assert np.float64(recorded).tobytes() == np.float64(expected).tobytes()

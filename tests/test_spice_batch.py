@@ -393,3 +393,20 @@ class TestParameterBankValidation:
     def test_finite_banks_still_simulate(self):
         results = batch_transient([self._rlc(), self._rlc(r=25.0)], 1e-9, 5e-12)
         assert len(results) == 2
+
+
+def test_scalar_device_memo_never_reaches_a_stacked_device(tech018):
+    """A scalar run leaves each device's accepted-point memo set; stacking
+    those circuits copies the elements, and the copies (whose model is a
+    bank) must neither read the memo nor change a bit of the ensemble."""
+    specs = _driver_specs(tech018, (2, 4))
+    tstop, dt = _grid(specs[0])
+    circuits = [build_driver_bank(s) for s in specs]
+    for circuit in circuits:
+        transient(circuit, tstop, dt)
+    assert all(c.element("M1")._memo is not None for c in circuits)
+    reused = batch_transient(circuits, tstop, dt)
+    fresh = batch_transient([build_driver_bank(s) for s in specs], tstop, dt)
+    for a, b in zip(reused, fresh):
+        for node in a.node_names:
+            assert a.voltage(node).y.tobytes() == b.voltage(node).y.tobytes()

@@ -107,3 +107,195 @@ class TestNewtonSolver:
         system = MnaSystem(c)
         x, _ = newton_solve(system, "dc", 0.0, 1.0, "be", {}, np.zeros(system.size))
         assert np.all(np.isfinite(x))
+
+
+class TestKeptBaseMatrix:
+    """The dense base matrix is kept while ``(mode, dt, method, gmin)``
+    repeats and restamped on every key change; after each pass it equals a
+    fresh system's stamp bit for bit."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Every dense stamp_base call, checked against a fresh MnaSystem;
+        returns the list of (key, kept) pairs seen."""
+        seen = []
+        original = MnaSystem.stamp_base
+
+        def spy(self, mode, t, dt, method, states, x, gmin):
+            key = (mode, dt, method, gmin)
+            kept = not self.sparse and key == self._base_key
+            ctx = original(self, mode, t, dt, method, states, x, gmin)
+            if not self.sparse:
+                fresh = MnaSystem(self.circuit)
+                snapshot = {el: dict(state) for el, state in states.items()}
+                original(fresh, mode, t, dt, method, snapshot, x, gmin)
+                assert self._base_A.tobytes() == fresh._base_A.tobytes(), key
+                assert self._base_z.tobytes() == fresh._base_z.tobytes(), key
+                seen.append((key, kept))
+            return ctx
+
+        monkeypatch.setattr(MnaSystem, "stamp_base", spy)
+        return seen
+
+    @staticmethod
+    def _changes(seen):
+        """The key fields that changed between consecutive solves."""
+        fields = ("mode", "dt", "method", "gmin")
+        return [{f for f, a, b in zip(fields, prev, key) if a != b}
+                for (prev, _), (key, _) in zip(seen, seen[1:])]
+
+    def test_transient_key_changes_restamp(self, checked):
+        """ic -> tran (mode), BE restarts at breakpoints (method) and step
+        halving after a Newton failure (dt) each drop the kept matrix."""
+        from repro.analysis.driver_bank import DriverBankSpec, build_driver_bank
+        from repro.analysis.simulate import default_stop_time
+        from repro.process import TSMC018
+        from repro.spice.transient import TransientOptions, transient
+
+        spec = DriverBankSpec(technology=TSMC018, n_drivers=3, inductance=5e-9,
+                              rise_time=0.2e-9, capacitance=2e-12,
+                              load_capacitance=10e-12, collapse=False)
+        result = transient(build_driver_bank(spec), default_stop_time(spec),
+                           spec.rise_time, options=TransientOptions(max_newton=5))
+        assert result.telemetry.step_rejections > 0  # the ladder ran
+        changes = self._changes(checked)
+        assert {"mode", "gmin"} in changes  # the ic solve runs at gmin >= 1e-9
+        assert {"method"} in changes
+        assert {"dt"} in changes
+        assert any(kept for _, kept in checked)
+        # Each solve after a key change restamped the matrix.
+        for change, (_, kept) in zip(changes, checked[1:]):
+            assert kept == (not change)
+
+    def test_gmin_ladder_restamps(self, checked):
+        from repro.devices import BsimLikeMosfet
+        from repro.spice.dc import dc_operating_point
+        from repro.testing import faults
+
+        c = Circuit()
+        c.vsource("Vdd", "vdd", "0", Dc(1.8))
+        c.resistor("R1", "vdd", "d", 1e3)
+        c.mosfet("M1", "d", "vdd", "0", "0", BsimLikeMosfet())
+        # Fail the direct solve so the gmin ladder runs on the same system.
+        rules = faults.install_faults([faults.FaultRule("newton", at=0)],
+                                      mirror_env=False)
+        try:
+            sol = dc_operating_point(c)
+        finally:
+            faults.clear_faults()
+        assert rules[0].fired == 1
+        assert sol.telemetry.gmin_steps == 10
+        assert self._changes(checked) == [{"gmin"}] * 9
+        assert not any(kept for _, kept in checked)
+
+
+class TestDeviceStamps:
+    def _bank(self, model):
+        """A driver whose bulk is tied to its source: repeated entries."""
+        c = Circuit()
+        c.vsource("Vdd", "vdd", "0", Dc(1.8))
+        c.vsource("Vin", "in", "0", Dc(1.2))
+        c.resistor("Rd", "vdd", "d", 1e3)
+        c.inductor("Lg", "s", "0", 1e-9)
+        c.mosfet("M1", "d", "in", "s", "s", model)
+        return c
+
+    def test_one_call_stamp_equals_eight_sequential_writes(self):
+        from repro.devices import BsimLikeMosfet
+
+        c = self._bank(BsimLikeMosfet())
+        system = MnaSystem(c)
+        el = c.element("M1")
+        x = np.linspace(0.1, 0.9, system.size)
+        ctx = system.context("dc", 0.0, 1.0, "be", {}, x, 1e-12)
+        el.stamp_iterate(ctx)
+
+        ref = system.context("dc", 0.0, 1.0, "be", {}, x, 1e-12)
+        d, g, s, b = el.nodes
+        vs = ref.v(s)
+        op = el.model.partials(ref.v(g) - vs, ref.v(d) - vs, ref.v(b) - vs)
+        gsum = op.gm + op.gds + op.gmbs
+        for row, col, value in ((d, g, op.gm), (d, d, op.gds), (d, b, op.gmbs),
+                                (d, s, -gsum), (s, g, -op.gm), (s, d, -op.gds),
+                                (s, b, -op.gmbs), (s, s, gsum)):
+            ref.add_node_entry(row, col, value)
+        assert ctx.A.tobytes() == ref.A.tobytes()
+        assert len(el._entries) == 8  # no terminal grounded, bulk on source
+
+
+class _CountingModel:
+    """A golden device that counts its operating-point evaluations."""
+
+    def __init__(self):
+        from repro.devices import BsimLikeMosfet
+
+        self.inner = BsimLikeMosfet()
+        self.calls = 0
+
+    def partials(self, vgs, vds, vbs=0.0):
+        self.calls += 1
+        return self.inner.partials(vgs, vds, vbs)
+
+
+class TestAcceptedPointMemo:
+    def _setup(self, n_devices=1):
+        model = _CountingModel()
+        c = Circuit()
+        c.vsource("Vdd", "vdd", "0", Dc(1.8))
+        c.resistor("Rd", "vdd", "d", 1e3)
+        for k in range(n_devices):
+            c.mosfet(f"M{k}", "d", "vdd", "0", "0", model)
+        system = MnaSystem(c)
+        x = np.array([1.8, 0.7, -1e-3])[:system.size]
+        return c, system, model, x
+
+    def test_current_then_stamp_at_same_bias_evaluates_once(self):
+        c, system, model, x = self._setup()
+        el = c.element("M0")
+        ctx = system.context("tran", 0.0, 1e-12, "be", {}, x.copy(), 1e-12)
+        ids = el.current(ctx)
+        assert model.calls == 1
+        el.stamp_iterate(ctx)
+        assert model.calls == 1  # served from the memo
+        assert ids == model.inner.partials(*el._bias(ctx)).ids
+
+    def test_one_ulp_away_re_evaluates(self):
+        c, system, model, x = self._setup()
+        el = c.element("M0")
+        el.current(system.context("tran", 0.0, 1e-12, "be", {}, x.copy(), 1e-12))
+        nudged = x.copy()
+        node = c.node_id("d") - 1
+        nudged[node] = np.nextafter(nudged[node], np.inf)
+        ctx = system.context("tran", 0.0, 1e-12, "be", {}, nudged, 1e-12)
+        ctx.A[:] = 0.0
+        el.stamp_iterate(ctx)
+        assert model.calls == 2
+        # ... and stamps the nudged bias's own operating point.
+        fresh = system.context("tran", 0.0, 1e-12, "be", {}, nudged, 1e-12)
+        fresh.A[:] = 0.0
+        el._memo = None
+        el.stamp_iterate(fresh)
+        assert ctx.A.tobytes() == fresh.A.tobytes()
+        assert ctx.z.tobytes() == fresh.z.tobytes()
+
+    def test_memo_is_per_element(self):
+        """Two devices on one model at one bias: each evaluates for itself."""
+        c, system, model, x = self._setup(n_devices=2)
+        first, second = c.element("M0"), c.element("M1")
+        ctx = system.context("tran", 0.0, 1e-12, "be", {}, x.copy(), 1e-12)
+        first.current(ctx)
+        second.stamp_iterate(ctx)
+        assert model.calls == 2
+        assert second._memo is None
+        first.stamp_iterate(ctx)
+        assert model.calls == 2
+
+    def test_memo_never_read_through_another_model(self):
+        c, system, model, x = self._setup()
+        el = c.element("M0")
+        ctx = system.context("tran", 0.0, 1e-12, "be", {}, x.copy(), 1e-12)
+        el.current(ctx)
+        other = _CountingModel()
+        el.model = other
+        el.stamp_iterate(ctx)
+        assert other.calls == 1

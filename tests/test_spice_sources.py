@@ -84,3 +84,31 @@ class TestPwl:
     def test_requires_increasing_times(self):
         with pytest.raises(ValueError):
             Pwl([(0, 0), (0, 1)])
+
+
+class TestVectorizedValues:
+    """``values`` over an array of times equals the scalar call bit for bit
+    (the batched engine's adaptive lanes each sit at their own time)."""
+
+    @pytest.mark.parametrize("shape", [
+        Dc(1.8),
+        Dc(0),
+        Ramp(0.0, 1.8, t_start=1e-9, t_rise=0.5e-9),
+        Ramp(1.8, 0.3, t_start=0.0, t_rise=0.7e-9),
+        Pulse(0.0, 1.8, delay=1e-9, rise=0.3e-9, width=2e-9, fall=0.4e-9),
+        Pwl([(0.0, 0.0), (1e-9, 1.0), (3e-9, 0.25)]),
+    ], ids=repr)
+    def test_matches_scalar_calls_bitwise(self, shape):
+        import numpy as np
+
+        corners = shape.breakpoints() or [1e-9]
+        times = np.concatenate([
+            np.linspace(-1e-9, 5e-9, 97),
+            corners,
+            np.nextafter(corners, -np.inf),
+            np.nextafter(corners, np.inf),
+        ])
+        expected = np.array([float(shape(t)) for t in times])
+        got = shape.values(times)
+        assert got.dtype == np.float64 and got.shape == times.shape
+        assert got.tobytes() == expected.tobytes()
