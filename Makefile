@@ -19,7 +19,7 @@ bench:
 bench-smoke:
 	$(PY) -m pytest benchmarks/bench_perf.py -q -s --quick
 
-# Batch/sparse/surrogate perf regression gates; writes BENCH_perf.json.
+# Batch/adaptive/surrogate perf regression gates; writes BENCH_perf.json.
 bench-perf:
 	$(PY) -m pytest benchmarks/bench_perf.py -q -s
 

@@ -1,13 +1,10 @@
-"""Benchmark P1 — batched, sparse and surrogate engines vs their baselines.
+"""Benchmark P1 — batched and surrogate engines vs their baselines.
 
 Regression-tracked comparisons:
 
 * the batched lockstep engine (one vectorized Newton loop for the whole
   ensemble) against the scalar engine it shares its numerics with, on a
   Fig. 3-class driver-count sweep;
-* the sparse linear-algebra tier (CSC assembly + cached-pattern ``splu``)
-  against the dense LAPACK path on generated large-N RC-ladder networks
-  (``sparse_scaling``); and
 * the adaptive batched lockstep engine against per-instance scalar
   adaptive runs on a Fig. 3-class ensemble (``adaptive_batch``); and
 * the fitted surrogate tier against a cold scalar compute on
@@ -50,14 +47,10 @@ from repro.analysis.simulate import (
     simulate_ssn,
     simulate_ssn_cache_clear,
 )
-from repro.spice.mna import SPARSE_AUTO_THRESHOLD
-from repro.spice.transient import TransientOptions, transient
-from repro.testing.netlists import ladder_circuit
+from repro.spice.transient import TransientOptions
 
 #: Required gain of the batched ensemble over the scalar engine.
 MIN_BATCH_SPEEDUP = 3.0
-#: Required gain of sparse splu over dense LAPACK on the largest ladder.
-MIN_SPARSE_SPEEDUP = 5.0
 #: Required gain of an in-region surrogate query over the scalar engine.
 MIN_SURROGATE_SPEEDUP = 100.0
 #: Worst in-region peak error the surrogate may show vs the golden MNA.
@@ -71,13 +64,6 @@ MAX_DISABLED_OVERHEAD = 0.03
 SINGLE_N = 10
 SWEEP_COUNTS = list(range(1, 31, 4))  # Fig. 3 range, strided for runtime
 
-#: Ladder sizes for the sparse-scaling comparison.  The auto threshold
-#: sits at SPARSE_AUTO_THRESHOLD unknowns; the tier is sized for the
-#: largest entry, where dense LAPACK pays the full O(n^3) toll.
-SPARSE_LADDER_SECTIONS = [150, 300, 600]
-SPARSE_TSTOP = 0.5e-9
-SPARSE_DT = 0.02e-9
-
 #: Adaptive ensemble: denser Fig. 3 stride than the fixed-step sweep —
 #: the scalar baseline repeats the whole step-doubling controller per
 #: instance, so a wider ensemble is what the batch path amortizes.
@@ -86,7 +72,6 @@ ADAPTIVE_COUNTS = list(range(1, 31, 2))
 #: --quick smoke sizes: still exercises every engine, finishes in seconds.
 QUICK_SINGLE_N = 3
 QUICK_SWEEP_COUNTS = [1, 4]
-QUICK_SPARSE_SECTIONS = [SPARSE_AUTO_THRESHOLD + 10]
 QUICK_ADAPTIVE_COUNTS = [1, 4]
 
 #: Timing repetitions for the batch comparison; the hosts this runs on
@@ -94,11 +79,16 @@ QUICK_ADAPTIVE_COUNTS = [1, 4]
 TIMING_REPS = 3
 
 def _host_metadata() -> dict:
-    """Machine context stamped into ``BENCH_perf.json`` with every run."""
+    """Machine context stamped into ``BENCH_perf.json`` with every run.
+
+    ``commit`` describes the working tree (``-dirty`` when it has
+    uncommitted changes), so a ledger regenerated before committing does
+    not name the parent commit as if it had produced the numbers.
+    """
     commit = "unknown"
     try:
         commit = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty"],
             cwd=pathlib.Path(__file__).parent,
             capture_output=True, text=True, timeout=10, check=True,
         ).stdout.strip()
@@ -186,72 +176,6 @@ def test_batched_sweep_speedup(tech018, wall_clock, perf_report, publish, quick)
     )
 
     assert speedup >= MIN_BATCH_SPEEDUP
-
-
-def test_sparse_scaling(wall_clock, perf_report, publish, quick):
-    """Sparse tier vs dense LAPACK on generated large-N ladder networks.
-
-    Each ladder runs once per backend on the same fixed grid; parity is
-    asserted bitwise on the time axis and to 1e-9 V on every node before
-    any timing is compared.  ``--quick`` shrinks to one ladder just above
-    the auto threshold and asserts the sparse path *engages* (telemetry
-    records splu factorizations and the sparse backend) without gating on
-    wall clock.  The speedup gate applies to the largest ladder only —
-    the size the tier exists for."""
-    sections = QUICK_SPARSE_SECTIONS if quick else SPARSE_LADDER_SECTIONS
-
-    rows = []
-    for n in sections:
-        dense = wall_clock.measure(
-            f"sparse_ladder_dense_{n}", transient,
-            ladder_circuit(n), SPARSE_TSTOP, SPARSE_DT,
-            options=TransientOptions(sparse=False))
-        # sparse="auto" (the default), proving the size heuristic engages
-        # the tier on its own above the threshold.
-        sparse = wall_clock.measure(
-            f"sparse_ladder_sparse_{n}", transient,
-            ladder_circuit(n), SPARSE_TSTOP, SPARSE_DT)
-
-        assert np.array_equal(dense.times, sparse.times)
-        worst = max(
-            np.max(np.abs(dense.voltage(node).y - sparse.voltage(node).y))
-            for node in dense.node_names
-        )
-        assert worst <= PARITY_TOL
-        assert sparse.telemetry.sparse_factorizations > 0
-        assert sparse.telemetry.extras.get("backend_sparse_splu") == 1
-        rows.append({
-            "sections": n,
-            "unknowns": n + 3,
-            "steps": len(sparse.times) - 1,
-            "dense_seconds": wall_clock.timings[f"sparse_ladder_dense_{n}"],
-            "sparse_seconds": wall_clock.timings[f"sparse_ladder_sparse_{n}"],
-            "speedup": wall_clock.speedup(
-                f"sparse_ladder_dense_{n}", f"sparse_ladder_sparse_{n}"),
-            "worst_dv_volts": float(worst),
-        })
-
-    if quick:
-        return
-
-    payload = {
-        "sparse_scaling": {
-            "ladders": rows,
-            "min_speedup_largest": MIN_SPARSE_SPEEDUP,
-        },
-    }
-    perf_report(payload)
-
-    lines = ["sparse splu tier vs dense LAPACK on RC-ladder networks", ""]
-    for row in rows:
-        lines.append(
-            f"{row['sections']} sections ({row['unknowns']} unknowns): "
-            f"dense {row['dense_seconds']:.2f}s -> "
-            f"sparse {row['sparse_seconds']:.2f}s  ({row['speedup']:.1f}x)"
-        )
-    publish("bench_perf_sparse", "\n".join(lines) + "\n")
-
-    assert rows[-1]["speedup"] >= MIN_SPARSE_SPEEDUP
 
 
 def test_adaptive_batch_speedup(tech018, wall_clock, perf_report, publish, quick):

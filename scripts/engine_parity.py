@@ -19,22 +19,25 @@ Usage::
 The case set:
 
 * Fig. 2 driver banks, N = 1, 8 and 16, with and without the ground-path
-  capacitor, through trap and BE, fixed and adaptive stepping, dense and
-  sparse linear algebra;
+  capacitor, through trap and BE, fixed and adaptive stepping;
 * the ``max_newton=5`` bank that fails Newton at its base step, fixed and
-  adaptive, on both tiers, plus the run whose ``min_dt`` floor makes that
-  failure unrecoverable (its telemetry is recorded);
+  adaptive, plus the run whose ``min_dt`` floor makes that failure
+  unrecoverable (its telemetry is recorded);
 * multi-device banks, where per-device stamping matters most: a skewed
   launch (N = 7, one input ramp per driver) and a non-collapsed bank
-  (N = 13), fixed and adaptive, dense;
-* a 160-section driven RC ladder (sparse by size) and a 60-section linear
-  ladder (the cached-factorization path), each on both tiers;
+  (N = 13), fixed and adaptive;
+* a 160-section driven RC ladder and a 60-section linear ladder (the
+  cached-factorization path on a large system);
 * the coupled-inductor nets of ``tests/test_spice_mutual.py``;
 * batched ensembles: Fig. 3 (L-only) and Fig. 4-class (LC) driver sweeps
   at B = 8 and B = 30 through trap and BE on the fixed grid, an adaptive
   sweep through both methods, a 16-trial Monte Carlo fleet, and the
   ``max_newton=5`` ensemble in which one instance fails Newton, fixed and
   adaptive.
+
+Scalar case names end in ``-dense``, as they did while a sparse
+linear-algebra tier also ran, so dumps of older trees compare case by
+case.
 """
 
 from __future__ import annotations
@@ -62,13 +65,10 @@ def _bank_cases():
             for method in ("trap", "be"):
                 for adaptive in (False, True):
                     dt = spec.rise_time / (20 if adaptive else 50)
-                    for sparse in (False, True):
-                        name = (f"bank-N{n}-{'C' if cap else 'L'}-{method}-"
-                                f"{'adaptive' if adaptive else 'fixed'}-"
-                                f"{'sparse' if sparse else 'dense'}")
-                        opts = TransientOptions(method=method, adaptive=adaptive,
-                                                sparse=sparse)
-                        yield name, (lambda s=spec: build_driver_bank(s)), tstop, dt, opts
+                    name = (f"bank-N{n}-{'C' if cap else 'L'}-{method}-"
+                            f"{'adaptive' if adaptive else 'fixed'}-dense")
+                    opts = TransientOptions(method=method, adaptive=adaptive)
+                    yield name, (lambda s=spec: build_driver_bank(s)), tstop, dt, opts
 
     failing = DriverBankSpec(technology=TSMC018, n_drivers=3, inductance=5e-9,
                              rise_time=0.2e-9, capacitance=2e-12,
@@ -76,15 +76,11 @@ def _bank_cases():
     tstop = default_stop_time(failing)
     dt = failing.rise_time
     for adaptive in (False, True):
-        for sparse in (False, True):
-            name = (f"failing-{'adaptive' if adaptive else 'fixed'}-"
-                    f"{'sparse' if sparse else 'dense'}")
-            opts = TransientOptions(max_newton=5, adaptive=adaptive, sparse=sparse)
-            yield name, (lambda: build_driver_bank(failing)), tstop, dt, opts
-    for sparse in (False, True):
-        opts = TransientOptions(max_newton=5, min_dt=dt, sparse=sparse)
-        yield (f"failing-unrecoverable-{'sparse' if sparse else 'dense'}",
-               (lambda: build_driver_bank(failing)), tstop, dt, opts)
+        name = f"failing-{'adaptive' if adaptive else 'fixed'}-dense"
+        opts = TransientOptions(max_newton=5, adaptive=adaptive)
+        yield name, (lambda: build_driver_bank(failing)), tstop, dt, opts
+    yield ("failing-unrecoverable-dense", (lambda: build_driver_bank(failing)),
+           tstop, dt, TransientOptions(max_newton=5, min_dt=dt))
 
 
 def _multi_device_cases():
@@ -105,23 +101,20 @@ def _multi_device_cases():
             dt = rise / (20 if adaptive else 50)
             yield (f"{label}-{'adaptive' if adaptive else 'fixed'}-dense",
                    (lambda s=spec: build_driver_bank(s)), tstop, dt,
-                   TransientOptions(adaptive=adaptive, sparse=False))
+                   TransientOptions(adaptive=adaptive))
 
 
 def _ladder_cases():
     from repro.spice.transient import TransientOptions
     from repro.testing.netlists import ladder_circuit
 
-    for sparse in (False, True):
-        tier = "sparse" if sparse else "dense"
-        yield (f"ladder160-driven-{tier}", (lambda: ladder_circuit(160)),
-               0.5e-9, 0.02e-9, TransientOptions(sparse=sparse))
-        yield (f"ladder60-linear-{tier}",
-               (lambda: ladder_circuit(60, driver=False)),
-               0.5e-9, 0.01e-9, TransientOptions(sparse=sparse))
-        yield (f"ladder60-linear-adaptive-{tier}",
-               (lambda: ladder_circuit(60, driver=False)),
-               0.5e-9, 0.05e-9, TransientOptions(sparse=sparse, adaptive=True))
+    yield ("ladder160-driven-dense", (lambda: ladder_circuit(160)),
+           0.5e-9, 0.02e-9, TransientOptions())
+    yield ("ladder60-linear-dense", (lambda: ladder_circuit(60, driver=False)),
+           0.5e-9, 0.01e-9, TransientOptions())
+    yield ("ladder60-linear-adaptive-dense",
+           (lambda: ladder_circuit(60, driver=False)),
+           0.5e-9, 0.05e-9, TransientOptions(adaptive=True))
 
 
 def _mutual_cases():
@@ -149,13 +142,9 @@ def _mutual_cases():
         return c
 
     for k in (None, 1e-6, 0.2, 0.5, 0.9):
-        for sparse in (False, True):
-            yield (f"mutual-pair-k{k}-{'sparse' if sparse else 'dense'}",
-                   (lambda k=k: pair(k)), 3e-10, 2e-13,
-                   TransientOptions(sparse=sparse))
-    for sparse in (False, True):
-        yield (f"mutual-transformer-{'sparse' if sparse else 'dense'}",
-               transformer, 2e-10, 1e-13, TransientOptions(sparse=sparse))
+        yield (f"mutual-pair-k{k}-dense", (lambda k=k: pair(k)), 3e-10, 2e-13,
+               TransientOptions())
+    yield "mutual-transformer-dense", transformer, 2e-10, 1e-13, TransientOptions()
 
 
 def _batch_cases():

@@ -7,8 +7,7 @@ like the paper's HSPICE measurements, not just over the model validity
 window.
 
 A run depends only on its call: the engine is the explicit ``engine=``
-(else ``"scalar"``) and the linear-algebra tier is
-``TransientOptions.sparse``.  So :func:`ssn_memo_key` is just
+(else ``"scalar"``).  So :func:`ssn_memo_key` is just
 ``(spec, tstop, dt, options)``, and equal keys are equal simulations.
 """
 
@@ -170,7 +169,7 @@ def ssn_memo_key(
     """The exact memo key of one golden simulation request.
 
     Every component is a frozen dataclass or scalar, and a run depends on
-    nothing else (no process-wide engine or sparse-tier default exists),
+    nothing else (no process-wide engine default exists),
     so equality means "the same simulation".  The persistent service
     store (:mod:`repro.service.keys`) hashes the same four inputs, with
     ``options`` canonicalized through the same :func:`canonical_options`.

@@ -3,7 +3,7 @@
 One golden simulation is exactly determined by three things: the frozen
 circuit spec, the resolved time grid, and the transient-option set.
 Nothing else changes a run: the engine is an explicit argument (else
-scalar) and the linear-algebra tier is ``TransientOptions.sparse``.
+scalar).
 :func:`result_key` hashes a canonical JSON rendering of the three into a
 hex fingerprint; equal keys mean "bit-identical simulation", so the store
 can serve a repeat query without re-entering the Newton loop.
@@ -17,9 +17,13 @@ cache tiers share one key contract.  Floats are rendered with :func:`repr`
 
 Scheme 2 dropped the compiled-kernel entry from the backend snapshot and
 the retired seed-engine flag from the ``TransientOptions`` repr; scheme 3
-dropped the backend snapshot itself.  Records stored under an older
-scheme stay on disk and load, but no scheme-3 request hashes to their
-keys, so they are never served.  Surrogate keys name a slot, not a run,
+dropped the backend snapshot itself.  Scheme 4 retired the sparse
+linear-algebra tier and its ``TransientOptions.sparse`` field: a scheme-3
+record of a default-options request may come from a sparse ``splu`` run
+(large non-collapsed banks engaged it), which is not bit-identical to
+today's dense run.  Records stored under an older scheme stay on disk and
+load, but no scheme-4 request hashes to their keys, so they are never
+served.  Surrogate keys name a slot, not a run,
 and keep their scheme-2 payload, so a refit still overwrites its
 predecessor in place.
 """
@@ -35,7 +39,7 @@ from ..spice.transient import TransientOptions
 
 #: Bumped whenever the canonical payload layout changes; part of the hash,
 #: so a scheme change invalidates every previously stored key at once.
-KEY_SCHEME_VERSION = 3
+KEY_SCHEME_VERSION = 4
 
 
 def canonical_request(

@@ -6,15 +6,15 @@ linearized system, damps oversized updates (the MOSFET subthreshold
 exponential punishes full steps from a bad guess), and declares convergence
 when the update is small in the usual mixed absolute/relative sense.
 
-One loop serves both linear-algebra tiers.  The loop owns the damping,
-convergence, fault and span logic; :class:`~repro.spice.mna.MnaSystem`
-owns the tier (dense LAPACK or sparse ``splu``) behind three steps:
+The loop owns the damping, convergence, fault and span logic;
+:class:`~repro.spice.mna.MnaSystem` owns assembly and the LAPACK solves
+behind three steps:
 ``stamp_base`` once per solve, ``stamp_iterate`` per iterate (the base
 plus the nonlinear devices' ``stamp_iterate``, returned as ``(A, z)``), and
 ``solve``.  Nothing in the base can change while ``(mode, t, dt, method)``
 and the element states are fixed, so its right-hand side is stamped once
 per call; its matrix depends on ``(mode, dt, method, gmin)`` alone and the
-dense tier keeps it across calls while that key repeats.  After
+system keeps it across calls while that key repeats.  After
 convergence the last iterate's context is reused with ``x`` updated to the
 converged point — no final re-assembly, because state commits and current
 extraction read only ``x``/``dt``/``trap``/states, never ``A``/``z``.

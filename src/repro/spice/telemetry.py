@@ -38,7 +38,8 @@ _DERIVED_KEYS = frozenset({"ok", "recovered_rejections"})
 
 #: Counters earlier versions stored and this one no longer has; stored
 #: records and checkpoints that carry them load silently without them.
-_RETIRED_KEYS = frozenset({"full_assemblies"})
+_RETIRED_KEYS = frozenset({"full_assemblies", "sparse_factorizations",
+                           "sparse_pattern_reuses"})
 
 #: ``extras`` keys this version itself produces (the engaged linear-algebra
 #: backends); round-tripped through :meth:`from_dict` without the
@@ -78,12 +79,6 @@ class SolverTelemetry:
         lu_cache_invalidations: cached factors dropped because the
             assembled matrix no longer matched the cached one (staleness
             guard) despite an identical cache key.
-        sparse_factorizations: sparse ``splu`` factorizations computed by
-            the sparse MNA tier (:mod:`repro.spice.mna`); each one replaces
-            a dense ``O(n^3)`` LAPACK factorization.
-        sparse_pattern_reuses: sparse assemblies that reused a cached
-            symbolic pattern (cursor fill + ``bincount`` accumulation)
-            instead of re-recording the stamp coordinates.
         mask_steps: masked lockstep rounds an instance participated in
             inside the batched *adaptive* engine (each adaptive step is a
             big/half/half phase triple over per-instance step masks);
@@ -137,8 +132,6 @@ class SolverTelemetry:
     lu_cache_hits: int = 0
     lu_cache_misses: int = 0
     lu_cache_invalidations: int = 0
-    sparse_factorizations: int = 0
-    sparse_pattern_reuses: int = 0
     mask_steps: int = 0
     base_assemblies: int = 0
     nonlinear_restamps: int = 0
@@ -260,11 +253,6 @@ class SolverTelemetry:
             f"  assemblies (base/nonlin):     {self.base_assemblies} / "
             f"{self.nonlinear_restamps}",
         ]
-        if self.sparse_factorizations or self.sparse_pattern_reuses:
-            lines.append(
-                f"  sparse splu / pattern reuse:  {self.sparse_factorizations}"
-                f" / {self.sparse_pattern_reuses}"
-            )
         if self.mask_steps:
             lines.append(f"  adaptive-batch mask steps:    {self.mask_steps}")
         backends = {k[len(BACKEND_PREFIX):]: v for k, v in self.extras.items()
@@ -297,7 +285,7 @@ class SolverTelemetry:
 def record_backend(telemetry: SolverTelemetry | None, backend: str) -> None:
     """Count one run's engaged linear-algebra backend in ``extras``.
 
-    ``backend`` is ``"dense_lu"`` or ``"sparse_splu"``.  Stored as
+    ``backend`` names the linear-algebra path (``"dense_lu"``).  Stored as
     ``backend_<name>`` counters so :meth:`SolverTelemetry.merge` sums them
     across runs and benchmark reports are self-describing about what
     actually executed.

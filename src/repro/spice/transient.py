@@ -28,9 +28,6 @@ run carries a :class:`~repro.spice.telemetry.SolverTelemetry` record on
 cache activity and per-phase wall clock; an unrecoverable failure raises
 ``ConvergenceError`` with the partial record attached as ``.telemetry``.
 
-The linear-algebra tier (dense LAPACK or sparse ``splu``) comes from
-``TransientOptions.sparse`` alone, so equal arguments give equal runs.
-
 Step control is written once, as the pure functions of the "step control"
 section below; the batched engine (:mod:`repro.spice.batch`) calls the
 same functions on per-instance arrays.
@@ -47,7 +44,7 @@ import numpy as np
 
 from ..observability import trace
 from .circuit import Circuit
-from .mna import MnaSystem, resolve_sparse
+from .mna import MnaSystem
 from .solver import ConvergenceError, newton_solve
 from .telemetry import SolverTelemetry, record_backend, record_session
 from .waveform import Waveform
@@ -81,12 +78,6 @@ class TransientOptions:
             the adaptive controller); ``None`` (default) keeps the seed
             behavior of ``dt / 4096``.  A rejection that would need a step
             below this floor is unrecoverable and raises.
-        sparse: linear-algebra tier selection.  ``True`` forces CSC
-            assembly plus ``scipy.sparse.linalg.splu`` factorization,
-            ``False`` forces the dense LAPACK path, and ``"auto"`` (the
-            default) engages sparse from
-            :data:`repro.spice.mna.SPARSE_AUTO_THRESHOLD` unknowns up.
-            This field alone picks the tier.
     """
 
     method: str = "trap"
@@ -99,17 +90,12 @@ class TransientOptions:
     lte_atol: float = 1e-6
     max_growth: float = 2.0
     min_dt: float | None = None
-    sparse: bool | str = "auto"
 
     def __post_init__(self):
         if self.method not in ("trap", "be"):
             raise ValueError(f"unknown integration method {self.method!r}")
         if not isinstance(self.adaptive, bool):
             raise ValueError(f"adaptive must be a bool, not {self.adaptive!r}")
-        if not (isinstance(self.sparse, bool) or self.sparse == "auto"):
-            raise ValueError(
-                f"sparse must be True, False or 'auto', not {self.sparse!r}"
-            )
         if (not isinstance(self.max_newton, numbers.Integral)
                 or isinstance(self.max_newton, bool)):
             raise ValueError(f"max_newton must be an int, not {self.max_newton!r}")
@@ -335,13 +321,11 @@ def transient(
     system = MnaSystem(circuit)
     states: dict = {}
     tel = SolverTelemetry()
-    if resolve_sparse(opts.sparse, system.size):
-        system.sparse = True
-    record_backend(tel, "sparse_splu" if system.sparse else "dense_lu")
+    record_backend(tel, "dense_lu")
     wall_start = time.perf_counter()
 
     with trace.span("transient", tstop=tstop, dt=dt, adaptive=opts.adaptive,
-                    method=opts.method, sparse=system.sparse) as tsp:
+                    method=opts.method) as tsp:
         # The engine owns the integrator phase: backward Euler on the first
         # step after t=0 and after every breakpoint (no consistent companion
         # history exists there), opts.method otherwise.

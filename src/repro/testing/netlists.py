@@ -1,17 +1,15 @@
-"""Synthetic large-N netlist generators for scaling tests and benchmarks.
+"""Synthetic large-N netlist generators for engine parity checks.
 
-The SSN driver banks of the paper top out at tens of unknowns — far below
-where the sparse MNA tier earns its keep — so the sparse-scaling parity
-tests and ``BENCH_perf.json``'s ``sparse_scaling`` section build their own
-workloads here: RC/RLC transmission-line ladders in the spirit of the
+The SSN driver banks of the paper top out at tens of unknowns, so the
+engine-parity harness (``scripts/engine_parity.py``) builds its large
+systems here: RC/RLC transmission-line ladders in the spirit of the
 interconnect crosstalk networks of Hunagund & Kalpana (PAPERS.md), with an
 optional MOSFET driver at the head so the Newton loop actually iterates
 (a purely linear ladder collapses to one cached factorization per step and
 would not exercise the per-iterate factorization path at all).
 
-These are *generators*, not fixtures: they live in the package so the
-benchmark harness, the test suite and CI smoke jobs all build bitwise
-identical circuits from the same parameters.
+These are *generators*, not fixtures: they live in the package so every
+caller builds bitwise identical circuits from the same parameters.
 """
 
 from __future__ import annotations

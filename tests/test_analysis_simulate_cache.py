@@ -75,17 +75,16 @@ class TestMemoKeying:
         assert hash(key) == hash(ssn_memo_key(spec))
         # Default options spell no options: one key, one memo entry.
         assert ssn_memo_key(spec, options=TransientOptions()) == key
-        pinned = TransientOptions(sparse=True)
+        pinned = TransientOptions(method="be")
         assert ssn_memo_key(spec, 1e-9, 1e-12, pinned) == (spec, 1e-9, 1e-12, pinned)
 
-    def test_sparse_tier_is_part_of_the_options(self, spec):
-        """The tier is chosen by the options alone, so asking for the
-        other tier is another key and a recompute, and asking again for
-        the first returns its memoized result."""
+    def test_options_are_part_of_the_key(self, spec):
+        """Other options are another key and a recompute, and asking again
+        for the first returns its memoized result."""
         baseline = simulate_ssn_cached(spec)
-        sparse = simulate_ssn_cached(spec, options=TransientOptions(sparse=True))
-        assert sparse is not baseline
-        assert sparse.telemetry.extras.get("backend_sparse_splu") == 1
+        other = simulate_ssn_cached(spec, options=TransientOptions(method="be"))
+        assert other is not baseline
+        assert other.telemetry.extras.get("backend_dense_lu") == 1
         again, fresh = _cached_and_fresh(spec)
         assert fresh is False and again is baseline
 

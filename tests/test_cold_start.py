@@ -48,6 +48,14 @@ def test_cli_and_server_skip_what_only_other_commands_need(module):
     assert module not in _loaded_after("import repro.cli, repro.service.server")
 
 
+def test_transient_engine_loads_no_sparse_linear_algebra():
+    """Every MNA system is dense, so the engine has no use for
+    ``scipy.sparse`` and its ~70 submodules."""
+    loaded = _loaded_after("import repro.spice.transient")
+    assert sorted(name for name in loaded
+                  if name == "scipy.sparse" or name.startswith("scipy.sparse.")) == []
+
+
 def test_analysis_package_loads_no_engine():
     loaded = _loaded_after("import repro.analysis")
     assert "repro.spice" not in loaded

@@ -489,12 +489,13 @@ class TestHttpSurface:
 
     @pytest.mark.parametrize("options, field", [
         ({"adaptive": "false"}, "adaptive"),
-        ({"sparse": 1}, "sparse"),
-    ], ids=["adaptive-string", "sparse-one"])
+        ({"sparse": True}, "unknown transient options: sparse"),
+    ], ids=["adaptive-string", "retired-sparse"])
     def test_mistyped_option_is_a_400_and_stores_nothing(
             self, tmp_path, options, field):
-        """``"false"`` is truthy and ``1 == True``: accepting either would
-        run (and key) a different simulation than the client asked for."""
+        """``"false"`` is truthy: accepting it would run (and key) a
+        different simulation than the client asked for.  ``sparse`` names
+        the retired sparse tier, now an unknown option."""
         async def scenario():
             async with service_on(tmp_path) as service:
                 return await post(service, "/simulate",

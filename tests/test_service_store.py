@@ -93,11 +93,11 @@ class TestKeys:
 
     def test_default_bank_key_is_pinned(self):
         """The default 4-driver tsmc018 bank (``/simulate {"n_drivers": 4}``)
-        under scheme 3.  A change here orphans every stored record."""
+        under scheme 4.  A change here orphans every stored record."""
         default_bank = DriverBankSpec(
             technology=TSMC018, n_drivers=4, inductance=5e-9, rise_time=0.5e-9)
         assert result_key(default_bank) == (
-            "4f6f6db68fbcf660d81f316ea0d3c9f0c4b627c41357226400409f2f922be907")
+            "4dae74f5ccca0ba2df699a1878b70e894a432f1c86462afa542512fd97da584b")
 
     def test_surrogate_key_is_pinned(self):
         """Surrogate keys name a slot: a refit must overwrite its old record,
@@ -109,33 +109,30 @@ class TestKeys:
         payload = canonical_request(spec)
         assert set(payload) == {
             "scheme", "kind", "spec", "tstop", "dt", "options", "extra"}
-        assert payload["scheme"] == KEY_SCHEME_VERSION == 3
+        assert payload["scheme"] == KEY_SCHEME_VERSION == 4
 
     def test_no_process_setting_enters_a_key(self, spec):
         """A key is a function of the request alone: the memo key is the
         argument tuple, and the store payload renders the same arguments."""
-        options = TransientOptions(sparse=True)
+        options = TransientOptions(adaptive=True)
         assert ssn_memo_key(spec, 1e-9, 1e-12, options) == (spec, 1e-9, 1e-12, options)
         payload = canonical_request(spec, 1e-9, 1e-12, options)
         assert (payload["spec"], payload["tstop"], payload["dt"], payload["options"]) \
             == (repr(spec), repr(1e-9), repr(1e-12), repr(options))
 
-    def test_sparse_tier_is_a_request_option(self, spec):
-        keys = {result_key(spec, options=TransientOptions(sparse=sparse))
-                for sparse in (True, False, "auto")}
-        assert len(keys) == 3
-        assert result_key(spec, options=TransientOptions(sparse="auto")) == result_key(spec)
-
-    @pytest.mark.parametrize("scheme", [1, 2])
+    @pytest.mark.parametrize("scheme", [1, 2, 3])
     def test_old_scheme_record_stays_on_disk_but_is_never_served(
             self, store, spec, scheme):
         """Scheme 2 dropped the compiled-kernel backend entry and the
         seed-engine flag of the options repr; scheme 3 dropped the backend
-        snapshot.  A record stored under an older key is still a valid
-        record (no quarantine), but no scheme-3 request hashes to it."""
+        snapshot; scheme 4 retired the sparse tier, which a scheme-3
+        default-options record may have run on.  A record stored under an
+        older key is still a valid record (no quarantine), but no scheme-4
+        request hashes to it."""
         payload = canonical_request(spec)
         payload["scheme"] = scheme
-        payload["backend"] = [["engine", "scalar"], ["sparse", "auto"]]
+        if scheme < 3:
+            payload["backend"] = [["engine", "scalar"], ["sparse", "auto"]]
         if scheme == 1:
             payload["backend"] = sorted(payload["backend"] + [["kernel", "numpy"]])
         old_key = hashlib.sha256(json.dumps(
@@ -148,7 +145,6 @@ class TestKeys:
         requests = [
             result_key(spec),
             result_key(spec, options=TransientOptions()),
-            result_key(spec, options=TransientOptions(sparse=False)),
         ]
         assert old_key not in requests
         assert all(store.load(key) is None for key in requests)
@@ -190,7 +186,6 @@ _OPTION_CHANGES = {
     "lte_atol": _positive(1e-12, 1e-2),
     "max_growth": _positive(1.01, 10.0),
     "min_dt": _positive(1e-18, 1e-9),
-    "sparse": st.booleans(),
 }
 _OPTION_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TransientOptions)}
 

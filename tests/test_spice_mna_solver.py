@@ -110,28 +110,27 @@ class TestNewtonSolver:
 
 
 class TestKeptBaseMatrix:
-    """The dense base matrix is kept while ``(mode, dt, method, gmin)``
+    """The base matrix is kept while ``(mode, dt, method, gmin)``
     repeats and restamped on every key change; after each pass it equals a
     fresh system's stamp bit for bit."""
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        """Every dense stamp_base call, checked against a fresh MnaSystem;
+        """Every stamp_base call, checked against a fresh MnaSystem;
         returns the list of (key, kept) pairs seen."""
         seen = []
         original = MnaSystem.stamp_base
 
         def spy(self, mode, t, dt, method, states, x, gmin):
             key = (mode, dt, method, gmin)
-            kept = not self.sparse and key == self._base_key
+            kept = key == self._base_key
             ctx = original(self, mode, t, dt, method, states, x, gmin)
-            if not self.sparse:
-                fresh = MnaSystem(self.circuit)
-                snapshot = {el: dict(state) for el, state in states.items()}
-                original(fresh, mode, t, dt, method, snapshot, x, gmin)
-                assert self._base_A.tobytes() == fresh._base_A.tobytes(), key
-                assert self._base_z.tobytes() == fresh._base_z.tobytes(), key
-                seen.append((key, kept))
+            fresh = MnaSystem(self.circuit)
+            snapshot = {el: dict(state) for el, state in states.items()}
+            original(fresh, mode, t, dt, method, snapshot, x, gmin)
+            assert self._base_A.tobytes() == fresh._base_A.tobytes(), key
+            assert self._base_z.tobytes() == fresh._base_z.tobytes(), key
+            seen.append((key, kept))
             return ctx
 
         monkeypatch.setattr(MnaSystem, "stamp_base", spy)

@@ -54,48 +54,29 @@ def failing_spec(tech018):
     )
 
 
-#: Step and Newton counters that must not depend on the linear-algebra tier.
-TIER_COUNTERS = ("newton_solves", "newton_iterations", "step_rejections",
-                 "step_retries", "lte_rejections", "accepted_steps")
-
-tiers = pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-
-
-def _failing_run(spec, sparse, **options):
-    """The failing bank's telemetry on one tier: its result's, or the one
-    attached to the ConvergenceError it raised (returned with the error)."""
+def _failing_run(spec, **options):
+    """The failing bank's telemetry: its result's, or the one attached to
+    the ConvergenceError it raised (returned with the error)."""
     try:
         result = transient(
             build_driver_bank(spec), default_stop_time(spec), spec.rise_time,
-            options=TransientOptions(max_newton=5, sparse=sparse, **options),
+            options=TransientOptions(max_newton=5, **options),
         )
     except ConvergenceError as exc:
         return exc.telemetry, exc
     return result.telemetry, result
 
 
-def _assert_tiers_agree(tel, spec, sparse, **options):
-    """The tier engaged, and the other tier counts the same steps and
-    Newton work."""
-    assert (tel.sparse_factorizations > 0) == sparse
-    other, _ = _failing_run(spec, not sparse, **options)
-    for name in TIER_COUNTERS:
-        assert getattr(tel, name) == getattr(other, name), name
-
-
 class TestConvergenceRecovery:
-    @tiers
-    def test_seeded_newton_failure_recovers_by_step_halving(self, failing_spec,
-                                                            sparse):
-        """The recovery criterion, on both linear-algebra tiers."""
-        tel, result = _failing_run(failing_spec, sparse)
+    def test_seeded_newton_failure_recovers_by_step_halving(self, failing_spec):
+        """The recovery criterion."""
+        tel, result = _failing_run(failing_spec)
         assert tel.step_rejections >= 1
         assert tel.recovered_rejections >= 1
         assert tel.step_retries == tel.step_rejections
         assert tel.unrecovered_failures == 0
         assert tel.accepted_steps == len(result.times) - 1
         assert tel.newton_iterations > tel.newton_solves > 0
-        _assert_tiers_agree(tel, failing_spec, sparse)
 
     def test_recovery_parity_fast_vs_legacy(self, failing_spec, seed_reference):
         """The engine rejects exactly as the frozen seed engine did and lands
@@ -112,27 +93,23 @@ class TestConvergenceRecovery:
             dv = np.max(np.abs(fast.voltage(node).y - ref.voltage(node)))
             assert dv <= PARITY_TOL, f"node {node}: |dV| = {dv:.3e} V"
 
-    @tiers
-    def test_adaptive_mode_also_recovers(self, failing_spec, sparse):
-        tel, result = _failing_run(failing_spec, sparse, adaptive=True)
+    def test_adaptive_mode_also_recovers(self, failing_spec):
+        tel, result = _failing_run(failing_spec, adaptive=True)
         assert tel.step_rejections >= 1
         assert tel.unrecovered_failures == 0
         assert tel.accepted_steps == len(result.times) - 1
-        _assert_tiers_agree(tel, failing_spec, sparse, adaptive=True)
 
-    @tiers
-    def test_min_dt_floor_makes_failure_unrecoverable(self, failing_spec, sparse):
+    def test_min_dt_floor_makes_failure_unrecoverable(self, failing_spec):
         """With the floor at the base step no halving is allowed: the run
         raises, and the exception carries the partial telemetry."""
         dt = failing_spec.rise_time
-        tel, error = _failing_run(failing_spec, sparse, min_dt=dt)
+        tel, error = _failing_run(failing_spec, min_dt=dt)
         assert isinstance(error, ConvergenceError)
         assert tel is not None
         assert tel.unrecovered_failures == 1
         assert tel.step_rejections >= 1
         assert tel.recovered_rejections == tel.step_rejections - 1
         assert "total" in tel.phase_seconds
-        _assert_tiers_agree(tel, failing_spec, sparse, min_dt=dt)
 
     def test_min_dt_must_be_positive(self):
         with pytest.raises(ValueError, match="min_dt"):
@@ -239,6 +216,29 @@ class TestForwardCompatExtras:
         assert tel.extras == {}
         assert "full_assemblies" not in tel.as_dict()
         assert "full" not in tel.format_report()
+
+    def test_retired_sparse_tier_record_loads_silently(self):
+        """Records written while the sparse ``splu`` tier existed carry its
+        two counters and its backend; the counters drop without a warning
+        and the backend count round-trips."""
+        import warnings as _warnings
+        from repro.spice import telemetry as tel_mod
+
+        data = SolverTelemetry(newton_solves=2).as_dict()
+        data.update(sparse_factorizations=3, sparse_pattern_reuses=5,
+                    backend_sparse_splu=1)
+        for key in data:
+            tel_mod._warned_extras.discard(key)
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("error")
+            tel = SolverTelemetry.from_dict(data)
+        assert tel.newton_solves == 2
+        assert tel.extras == {"backend_sparse_splu": 1}
+        out = tel.as_dict()
+        assert "sparse_factorizations" not in out
+        assert "sparse_pattern_reuses" not in out
+        assert out["backend_sparse_splu"] == 1
+        assert SolverTelemetry.from_dict(out) == tel
 
 
 class TestSessionTelemetry:

@@ -186,6 +186,20 @@ class TestEngine:
         with pytest.raises(ValueError, match="adaptive"):
             TransientOptions(adaptive=value)
 
+    @pytest.mark.parametrize("value", [True, False, "auto"])
+    def test_retired_sparse_option_is_refused(self, value):
+        """Every system is dense; the retired tier selector is no field."""
+        with pytest.raises(TypeError, match="sparse"):
+            TransientOptions(sparse=value)
+
+    def test_backend_is_recorded(self):
+        c = Circuit()
+        c.resistor("R1", "a", "0", 1e3)
+        c.capacitor("C1", "a", "0", 1e-12, ic=0.7)
+        tel = transient(c, 1e-10, 1e-11).telemetry
+        assert tel.extras == {"backend_dense_lu": 1}
+        assert "linear-algebra backends:      dense_lu=1" in tel.format_report()
+
     def test_first_sample_at_tstart(self):
         c = Circuit()
         c.resistor("R1", "a", "0", 1e3)
