@@ -1,7 +1,8 @@
 """Synthetic large-N netlist generators for engine parity checks.
 
 The SSN driver banks of the paper top out at tens of unknowns, so the
-engine-parity harness (``scripts/engine_parity.py``) builds its large
+engine-parity harness (``scripts/engine_parity.py``) and the dense
+large-system tests (``tests/test_spice_dense_ladder.py``) build their large
 systems here: RC/RLC transmission-line ladders in the spirit of the
 interconnect crosstalk networks of Hunagund & Kalpana (PAPERS.md), with an
 optional MOSFET driver at the head so the Newton loop actually iterates

@@ -14,7 +14,10 @@ trapezoidal rule only to its error bound, because the turn-on kink at
 ``t0 = V0/sr`` is not a breakpoint and makes its observed order irregular.
 The adaptive scalar engine and the adaptive batched engine are held to the
 same bound, and the batched lockstep engine must reproduce the scalar
-engine on the same circuits, fixed-step and adaptive.
+engine on the same circuits, fixed-step and adaptive.  The explicit bank
+(N parallel ``AsdmMosfet(asdm, vdd)`` devices instead of one N-wide one,
+the form Eqns 6-10 collapse away) is held to the same order and bounds,
+fixed-step and adaptive.
 
 A ground capacitor C across the same node gives Section 4's circuit
 (Eqns 11-13), whose response on ``[t0, tr]`` is
@@ -84,14 +87,19 @@ def _lc_case_id(case):
     return f"{table_case.value.split(':')[0]}-N{n}-L{inductance * 1e9:g}nH-{c}"
 
 
-def _circuit(asdm, vdd, n, inductance, rise_time=RISE_TIME, capacitance=None):
+def _circuit(asdm, vdd, n, inductance, rise_time=RISE_TIME, capacitance=None,
+             explicit=False):
     c = Circuit("asdm-oracle")
     c.vsource("Vin", "in", "0", Ramp(0.0, vdd, 0.0, rise_time))
     c.vsource("Vd", "d", "0", Dc(vdd))
     c.inductor("L1", "ssn", "0", inductance, ic=0.0)
     if capacitance is not None:
         c.capacitor("C1", "ssn", "0", capacitance, ic=0.0)
-    c.mosfet("M1", "d", "in", "ssn", "ssn", AsdmMosfet(asdm.scaled(n), vdd))
+    if explicit:
+        for k in range(1, n + 1):
+            c.mosfet(f"M{k}", "d", "in", "ssn", "ssn", AsdmMosfet(asdm, vdd))
+    else:
+        c.mosfet("M1", "d", "in", "ssn", "ssn", AsdmMosfet(asdm.scaled(n), vdd))
     return c
 
 
@@ -111,16 +119,18 @@ def eqn6_error(asdm018, tech018):
 
 @pytest.fixture(scope="module")
 def oracle(asdm018, tech018, eqn6_error):
-    """``oracle(method, n, L, div, adaptive=False)`` -> (scalar run, max
-    error vs Eqn 6), memoized across the module's tests."""
+    """``oracle(method, n, L, div, adaptive=False, explicit=False)`` ->
+    (scalar run, max error vs Eqn 6), memoized across the module's tests.
+    ``explicit`` builds the bank from N unit devices."""
     vdd = tech018.vdd
     runs = {}
 
-    def run(method, n, inductance, div, adaptive=False):
-        key = (method, n, inductance, div, adaptive)
+    def run(method, n, inductance, div, adaptive=False, explicit=False):
+        key = (method, n, inductance, div, adaptive, explicit)
         if key not in runs:
             result = transient(
-                _circuit(asdm018, vdd, n, inductance), RISE_TIME, RISE_TIME / div,
+                _circuit(asdm018, vdd, n, inductance, explicit=explicit),
+                RISE_TIME, RISE_TIME / div,
                 options=TransientOptions(method=method, adaptive=adaptive),
             )
             runs[key] = (result, eqn6_error(result, n, inductance))
@@ -149,31 +159,62 @@ def batched(oracle):
     return run
 
 
-@pytest.mark.parametrize("case", CASES, ids=_case_id)
-def test_backward_euler_converges_at_first_order(oracle, case):
+def _assert_first_order(oracle, case, explicit):
     divs = COARSE_STEPS + FINE_STEPS
-    errors = [oracle("be", *case, div)[1] for div in divs]
+    errors = [oracle("be", *case, div, explicit=explicit)[1] for div in divs]
     for coarse, fine in zip(errors, errors[1:]):
         assert 1.7 <= coarse / fine <= 2.3, f"errors {errors} per halving"
+
+
+def _assert_completes_through_kink(oracle, case, div, explicit):
+    result, error = oracle("trap", *case, div, explicit=explicit)
+    assert result.times[-1] == pytest.approx(RISE_TIME, rel=1e-12)
+    assert np.isfinite(error)
+
+
+def _assert_error_bound(oracle, case, method, div, explicit):
+    _, error = oracle(method, *case, div, explicit=explicit)
+    assert error <= ERROR_BOUND[method], f"|dV| = {error:.3e} V"
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_backward_euler_converges_at_first_order(oracle, case):
+    _assert_first_order(oracle, case, explicit=False)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_explicit_bank_backward_euler_converges_at_first_order(oracle, case):
+    """N unit devices in parallel converge to Eqn 6 like one N-wide one."""
+    _assert_first_order(oracle, case, explicit=True)
 
 
 @pytest.mark.parametrize("div", COARSE_STEPS)
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_trap_completes_through_turn_on_kink(oracle, case, div):
-    result, error = oracle("trap", *case, div)
-    assert result.times[-1] == pytest.approx(RISE_TIME, rel=1e-12)
-    assert np.isfinite(error)
+    _assert_completes_through_kink(oracle, case, div, explicit=False)
+
+
+@pytest.mark.parametrize("div", COARSE_STEPS)
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_explicit_bank_trap_completes_through_turn_on_kink(oracle, case, div):
+    _assert_completes_through_kink(oracle, case, div, explicit=True)
 
 
 @pytest.mark.parametrize("div", FINE_STEPS)
 @pytest.mark.parametrize("method", ["be", "trap"])
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_error_bound(oracle, case, method, div):
-    _, error = oracle(method, *case, div)
-    assert error <= ERROR_BOUND[method], f"|dV| = {error:.3e} V"
+    _assert_error_bound(oracle, case, method, div, explicit=False)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "batch"])
+@pytest.mark.parametrize("div", FINE_STEPS)
+@pytest.mark.parametrize("method", ["be", "trap"])
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_explicit_bank_error_bound(oracle, case, method, div):
+    _assert_error_bound(oracle, case, method, div, explicit=True)
+
+
+@pytest.mark.parametrize("engine", ["scalar", "explicit", "batch"])
 @pytest.mark.parametrize("div", FINE_STEPS)
 @pytest.mark.parametrize("method", ["be", "trap"])
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -181,6 +222,8 @@ def test_adaptive_error_bound(oracle, batched, eqn6_error, case, method, div,
                               engine):
     if engine == "scalar":
         _, error = oracle(method, *case, div, adaptive=True)
+    elif engine == "explicit":
+        _, error = oracle(method, *case, div, adaptive=True, explicit=True)
     else:
         result = batched(method, div, True)[CASES.index(case)]
         error = eqn6_error(result, *case)
