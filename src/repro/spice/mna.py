@@ -197,6 +197,11 @@ class MnaSystem:
         #: Elements with a ``stamp_iterate``, restamped at every Newton
         #: iterate (MOSFETs).
         self.devices = [el for el in circuit.elements if el.nonlinear]
+        #: ``(model, bias, op)`` of the last scalar device evaluation in
+        #: this run, or None: the identical drivers of a bank sit at one
+        #: bias, so all but the first read it (see
+        #: :class:`~repro.spice.mosfet.MosfetElement`).
+        self.last_op = None
         # Reusable assembly buffers: the kept base and the per-iterate work
         # system.
         self._base_A = np.zeros((n, n))

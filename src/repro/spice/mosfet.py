@@ -15,11 +15,21 @@ and lives in the cached base system.  Per-iteration gate/drain voltage
 limiting (a light version of SPICE's ``pnjlim``/``fetlim``) is handled
 globally by the Newton damping in :mod:`repro.spice.solver`.
 
-The scalar engine reads a device's current at every accepted point, and the
-next solve starts from that point, so its first iterate stamps at exactly
-the bias just read.  :meth:`MosfetElement.current` therefore evaluates the
-whole operating point there and keeps it as a one-entry memo, which
-:meth:`MosfetElement.stamp_iterate` uses on an exact bias match.
+A scalar evaluation goes through two one-entry memos, both matched on the
+model's identity and exact float equality of the bias:
+
+* the element's own accepted point.  The scalar engine reads a device's
+  current at every accepted point, and the next solve starts from that
+  point, so its first iterate stamps at exactly the bias just read.
+  :meth:`MosfetElement.current` therefore takes the whole operating point
+  there and keeps it;
+* the run's last evaluation by any device, ``last_op`` of the per-run
+  :class:`~repro.spice.mna.MnaSystem`.  The N identical drivers of an
+  explicit bank sit at bit-identical biases (the symmetry Eqns 9-10
+  collapse into one device), so the first evaluates and the rest read it.
+
+The batched engine's stacked copies, whose biases are arrays and whose
+model is a :class:`MosfetBank`, use neither.
 
 Device parasitic capacitances are intentionally not modeled: the SSN
 networks of the paper are dominated by multi-picofarad pad loads and the
@@ -68,14 +78,25 @@ class MosfetElement(Element):
         d, _, s, _ = self.nodes
         ctx.add_conductance(d, s, ctx.gmin)
 
+    def _operating_point(self, system, bias):
+        """``(model, bias, op)`` at a scalar bias: the element's own memo,
+        else the run's last evaluation (``system.last_op``), else a fresh
+        ``partials`` call that becomes the latter."""
+        model = self.model
+        memo = self._memo
+        if memo is None or memo[0] is not model or memo[1] != bias:
+            memo = system.last_op
+            if memo is None or memo[0] is not model or memo[1] != bias:
+                memo = system.last_op = (model, bias, model.partials(*bias))
+        return memo
+
     def stamp_iterate(self, ctx) -> None:
         """The channel current linearized at the present iterate."""
         bias = vgs, vds, vbs = self._bias(ctx)
-        memo = self._memo
-        if memo is not None and memo[0] is self.model and memo[1] == bias:
-            op = memo[2]
-        else:
+        if isinstance(vgs, np.ndarray):  # a stacked copy: no memo
             op = self.model.partials(vgs, vds, vbs)
+        else:
+            op = self._operating_point(ctx.system, bias)[2]
         gm, gds, gmbs = op.gm, op.gds, op.gmbs
         ieq = op.ids - gm * vgs - gds * vds - gmbs * vbs
         gsum = gm + gds + gmbs
@@ -86,16 +107,16 @@ class MosfetElement(Element):
     def current(self, ctx):
         """Channel current drain -> source at the present iterate.
 
-        A scalar read evaluates the whole operating point and keeps it as
-        the memo (see the module docstring).  The batched engine reads
-        ``(steps, B)`` bias blocks once per run and needs the current alone.
+        A scalar read takes the whole operating point (see the module
+        docstring) and keeps it as the element's memo.  The batched engine
+        reads ``(steps, B)`` bias blocks once per run and needs the current
+        alone.
         """
         bias = self._bias(ctx)
         if isinstance(bias[0], np.ndarray):
             return self.model.ids_scalar(*bias)
-        op = self.model.partials(*bias)
-        self._memo = (self.model, bias, op)
-        return op.ids
+        memo = self._memo = self._operating_point(ctx.system, bias)
+        return memo[2].ids
 
 
 class MosfetBank:

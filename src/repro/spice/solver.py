@@ -22,16 +22,18 @@ Circuits with no nonlinear elements collapse to a single direct solve of
 the base, with its factorization cached under ``(mode, dt, method)`` (see
 :mod:`repro.spice.mna`).
 
-Newton control works on the five-to-fifty-unknown systems of the SSN banks,
-where each numpy call costs more than its arithmetic: one ``|dx|`` serves
-the damping cap, the finiteness check (a non-finite solution shows as a
-non-finite largest update, since the iterate itself is always finite) and
-the convergence test.
+Newton control — the update, the damping cap, the finiteness check and the
+convergence test — runs on Python floats (:func:`newton_control`): on the
+five-to-fifty-unknown systems of the SSN banks each numpy call costs more
+than its arithmetic.  It does the array formulas' IEEE operations in the
+same order, so every decision and every damped iterate is bit for bit what
+they give; numpy keeps the stamps and the LAPACK solve.
 """
 
 from __future__ import annotations
 
 import math
+from operator import le, sub
 
 import numpy as np
 
@@ -56,6 +58,39 @@ class ConvergenceError(RuntimeError):
     """
 
     telemetry: SolverTelemetry | None = None
+
+
+def newton_control(
+    x: list[float],
+    x_new: list[float],
+    abstol: float,
+    reltol: float,
+    max_update: float,
+) -> tuple[list[float] | None, float, bool]:
+    """Damping and convergence of one Newton update, on Python floats.
+
+    ``x`` is the present iterate and ``x_new`` the linear solve's answer.
+    Returns ``(x_next, step, converged)``: ``step`` is the infinity norm of
+    the update ``x_new - x``; ``x_next`` is ``x_new``, or the update scaled
+    back to ``max_update`` when ``step`` exceeds it (then never
+    converged); ``converged`` is the mixed test
+    ``|dx| <= abstol + reltol * |x_new|`` on every unknown.  ``x_next`` is
+    None when any update is non-finite.  Each float is what the numpy
+    expressions ``x_new - x``, ``abs(dx).max()``,
+    ``x + dx * (max_update / step)`` and ``abstol + reltol * abs(x_new)``
+    give, by the same IEEE operations in the same order.
+    """
+    dx = list(map(sub, x_new, x))
+    adx = list(map(abs, dx))
+    # A finite sum of non-negative terms proves every term finite; only a
+    # non-finite one (an overflowed sum too) pays the per-unknown check.
+    if not math.isfinite(sum(adx)) and not all(map(math.isfinite, adx)):
+        return None, math.nan, False
+    step = max(adx, default=0.0)
+    if step > max_update:
+        scale = max_update / step
+        return [a + d * scale for a, d in zip(x, dx)], step, False
+    return x_new, step, all(map(le, adx, [abstol + reltol * abs(v) for v in x_new]))
 
 
 def newton_solve(
@@ -133,6 +168,7 @@ def newton_solve(
             nsp.set_attribute("iterations", 0)
             return x_new, ctx
 
+        xs = x.tolist()
         iterations = 0
         for _ in range(max_iter):
             iterations += 1
@@ -142,23 +178,19 @@ def newton_solve(
             with trace.span("lu_solve", level="full") if detailed else NOOP_SPAN:
                 x_new = system.solve(A, z)
 
-            dx = x_new - x
-            adx = np.abs(dx)
-            step = float(adx.max()) if dx.size else 0.0
-            if not math.isfinite(step):
+            xs, step, converged = newton_control(
+                xs, x_new.tolist(), abstol, reltol, max_update)
+            if xs is None:
                 raise ConvergenceError(f"non-finite solution while solving at t={t}")
-            if step > max_update:
-                x = x + dx * (max_update / step)
-                continue
-            x = x_new
-            if (adx <= abstol + reltol * np.abs(x)).all():
+            if converged:
                 # Reuse the last iterate's context: only ``x`` needs to move
                 # to the converged point (A/z stay one Newton update behind,
                 # which downstream state commits and current reads never
                 # consult).
-                ctx.x = x
+                ctx.x = x_new
                 nsp.set_attribute("iterations", iterations)
-                return x, ctx
+                return x_new, ctx
+            x = np.array(xs) if step > max_update else x_new
         raise ConvergenceError(
             f"Newton failed to converge in {max_iter} iterations at t={t}"
         )

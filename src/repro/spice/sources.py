@@ -140,6 +140,9 @@ class Pwl(SourceShape):
         self._t = np.array(times)
         self._v = np.array([v for _, v in pts])
 
+    def __repr__(self) -> str:
+        return f"Pwl({list(zip(self._t.tolist(), self._v.tolist()))!r})"
+
     def __call__(self, t: float) -> float:
         return float(np.interp(t, self._t, self._v))
 

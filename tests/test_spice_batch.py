@@ -395,16 +395,30 @@ class TestParameterBankValidation:
         assert len(results) == 2
 
 
-def test_scalar_device_memo_never_reaches_a_stacked_device(tech018):
+def test_scalar_device_memo_never_reaches_a_stacked_device(tech018, monkeypatch):
     """A scalar run leaves each device's accepted-point memo set; stacking
     those circuits copies the elements, and the copies (whose model is a
-    bank) must neither read the memo nor change a bit of the ensemble."""
-    specs = _driver_specs(tech018, (2, 4))
+    bank) must neither read the memo nor change a bit of the ensemble.
+    Nor may they read or write the run-wide entry of the last evaluation,
+    which the scalar engine keeps on its ``MnaSystem``."""
+
+    class GuardedSystem(batch_mod.MnaSystem):
+        @property
+        def last_op(self):
+            raise AssertionError("a stacked device read the shared entry")
+
+        @last_op.setter
+        def last_op(self, value):
+            assert value is None, "a stacked device wrote the shared entry"
+
+    base = _driver_specs(tech018, (3,), collapse=False)[0]
+    specs = [dataclasses.replace(base, inductance=lg) for lg in (5e-9, 8e-9)]
     tstop, dt = _grid(specs[0])
     circuits = [build_driver_bank(s) for s in specs]
     for circuit in circuits:
         transient(circuit, tstop, dt)
     assert all(c.element("M1")._memo is not None for c in circuits)
+    monkeypatch.setattr(batch_mod, "MnaSystem", GuardedSystem)
     reused = batch_transient(circuits, tstop, dt)
     fresh = batch_transient([build_driver_bank(s) for s in specs], tstop, dt)
     for a, b in zip(reused, fresh):

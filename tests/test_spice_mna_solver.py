@@ -1,11 +1,16 @@
 """Direct unit tests for MNA assembly and the Newton solver."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.spice import Circuit, ConvergenceError, Dc
 from repro.spice.mna import MnaSystem
-from repro.spice.solver import newton_solve
+from repro.spice.solver import DEFAULT_MAX_UPDATE, newton_control, newton_solve
 
 
 def divider():
@@ -107,6 +112,102 @@ class TestNewtonSolver:
         system = MnaSystem(c)
         x, _ = newton_solve(system, "dc", 0.0, 1.0, "be", {}, np.zeros(system.size))
         assert np.all(np.isfinite(x))
+
+
+def _numpy_control(x, x_new, abstol, reltol, max_update):
+    """The array form of one Newton update's control, as the solver loop
+    wrote it before its control moved to floats: the reference
+    :func:`newton_control` must match bit for bit."""
+    dx = x_new - x
+    adx = np.abs(dx)
+    step = float(adx.max())
+    if not math.isfinite(step):
+        return None
+    if step > max_update:
+        return step, x + dx * (max_update / step), False
+    return step, x_new, bool((adx <= abstol + reltol * np.abs(x_new)).all())
+
+
+@st.composite
+def _updates(draw):
+    """An iterate and a solve's answer: updates from zero to far past the
+    damping cap, or near each unknown's convergence tolerance, sometimes
+    with a non-finite entry."""
+    n = draw(st.integers(1, 200))
+    x = draw(arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
+    noise = draw(arrays(np.float64, n, elements=st.floats(-1.5, 1.5)))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from(
+            [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.3, DEFAULT_MAX_UPDATE, 0.6, 10.0, 1e300]))
+        x_new = x + scale * noise
+    else:
+        x_new = x + noise * (1e-9 + 1e-6 * np.abs(x))
+    bad = draw(st.sampled_from([None] * 7 + [math.nan, math.inf, -math.inf]))
+    if bad is not None:
+        x_new[draw(st.integers(0, n - 1))] = bad
+    return x, x_new
+
+
+class TestNewtonControl:
+    @settings(max_examples=300, deadline=None)
+    @given(update=_updates())
+    def test_matches_the_array_formulas_bitwise(self, update):
+        x, x_new = update
+        args = (1e-9, 1e-6, DEFAULT_MAX_UPDATE)
+        ref = _numpy_control(x, x_new, *args)
+        x_next, step, converged = newton_control(x.tolist(), x_new.tolist(), *args)
+        if ref is None:
+            assert x_next is None
+            return
+        ref_step, ref_next, ref_converged = ref
+        assert step.hex() == ref_step.hex()
+        assert np.array(x_next).tobytes() == ref_next.tobytes()
+        assert converged is ref_converged
+
+    @pytest.mark.parametrize("x, x_new", [
+        ([-1e308, 0.0], [1e308, 0.0]),  # the update itself overflows
+        ([0.0, 0.0], [1e308, 1e308]),  # finite updates, overflowing sum
+        ([0.0], [0.0]),
+    ])
+    def test_extreme_updates_match_the_array_formulas(self, x, x_new):
+        args = (1e-9, 1e-6, DEFAULT_MAX_UPDATE)
+        with np.errstate(over="ignore"):
+            ref = _numpy_control(np.array(x), np.array(x_new), *args)
+        x_next, step, converged = newton_control(x, x_new, *args)
+        if ref is None:
+            assert x_next is None
+        else:
+            assert (step, x_next, converged) == (ref[0], ref[1].tolist(), ref[2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("at", [1, 3])
+    def test_non_finite_solution_raises_at_its_iterate(self, monkeypatch, bad,
+                                                      where, at):
+        """A non-finite entry anywhere in one solve's answer stops the
+        solve at that iterate, whatever the other entries hold."""
+        from repro.devices import BsimLikeMosfet
+
+        c = Circuit()
+        c.vsource("Vdd", "vdd", "0", Dc(1.8))
+        c.resistor("R1", "vdd", "d", 100.0)
+        c.mosfet("M1", "d", "vdd", "0", "0", BsimLikeMosfet())
+        system = MnaSystem(c)
+        index = {"first": 0, "middle": system.size // 2, "last": -1}[where]
+        solve, calls = system.solve, []
+
+        def poisoned(A, z):
+            x = solve(A, z)
+            calls.append(None)
+            if len(calls) == at:
+                x[index] = bad
+            return x
+
+        monkeypatch.setattr(system, "solve", poisoned)
+        x0 = np.full(system.size, 5.0)  # damped iterates before the bad one
+        with pytest.raises(ConvergenceError, match="non-finite solution"):
+            newton_solve(system, "dc", 0.0, 1.0, "be", {}, x0)
+        assert system.telemetry.newton_iterations == at
 
 
 class TestKeptBaseMatrix:
@@ -223,12 +324,13 @@ class TestDeviceStamps:
 
 
 class _CountingModel:
-    """A golden device that counts its operating-point evaluations."""
+    """A device that counts its operating-point evaluations (the golden
+    model unless another is given)."""
 
-    def __init__(self):
+    def __init__(self, inner=None):
         from repro.devices import BsimLikeMosfet
 
-        self.inner = BsimLikeMosfet()
+        self.inner = BsimLikeMosfet() if inner is None else inner
         self.calls = 0
 
     def partials(self, vgs, vds, vbs=0.0):
@@ -277,17 +379,69 @@ class TestAcceptedPointMemo:
         assert ctx.A.tobytes() == fresh.A.tobytes()
         assert ctx.z.tobytes() == fresh.z.tobytes()
 
-    def test_memo_is_per_element(self):
-        """Two devices on one model at one bias: each evaluates for itself."""
+    def test_devices_at_one_bias_share_one_evaluation(self):
+        """Two devices on one model at one bias: the second reads the run's
+        last evaluation, without taking it as its own accepted point."""
         c, system, model, x = self._setup(n_devices=2)
         first, second = c.element("M0"), c.element("M1")
         ctx = system.context("tran", 0.0, 1e-12, "be", {}, x.copy(), 1e-12)
         first.current(ctx)
         second.stamp_iterate(ctx)
-        assert model.calls == 2
+        assert model.calls == 1
         assert second._memo is None
+        assert system.last_op is first._memo
         first.stamp_iterate(ctx)
+        assert second.current(ctx) == first.current(ctx)
+        assert model.calls == 1
+        # The entry belongs to the run: a new system starts without one.
+        assert MnaSystem(c).last_op is None
+
+    def test_second_device_one_ulp_away_re_evaluates(self):
+        """The shared entry matches on exact bias: a device one ulp away
+        evaluates again and stamps its own operating point."""
+        model = _CountingModel()
+        c = Circuit()
+        c.vsource("Vdd", "vdd", "0", Dc(1.8))
+        for k in range(2):
+            c.resistor(f"R{k}", "vdd", f"d{k}", 1e3)
+            c.mosfet(f"M{k}", f"d{k}", "vdd", "0", "0", model)
+        system = MnaSystem(c)
+        x = np.full(system.size, 0.7)
+        x[c.node_id("vdd") - 1] = 1.8
+        node = c.node_id("d1") - 1
+        x[node] = np.nextafter(x[node], np.inf)
+        first, second = c.element("M0"), c.element("M1")
+        first.stamp_iterate(system.context("tran", 0.0, 1e-12, "be", {}, x, 1e-12))
+        ctx = system.context("tran", 0.0, 1e-12, "be", {}, x, 1e-12)
+        second.stamp_iterate(ctx)
         assert model.calls == 2
+        assert system.last_op[1] == second._bias(ctx)
+        # ... the same stamp an evaluation in a fresh run gives.
+        fresh = MnaSystem(c).context("tran", 0.0, 1e-12, "be", {}, x, 1e-12)
+        second.stamp_iterate(fresh)
+        assert model.calls == 3
+        assert ctx.A.tobytes() == fresh.A.tobytes()
+        assert ctx.z.tobytes() == fresh.z.tobytes()
+
+    def test_explicit_bank_evaluates_once_per_iterate(self, tech018):
+        """N identical drivers sit at bit-identical biases: an N=13
+        explicit bank evaluates about once per Newton iterate and accepted
+        point, where a per-device count would be N times that."""
+        from repro.analysis.driver_bank import DriverBankSpec, build_driver_bank
+        from repro.analysis.simulate import default_stop_time, default_time_step
+        from repro.spice.transient import transient
+
+        spec = DriverBankSpec(technology=tech018, n_drivers=13, inductance=5e-9,
+                              rise_time=0.2e-9, collapse=False)
+        c = build_driver_bank(spec)
+        devices = [el for el in c.elements if el.nonlinear]
+        assert len(devices) == 13
+        model = _CountingModel(devices[0].model)
+        for el in devices:
+            el.model = model
+        result = transient(c, default_stop_time(spec), default_time_step(spec))
+        tel = result.telemetry
+        assert 0 < model.calls <= tel.newton_iterations + tel.accepted_steps + 1
 
     def test_memo_never_read_through_another_model(self):
         c, system, model, x = self._setup()

@@ -85,6 +85,11 @@ class TestPwl:
         with pytest.raises(ValueError):
             Pwl([(0, 0), (0, 1)])
 
+    def test_repr_renders_the_points(self):
+        """A stable rendering, so test ids and logs never carry an address."""
+        src = Pwl([(0, 0), (1e-9, 1), (3e-9, 0.25)])
+        assert repr(src) == "Pwl([(0.0, 0.0), (1e-09, 1.0), (3e-09, 0.25)])"
+
 
 class TestVectorizedValues:
     """``values`` over an array of times equals the scalar call bit for bit
