@@ -66,7 +66,11 @@ class Element:
     #: True when the element has a ``stamp_iterate`` that reads the Newton
     #: iterate ``x`` and is restamped at every iterate; ``stamp`` always
     #: lands once per solve in the cached base system (see
-    #: :class:`repro.spice.mna.MnaSystem`).
+    #: :class:`repro.spice.mna.MnaSystem`).  Such an element also lists
+    #: ``entries``, the ``((row, col), k)`` matrix entries of its one
+    #: ``add_entries`` call per iterate, and writes the right-hand side
+    #: only at its own nodes: the system plans its accumulated stamps
+    #: from these.
     nonlinear = False
 
     #: Parameter attributes the batched engine stacks into ``(B,)`` arrays.
@@ -82,8 +86,13 @@ class Element:
         """Add the contribution that does not depend on the Newton iterate."""
         raise NotImplementedError
 
-    def commit(self, ctx) -> None:
-        """Roll per-element state after an accepted time step."""
+    def commit(self, ctx):
+        """Roll per-element state after an accepted time step.
+
+        Returns the element's current at the step when the commit computes
+        it — bit for bit what ``current`` reads before the commit — so
+        the step records it without a second evaluation; None otherwise.
+        """
 
     def init_state(self, ctx) -> None:
         """Initialize per-element state from the t=0 consistency solution."""
@@ -151,13 +160,14 @@ class Capacitor(Element):
         v = self.ic if self.ic is not None else ctx.v(a) - ctx.v(b)
         ctx.state(self).update(v=v, i=0.0)
 
-    def commit(self, ctx) -> None:
+    def commit(self, ctx):
         a, b = self.nodes
         state = ctx.state(self)
         geq, ieq = self._companion(ctx)
         v = ctx.v(a) - ctx.v(b)
-        state["i"] = geq * v - ieq
+        i = state["i"] = geq * v - ieq
         state["v"] = v
+        return i
 
     def current(self, ctx):
         """Capacitor current a->b at the present iterate (tran mode only)."""
@@ -208,11 +218,12 @@ class Inductor(Element):
         a, b = self.nodes
         ctx.state(self).update(i=self.ic, v=ctx.v(a) - ctx.v(b))
 
-    def commit(self, ctx) -> None:
+    def commit(self, ctx):
         a, b = self.nodes
         state = ctx.state(self)
-        state["i"] = ctx.branch_value(self)
+        i = state["i"] = ctx.branch_value(self)
         state["v"] = ctx.v(a) - ctx.v(b)
+        return i
 
     def current(self, ctx):
         if ctx.mode == "ic":

@@ -23,15 +23,26 @@ three steps of :class:`MnaSystem`:
   only on ``(mode, dt, method, gmin)``, so the system keeps it while that
   key repeats and the pass restamps only the right-hand side (sources at
   ``t``, companion history);
-* :meth:`~MnaSystem.stamp_iterate` adds the ``stamp_iterate`` of
-  :attr:`MnaSystem.devices` at one iterate
+* :meth:`~MnaSystem.stamp_iterate` copies the base and adds the
+  ``stamp_iterate`` of :attr:`MnaSystem.devices` at one iterate
   (:meth:`~MnaSystem.assemble_nonlinear`) and returns ``(A, z)``;
 * :meth:`~MnaSystem.solve` solves it, with a least-squares fallback.
 
-The buffers are owned by the system and reused across every time step, so
-the steady-state allocation rate of a transient run is zero.  The system
-reads element values as they stand when a key is first stamped: it is
-built per analysis, over a circuit that analysis does not mutate.
+The device stamps of an iterate do not write the matrix one numpy scalar
+at a time.  The system plans once which positions of ``A`` and ``z`` its
+devices write and where each device entry lands among them; each iterate
+sums the stamps on Python floats, starting from the base's values there
+and in device order, and lands them in one indexed write.  Every position
+sees the same IEEE additions in the same order as the writes one at a
+time, so the assembly is bit for bit theirs.  Devices read the iterate
+as Python floats too: the solver hands over the float copy its Newton
+control keeps (see :class:`StampContext`).
+
+The buffers are owned by the system and reused across every time step
+(each a flat array holding ``A`` then ``z``, so one copy resets a whole
+system).  The system reads element values as they stand when a key is
+first stamped: it is built per analysis, over a circuit that analysis
+does not mutate.
 
 For circuits with no nonlinear elements at all, the whole system depends
 only on ``(mode, dt, method)`` — ``method`` being the integrator the engine
@@ -69,6 +80,14 @@ class StampContext:
     With ``buffers=(None, z)`` matrix writes are dropped, so a base pass
     restamps only the right-hand side over a kept matrix (the rule of the
     batched engine's linear stack).
+
+    Reads (:meth:`v`, :meth:`branch_value`) come from a Python-float copy
+    of ``x``, made once per iterate array (or handed over by the solver
+    through :meth:`at`) and matched to it by identity on every read, so a
+    new ``x`` is never read through a stale copy (callers never mutate an
+    ``x`` in place).  Writes land directly in ``A``/``z``, except inside
+    :meth:`MnaSystem.stamp_iterate`, where the device stamps accumulate
+    on floats and land in one indexed write.
     """
 
     def __init__(self, system: "MnaSystem", mode: str, t: float, dt: float,
@@ -88,6 +107,15 @@ class StampContext:
             self.z = np.zeros(n)
         else:
             self.A, self.z = buffers
+        # The float copy of x and the array it was made from.
+        self._xs = None
+        self._xs_of = None
+        # An iterate pass's accumulators (None: direct writes; see
+        # MnaSystem.stamp_iterate), the present device's matrix slots and
+        # each node's right-hand-side slot.
+        self._acc = None
+        self._slots = ()
+        self._z_slot = ()
 
     # -- state & values -----------------------------------------------------------
 
@@ -95,15 +123,32 @@ class StampContext:
         """The engine-owned mutable state dict for this element."""
         return self._states.setdefault(element, {})
 
+    def at(self, x: np.ndarray, xs: list[float] | None = None) -> None:
+        """Position the context at iterate ``x``; ``xs``, when the caller
+        holds it, is ``x.tolist()`` and spares the copy."""
+        self.x = x
+        self._xs = xs
+        self._xs_of = None if xs is None else x
+
+    def _floats(self) -> list[float]:
+        """``x`` as Python floats, copied once per iterate array."""
+        x = self.x
+        if self._xs_of is not x:
+            self._xs = x.tolist()
+            self._xs_of = x
+        return self._xs
+
     def v(self, node: int) -> float:
         """Voltage of a node at the present iterate (ground is 0 V)."""
         if node == 0:
             return 0.0
-        return float(self.x[node - 1])
+        if self._xs_of is not self.x:
+            return self._floats()[node - 1]
+        return self._xs[node - 1]
 
     def branch_value(self, element, k: int = 0) -> float:
         """Branch current unknown k of the element at the present iterate."""
-        return float(self.x[self.branch_row(element, k)])
+        return self._floats()[self.branch_row(element, k)]
 
     def branch_row(self, element, k: int = 0) -> int:
         """Global row/column index of the element's k-th branch unknown."""
@@ -127,10 +172,19 @@ class StampContext:
         """``A[rc] += values[k]`` for every ``(rc, k)`` of ``entries``, in order.
 
         ``rc`` is a ``(row, col)`` pair of unknown indices, ground already
-        dropped (a device computes its list once; see
+        dropped (a device computes its list once, its ``entries``; see
         :class:`~repro.spice.mosfet.MosfetElement`).  Repeated pairs
         accumulate in list order, as the same writes one at a time would.
+        Inside an accumulated pass the present device's planned slots
+        stand for ``entries`` and the sums stay Python floats, added in
+        numpy's ``a += v`` operand order (``v + a``: which NaN survives a
+        NaN + NaN, IEEE 754 leaves to the operand order).
         """
+        acc = self._acc
+        if acc is not None:
+            for slot, k in self._slots:
+                acc[slot] = values[k] + acc[slot]
+            return
         A = self.A
         if A is None:
             return
@@ -146,6 +200,14 @@ class StampContext:
 
     def add_rhs_current(self, frm: int, to: int, i: float) -> None:
         """A current ``i`` forced from node ``frm`` to node ``to``."""
+        acc = self._acc
+        if acc is not None:  # in numpy's operand order, see add_entries
+            if frm != 0:
+                acc[self._z_slot[frm]] -= i
+            if to != 0:
+                j = self._z_slot[to]
+                acc[j] = i + acc[j]
+            return
         if frm != 0:
             self.z[frm - 1] -= i
         if to != 0:
@@ -202,14 +264,36 @@ class MnaSystem:
         #: bias, so all but the first read it (see
         #: :class:`~repro.spice.mosfet.MosfetElement`).
         self.last_op = None
-        # Reusable assembly buffers: the kept base and the per-iterate work
-        # system.
-        self._base_A = np.zeros((n, n))
-        self._base_z = np.zeros(n)
-        self._work_A = np.zeros((n, n))
-        self._work_z = np.zeros(n)
+        # Reusable assembly buffers, the kept base and the per-iterate work
+        # system, each one flat array: A row-major, then z.  A system is
+        # then copied, and an iterate's device stamps land, in one write.
+        nn = n * n
+        self._base = np.zeros(nn + n)
+        self._base_A, self._base_z = self._base[:nn].reshape(n, n), self._base[nn:]
+        self._work = np.zeros(nn + n)
+        self._work_A, self._work_z = self._work[:nn].reshape(n, n), self._work[nn:]
         # The (mode, dt, method, gmin) _base_A was stamped for.
         self._base_key = None
+        # The accumulated-stamp plan (see stamp_iterate): the unique flat
+        # positions the devices' iterate stamps write, matrix ones first;
+        # each device's ((slot, k), ...) matrix slots among them and each
+        # device node's right-hand-side slot.
+        flat: dict[int, int] = {}
+        self._slots = [
+            tuple((flat.setdefault(r * n + c, len(flat)), k) for (r, c), k in el.entries)
+            for el in self.devices]
+        self._matrix_pos = np.array(list(flat), dtype=np.intp)
+        self._z_slot = [None] * circuit.num_nodes
+        for el in self.devices:
+            for node in el.nodes:
+                if node:
+                    self._z_slot[node] = flat.setdefault(nn + node - 1, len(flat))
+        self._pos = np.array(list(flat), dtype=np.intp)
+        self._rhs_pos = self._pos[len(self._matrix_pos):]
+        # The base's values there: the matrix part as of the last restamp,
+        # and the whole start of an iterate's accumulators.
+        self._acc_A0: list[float] = []
+        self._acc0: list[float] = []
         # Factor cache for linear-only circuits: key -> a solve callable
         # over the factors, plus a copy of the factored matrix guarding
         # against key collisions (two circuits/element values sharing one
@@ -247,10 +331,26 @@ class MnaSystem:
             el.stamp(ctx)
 
     def assemble_nonlinear(self, ctx: StampContext) -> None:
-        """Add the nonlinear elements' ``stamp_iterate`` to ``ctx``."""
+        """Add the nonlinear elements' ``stamp_iterate`` to ``ctx``.
+
+        Over the accumulators :meth:`stamp_iterate` opens, each device
+        stamps through its planned slots and the sums land in one indexed
+        write; any other context (AC's complex assembly, a bare
+        context) takes the writes one at a time.
+        """
         self.telemetry.nonlinear_restamps += 1
-        for el in self.devices:
-            el.stamp_iterate(ctx)
+        acc = ctx._acc
+        if acc is None:
+            for el in self.devices:
+                el.stamp_iterate(ctx)
+            return
+        try:
+            for el, slots in zip(self.devices, self._slots):
+                ctx._slots = slots
+                el.stamp_iterate(ctx)
+        finally:
+            ctx._acc = None
+        self._work[self._pos] = acc
 
     def stamp_base(self, mode: str, t: float, dt: float, method: str,
                    states: dict, x: np.ndarray, gmin: float) -> StampContext:
@@ -267,15 +367,30 @@ class MnaSystem:
         self.assemble_base(self.context(mode, t, dt, method, states, x, gmin,
                                         buffers=(base_A, self._base_z)))
         self._base_key = key
-        return self.context(mode, t, dt, method, states, x, gmin,
-                            buffers=(self._work_A, self._work_z))
+        if self.devices:
+            if base_A is not None:
+                self._acc_A0 = self._base[self._matrix_pos].tolist()
+            self._acc0 = self._acc_A0 + self._base[self._rhs_pos].tolist()
+        ctx = self.context(mode, t, dt, method, states, x, gmin,
+                           buffers=(self._work_A, self._work_z))
+        ctx._z_slot = self._z_slot
+        return ctx
 
-    def stamp_iterate(self, ctx: StampContext, x: np.ndarray):
+    def stamp_iterate(self, ctx: StampContext, x: np.ndarray,
+                      xs: list[float] | None = None):
         """The ``(A, z)`` of Newton iterate ``x``: the base copied into the
-        work buffers, plus the nonlinear devices restamped at ``x``."""
-        ctx.x = x
-        np.copyto(ctx.A, self._base_A)
-        np.copyto(ctx.z, self._base_z)
+        work buffers, plus the nonlinear devices restamped at ``x``.
+
+        ``ctx`` is the context :meth:`stamp_base` returned and ``xs`` is
+        ``x.tolist()`` when the caller holds it (the solver's Newton control
+        does).  The device stamps accumulate on Python floats that start
+        from the base's values at the planned positions, in device order:
+        every position sees the IEEE additions the writes one at a time
+        would make, in the same order, so ``(A, z)`` is bit for bit theirs.
+        """
+        ctx.at(x, xs)
+        np.copyto(self._work, self._base)
+        ctx._acc = self._acc0.copy()
         self.assemble_nonlinear(ctx)
         return ctx.A, ctx.z
 

@@ -7,8 +7,13 @@ present Newton iterate:
 
 which :meth:`MosfetElement.stamp_iterate` stamps as three conductances plus
 an equivalent current source at every Newton iterate: eight matrix entries,
-whose ground-dropped ``(row, col)`` list the element computes once and
-stamps through one context call.  A small ``gmin`` between drain and source
+whose ground-dropped ``(row, col)`` list (:attr:`MosfetElement.entries`)
+the element computes once and stamps through one context call, and two
+right-hand-side currents at drain and source.  In the scalar engine the
+terminal voltages are Python floats and both calls add into the
+:class:`~repro.spice.mna.MnaSystem`'s float accumulators, through the
+slots the system planned for this device from ``entries``; every other
+context writes its buffers directly.  A small ``gmin`` between drain and source
 keeps the Jacobian nonsingular when the device is cut off; it does not
 depend on the iterate, so it is the element's :meth:`~MosfetElement.stamp`
 and lives in the cached base system.  Per-iteration gate/drain voltage
@@ -66,7 +71,7 @@ class MosfetElement(Element):
         # its repeated (row, col) pairs, which accumulate in this order.
         d, g, s, b = (node - 1 for node in self.nodes)
         pairs = ((d, g), (d, d), (d, b), (d, s), (s, g), (s, d), (s, b), (s, s))
-        self._entries = tuple((rc, k) for k, rc in enumerate(pairs) if min(rc) >= 0)
+        self.entries = tuple((rc, k) for k, rc in enumerate(pairs) if min(rc) >= 0)
 
     def _bias(self, ctx) -> tuple[float, float, float]:
         d, g, s, b = self.nodes
@@ -100,7 +105,7 @@ class MosfetElement(Element):
         gm, gds, gmbs = op.gm, op.gds, op.gmbs
         ieq = op.ids - gm * vgs - gds * vds - gmbs * vbs
         gsum = gm + gds + gmbs
-        ctx.add_entries(self._entries, (gm, gds, gmbs, -gsum, -gm, -gds, -gmbs, gsum))
+        ctx.add_entries(self.entries, (gm, gds, gmbs, -gsum, -gm, -gds, -gmbs, gsum))
         d, _, s, _ = self.nodes
         ctx.add_rhs_current(d, s, ieq)
 

@@ -27,7 +27,11 @@ convergence test — runs on Python floats (:func:`newton_control`): on the
 five-to-fifty-unknown systems of the SSN banks each numpy call costs more
 than its arithmetic.  It does the array formulas' IEEE operations in the
 same order, so every decision and every damped iterate is bit for bit what
-they give; numpy keeps the stamps and the LAPACK solve.
+they give.  The float copy of the iterate it keeps is handed to
+``stamp_iterate`` and to the converged context, so the devices read their
+biases from it; the device stamps accumulate on floats too (see
+:mod:`repro.spice.mna`), and numpy keeps the base copy, the one indexed
+write of an iterate's device stamps and the LAPACK solve.
 """
 
 from __future__ import annotations
@@ -174,7 +178,7 @@ def newton_solve(
             iterations += 1
             telemetry.newton_iterations += 1
             with trace.span("assembly", level="full") if detailed else NOOP_SPAN:
-                A, z = system.stamp_iterate(ctx, x)
+                A, z = system.stamp_iterate(ctx, x, xs)
             with trace.span("lu_solve", level="full") if detailed else NOOP_SPAN:
                 x_new = system.solve(A, z)
 
@@ -187,7 +191,7 @@ def newton_solve(
                 # to the converged point (A/z stay one Newton update behind,
                 # which downstream state commits and current reads never
                 # consult).
-                ctx.x = x_new
+                ctx.at(x_new, xs)
                 nsp.set_attribute("iterations", iterations)
                 return x_new, ctx
             x = np.array(xs) if step > max_update else x_new

@@ -376,6 +376,24 @@ def transient(
             for el in circuit.elements:
                 el.commit(ctx)
 
+        # Each element and whether it is measured, in circuit order (the
+        # order of ``measured``).
+        passes = [(el, hasattr(el, "current")) for el in circuit.elements]
+
+        def commit_and_record(ctx):
+            """Commit every element's state in one pass and return the
+            step's currents: a commit that computes its element's current
+            returns it (what ``current`` reads before the commit), the
+            other measured elements are read.  No current reads another
+            element's state, so reading after the earlier commits is
+            reading before all of them."""
+            currents = []
+            for el, is_measured in passes:
+                i = el.commit(ctx)
+                if is_measured:
+                    currents.append(el.current(ctx) if i is None else i)
+            return currents
+
         def snapshot():
             return {el: dict(state) for el, state in states.items()}
 
@@ -429,10 +447,10 @@ def transient(
                         # defect: x_new was solved at the larger step
                         # (tests/test_spice_adaptive.py::TestAcceptAtFloor).
                         break
-                # Record, then commit state (commit consumes the pre-step
-                # state).
-                step_currents = [_safe_current(el, step_ctx) for el in measured]
-                commit_all(step_ctx)
+                # Commit state and record the step's currents in one pass
+                # (a commit returns the current it computed from the
+                # pre-step state).
+                step_currents = commit_and_record(step_ctx)
                 states = step_states
                 if opts.adaptive:
                     grown = lte_regrow(h_step, err, dt, opts)
@@ -475,13 +493,15 @@ def _fail(exc: ConvergenceError, tel: SolverTelemetry, wall_start: float,
 
 
 def _safe_current(element, ctx) -> float:
-    """Element current, tolerating elements whose current is undefined here.
+    """Element current at the t = 0 sample, tolerating elements whose
+    current is undefined there.
 
     Expected gaps only: a companion model asked for state it does not have
-    yet (``KeyError``, e.g. a capacitor at the t=0 IC sample) or an element
-    family without the queried accessor/state machinery (``AttributeError``).
+    yet (``KeyError``, a capacitor at the IC sample) or an element family
+    without the queried accessor/state machinery (``AttributeError``).
     Anything else — sign errors, bad indexing, model bugs — propagates, so
     real stamping defects surface instead of silently recording 0.0 A.
+    Accepted steps record through their commit pass instead.
     """
     try:
         return float(element.current(ctx))

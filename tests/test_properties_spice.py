@@ -1,11 +1,16 @@
 """Property-based tests (hypothesis) for the circuit simulator."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.spice import Circuit, Dc, Ramp, Waveform, dc_operating_point, transient
+from repro.spice.elements import Element
+from repro.spice.mna import MnaSystem
 
 resistances = st.floats(min_value=10.0, max_value=1e5)
 capacitances = st.floats(min_value=0.1e-12, max_value=10e-12)
@@ -108,3 +113,109 @@ class TestWaveformProperties:
         total = w.integral()
         split = w.window(0, 0.5).integral() + w.window(0.5, 1.0).integral()
         assert split == pytest.approx(total, rel=1e-9, abs=1e-9)
+
+
+# -- accumulated device stamps ---------------------------------------------------
+
+def _bits(u: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", u))[0]
+
+
+# Signed zeros, subnormals, overflow, infinities, and NaNs of both signs and
+# two payloads: which NaN survives a NaN + NaN depends on operand order.
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308,
+            math.inf, -math.inf, math.nan, -math.nan,
+            _bits(0x7FF8000000000001), _bits(0xFFF8000000000002)]
+stamp_values = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+
+
+class _BaseStamp(Element):
+    """Writes a given base ``(A, z)`` verbatim (signed zeros and NaN
+    payloads included)."""
+
+    def __init__(self, A, z):
+        super().__init__("base", ())
+        self.A0, self.z0 = A, z
+
+    def stamp(self, ctx) -> None:
+        if ctx.A is not None:
+            ctx.A[...] = self.A0
+        ctx.z[...] = self.z0
+
+
+class _Device(Element):
+    """A nonlinear element whose iterate stamp is one ``add_entries`` call
+    and a list of right-hand-side currents at its own nodes."""
+
+    nonlinear = True
+
+    def __init__(self, name, nodes, entries, values, currents):
+        super().__init__(name, nodes)
+        self.entries, self.values, self.currents = entries, values, currents
+
+    def stamp(self, ctx) -> None:
+        pass
+
+    def stamp_iterate(self, ctx) -> None:
+        ctx.add_entries(self.entries, self.values)
+        for frm, to, i in self.currents:
+            ctx.add_rhs_current(frm, to, i)
+
+
+@st.composite
+def stamped_systems(draw):
+    """A base ``(A, z)`` and up to four devices over a 1-5 unknown system,
+    with repeated ``(row, col)`` pairs within and across devices."""
+    n = draw(st.integers(1, 5))
+    base_A = np.array(draw(st.lists(stamp_values, min_size=n * n, max_size=n * n)))
+    base_z = np.array(draw(st.lists(stamp_values, min_size=n, max_size=n)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    devices = []
+    for d in range(draw(st.integers(1, 4))):
+        nodes = tuple(draw(st.lists(st.integers(0, n), min_size=1, max_size=4)))
+        values = tuple(draw(st.lists(stamp_values, min_size=1, max_size=8)))
+        entries = tuple((rc, draw(st.integers(0, len(values) - 1)))
+                        for rc in draw(st.lists(pairs, max_size=10)))
+        terminal = st.sampled_from((0,) + nodes)
+        currents = draw(st.lists(st.tuples(terminal, terminal, stamp_values),
+                                 max_size=3))
+        devices.append((f"M{d}", nodes, entries, values, currents))
+    return n, base_A.reshape(n, n), base_z, devices
+
+
+class TestAccumulatedStamps:
+    @settings(max_examples=300, deadline=None)
+    @given(case=stamped_systems())
+    def test_equals_sequential_writes(self, case):
+        """``stamp_iterate``'s float accumulation lands exactly the bytes
+        the sequential ``A[rc] += v`` / ``z[r] -= i``, ``z[r] += i`` writes
+        give, from the same base, in device order."""
+        n, base_A, base_z, devices = case
+        c = Circuit()
+        for k in range(n):
+            c.node(f"n{k}")
+        c.add(_BaseStamp(base_A, base_z))
+        for spec in devices:
+            c.add(_Device(*spec))
+        system = MnaSystem(c)
+        x = np.zeros(n)
+        ctx = system.stamp_base("tran", 0.0, 1e-12, "be", {}, x, 0.0)
+        A, z = system.stamp_iterate(ctx, x)
+
+        ref_A, ref_z = base_A.copy(), base_z.copy()
+        with np.errstate(all="ignore"):
+            for _, _, entries, values, currents in devices:
+                for rc, k in entries:
+                    ref_A[rc] += values[k]
+                for frm, to, i in currents:
+                    if frm != 0:
+                        ref_z[frm - 1] -= i
+                    if to != 0:
+                        ref_z[to - 1] += i
+        assert A.tobytes() == ref_A.tobytes()
+        assert z.tobytes() == ref_z.tobytes()
+        # The accumulators close with the pass: later writes are direct.
+        ctx.add_rhs_current(0, 1, 1.0)
+        with np.errstate(all="ignore"):
+            ref_z[0] += 1.0
+        assert z.tobytes() == ref_z.tobytes()

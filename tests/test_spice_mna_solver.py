@@ -68,6 +68,25 @@ class TestMnaSystem:
         assert ctx.v(0) == 0.0
         assert ctx.v(c.node_id("mid")) == 2.5
 
+    def test_reads_follow_every_new_x(self):
+        """Reads come from a float copy of ``x`` matched to it by identity:
+        a context given a new ``x`` never reads through the old copy."""
+        c = divider()
+        system = MnaSystem(c)
+        source = c.element("V1")
+        mid = c.node_id("mid")
+        ctx = system.context("dc", 0.0, 1.0, "be", {},
+                             np.array([10.0, 2.5, -2.5e-3]), 1e-12)
+        assert (ctx.v(mid), ctx.branch_value(source)) == (2.5, -2.5e-3)
+        ctx.x = np.array([10.0, 3.5, -3.5e-3])
+        assert (ctx.v(mid), ctx.branch_value(source)) == (3.5, -3.5e-3)
+        x = np.array([1.0, 0.5, 1e-3])
+        ctx.at(x, x.tolist())
+        assert (ctx.v(mid), ctx.branch_value(source)) == (0.5, 1e-3)
+        ctx.x = np.array([1.0, 0.25, 2e-3])
+        assert (ctx.v(mid), ctx.branch_value(source)) == (0.25, 2e-3)
+        assert type(ctx.v(mid)) is float
+
 
 class TestNewtonSolver:
     def test_linear_circuit_converges_fast(self):
@@ -320,7 +339,7 @@ class TestDeviceStamps:
                                 (s, b, -op.gmbs), (s, s, gsum)):
             ref.add_node_entry(row, col, value)
         assert ctx.A.tobytes() == ref.A.tobytes()
-        assert len(el._entries) == 8  # no terminal grounded, bulk on source
+        assert len(el.entries) == 8  # no terminal grounded, bulk on source
 
 
 class _CountingModel:
@@ -452,3 +471,117 @@ class TestAcceptedPointMemo:
         el.model = other
         el.stamp_iterate(ctx)
         assert other.calls == 1
+
+
+def _collapsed_bank():
+    from repro.analysis.driver_bank import DriverBankSpec
+    from repro.process import TSMC018
+
+    return DriverBankSpec(technology=TSMC018, n_drivers=8, inductance=5e-9,
+                          rise_time=0.5e-9, capacitance=2e-12)
+
+
+def _explicit_bank():
+    from repro.analysis.driver_bank import DriverBankSpec
+    from repro.process import TSMC018
+
+    return DriverBankSpec(technology=TSMC018, n_drivers=13, inductance=5e-9,
+                          rise_time=0.5e-9, collapse=False)
+
+
+def _skewed_launch():
+    from repro.analysis.driver_bank import DriverBankSpec
+    from repro.process import TSMC018
+
+    rise = 0.5e-9
+    return DriverBankSpec(technology=TSMC018, n_drivers=7, inductance=5e-9,
+                          rise_time=rise,
+                          input_offsets=tuple(0.04 * k * rise for k in range(7)))
+
+
+def _bank_run(spec_factory):
+    from repro.analysis.driver_bank import build_driver_bank
+    from repro.analysis.simulate import default_stop_time, default_time_step
+
+    spec = spec_factory()
+    return build_driver_bank(spec), default_stop_time(spec), default_time_step(spec)
+
+
+def _ladder_run():
+    from repro.testing.netlists import ladder_circuit
+
+    return ladder_circuit(160), 0.5e-9, 0.02e-9
+
+
+class TestAccumulatedStamps:
+    """Device stamps accumulate on floats and land in one indexed write per
+    buffer; each accepted step commits and records in one element pass.
+    Both are checked at every iterate and step of full transients."""
+
+    @pytest.fixture
+    def iterates(self, monkeypatch):
+        """Every stamp_iterate checked against the base plus each device
+        stamped through a direct-write context at the same ``x``; returns
+        the number of iterates checked."""
+        checked = []
+        original = MnaSystem.stamp_iterate
+
+        def spy(self, ctx, x, xs=None):
+            A, z = original(self, ctx, x, xs)
+            ref_A, ref_z = self._base_A.copy(), self._base_z.copy()
+            ref = self.context(ctx.mode, ctx.t, ctx.dt, "trap" if ctx.trap else "be",
+                               ctx._states, x.copy(), ctx.gmin,
+                               buffers=(ref_A, ref_z))
+            for el in self.devices:
+                el.stamp_iterate(ref)
+            assert A.tobytes() == ref_A.tobytes()
+            assert z.tobytes() == ref_z.tobytes()
+            checked.append(None)
+            return A, z
+
+        monkeypatch.setattr(MnaSystem, "stamp_iterate", spy)
+        return checked
+
+    @pytest.fixture
+    def read_before_commit(self, monkeypatch):
+        """Per element name, ``current`` read at each accepted step's
+        context before the first commit of that step."""
+        from repro.spice.elements import Capacitor, Element, Inductor
+
+        read: dict[str, list] = {}
+        last = [None]
+
+        def wrap(original):
+            def spy(self, ctx):
+                if ctx is not last[0]:
+                    last[0] = ctx
+                    for el in ctx.system.circuit.elements:
+                        if hasattr(el, "current"):
+                            read.setdefault(el.name, []).append(el.current(ctx))
+                return original(self, ctx)
+            return spy
+
+        for cls in (Element, Capacitor, Inductor):
+            monkeypatch.setattr(cls, "commit", wrap(cls.__dict__["commit"]))
+        return read
+
+    @pytest.mark.parametrize("run", [
+        lambda: _bank_run(_collapsed_bank),
+        lambda: _bank_run(_explicit_bank),
+        lambda: _bank_run(_skewed_launch),
+        _ladder_run,
+    ], ids=["collapsed-bank", "explicit-bank-N13", "skewed-N7", "ladder160"])
+    def test_full_transient(self, iterates, read_before_commit, run):
+        from repro.spice.transient import transient
+
+        circuit, tstop, dt = run()
+        result = transient(circuit, tstop, dt)
+        assert len(iterates) == result.telemetry.newton_iterations > 0
+        steps = result.telemetry.accepted_steps
+        measured = [el.name for el in circuit.elements if hasattr(el, "current")]
+        assert sorted(read_before_commit) == sorted(measured)
+        for name in measured:
+            recorded = result.current(name).y[1:]
+            assert len(read_before_commit[name]) == steps
+            assert np.array(read_before_commit[name], dtype=float).tobytes() \
+                == recorded.tobytes(), name
