@@ -275,24 +275,21 @@ class MnaSystem:
         # The (mode, dt, method, gmin) _base_A was stamped for.
         self._base_key = None
         # The accumulated-stamp plan (see stamp_iterate): the unique flat
-        # positions the devices' iterate stamps write, matrix ones first;
-        # each device's ((slot, k), ...) matrix slots among them and each
-        # device node's right-hand-side slot.
+        # positions the devices' iterate stamps write, each device's
+        # ((slot, k), ...) matrix slots among them and each device node's
+        # right-hand-side slot.
         flat: dict[int, int] = {}
         self._slots = [
             tuple((flat.setdefault(r * n + c, len(flat)), k) for (r, c), k in el.entries)
             for el in self.devices]
-        self._matrix_pos = np.array(list(flat), dtype=np.intp)
         self._z_slot = [None] * circuit.num_nodes
         for el in self.devices:
             for node in el.nodes:
                 if node:
                     self._z_slot[node] = flat.setdefault(nn + node - 1, len(flat))
         self._pos = np.array(list(flat), dtype=np.intp)
-        self._rhs_pos = self._pos[len(self._matrix_pos):]
-        # The base's values there: the matrix part as of the last restamp,
-        # and the whole start of an iterate's accumulators.
-        self._acc_A0: list[float] = []
+        # The base's values there, read once per solve: the start of each
+        # iterate's accumulators.
         self._acc0: list[float] = []
         # Factor cache for linear-only circuits: key -> a solve callable
         # over the factors, plus a copy of the factored matrix guarding
@@ -368,9 +365,7 @@ class MnaSystem:
                                         buffers=(base_A, self._base_z)))
         self._base_key = key
         if self.devices:
-            if base_A is not None:
-                self._acc_A0 = self._base[self._matrix_pos].tolist()
-            self._acc0 = self._acc_A0 + self._base[self._rhs_pos].tolist()
+            self._acc0 = self._base[self._pos].tolist()
         ctx = self.context(mode, t, dt, method, states, x, gmin,
                            buffers=(self._work_A, self._work_z))
         ctx._z_slot = self._z_slot

@@ -473,37 +473,14 @@ class TestAcceptedPointMemo:
         assert other.calls == 1
 
 
-def _collapsed_bank():
-    from repro.analysis.driver_bank import DriverBankSpec
-    from repro.process import TSMC018
-
-    return DriverBankSpec(technology=TSMC018, n_drivers=8, inductance=5e-9,
-                          rise_time=0.5e-9, capacitance=2e-12)
-
-
-def _explicit_bank():
-    from repro.analysis.driver_bank import DriverBankSpec
-    from repro.process import TSMC018
-
-    return DriverBankSpec(technology=TSMC018, n_drivers=13, inductance=5e-9,
-                          rise_time=0.5e-9, collapse=False)
-
-
-def _skewed_launch():
-    from repro.analysis.driver_bank import DriverBankSpec
-    from repro.process import TSMC018
-
-    rise = 0.5e-9
-    return DriverBankSpec(technology=TSMC018, n_drivers=7, inductance=5e-9,
-                          rise_time=rise,
-                          input_offsets=tuple(0.04 * k * rise for k in range(7)))
-
-
-def _bank_run(spec_factory):
-    from repro.analysis.driver_bank import build_driver_bank
+def _bank_run(**fields):
+    """A driver bank's circuit with its default stop time and step."""
+    from repro.analysis.driver_bank import DriverBankSpec, build_driver_bank
     from repro.analysis.simulate import default_stop_time, default_time_step
+    from repro.process import TSMC018
 
-    spec = spec_factory()
+    spec = DriverBankSpec(technology=TSMC018, inductance=5e-9, rise_time=0.5e-9,
+                          **fields)
     return build_driver_bank(spec), default_stop_time(spec), default_time_step(spec)
 
 
@@ -514,15 +491,15 @@ def _ladder_run():
 
 
 class TestAccumulatedStamps:
-    """Device stamps accumulate on floats and land in one indexed write per
-    buffer; each accepted step commits and records in one element pass.
-    Both are checked at every iterate and step of full transients."""
+    """Device stamps accumulate on floats and land in one indexed write;
+    each accepted step commits and records in one element pass.  Both are
+    checked at every iterate and step of full transients."""
 
     @pytest.fixture
     def iterates(self, monkeypatch):
         """Every stamp_iterate checked against the base plus each device
         stamped through a direct-write context at the same ``x``; returns
-        the number of iterates checked."""
+        a list with one entry per iterate checked."""
         checked = []
         original = MnaSystem.stamp_iterate
 
@@ -566,9 +543,10 @@ class TestAccumulatedStamps:
         return read
 
     @pytest.mark.parametrize("run", [
-        lambda: _bank_run(_collapsed_bank),
-        lambda: _bank_run(_explicit_bank),
-        lambda: _bank_run(_skewed_launch),
+        lambda: _bank_run(n_drivers=8, capacitance=2e-12),
+        lambda: _bank_run(n_drivers=13, collapse=False),
+        lambda: _bank_run(n_drivers=7,
+                          input_offsets=tuple(0.02e-9 * k for k in range(7))),
         _ladder_run,
     ], ids=["collapsed-bank", "explicit-bank-N13", "skewed-N7", "ladder160"])
     def test_full_transient(self, iterates, read_before_commit, run):
