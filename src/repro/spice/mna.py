@@ -176,9 +176,10 @@ class StampContext:
         :class:`~repro.spice.mosfet.MosfetElement`).  Repeated pairs
         accumulate in list order, as the same writes one at a time would.
         Inside an accumulated pass the present device's planned slots
-        stand for ``entries`` and the sums stay Python floats, added in
-        numpy's ``a += v`` operand order (``v + a``: which NaN survives a
-        NaN + NaN, IEEE 754 leaves to the operand order).
+        stand for ``entries`` and the sums stay Python floats, written
+        ``v + a``: numpy's scalar ``a += v`` keeps ``v``'s NaN when both
+        operands are NaN, and IEEE 754 leaves that choice to the operand
+        order.
         """
         acc = self._acc
         if acc is not None:
