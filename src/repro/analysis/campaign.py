@@ -32,10 +32,11 @@ sequence of *chunks* with four guarantees:
    ``degradations``, ``chunks_failed``, ``checkpoint_writes``), so
    harnesses assert exact recovery behavior instead of mere survival.
 
-Worker crashes below the chunk level are absorbed one layer down:
-:func:`repro.analysis.parallel.parallel_map` respawns a broken process
-pool once and then recomputes serially, so a killed worker costs a
-``degradations`` tick, not the campaign.
+A killed pool worker is an ordinary chunk-attempt failure: the broken
+pool's error, which :func:`repro.analysis.parallel.parallel_map`
+propagates unchanged, fails the bulk attempt.  That counts in
+``retries`` and, once the chunk's budget is spent, in ``chunks_failed``
+before its instances recover in-process.
 
 Every failure path here is exercised by tests through the deterministic
 fault injector (:mod:`repro.testing.faults`) rather than trusted.
@@ -184,12 +185,14 @@ def _record_telemetry(rec: dict) -> SolverTelemetry | None:
 def _instance_record(payload: tuple) -> dict:
     """Simulate one instance and summarize it (module-level: picklable).
 
-    Publishes ``task``/``engine`` fault scope, runs the ``task`` probe (the
-    injector's stall fault sleeps here) and enforces the per-task deadline
-    on the attempt's wall clock.
+    Publishes ``task``/``engine`` fault scope, runs the ``worker`` probe
+    (the injector kills a pool worker here) and the ``task`` probe (its
+    stall fault sleeps here), and enforces the per-task deadline on the
+    attempt's wall clock.
     """
     index, spec, rung, deadline, options = payload
     with faults.scope(task=index, engine=rung):
+        faults.probe("worker")
         start = time.perf_counter()
         with trace.span("task", index=index, engine=rung):
             faults.probe("task")
@@ -289,8 +292,7 @@ class CampaignRunner:
             time.sleep(min(cfg.backoff_cap, cfg.backoff_base * (2.0 ** attempt)))
 
     def _bulk(self, indices: Sequence[int], specs: Sequence[DriverBankSpec],
-              rung: str, tally: SolverTelemetry,
-              options: TransientOptions | None = None) -> list[dict]:
+              rung: str, options: TransientOptions | None = None) -> list[dict]:
         """One whole-chunk execution attempt at one engine rung."""
         faults.probe("engine")
         cfg = self.config
@@ -302,7 +304,7 @@ class CampaignRunner:
         payloads = [(i, spec, rung, cfg.deadline, options)
                     for i, spec in zip(indices, specs)]
         return parallel_map(_instance_record, payloads,
-                            max_workers=cfg.max_workers, telemetry=tally)
+                            max_workers=cfg.max_workers)
 
     def _recover_instance(self, ci: int, index: int, spec: DriverBankSpec,
                           rung0: str, tally: SolverTelemetry,
@@ -354,7 +356,7 @@ class CampaignRunner:
         for attempt in range(1 + cfg.max_retries):
             with faults.scope(chunk=ci, attempt=attempt, phase="bulk", engine=rung0):
                 try:
-                    records = self._bulk(indices, specs, rung0, tally, options)
+                    records = self._bulk(indices, specs, rung0, options)
                     break
                 except Exception:
                     chunk_sp.add_event("bulk_attempt_failed", attempt=attempt)

@@ -2,26 +2,27 @@
 
 Sweep points and Monte Carlo trials are independent, so the experiment
 layer fans them out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-while keeping four invariants:
+while keeping three invariants:
 
 * **Deterministic ordering** — results come back in submission order
   (``Executor.map``), so parallel runs are element-for-element identical
   to serial runs.
-* **Graceful serial fallback** — ``max_workers=1`` (the default) never
-  touches multiprocessing; a pool that cannot be *created* (sandboxed
-  environments, unpicklable payloads) silently computes the work
-  in-process; and a pool that *breaks* mid-flight (a worker process
-  killed by the OOM killer, a segfaulting extension, an injected crash)
-  is respawned once and, if it breaks again, the map is recomputed
-  serially with a :class:`RuntimeWarning` and a telemetry degradation
-  flag — a crashed worker never loses the campaign.
 * **Configurable worker count** — pass ``max_workers`` explicitly or set
-  the ``REPRO_MAX_WORKERS`` environment variable; ``0``/``None`` means
-  "one worker per CPU".
+  the ``REPRO_MAX_WORKERS`` environment variable; ``0`` means "one
+  worker per CPU".  One worker (the default) never touches
+  multiprocessing.
 * **Exactly-once observability** — each worker task returns its result
   plus one envelope of whatever the parent's collectors (spans, metrics,
   events, session telemetry) recorded in the worker, and the map adopts
-  it in one step; a broken attempt's envelopes are discarded with it.
+  the envelopes only once every task has returned, so a map that raises
+  adopts nothing.
+
+The pool only fans out; it recovers nothing.  Whatever it raises — an
+exception from the mapped function, an unpicklable payload, the broken
+pool's error after a worker is killed — propagates once and unchanged.
+Recovery belongs to the caller: :class:`repro.analysis.campaign.CampaignRunner`
+retries the failed chunk and then recovers its instances serially on the
+scalar engine.
 
 Worker functions must be module-level (picklable) and their arguments
 pickle-round-trippable; the frozen spec dataclasses used by the sweep and
@@ -31,28 +32,21 @@ Monte Carlo layers satisfy both.
 from __future__ import annotations
 
 import os
-import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..observability import events as obs_events
 from ..observability import metrics as obs_metrics
 from ..observability import trace
-from ..spice.telemetry import (SolverTelemetry, disable_session_telemetry,
-                               enable_session_telemetry, record_session,
-                               session_telemetry)
-from ..testing import faults
+from ..spice.telemetry import (disable_session_telemetry,
+                               enable_session_telemetry, session_telemetry)
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: Environment variable consulted when ``max_workers`` is not passed.
 WORKERS_ENV = "REPRO_MAX_WORKERS"
-
-#: Broken-pool respawns attempted before degrading to the serial path.
-POOL_RESPAWNS = 1
 
 
 def resolve_workers(max_workers: int | None = None) -> int:
@@ -114,11 +108,8 @@ def _observability_config() -> tuple | None:
 def _pool_invoke(
     payload: tuple[Callable[[T], R], int, T, tuple | None]
 ) -> tuple[R, dict | None]:
-    """Worker-side shim: publish the task index as fault scope, then call.
-
-    Module-level (picklable) on purpose.  The ``worker`` probe is what lets
-    the fault injector kill this specific worker process deterministically;
-    with no fault plan installed it is a no-op.
+    """Worker-side shim: call ``fn`` under fresh collectors.  Module-level
+    (picklable) on purpose.
 
     Returns ``(result, envelope)``: the envelope is None when the parent
     runs no collector, else a dict of the ``spans``, ``metrics``,
@@ -128,41 +119,39 @@ def _pool_invoke(
     task, so a fork-inherited memo hit records nothing.
     """
     fn, index, item, obs_cfg = payload
-    with faults.scope(task=index):
-        faults.probe("worker")
-        if obs_cfg is None:
-            return fn(item), None
-        trace_cfg, want_metrics, events_cfg, want_session = obs_cfg
-        if trace_cfg is not None:
-            # Offset the sampling seed per task so head-based sampling
-            # draws independently across the fleet, yet deterministically
-            # for any worker count and dispatch order.  The per-task id
-            # prefix keeps span ids globally unique even when one worker
-            # process serves several tasks (each task re-creates the
-            # tracer, restarting its id counter).
-            cfg = dict(trace_cfg)
-            cfg["seed"] = cfg.get("seed", 0) * 1_000_003 + index + 1
-            cfg["id_prefix"] = f"{os.getpid():x}t{index:x}"
-            trace.enable_tracing(**cfg)
-        if want_metrics:
-            obs_metrics.enable_metrics()
-        if events_cfg is not None:
-            obs_events.enable_events(**events_cfg)
-        if want_session:
-            enable_session_telemetry()
-        try:
-            result = fn(item)
-            return result, {
-                "spans": trace.snapshot_spans(),
-                "metrics": obs_metrics.snapshot_metrics(),
-                "events": obs_events.snapshot_events(),
-                "session": session_telemetry(),
-            }
-        finally:
-            trace.disable_tracing()
-            obs_metrics.disable_metrics()
-            obs_events.disable_events()
-            disable_session_telemetry()
+    if obs_cfg is None:
+        return fn(item), None
+    trace_cfg, want_metrics, events_cfg, want_session = obs_cfg
+    if trace_cfg is not None:
+        # Offset the sampling seed per task so head-based sampling
+        # draws independently across the fleet, yet deterministically
+        # for any worker count and dispatch order.  The per-task id
+        # prefix keeps span ids globally unique even when one worker
+        # process serves several tasks (each task re-creates the
+        # tracer, restarting its id counter).
+        cfg = dict(trace_cfg)
+        cfg["seed"] = cfg.get("seed", 0) * 1_000_003 + index + 1
+        cfg["id_prefix"] = f"{os.getpid():x}t{index:x}"
+        trace.enable_tracing(**cfg)
+    if want_metrics:
+        obs_metrics.enable_metrics()
+    if events_cfg is not None:
+        obs_events.enable_events(**events_cfg)
+    if want_session:
+        enable_session_telemetry()
+    try:
+        result = fn(item)
+        return result, {
+            "spans": trace.snapshot_spans(),
+            "metrics": obs_metrics.snapshot_metrics(),
+            "events": obs_events.snapshot_events(),
+            "session": session_telemetry(),
+        }
+    finally:
+        trace.disable_tracing()
+        obs_metrics.disable_metrics()
+        obs_events.disable_events()
+        disable_session_telemetry()
 
 
 def _adopt(envelope: dict | None, parent_id: str | None) -> None:
@@ -189,68 +178,33 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     max_workers: int | None = None,
-    telemetry: SolverTelemetry | None = None,
 ) -> list[R]:
     """Order-preserving map over ``items``, optionally across processes.
 
     With one worker (or one item) this is a plain list comprehension —
     zero multiprocessing machinery.  Otherwise the items are dispatched to
-    a process pool; results return in input order.  If the pool cannot be
-    created it is skipped silently.  Exceptions raised by ``fn`` itself
-    propagate unchanged in both modes.
-
-    A :class:`~concurrent.futures.process.BrokenProcessPool` (a worker
-    process died — OOM kill, segfault, injected crash) is retried on a
-    fresh pool ``POOL_RESPAWNS`` times; if the pool keeps breaking the map
-    is recomputed serially with a ``RuntimeWarning`` and a ``degradations``
-    tick on ``telemetry`` (else on the session aggregator, if enabled),
-    never an exception: completed campaigns must survive crashed workers.
+    a process pool; results return in input order.  Anything the map
+    raises — from ``fn``, from pickling, or the broken pool's error when
+    a worker dies — propagates once and unchanged; no item is ever run
+    twice.
 
     Worker envelopes (see :func:`_pool_invoke`) are adopted into this
     process, so every task is observed exactly once whichever process ran
     it.  The ``parallel_map`` span's ``used_pool`` attribute records
-    whether the results came from workers.
+    whether the items were dispatched to workers.
     """
     work: Sequence[T] = list(items)
     workers = resolve_workers(max_workers)
-    with trace.span("parallel_map", items=len(work), workers=workers) as sp:
-        if workers <= 1 or len(work) <= 1:
-            sp.set_attribute("used_pool", False)
+    use_pool = workers > 1 and len(work) > 1
+    with trace.span("parallel_map", items=len(work), workers=workers,
+                    used_pool=use_pool):
+        if not use_pool:
             return [fn(item) for item in work]
         obs_cfg = _observability_config()
         payloads = [(fn, i, item, obs_cfg) for i, item in enumerate(work)]
-        for _ in range(1 + POOL_RESPAWNS):
-            try:
-                with ProcessPoolExecutor(max_workers=min(workers, len(work))) as pool:
-                    outs = list(pool.map(_pool_invoke, payloads))
-            except BrokenProcessPool:
-                # A worker died mid-map.  Results from pure fns are
-                # deterministic, so re-running the full map (fresh pool, then
-                # serially) reproduces exactly what an unbroken run returns.
-                # The dead attempt's envelopes die with its results.
-                sp.add_event("broken_process_pool")
-                continue
-            except (OSError, pickle.PicklingError, TypeError):
-                # Pool unavailable (sandbox/fork limits) or payload unpicklable:
-                # degrade to the serial path rather than failing the experiment.
-                sp.set_attribute("used_pool", False)
-                return [fn(item) for item in work]
-            parent_id = trace.current_span_id()
-            for _, envelope in outs:
-                _adopt(envelope, parent_id)
-            sp.set_attribute("used_pool", True)
-            return [result for result, _ in outs]
-        warnings.warn(
-            "process pool broke; recomputing the map serially",
-            RuntimeWarning, stacklevel=2,
-        )
-        if telemetry is not None:
-            # The caller owns folding this record into the session aggregator;
-            # recording here too would double count.
-            telemetry.degradations += 1
-        else:
-            record_session(SolverTelemetry(degradations=1))
-        obs_events.emit("pool_degraded", items=len(work))
-        sp.add_event("pool_degraded_to_serial")
-        sp.set_attribute("used_pool", False)
-        return [fn(item) for item in work]
+        with ProcessPoolExecutor(max_workers=min(workers, len(work))) as pool:
+            outs = list(pool.map(_pool_invoke, payloads))
+        parent_id = trace.current_span_id()
+        for _, envelope in outs:
+            _adopt(envelope, parent_id)
+        return [result for result, _ in outs]

@@ -94,11 +94,8 @@ class SolverTelemetry:
             rung after a backoff (see ``repro.analysis.campaign``); distinct
             from ``step_retries``, which counts time-step halvings inside
             one transient run.
-        degradations: execution-path downgrades taken to keep a workload
-            alive: a campaign instance recovering on the scalar engine
-            after its chunk failed on the batch engine, or a
-            broken process pool falling back to the serial path
-            (:func:`repro.analysis.parallel.parallel_map`).
+        degradations: campaign instances recovered on the scalar engine
+            after their chunk failed on the batch engine.
         chunks_failed: campaign chunks whose bulk execution exhausted its
             retry budget and entered per-instance recovery; a chunk that
             ultimately recovers still counts here (``unrecovered_failures``

@@ -1,9 +1,9 @@
 """Deterministic, scoped fault injection for the recovery-path test suite.
 
 Every recovery path in the campaign runner — step-halving inside a
-transient, per-chunk retries, the batch -> scalar engine ladder,
-broken-process-pool fallback, checkpoint/resume after an interrupt — must
-be *exercised*, not trusted.  This module plants cheap probes at the
+transient, per-chunk retries (a killed pool worker among their causes),
+the batch -> scalar engine ladder, checkpoint/resume after an interrupt —
+must be *exercised*, not trusted.  This module plants cheap probes at the
 engine's failure-sensitive sites; with no plan installed (the production
 default) every probe is a handful of nanoseconds and a ``None`` check.
 
@@ -22,8 +22,9 @@ Kinds and the sites they fire at:
 kind            probe site    effect when fired
 ==============  ============  ====================================================
 ``newton``      ``newton``    the Newton solver raises ``ConvergenceError``
-``worker``      ``worker``    a pool worker process dies (``os._exit``); no-op
-                              outside a worker so serial fallbacks recover
+``worker``      ``worker``    a pool worker process dies (``os._exit``) before
+                              a campaign instance runs; no-op outside a worker,
+                              so in-process instance recovery is never killed
 ``stall``       ``task``      sleeps ``seconds`` so a task misses its deadline
 ``interrupt``   ``chunk``     raises ``KeyboardInterrupt`` (SIGINT semantics)
 ``crash-write`` ``checkpoint``raises :class:`InjectedCrash` mid checkpoint write
@@ -37,10 +38,9 @@ Spec strings are compact and shell-friendly, e.g.::
     install_faults("stall:task=2:seconds=0.05:engine=scalar")
     install_faults("interrupt:chunk=2:at=0")
 
-The campaign runner (and the parallel-map worker shim) publish the current
-scope with the :func:`scope` context manager; scope is carried in a
-contextvar, so it nests naturally and forks into pool workers on
-fork-start platforms.
+The campaign runner publishes the current scope with the :func:`scope`
+context manager; scope is carried in a contextvar, so it nests naturally
+and forks into pool workers on fork-start platforms.
 """
 
 from __future__ import annotations
@@ -282,9 +282,10 @@ def probe(site: str) -> None:
     """Fire-and-act probe for one site (no-op when nothing matches).
 
     Effects by kind: ``worker`` hard-kills the current *pool worker*
-    process (a no-op in the main process, so serial fallbacks always
-    recover); ``stall`` sleeps; ``interrupt`` raises ``KeyboardInterrupt``;
-    ``crash-write`` raises :class:`InjectedCrash`; ``engine`` raises
+    process, breaking its pool (a no-op in the main process, so the
+    campaign's in-process instance recovery is never killed); ``stall``
+    sleeps; ``interrupt`` raises ``KeyboardInterrupt``; ``crash-write``
+    raises :class:`InjectedCrash`; ``engine`` raises
     :class:`InjectedFault`.
     """
     rule = fire(site)

@@ -1,8 +1,8 @@
 """Failure-path tests driven by the deterministic fault injector.
 
 Every recovery mechanism is exercised, not trusted: injected Newton
-divergence walks the retry ladder, killed pool workers degrade to the
-serial path, stalls trip the per-task deadline, a crash mid checkpoint
+divergence walks the retry ladder, a killed pool worker fails its chunk
+attempt like any other fault, stalls trip the per-task deadline, a crash mid checkpoint
 write leaves the previous journal intact, and an injected interrupt plus
 ``resume=True`` reproduces the uninterrupted run bit for bit.  Telemetry
 must report the *exact* injected counts — recovery that cannot be audited
@@ -11,7 +11,6 @@ is indistinguishable from silent corruption.
 
 import dataclasses
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -106,19 +105,53 @@ class TestRecoveryLadder:
         assert tel.degradations == 0  # recovered on the same scalar rung
         assert tel.unrecovered_failures == 0
 
-    def test_worker_crash_degrades_to_serial(self, tech018):
+    def test_worker_crash_is_a_chunk_failure(self, tech018):
+        """A worker killed on every bulk attempt breaks the pool each time;
+        the chunk spends its retries, then recovers in-process."""
         specs = _specs(tech018, [1, 2, 3, 4])
         clean = [s.peak_voltage for s in simulate_many(specs, engine="scalar")]
         faults.install_faults("worker:chunk=0:task=0")
         runner = CampaignRunner(_config(chunk_size=4, max_workers=2))
-        with pytest.warns(RuntimeWarning, match="process pool broke"):
-            summaries = runner.run_simulate(specs)
+        summaries = runner.run_simulate(specs)
         faults.clear_faults()
 
         assert [s.peak_voltage for s in summaries] == clean
-        assert runner.telemetry.degradations == 1
-        assert runner.telemetry.chunks_failed == 0  # the chunk still succeeded
-        assert runner.telemetry.unrecovered_failures == 0
+        tel = runner.telemetry
+        assert tel.retries == runner.config.max_retries
+        assert tel.chunks_failed == 1
+        assert tel.degradations == 0
+        assert tel.unrecovered_failures == 0
+
+    def test_worker_crash_on_one_attempt_is_retried(self, tech018):
+        specs = _specs(tech018, [1, 2, 3, 4])
+        clean = [s.peak_voltage for s in simulate_many(specs, engine="scalar")]
+        faults.install_faults("worker:task=0:attempts=0")
+        runner = CampaignRunner(_config(chunk_size=4, max_workers=2))
+        summaries = runner.run_simulate(specs)
+        faults.clear_faults()
+
+        assert [s.peak_voltage for s in summaries] == clean
+        assert runner.telemetry.retries == 1  # a fresh pool lands the chunk
+        assert runner.telemetry.chunks_failed == 0
+
+    def test_worker_task_selector_is_the_instance_index(self, tech018, tmp_path):
+        """``task`` means the campaign instance for every fault kind, so
+        ``worker:task=3`` kills instance 3: chunk 1, and only chunk 1,
+        retries."""
+        specs = _specs(tech018, [1, 2, 3, 4])
+        ckpt = tmp_path / "run.jsonl"
+        faults.install_faults("worker:task=3")
+        runner = CampaignRunner(
+            _config(checkpoint=ckpt, chunk_size=2, max_workers=2))
+        runner.run_simulate(specs)
+        faults.clear_faults()
+
+        entries = [json.loads(line) for line in ckpt.read_text().splitlines()[1:]]
+        per_chunk = {e["chunk"]: e["campaign"] for e in entries}
+        assert per_chunk[0] == {"retries": 0, "degradations": 0,
+                                "chunks_failed": 0}
+        assert per_chunk[1] == {"retries": runner.config.max_retries,
+                                "degradations": 0, "chunks_failed": 1}
 
     def test_stall_past_deadline_is_retried(self, tech018):
         specs = _specs(tech018, [1, 2])
@@ -241,7 +274,7 @@ class TestCrashAndResume:
         assert [s.peak_voltage for s in resumed] == clean
 
     def test_determinism_under_compound_failure(self, tech018, tmp_path):
-        """The acceptance gate: one worker crash, one injected Newton
+        """The acceptance gate: a repeated worker crash, one injected Newton
         divergence and one mid-run interrupt+resume — and the final
         SweepResult arrays are bit-identical to a clean serial run, with
         telemetry reporting the exact injected counts."""
@@ -254,7 +287,7 @@ class TestCrashAndResume:
 
         ckpt = tmp_path / "sweep.jsonl"
         faults.install_faults(
-            "worker:chunk=0:task=0,"       # breaks the pool twice -> serial
+            "worker:chunk=0:task=0,"       # exhausts chunk 0's bulk budget
             "newton:chunk=1:phase=bulk,"   # exhausts chunk 1's bulk budget
             "interrupt:chunk=2:at=0"       # SIGINT before chunk 2 runs
         )
@@ -263,10 +296,8 @@ class TestCrashAndResume:
             checkpoint=ckpt, chunk_size=2, max_retries=2, backoff_base=0.0,
             max_workers=2, engine="scalar",
         ))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(KeyboardInterrupt):
-                first.run_sweep("n_drivers", base, values, apply, estimators)
+        with pytest.raises(KeyboardInterrupt):
+            first.run_sweep("n_drivers", base, values, apply, estimators)
 
         second = CampaignRunner(CampaignConfig(
             checkpoint=ckpt, chunk_size=2, max_retries=2, backoff_base=0.0,
@@ -287,7 +318,7 @@ class TestCrashAndResume:
         # Exact injected counts, reconstructed across the interrupt via the
         # journal's per-chunk campaign counters.
         tel = second.telemetry
-        assert tel.retries == 2          # chunk 1's two bulk re-attempts
-        assert tel.degradations == 1     # chunk 0's pool -> serial fallback
-        assert tel.chunks_failed == 1    # chunk 1 entered instance recovery
+        assert tel.retries == 4          # two bulk re-attempts each, chunks 0, 1
+        assert tel.degradations == 0     # both recovered on the scalar rung
+        assert tel.chunks_failed == 2    # chunks 0, 1 entered instance recovery
         assert tel.unrecovered_failures == 0

@@ -5,15 +5,19 @@ append durability under the ``crash-write`` fault probe, size-triggered
 atomic rotation, the journal-file readers behind ``repro events``) and
 the cross-process guarantee: pool workers journal to memory only, their
 events ride back with the results and fold into the parent's journal
-exactly once — including when a broken pool is respawned and the map
-finally degrades to serial.
+exactly once — including when a killed worker fails a campaign chunk
+attempt and the chunk lands on a fresh pool or recovers in-process.
 """
 
 import json
 
 import pytest
 
+from repro.analysis import campaign as campaign_module
+from repro.analysis.campaign import CampaignRunner
+from repro.analysis.driver_bank import DriverBankSpec
 from repro.analysis.parallel import parallel_map
+from repro.analysis.simulate import simulate_ssn_cached
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
 from repro.observability import trace
@@ -239,24 +243,40 @@ class TestPoolStitching:
         for seqs in by_pid.values():
             assert seqs == sorted(seqs)
 
-    def test_respawn_then_serial_keeps_events_exactly_once(self, tmp_path):
-        """A worker killed on task 0 breaks the pool on every attempt; the
-        map degrades to serial.  Events from the dead attempts die with
-        their results, so each task's event still lands exactly once —
-        now emitted in-process — plus one pool_degraded marker."""
-        faults.install_faults("worker:task=0")
+    @pytest.mark.parametrize("plan, failed_attempts, in_pool", [
+        ("worker:task=0:attempts=0", 1, True),  # a fresh pool lands it
+        ("worker:task=0", 3, False),            # in-process recovery
+    ], ids=["retried_pool", "recovered_in_process"])
+    def test_killed_worker_keeps_events_exactly_once(
+            self, tmp_path, monkeypatch, tech018, plan, failed_attempts,
+            in_pool):
+        """A worker killed on instance 0 fails the chunk's bulk attempt.
+        Events from the dead attempts die with their results, so each
+        instance's event lands exactly once, from whichever process ran
+        the attempt that landed, next to one ``chunk_retry`` per failed
+        attempt."""
+        monkeypatch.setattr(campaign_module, "simulate_ssn_cached",
+                            _emitting_simulate)
+        specs = [DriverBankSpec(technology=tech018, n_drivers=n,
+                                inductance=1e-9, rise_time=0.5e-9)
+                 for n in (1, 2, 3, 4)]
+        faults.install_faults(plan)
         path = tmp_path / "events.jsonl"
         journal = obs_events.enable_events(path)
-        with pytest.warns(RuntimeWarning, match="process pool broke"):
-            results = parallel_map(_emitting_double, range(4), max_workers=2)
-        assert results == [0, 2, 4, 6]
+        CampaignRunner(max_workers=2, engine="scalar", backoff_base=0.0,
+                       max_retries=2).run_specs(specs)
 
+        names = [e["name"] for e in journal.events()]
+        assert names.count("chunk_retry") == failed_attempts
+        assert names.count("chunk_degraded") == (not in_pool)
         work = [e for e in journal.events() if e["name"] == "work_event"]
-        assert sorted(e["attributes"]["index"] for e in work) == [0, 1, 2, 3]
-        assert all(e["pid"] == journal._pid for e in work)  # serial re-run
-        degraded = [e for e in journal.events()
-                    if e["name"] == "pool_degraded"]
-        assert len(degraded) == 1
+        assert sorted(e["attributes"]["n"] for e in work) == [1, 2, 3, 4]
+        assert all((e["pid"] != journal._pid) == in_pool for e in work)
         on_disk = [e for e in read_journal(path) if e["name"] == "work_event"]
-        assert sorted(e["attributes"]["index"] for e in on_disk) == \
-            [0, 1, 2, 3]
+        assert sorted(e["attributes"]["n"] for e in on_disk) == [1, 2, 3, 4]
+
+
+def _emitting_simulate(spec, **kwargs):
+    """Picklable ``simulate_ssn_cached`` that journals one event per run."""
+    obs_events.emit("work_event", n=spec.n_drivers)
+    return simulate_ssn_cached(spec, **kwargs)

@@ -5,20 +5,29 @@ aggregator; one envelope ships what they recorded back with each result,
 and the parent adopts it (spans re-parent under the dispatching
 ``parallel_map`` span).  The exactly-once guarantee is the point under
 test: every task appears in the stitched trace, and every run in the
-session telemetry, once — when it ran in a pool worker, when the pool broke
-and was respawned, and when the map finally degraded to the serial path.
+session telemetry, once — when it ran in a pool worker, and when a killed
+worker broke the pool and the campaign recovered the chunk in-process.  A
+broken pool outside a campaign raises, and the dead attempt records
+nothing.
 """
+
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.analysis import simulate as simulate_module
 from repro.analysis.campaign import CampaignRunner
 from repro.analysis.driver_bank import DriverBankSpec
 from repro.analysis.parallel import _observability_config, _pool_invoke, parallel_map
-from repro.analysis.simulate import simulate_many, simulate_ssn_cache_clear
+from repro.analysis.simulate import (simulate_many, simulate_ssn_cache_clear,
+                                     simulate_ssn_cached)
 from repro.observability import metrics as obs_metrics
 from repro.observability import trace
 from repro.observability.export import to_prometheus_text
-from repro.spice.telemetry import disable_session_telemetry, enable_session_telemetry
+from repro.spice.telemetry import (SolverTelemetry, disable_session_telemetry,
+                                   enable_session_telemetry)
 from repro.testing import faults
 
 
@@ -97,38 +106,46 @@ class TestPoolStitching:
 
 
 class TestBrokenPoolStitching:
-    def test_respawn_then_serial_keeps_spans_exactly_once(self):
-        """A worker killed on task 0 breaks the pool on every attempt; the
-        map degrades to serial.  Spans from the dead attempts die with
-        their results, so each task still appears exactly once — now
-        parented directly under the parallel_map span, with the breakage
-        recorded as span events."""
+    def test_killed_worker_keeps_task_spans_exactly_once(self, specs):
+        """A worker killed on instance 0 breaks the pool on every bulk
+        attempt; the chunk recovers its instances in-process.  Spans from
+        the dead attempts die with their results, so each task still
+        appears exactly once — parented under the chunk span, with the
+        failed attempts recorded as span events."""
         faults.install_faults("worker:task=0")
         tracer = trace.enable_tracing()
         registry = obs_metrics.enable_metrics()
-        with pytest.warns(RuntimeWarning, match="process pool broke"):
-            results = parallel_map(_traced_double, range(4), max_workers=2)
-        assert results == [0, 2, 4, 6]
+        runner = CampaignRunner(max_workers=2, engine="scalar",
+                                backoff_base=0.0, max_retries=1)
+        runner.run_specs(specs)
 
         by_name = _span_index(tracer)
-        (pm,) = by_name["parallel_map"]
-        assert pm.attributes["used_pool"] is False
-        event_names = [ev["name"] for ev in pm.events]
-        assert event_names.count("broken_process_pool") >= 1
-        assert event_names.count("pool_degraded_to_serial") == 1
+        (chunk,) = by_name["chunk"]
+        maps = by_name["parallel_map"]
+        assert len(maps) == 2  # one per bulk attempt
+        assert all(pm.attributes["used_pool"] is True for pm in maps)
+        assert [ev["name"] for ev in chunk.events] == [
+            "bulk_attempt_failed", "bulk_attempt_failed",
+            "per_instance_recovery"]
 
-        tasks = by_name["work_task"]
-        assert sorted(sp.attributes["index"] for sp in tasks) == [0, 1, 2, 3]
-        # Serial recompute ran in this process, inside the map span.
-        assert all(sp.parent_id == pm.span_id for sp in tasks)
-        parent_prefix = pm.span_id.split(".", 1)[0]
+        tasks = by_name["task"]
+        assert sorted(sp.attributes["index"] for sp in tasks) == [0, 1, 2]
+        # Recovery ran in this process, directly inside the chunk span.
+        assert all(sp.parent_id == chunk.span_id for sp in tasks)
+        parent_prefix = chunk.span_id.split(".", 1)[0]
         assert all(
             sp.span_id.split(".", 1)[0] == parent_prefix for sp in tasks
         )
-        assert len(by_name["work_inner"]) == 4
+        transients = by_name["transient"]
+        assert len(transients) == 3
+        task_ids = {sp.span_id for sp in tasks}
+        assert all(sp.parent_id in task_ids for sp in transients)
+        all_ids = [sp.span_id for sp in tracer.spans]
+        assert len(all_ids) == len(set(all_ids))
 
-        assert registry.get("repro_test_tasks_total").value == 4
-        assert registry.get("repro_degradations_total").value == 1
+        assert registry.get("repro_retries_total").value == 1
+        assert registry.get("repro_chunks_failed_total").value == 1
+        assert registry.get("repro_degradations_total") is None
 
 
 def _run_simulate_many(specs, workers):
@@ -179,16 +196,6 @@ class TestSessionExactlyOnce:
         assert serial["newton_solves"] > 0
         assert _session_counts(run, specs, 2) == serial
 
-    def test_broken_pool_counts_each_instance_once(self, run, specs):
-        """The pool breaks on every attempt and the map degrades to serial:
-        the dead attempts' envelopes are discarded, so each instance is
-        counted once (by the serial recompute) plus one degradation."""
-        expected = _session_counts(run, specs, 1)
-        expected["degradations"] += 1
-        faults.install_faults("worker:task=0")
-        with pytest.warns(RuntimeWarning, match="process pool broke"):
-            assert _session_counts(run, specs, 2) == expected
-
 
 @pytest.mark.parametrize("run", [_run_simulate_many, _run_campaign],
                          ids=["simulate_many", "campaign"])
@@ -201,14 +208,52 @@ class TestMetricsExactlyOnce:
         assert "repro_newton_iterations_per_solve_count 3" in serial
         assert _metric_lines(run, specs, 2) == serial
 
-    def test_broken_pool_counts_one_degradation(self, run, specs):
-        serial = _metric_lines(run, specs, 1)
+
+#: Campaign counters a worker killed on every bulk attempt adds to a clean
+#: run (default ``max_retries=2``: both re-attempts, then one chunk recovery).
+_KILLED_WORKER_COUNTS = {"retries": 2, "chunks_failed": 1}
+
+
+class TestBrokenPoolExactlyOnce:
+    """A killed worker is a chunk failure: the campaign's session and
+    metrics equal the serial run's plus the exact recovery counters."""
+
+    def test_campaign_session_counts_each_instance_once(self, specs):
+        expected = _session_counts(_run_campaign, specs, 1)
+        for name, count in _KILLED_WORKER_COUNTS.items():
+            expected[name] += count
         faults.install_faults("worker:task=0")
-        with pytest.warns(RuntimeWarning, match="process pool broke"):
-            broken = _metric_lines(run, specs, 2)
-        assert "repro_degradations_total 1.0" in broken
+        assert _session_counts(_run_campaign, specs, 2) == expected
+
+    def test_campaign_metrics_count_the_chunk_failure(self, specs):
+        serial = _metric_lines(_run_campaign, specs, 1)
+        faults.install_faults("worker:task=0")
+        broken = _metric_lines(_run_campaign, specs, 2)
+        names = [f"repro_{name}_total" for name in _KILLED_WORKER_COUNTS]
+        for name, count in _KILLED_WORKER_COUNTS.items():
+            assert f"repro_{name}_total {float(count)}" in broken
         assert [line for line in broken
-                if "repro_degradations_total" not in line] == serial
+                if not any(name in line for name in names)] == serial
+
+    def test_simulate_many_raises_and_records_nothing(self, specs,
+                                                      monkeypatch):
+        """Outside a campaign nothing recovers: the broken pool raises, and
+        the tasks that finished in the dead pool are not counted."""
+        monkeypatch.setattr(simulate_module, "simulate_ssn_cached",
+                            _simulate_or_die_on_two)
+        session = enable_session_telemetry()
+        registry = obs_metrics.enable_metrics()
+        with pytest.raises(BrokenProcessPool):
+            simulate_many(specs, max_workers=2, engine="scalar")
+        assert session.as_dict() == SolverTelemetry().as_dict()
+        assert registry.get("repro_newton_solves_total") is None
+
+
+def _simulate_or_die_on_two(spec, **kwargs):
+    """Picklable ``simulate_ssn_cached`` whose pool worker dies on N = 2."""
+    if spec.n_drivers == 2 and multiprocessing.parent_process() is not None:
+        os._exit(13)
+    return simulate_ssn_cached(spec, **kwargs)
 
 
 def test_batch_and_scalar_export_the_same_newton_series(tech018):

@@ -10,6 +10,7 @@ layer must return results identical to the serial path, in the same order.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -139,6 +140,16 @@ class TestParallelDeterminism:
         items = list(range(24))
         assert parallel_map(_square, items, max_workers=4) == [i * i for i in items]
 
+    def test_parallel_map_raises_a_worker_exception_once(self, tmp_path):
+        # No item is recomputed in the parent after a worker raises.
+        log = tmp_path / "calls.log"
+        with pytest.raises(TypeError, match="item 1"):
+            parallel_map(functools.partial(_log_and_fail_on_one, str(log)),
+                         range(4), max_workers=2)
+        calls = [int(line) for line in log.read_text().split()]
+        assert 1 in calls
+        assert len(calls) == len(set(calls))
+
     def test_serial_fallback_when_single_worker(self):
         # Unpicklable closures are fine at max_workers=1 (no pool involved).
         assert parallel_map(lambda v: v + 1, [1, 2, 3], max_workers=1) == [2, 3, 4]
@@ -170,3 +181,10 @@ class TestParallelDeterminism:
 def _square(v):
     return v * v
 
+
+def _log_and_fail_on_one(log, v):
+    with open(log, "a") as fh:
+        fh.write(f"{v}\n")
+    if v == 1:
+        raise TypeError("item 1 is not a number")
+    return v
