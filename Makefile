@@ -37,7 +37,7 @@ campaign-smoke:
 # schema-validate the Chrome trace, read it back through the summarizer,
 # and check the Prometheus text carries the key histograms.  Then the same
 # scalar sweep serially and on a 2-worker pool: the pooled trace must hold
-# every task span once and both session telemetry dumps must agree.  Last,
+# every task span once and both --telemetry-json dumps must agree.  Last,
 # the Prometheus text: serial and pooled non-timing lines must be equal,
 # and a batch-engine sweep must export the scalar sweep's Newton series.
 SMOKE_METRICS = metrics_w1.prom metrics_w2.prom metrics_batch.prom
@@ -70,7 +70,7 @@ trace-smoke:
 	  assert len(tasks) == 3, f'{len(tasks)} task spans in the pooled trace'; \
 	  serial, pooled = [json.load(open(f'telemetry_w{n}.json')) for n in (1, 2)]; \
 	  serial.pop('phase_seconds'); pooled.pop('phase_seconds'); \
-	  assert serial == pooled, 'pooled session telemetry differs from serial'; \
+	  assert serial == pooled, 'pooled telemetry differs from serial'; \
 	  print('pooled trace and telemetry ok:', pooled['newton_solves'], 'solves')"
 	$(PY) -c "lines = lambda name: [l for l in open(f'metrics_{name}.prom') \
 	  if '_seconds' not in l]; \

@@ -215,7 +215,8 @@ class CampaignRunner:
     ``self.telemetry`` (campaign counters only — per-instance solver
     counters ride on the returned results, exactly as in direct sweeps, so
     nothing is double counted when callers aggregate both).  Each
-    :meth:`run_specs` call records only its own counters into the session.
+    :meth:`run_specs` call records only its own counters into the metrics
+    registry.
     """
 
     def __init__(self, config: CampaignConfig | None = None, **kwargs):
@@ -417,7 +418,7 @@ class CampaignRunner:
         if not specs:
             return []
         # Count this call apart from the runner's lifetime totals, so the
-        # session gets each counter once however often the runner is reused.
+        # registry gets each counter once however often the runner is reused.
         lifetime, self.telemetry = self.telemetry, SolverTelemetry()
         try:
             return self._run_specs(specs, kind, fingerprint_extra, options)

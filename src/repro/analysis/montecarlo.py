@@ -24,7 +24,6 @@ from ..core.figure import circuit_figure, peak_noise_from_figure
 from ..observability import trace
 from ..spice.telemetry import SolverTelemetry, record_session
 from .driver_bank import DriverBankSpec
-from .parallel import parallel_map, resolve_workers
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,18 +86,6 @@ class MonteCarloResult:
         return self.p95 - self.nominal
 
 
-def _trial_peaks(args) -> np.ndarray:
-    """Peak SSN for one chunk of Monte Carlo draws (picklable worker)."""
-    z, vdd, ks, v0s, lams = args
-    samples = np.empty(len(ks))
-    for i in range(len(ks)):
-        v0 = min(max(v0s[i], 0.0), 0.9 * vdd)
-        lam = max(lams[i], 1e-3)
-        trial = AsdmParameters(k=float(ks[i]), v0=float(v0), lam=float(lam))
-        samples[i] = peak_noise_from_figure(z, trial, vdd)
-    return samples
-
-
 def peak_noise_distribution(
     params: AsdmParameters,
     n_drivers: int,
@@ -108,7 +95,6 @@ def peak_noise_distribution(
     spread: ParameterSpread | None = None,
     trials: int = 2000,
     seed: int = 0,
-    max_workers: int | None = None,
 ) -> MonteCarloResult:
     """Monte Carlo the Eqn (10) peak SSN under ASDM parameter variation.
 
@@ -118,10 +104,6 @@ def peak_noise_distribution(
         spread: parameter sigmas (defaults are typical die-to-die numbers).
         trials: number of Monte Carlo draws.
         seed: RNG seed for reproducibility.
-        max_workers: process-pool width for the trial evaluations; the
-            default (None) honors ``REPRO_MAX_WORKERS`` and otherwise runs
-            serially.  All draws happen up front in the parent process, so
-            the sample vector is identical for every worker count.
 
     Returns:
         The sampled distribution and its summary statistics.
@@ -134,6 +116,7 @@ def peak_noise_distribution(
     with trace.span("montecarlo", kind="closed_form", trials=trials) as msp:
         rng = np.random.default_rng(seed)
         z = circuit_figure(n_drivers, inductance, vdd / rise_time)
+        nominal = peak_noise_from_figure(z, params, vdd)
 
         ks = params.k * rng.lognormal(
             mean=0.0, sigma=max(spread.k_sigma, 1e-12), size=trials
@@ -141,22 +124,16 @@ def peak_noise_distribution(
         v0s = params.v0 + rng.normal(0.0, spread.v0_sigma, size=trials)
         lams = params.lam + rng.normal(0.0, spread.lam_sigma, size=trials)
 
-        workers = resolve_workers(max_workers)
-        if workers <= 1:
-            samples = _trial_peaks((z, vdd, ks, v0s, lams))
-        else:
-            bounds = np.array_split(np.arange(trials), workers)
-            chunks = [
-                (z, vdd, ks[idx], v0s[idx], lams[idx]) for idx in bounds if len(idx)
-            ]
-            samples = np.concatenate(
-                parallel_map(_trial_peaks, chunks, max_workers=workers)
-            )
+        # Eqn (10) over every trial at once, with each draw clamped to a
+        # physical device (V0 below VDD, lambda positive).
+        v0s = np.minimum(np.maximum(v0s, 0.0), 0.9 * vdd)
+        lams = np.maximum(lams, 1e-3)
+        kz = ks * z
+        samples = kz * -np.expm1(-(vdd - v0s) / (lams * kz))
 
     tel.add_phase_seconds("montecarlo", trace.elapsed(msp, wall_start))
     record_session(tel)
-    return MonteCarloResult.from_samples(
-        samples, peak_noise_from_figure(z, params, vdd), tel)
+    return MonteCarloResult.from_samples(samples, nominal, tel)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -13,7 +13,7 @@ while keeping three invariants:
   multiprocessing.
 * **Exactly-once observability** — each worker task returns its result
   plus one envelope of whatever the parent's collectors (spans, metrics,
-  events, session telemetry) recorded in the worker, and the map adopts
+  events) recorded in the worker, and the map adopts
   the envelopes only once every task has returned, so a map that raises
   adopts nothing.
 
@@ -39,8 +39,6 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from ..observability import events as obs_events
 from ..observability import metrics as obs_metrics
 from ..observability import trace
-from ..spice.telemetry import (disable_session_telemetry,
-                               enable_session_telemetry, session_telemetry)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -91,18 +89,16 @@ def _observability_config() -> tuple | None:
     """The parent's collector state as a picklable worker bootstrap.
 
     One entry per collector — tracer config, metrics on/off, journal
-    config, session telemetry on/off.  None when all four are disabled
-    (the production default), keeping the worker payload byte-identical to
-    the uninstrumented one.
+    config.  None when all three are disabled (the production default),
+    keeping the worker payload byte-identical to the uninstrumented one.
     """
     tracer = trace.active_tracer()
     want_metrics = obs_metrics.active_registry() is not None
     journal = obs_events.active_journal()
-    want_session = session_telemetry() is not None
-    if tracer is None and not want_metrics and journal is None and not want_session:
+    if tracer is None and not want_metrics and journal is None:
         return None
     return (None if tracer is None else tracer.config(), want_metrics,
-            None if journal is None else journal.config(), want_session)
+            None if journal is None else journal.config())
 
 
 def _pool_invoke(
@@ -112,16 +108,16 @@ def _pool_invoke(
     (picklable) on purpose.
 
     Returns ``(result, envelope)``: the envelope is None when the parent
-    runs no collector, else a dict of the ``spans``, ``metrics``,
-    ``events`` and ``session`` recorded by fresh collectors enabled around
-    the call.  Worker journals are memory-only (the parent's file keeps
-    one writer), and the session holds only runs that executed in this
-    task, so a fork-inherited memo hit records nothing.
+    runs no collector, else a dict of the ``spans``, ``metrics`` and
+    ``events`` recorded by fresh collectors enabled around the call.
+    Worker journals are memory-only (the parent's file keeps one writer),
+    and the registry holds only runs that executed in this task, so a
+    fork-inherited memo hit records nothing.
     """
     fn, index, item, obs_cfg = payload
     if obs_cfg is None:
         return fn(item), None
-    trace_cfg, want_metrics, events_cfg, want_session = obs_cfg
+    trace_cfg, want_metrics, events_cfg = obs_cfg
     if trace_cfg is not None:
         # Offset the sampling seed per task so head-based sampling
         # draws independently across the fleet, yet deterministically
@@ -137,30 +133,25 @@ def _pool_invoke(
         obs_metrics.enable_metrics()
     if events_cfg is not None:
         obs_events.enable_events(**events_cfg)
-    if want_session:
-        enable_session_telemetry()
     try:
         result = fn(item)
         return result, {
             "spans": trace.snapshot_spans(),
             "metrics": obs_metrics.snapshot_metrics(),
             "events": obs_events.snapshot_events(),
-            "session": session_telemetry(),
         }
     finally:
         trace.disable_tracing()
         obs_metrics.disable_metrics()
         obs_events.disable_events()
-        disable_session_telemetry()
 
 
 def _adopt(envelope: dict | None, parent_id: str | None) -> None:
     """Fold one worker envelope into this process's collectors.
 
     Spans re-parent under ``parent_id`` (the dispatching span), metrics
-    merge, events join the journal and the session record merges into the
-    session aggregator; each step is a no-op for a collector that is off.
-    The session skips ``record_session``: its runs are in the metrics.
+    merge and events join the journal; each step is a no-op for a
+    collector that is off.
     """
     if envelope is None:
         return
@@ -169,9 +160,6 @@ def _adopt(envelope: dict | None, parent_id: str | None) -> None:
     if registry is not None and envelope["metrics"]:
         registry.merge_dict(envelope["metrics"])
     obs_events.adopt_events(envelope["events"])
-    session = session_telemetry()
-    if session is not None and envelope["session"] is not None:
-        session.merge(envelope["session"])
 
 
 def parallel_map(

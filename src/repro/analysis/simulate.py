@@ -255,7 +255,7 @@ def simulate_ssn_cached(
     repeated points are free.  Every argument is a frozen dataclass (or
     scalar) and nothing outside them changes a run.  Results are shared, and their waveform arrays are frozen
     (``writeable=False``): an accidental mutation raises instead of
-    silently corrupting every later cache hit.  A hit records no session
+    silently corrupting every later cache hit.  A hit records no
     telemetry: its Newton work was recorded when it actually ran.
     """
     key = ssn_memo_key(spec, tstop, dt, options)
@@ -294,9 +294,9 @@ def simulate_many(
 
     * scalar — one :func:`transient` per spec, optionally across a process
       pool (``max_workers``); serial results are memoized via
-      :func:`simulate_ssn_cached`.  Pool workers ship their session
-      telemetry back with their results (see
-      :func:`repro.analysis.parallel.parallel_map`), so the session counts
+      :func:`simulate_ssn_cached`.  Pool workers ship their metrics
+      registry back with their results (see
+      :func:`repro.analysis.parallel.parallel_map`), so the registry counts
       each fresh compute once, whichever process ran it.
     * batch — specs whose circuits share a lockstep signature (same
       topology and time grid, different parameter values) are simulated

@@ -54,8 +54,9 @@ Observability (:mod:`repro.observability`) rides on the same parent parser:
 trace-event JSON (open in ``chrome://tracing`` / Perfetto, or summarize
 with ``repro trace summarize PATH``), ``--trace-detail`` picks the span
 granularity (phase/newton/full), ``--trace-sample`` head-samples root
-spans, and ``--metrics PATH`` exports session counters and histograms as
-Prometheus text.
+spans, and ``--metrics PATH`` exports the metrics registry's counters and
+histograms as Prometheus text.  ``--telemetry``/``--telemetry-json`` read
+the same registry (:meth:`~repro.spice.telemetry.SolverTelemetry.from_registry`).
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .observability import metrics as obs_metrics
 from .observability import trace as obs_trace
 from .observability.export import write_chrome_trace, write_prometheus
 from .observability.trace import DETAIL_LEVELS
-from .spice.telemetry import disable_session_telemetry, enable_session_telemetry
+from .spice.telemetry import SolverTelemetry
 
 from .core.design import (
     max_simultaneous_drivers,
@@ -923,29 +924,28 @@ def main(argv=None) -> int:
     }
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics", None)
-    collect = bool(getattr(args, "telemetry", False) or
-                   getattr(args, "telemetry_json", None))
-    session = enable_session_telemetry() if collect else None
+    report = getattr(args, "telemetry", False)
+    json_path = getattr(args, "telemetry_json", None)
     tracer = obs_trace.enable_tracing(
         sample=args.trace_sample, detail=args.trace_detail,
     ) if trace_path else None
-    registry = obs_metrics.enable_metrics() if metrics_path else None
+    registry = (obs_metrics.enable_metrics()
+                if report or json_path or metrics_path else None)
     try:
         print(handlers[args.command](args))
-        if session is not None:
-            if getattr(args, "telemetry", False):
-                print(session.format_report())
-            if getattr(args, "telemetry_json", None):
-                atomic_write_json(args.telemetry_json, session.as_dict())
+        if report or json_path:
+            telemetry = SolverTelemetry.from_registry(registry)
+            if report:
+                print(telemetry.format_report())
+            if json_path:
+                atomic_write_json(json_path, telemetry.as_dict())
         if tracer is not None:
             write_chrome_trace(trace_path, tracer.spans, tracer)
-        if registry is not None:
+        if metrics_path:
             write_prometheus(metrics_path, registry)
     finally:
         obs_trace.disable_tracing()
         obs_metrics.disable_metrics()
-        if session is not None:
-            disable_session_telemetry()
     return 0
 
 

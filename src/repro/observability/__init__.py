@@ -8,7 +8,8 @@ Three cooperating pieces, all process-local and off by default:
   cross-ProcessPool stitching.
 * :mod:`~repro.observability.metrics` — a registry of counters, gauges and
   fixed-bucket histograms whose merge semantics match
-  :meth:`repro.spice.telemetry.SolverTelemetry.merge`.
+  :meth:`repro.spice.telemetry.SolverTelemetry.merge`; the one
+  process-wide store of solver counters.
 * :mod:`~repro.observability.export` — Chrome trace-event JSON (open in
   ``chrome://tracing`` or Perfetto), Prometheus text exposition, and human
   timeline summaries; :mod:`~repro.observability.atomic` publishes every
@@ -26,9 +27,8 @@ Two operational layers build on those three:
 
 Everything is process-local, so a process pool carries the collectors
 across together: :func:`repro.analysis.parallel.parallel_map` gives each
-worker task fresh ones (session
-:class:`~repro.spice.telemetry.SolverTelemetry` included) and adopts the
-one envelope of spans, metrics, events and session the task returns.
+worker task fresh ones and adopts the one envelope of spans, metrics and
+events the task returns.
 
 See ``docs/observability.md`` for the span taxonomy, event schema, bucket
 layouts, overhead budget and CLI workflow (``--trace`` / ``--metrics`` /

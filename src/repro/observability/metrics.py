@@ -1,8 +1,8 @@
 """Process-local metrics registry: counters, gauges, fixed-bucket histograms.
 
-:class:`~repro.spice.telemetry.SolverTelemetry` answers "how many" per run;
-this registry answers "how are they *distributed*" across a whole session —
-Newton iterations per solve and per-phase wall clock per engine run, chunk
+The registry is the process-wide store of everything counted across a
+session — solver counters (:mod:`repro.spice.telemetry` projects each
+run's :class:`~repro.spice.telemetry.SolverTelemetry` into it), chunk
 retry latency, request latency — in a form Prometheus can scrape
 (:func:`repro.observability.export.to_prometheus_text`).
 
@@ -11,8 +11,8 @@ same way across chunks, engines and process-pool workers: counters and
 histograms sum element-wise; gauges take the incoming value (last write
 wins in merge order).  Registries serialize to plain dicts
 (:meth:`MetricsRegistry.as_dict`), ship across
-:class:`~concurrent.futures.ProcessPoolExecutor` workers next to the
-telemetry records, and fold back with :meth:`MetricsRegistry.merge_dict`.
+:class:`~concurrent.futures.ProcessPoolExecutor` workers in the worker
+envelope, and fold back with :meth:`MetricsRegistry.merge_dict`.
 
 Like tracing, the module-level helpers (:func:`inc`, :func:`observe`,
 :func:`set_gauge`) are no-ops after a single global read while metrics are
@@ -242,31 +242,6 @@ class MetricsRegistry:
                     hist.sum += entry["sum"]
                     hist.count += entry["count"]
         return self
-
-    def record_telemetry(self, telemetry) -> None:
-        """Project one run's SolverTelemetry record into counters + histograms.
-
-        Counter fields map to ``repro_<field>_total``; the run's phases and
-        its mean Newton iterations per solve are observed into
-        ``repro_phase_seconds{phase=...}`` and
-        ``repro_newton_iterations_per_solve``.  Counters merge like
-        :meth:`repro.spice.telemetry.SolverTelemetry.merge`.
-        """
-        with self._lock:
-            for field in dataclasses.fields(telemetry):
-                if field.name in ("phase_seconds", "extras"):
-                    continue
-                value = getattr(telemetry, field.name)
-                if value:
-                    self.counter(f"repro_{field.name}_total").inc(value)
-            for key, value in telemetry.extras.items():
-                self.counter(f"repro_{key}_total").inc(value)
-            for phase, seconds in telemetry.phase_seconds.items():
-                self.histogram("repro_phase_seconds",
-                               labels={"phase": phase}).observe(seconds)
-            if telemetry.newton_solves:
-                self.histogram("repro_newton_iterations_per_solve").observe(
-                    telemetry.newton_iterations / telemetry.newton_solves)
 
 
 # -- process-local registry ----------------------------------------------------------

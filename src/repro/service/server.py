@@ -69,13 +69,8 @@ from ..observability import trace
 from ..observability.export import to_prometheus_text
 from ..process import get_technology
 from ..spice.transient import TransientOptions
-from ..surrogate import (
-    REGIONS_BY_TOPOLOGY,
-    SurrogateAuditor,
-    SurrogateRegistry,
-    topology_signature,
-)
-from .keys import canonical_request, result_key, surrogate_key
+from ..surrogate import SurrogateAuditor, SurrogateRegistry
+from .keys import canonical_request, result_key
 from .store import (
     RECORD_SCHEMA_VERSION,
     ResultStore,
@@ -270,16 +265,16 @@ class SsnService:
         self._inflight: dict[str, asyncio.Task] = {}
         self._server: asyncio.AbstractServer | None = None
         self.port: int | None = None
-        #: Fitted surrogate models this server may answer from, warmed
-        #: lazily from the store's ``surrogate`` records (one probe per
-        #: identity key per process; restart to pick up later fits).
+        #: Fitted surrogate models this server may answer from, loaded
+        #: from the store's ``surrogate`` records once at startup (restart
+        #: to pick up later fits).
         self.registry = SurrogateRegistry()
-        self._surrogate_probed: set[str] = set()
         self._refine_tasks: set[asyncio.Task] = set()
         self._audit = SurrogateAuditor(
             self.registry, fraction=self.config.audit_fraction)
         self._slo = obs_health.SloAggregator()
         self._ready = False
+        self._owns_metrics = False
         self._owns_journal = False
 
     # -- lifecycle -------------------------------------------------------------------
@@ -295,11 +290,12 @@ class SsnService:
 
         Binding first keeps ``/healthz`` answerable (``"warming"``) while
         the store scan runs; metrics and the event journal are enabled
-        here when no process-wide ones exist (a journal this service
+        here when no process-wide ones exist (whichever this service
         enables is disabled again on :meth:`close`).
         """
         if obs_metrics.active_registry() is None:
             obs_metrics.enable_metrics()
+            self._owns_metrics = True
         events_path = self._events_path()
         if events_path is not None and obs_events.active_journal() is None:
             obs_events.enable_events(events_path)
@@ -341,6 +337,9 @@ class SsnService:
             task.cancel()
         for task in list(self._refine_tasks):
             task.cancel()
+        if self._owns_metrics:
+            obs_metrics.disable_metrics()
+            self._owns_metrics = False
         if self._owns_journal:
             obs_events.disable_events()
             self._owns_journal = False
@@ -588,8 +587,8 @@ class SsnService:
         simulation's waveforms, ticks hit/miss counters or quarantines
         records the serving path would handle (and count) itself.  A
         record of another schema version is left for that path too.
-        Slots found here are marked probed so the per-request lazy
-        warm-up skips them.
+        This scan is the registry's only warm-up: a request never probes
+        the store for models.
         """
         for path in sorted(self.store.root.glob("??/*.json")):
             record = read_head(path)
@@ -600,30 +599,8 @@ class SsnService:
                 model = surrogate_from_record(record)
             except (KeyError, TypeError, ValueError):
                 continue
-            key = record.get("key")
-            if isinstance(key, str) and key not in self._surrogate_probed:
-                self._surrogate_probed.add(key)
-                self.registry.register(model)
-                obs_metrics.inc("repro_surrogate_warmed_total")
-
-    def _warm_surrogates(self, spec: DriverBankSpec) -> None:
-        """Load any stored surrogate models covering ``spec``'s query slot.
-
-        Surrogate store keys are identity keys (one per technology /
-        topology / operating region), so warming probes at most the
-        handful of slots a query could hit — no directory enumeration.
-        Each slot is probed once per server process, negative or not.
-        """
-        topology = topology_signature(spec)
-        for region in REGIONS_BY_TOPOLOGY.get(topology, ()):
-            key = surrogate_key(spec.technology.name, topology, region)
-            if key in self._surrogate_probed:
-                continue
-            self._surrogate_probed.add(key)
-            model = self.store.get_surrogate(key)
-            if model is not None:
-                self.registry.register(model)
-                obs_metrics.inc("repro_surrogate_warmed_total")
+            self.registry.register(model)
+            obs_metrics.inc("repro_surrogate_warmed_total")
 
     def _try_surrogate(self, spec: DriverBankSpec, key: str,
                        include_waveforms: bool) -> dict | None:
@@ -638,7 +615,6 @@ class SsnService:
         surrogate — approximate answers only ever stand in for work not
         yet done.
         """
-        self._warm_surrogates(spec)
         if key in self.store:
             return None  # the exact record is already on disk
         model, _reason = self.registry.lookup(spec)

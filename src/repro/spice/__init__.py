@@ -18,12 +18,7 @@ from .elements import MutualInductance
 from .netlist import from_spice, to_spice
 from .solver import ConvergenceError
 from .sources import Dc, Pulse, Pwl, Ramp, SourceShape
-from .telemetry import (
-    SolverTelemetry,
-    disable_session_telemetry,
-    enable_session_telemetry,
-    session_telemetry,
-)
+from .telemetry import SolverTelemetry
 from .transient import TransientOptions, TransientResult, transient
 from .waveform import Waveform
 
@@ -46,12 +41,9 @@ __all__ = [
     "ac_analysis",
     "batch_transient",
     "dc_operating_point",
-    "disable_session_telemetry",
     "driving_point_impedance",
-    "enable_session_telemetry",
     "from_spice",
     "lockstep_signature",
-    "session_telemetry",
     "to_spice",
     "transient",
 ]

@@ -15,13 +15,12 @@ workers and merge associatively: per-run records ride on
 ``SsnSimulation.telemetry``, and the analysis layer aggregates them with
 :meth:`SolverTelemetry.aggregate` (sweeps, Monte Carlo, ``simulate_many``).
 
-For end-to-end CLI observability there is additionally a *session*
-aggregator: :func:`enable_session_telemetry` turns on a process-local
-accumulator that every completed engine run merges into, and the CLI's
-``--telemetry`` / ``--telemetry-json`` flags print or dump it.  Pool
-workers run their own session aggregator and return it in their
-observability envelope, which :func:`repro.analysis.parallel.parallel_map`
-merges here, so every run is counted once whichever process executed it.
+Process-wide, :func:`record_session` counts every finished run once into
+the active metrics registry, the one process-wide store: this module alone
+maps records to registry series (:func:`record_telemetry`) and back
+(:meth:`SolverTelemetry.from_registry`, the CLI's ``--telemetry`` view).
+Pool workers return their registry in their observability envelope, which
+:func:`repro.analysis.parallel.parallel_map` merges.
 """
 
 from __future__ import annotations
@@ -41,15 +40,19 @@ _DERIVED_KEYS = frozenset({"ok", "recovered_rejections"})
 _RETIRED_KEYS = frozenset({"full_assemblies", "sparse_factorizations",
                            "sparse_pattern_reuses"})
 
-#: ``extras`` keys this version itself produces (the engaged linear-algebra
-#: backends); round-tripped through :meth:`from_dict` without the
-#: newer-producer warning.
+#: ``extras`` keys of the engaged linear-algebra backends.
 BACKEND_PREFIX = "backend_"
 
 #: Surrogate-answer tags (``surrogate_hits``, set by
-#: :meth:`repro.surrogate.SurrogateModel.simulation`), likewise written by
-#: this version and round-tripped silently.
+#: :meth:`repro.surrogate.SurrogateModel.simulation`).
 SURROGATE_PREFIX = "surrogate_"
+
+#: ``extras`` prefixes this version itself writes: never reported or warned
+#: about as newer-producer counters.
+OWN_PREFIXES = (BACKEND_PREFIX, SURROGATE_PREFIX)
+
+#: Registry histogram of the projected phases (see :func:`record_telemetry`).
+PHASE_METRIC = "repro_phase_seconds"
 
 #: Unknown-counter names already warned about in this process (warn once).
 _warned_extras: set[str] = set()
@@ -151,15 +154,12 @@ class SolverTelemetry:
 
     def merge(self, other: "SolverTelemetry") -> "SolverTelemetry":
         """Fold ``other``'s counters into this record (returns self)."""
-        for f in dataclasses.fields(self):
-            if f.name == "phase_seconds":
-                for phase, seconds in other.phase_seconds.items():
-                    self.add_phase_seconds(phase, seconds)
-            elif f.name == "extras":
-                for key, value in other.extras.items():
-                    self.extras[key] = self.extras.get(key, 0) + value
-            else:
-                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for key, value in other.extras.items():
+            self.extras[key] = self.extras.get(key, 0) + value
+        for phase, seconds in other.phase_seconds.items():
+            self.add_phase_seconds(phase, seconds)
         return self
 
     @classmethod
@@ -183,16 +183,13 @@ class SolverTelemetry:
         journal degrades loudly and losslessly instead of silently dropping
         counts.
         """
-        tel = cls()
-        known = {f.name for f in dataclasses.fields(cls)}
-        for f in dataclasses.fields(cls):
-            if f.name == "phase_seconds":
-                tel.phase_seconds = dict(data.get("phase_seconds", {}))
-            elif f.name == "extras":
-                pass  # never written as a wrapper; see as_dict
-            elif f.name in data:
-                setattr(tel, f.name, int(data[f.name]))
-        skip = known | _DERIVED_KEYS | _RETIRED_KEYS
+        tel = cls(phase_seconds=dict(data.get("phase_seconds", {})))
+        for name in _COUNTER_FIELDS:
+            if name in data:
+                setattr(tel, name, int(data[name]))
+        # ``extras`` is never written as a wrapper; see as_dict.
+        skip = {*_COUNTER_FIELDS, "extras", "phase_seconds",
+                *_DERIVED_KEYS, *_RETIRED_KEYS}
         unknown = {k: v for k, v in data.items() if k not in skip}
         dropped = []
         for key, value in unknown.items():
@@ -200,11 +197,10 @@ class SolverTelemetry:
                 tel.extras[key] = tel.extras.get(key, 0) + value
             else:
                 dropped.append(key)
-        # Backend and surrogate-answer counters are extras this version
-        # writes itself — they round-trip silently, not as newer-producer
-        # surprises.
+        # Extras this version writes itself round-trip silently, not as
+        # newer-producer surprises.
         unknown = {k: v for k, v in unknown.items()
-                   if not k.startswith((BACKEND_PREFIX, SURROGATE_PREFIX))}
+                   if not k.startswith(OWN_PREFIXES)}
         fresh = sorted(set(unknown) - _warned_extras)
         if fresh:
             _warned_extras.update(fresh)
@@ -216,6 +212,30 @@ class SolverTelemetry:
             warnings.warn(message, RuntimeWarning, stacklevel=2)
         return tel
 
+    @classmethod
+    def from_registry(cls, registry: obs_metrics.MetricsRegistry) -> "SolverTelemetry":
+        """Read back what :func:`record_telemetry` projected into ``registry``.
+
+        Counter fields come from their ``repro_<field>_total`` counters
+        (absent reads 0), ``phase_seconds`` from the phase histograms'
+        sums, and ``backend_*`` extras from their counters.  Nothing else
+        is read: other ``repro_surrogate_*`` names belong to the surrogate
+        registry's own routing counters.
+        """
+        tel = cls()
+        with registry._lock:
+            for name in _COUNTER_FIELDS:
+                counter = registry.get(f"repro_{name}_total")
+                if counter is not None:
+                    setattr(tel, name, int(counter.value))
+            for name, labels, metric in registry.items():
+                key = name[len("repro_"):-len("_total")]
+                if name == PHASE_METRIC:
+                    tel.phase_seconds[dict(labels)["phase"]] = metric.sum
+                elif key.startswith(BACKEND_PREFIX) and name.endswith("_total"):
+                    tel.extras[key] = int(metric.value)
+        return tel
+
     def as_dict(self) -> dict:
         """Machine-readable summary (JSON-serializable).
 
@@ -223,11 +243,7 @@ class SolverTelemetry:
         wrapper key), so a round trip through this version hands a newer
         consumer back the exact counters its producer wrote.
         """
-        out = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.name not in ("phase_seconds", "extras")
-        }
+        out = {name: getattr(self, name) for name in _COUNTER_FIELDS}
         out.update(self.extras)
         out["recovered_rejections"] = self.recovered_rejections
         out["phase_seconds"] = dict(self.phase_seconds)
@@ -267,7 +283,7 @@ class SolverTelemetry:
         if self.checkpoint_writes:
             lines.append(f"  checkpoint commits:           {self.checkpoint_writes}")
         foreign = {k: v for k, v in self.extras.items()
-                   if not k.startswith(BACKEND_PREFIX)}
+                   if not k.startswith(OWN_PREFIXES)}
         if foreign:
             extras = ", ".join(f"{k}={v}" for k, v in sorted(foreign.items()))
             lines.append(f"  newer-producer counters:      {extras}")
@@ -277,6 +293,11 @@ class SolverTelemetry:
             )
             lines.append(f"  wall clock: {phases}")
         return "\n".join(lines)
+
+
+#: The plain integer counters of a record, in field order.
+_COUNTER_FIELDS = tuple(f.name for f in dataclasses.fields(SolverTelemetry)
+                        if f.name not in ("phase_seconds", "extras"))
 
 
 def record_backend(telemetry: SolverTelemetry | None, backend: str) -> None:
@@ -292,40 +313,36 @@ def record_backend(telemetry: SolverTelemetry | None, backend: str) -> None:
         telemetry.extras[key] = telemetry.extras.get(key, 0) + 1
 
 
-# -- session aggregation (process-local) -------------------------------------------
+# -- registry projection -------------------------------------------------------------
 
-_session: SolverTelemetry | None = None
+def record_telemetry(registry: obs_metrics.MetricsRegistry,
+                     telemetry: SolverTelemetry) -> None:
+    """Project one run's record into ``registry``'s counters and histograms.
 
-
-def enable_session_telemetry() -> SolverTelemetry:
-    """Start (or restart) the process-local session aggregator.
-
-    Returns the live record; every engine run completing in this process
-    merges into it until :func:`disable_session_telemetry`.
+    Counter fields and ``extras`` map to ``repro_<field>_total``; the run's
+    phases and its mean Newton iterations per solve are observed into
+    ``repro_phase_seconds{phase=...}`` and
+    ``repro_newton_iterations_per_solve``.  Counters sum like
+    :meth:`SolverTelemetry.merge`, and :meth:`SolverTelemetry.from_registry`
+    reads them back.
     """
-    global _session
-    _session = SolverTelemetry()
-    return _session
-
-
-def disable_session_telemetry() -> None:
-    """Stop session aggregation (per-run records are unaffected)."""
-    global _session
-    _session = None
-
-
-def session_telemetry() -> SolverTelemetry | None:
-    """The live session aggregator, or None when disabled (the default)."""
-    return _session
+    with registry._lock:
+        for name in _COUNTER_FIELDS:
+            value = getattr(telemetry, name)
+            if value:
+                registry.counter(f"repro_{name}_total").inc(value)
+        for key, value in telemetry.extras.items():
+            registry.counter(f"repro_{key}_total").inc(value)
+        for phase, seconds in telemetry.phase_seconds.items():
+            registry.histogram(PHASE_METRIC, labels={"phase": phase}).observe(seconds)
+        if telemetry.newton_solves:
+            registry.histogram("repro_newton_iterations_per_solve").observe(
+                telemetry.newton_iterations / telemetry.newton_solves)
 
 
 def record_session(telemetry: SolverTelemetry | None) -> None:
-    """Count one finished run into the session aggregator and the live
-    metrics registry (each if on): the one path from engine work to both."""
-    if telemetry is None or telemetry is _session:
-        return
-    if _session is not None:
-        _session.merge(telemetry)
+    """Count one finished run into the active metrics registry (if on): the
+    one path from engine work to process-wide counters."""
     registry = obs_metrics.active_registry()
-    if registry is not None:
-        registry.record_telemetry(telemetry)
+    if registry is not None and telemetry is not None:
+        record_telemetry(registry, telemetry)

@@ -56,6 +56,32 @@ class TestDistribution:
         )
         assert wide.std > tight.std
 
+    def test_samples_match_the_scalar_closed_form(self, params):
+        """The vectorized pass is Eqn (10) per trial, clamps included;
+        ``np.expm1`` may differ from ``math.expm1`` in the last bit."""
+        from repro.core import circuit_figure, peak_noise_from_figure
+
+        spread = ParameterSpread(k_sigma=0.3, v0_sigma=0.5, lam_sigma=0.6)
+        vdd, trials, seed = 1.8, 2000, 11
+        r = peak_noise_distribution(params, 8, 5e-9, vdd, 0.5e-9,
+                                    spread=spread, trials=trials, seed=seed)
+
+        rng = np.random.default_rng(seed)
+        ks = params.k * rng.lognormal(0.0, spread.k_sigma, size=trials)
+        v0s = params.v0 + rng.normal(0.0, spread.v0_sigma, size=trials)
+        lams = params.lam + rng.normal(0.0, spread.lam_sigma, size=trials)
+        z = circuit_figure(8, 5e-9, vdd / 0.5e-9)
+        reference = np.empty(trials)
+        for i in range(trials):
+            v0 = min(max(v0s[i], 0.0), 0.9 * vdd)
+            lam = max(lams[i], 1e-3)
+            trial = AsdmParameters(k=float(ks[i]), v0=float(v0), lam=float(lam))
+            reference[i] = peak_noise_from_figure(z, trial, vdd)
+        # Every clamp is exercised.
+        assert (v0s < 0).any() and (v0s > 0.9 * vdd).any() and (lams < 1e-3).any()
+        np.testing.assert_allclose(r.samples, reference, rtol=1e-15, atol=0)
+        assert r.nominal == peak_noise_from_figure(z, params, vdd)
+
     def test_validation(self, params):
         with pytest.raises(ValueError):
             peak_noise_distribution(params, 8, 5e-9, 1.8, 0.5e-9, trials=1)

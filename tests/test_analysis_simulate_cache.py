@@ -5,10 +5,10 @@ can change a run, so none is part of the key.  Plus regression coverage
 for a former bug in the golden-simulation cache:
 
 * the pooled scalar paths (``simulate_many`` and the campaign runner)
-  folded worker results' telemetry into the parent's session aggregator,
+  folded worker results' telemetry into the parent's process-wide counters,
   double counting Newton work whenever a fork-inherited warm memo answered
-  inside a worker — now each worker ships back its own session, which
-  holds only the runs it actually executed.
+  inside a worker — now each worker ships back its own metrics registry,
+  which holds only the runs it actually executed.
 
 Plus the shared-result safety contract: memoized waveform arrays are
 frozen, so accidental mutation raises instead of corrupting later hits.
@@ -25,20 +25,24 @@ from repro.analysis.simulate import (
     simulate_ssn_cached,
     ssn_memo_key,
 )
-from repro.spice.telemetry import (
-    disable_session_telemetry,
-    enable_session_telemetry,
-)
+from repro.observability import metrics as obs_metrics
+from repro.spice.telemetry import SolverTelemetry
 from repro.spice.transient import TransientOptions
 
 
 @pytest.fixture(autouse=True)
-def _clean_cache_and_session():
+def _clean_cache_and_metrics():
     simulate_ssn_cache_clear()
-    disable_session_telemetry()
+    obs_metrics.disable_metrics()
     yield
     simulate_ssn_cache_clear()
-    disable_session_telemetry()
+    obs_metrics.disable_metrics()
+
+
+def _counting():
+    """Start a fresh registry; return a reader of its telemetry view."""
+    registry = obs_metrics.enable_metrics()
+    return lambda: SolverTelemetry.from_registry(registry)
 
 
 @pytest.fixture
@@ -116,26 +120,26 @@ class TestPooledTelemetry:
 
     def test_fresh_runs_record_session_telemetry(self, tech018):
         specs = self._specs(tech018, (1, 2))
-        session = enable_session_telemetry()
+        counted = _counting()
         simulate_many(specs, max_workers=2, engine="scalar")
-        assert session.newton_solves > 0
+        assert counted().newton_solves > 0
 
     def test_memo_hits_do_not_rerecord_session_telemetry(self, tech018):
         """The former double-count: pool workers fork with a warm memo.
 
         Everything below was already simulated (and its Newton work
-        recorded) before the session aggregator is armed; whether the map
+        recorded) before the registry is armed; whether the map
         then runs serially (in-process memo hits) or in fork-started
         workers (inherited-memo hits), no *new* solver work happens, so
-        the session must stay at zero.
+        the registry must stay at zero.
         """
         specs = self._specs(tech018, (1, 2))
         for spec in specs:
             simulate_ssn_cached(spec)
-        session = enable_session_telemetry()
+        counted = _counting()
         simulate_many(specs * 2, max_workers=2, engine="scalar")
-        assert session.newton_solves == 0
-        assert session.newton_iterations == 0
+        assert counted().newton_solves == 0
+        assert counted().newton_iterations == 0
 
     def test_campaign_memo_hits_do_not_rerecord_session_telemetry(self, tech018):
         """The same warm-memo case through a pooled campaign.
@@ -147,27 +151,26 @@ class TestPooledTelemetry:
         specs = self._specs(tech018, (1, 2, 3, 4))
         for spec in specs:
             simulate_ssn_cached(spec)
-        session = enable_session_telemetry()
+        counted = _counting()
         CampaignRunner(max_workers=2, engine="scalar").run_specs(specs)
-        assert session.newton_solves == 0
-        assert session.newton_iterations == 0
+        assert counted().newton_solves == 0
+        assert counted().newton_iterations == 0
 
     def test_duplicate_specs_in_one_pooled_map_count_once(self, tech018):
         """Four duplicates across two workers solve at most twice.
 
         The former bug recorded every worker *result* (4x one run's
-        solves); worker sessions hold fresh computes only — at most one
+        solves); worker registries hold fresh computes only — at most one
         per worker, exactly one on the serial fallback.
         """
         (spec,) = self._specs(tech018, (3,))
-        session = enable_session_telemetry()
         from repro.analysis.simulate import simulate_ssn
 
+        counted = _counting()
         simulate_ssn(spec)
-        per_run = session.newton_solves
+        per_run = counted().newton_solves
         assert per_run > 0
-        disable_session_telemetry()
         simulate_ssn_cache_clear()
-        session = enable_session_telemetry()
+        counted = _counting()
         simulate_many([spec] * 4, max_workers=2, engine="scalar")
-        assert per_run <= session.newton_solves <= 2 * per_run
+        assert per_run <= counted().newton_solves <= 2 * per_run

@@ -24,7 +24,8 @@ from repro.analysis.driver_bank import DriverBankSpec
 from repro.analysis.montecarlo import transient_peak_distribution
 from repro.analysis.simulate import simulate_many, simulate_ssn_cache_clear
 from repro.analysis.sweeps import sweep
-from repro.spice.telemetry import disable_session_telemetry, enable_session_telemetry
+from repro.observability import metrics as obs_metrics
+from repro.spice.telemetry import SolverTelemetry
 from repro.spice.transient import TransientOptions
 from repro.testing import faults
 
@@ -229,10 +230,11 @@ class TestCheckpointJournal:
 
 
 @pytest.fixture
-def session():
-    tel = enable_session_telemetry()
-    yield tel
-    disable_session_telemetry()
+def counted():
+    """The metrics registry's telemetry view of what was counted so far."""
+    registry = obs_metrics.enable_metrics()
+    yield lambda: SolverTelemetry.from_registry(registry)
+    obs_metrics.disable_metrics()
 
 
 def _campaign_counts(tel):
@@ -243,17 +245,17 @@ class TestSessionCountsPerCall:
     """A reused runner records each call's campaign counters once; its own
     ``telemetry`` keeps the lifetime totals."""
 
-    def test_reused_runner_records_each_call_once(self, tech018, tmp_path, session):
+    def test_reused_runner_records_each_call_once(self, tech018, tmp_path, counted):
         runner = CampaignRunner(_config(checkpoint=tmp_path / "run.jsonl",
                                         chunk_size=1))
         runner.run_simulate(_specs(tech018, [1, 2]))  # header + 2 commits
-        assert session.checkpoint_writes == 3
+        assert counted().checkpoint_writes == 3
         runner.run_simulate(_specs(tech018, [3, 4]))
-        assert session.checkpoint_writes == 6
+        assert counted().checkpoint_writes == 6
         assert runner.telemetry.checkpoint_writes == 6
 
     def test_restored_chunks_count_in_the_restoring_call(
-            self, tech018, tmp_path, session):
+            self, tech018, tmp_path, counted):
         specs = _specs(tech018, [1, 2])
         ckpt = tmp_path / "run.jsonl"
         simulate_ssn_cache_clear()  # force the bulk attempt through the solver
@@ -261,13 +263,13 @@ class TestSessionCountsPerCall:
         CampaignRunner(_config(checkpoint=ckpt, chunk_size=1,
                                max_retries=2)).run_simulate(specs)
         faults.clear_faults()
-        assert _campaign_counts(session) == (3, 2, 1)
+        assert _campaign_counts(counted()) == (3, 2, 1)
 
         resumed = CampaignRunner(_config(checkpoint=ckpt, chunk_size=1,
                                          resume=True))
         for calls in (1, 2):
             resumed.run_simulate(specs)  # restores both chunks, runs none
-            assert _campaign_counts(session) == (3, 2 + 2 * calls, 1 + calls)
+            assert _campaign_counts(counted()) == (3, 2 + 2 * calls, 1 + calls)
             assert _campaign_counts(resumed.telemetry) == (0, 2 * calls, calls)
 
 

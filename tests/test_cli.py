@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.simulate import simulate_ssn_cache_clear
 from repro.cli import build_parser, main
-from repro.spice.telemetry import session_telemetry
+from repro.observability import metrics as obs_metrics
 
 
 class TestParser:
@@ -220,7 +220,8 @@ class TestTelemetryFlags:
 
     def test_metrics_count_each_engine_run_once(self, tmp_path, capsys):
         """``--metrics`` sees every run as it finishes: the solver counters
-        equal the session's, and each run is one phase sample."""
+        equal the ``--telemetry-json`` view's, and each run is one phase
+        sample."""
         simulate_ssn_cache_clear()
         prom, tel = tmp_path / "m.prom", tmp_path / "t.json"
         assert main(["sweep", "--values", "1,2", "-l", "1e-9",
@@ -233,10 +234,10 @@ class TestTelemetryFlags:
         assert 'repro_phase_seconds_count{phase="total"} 2' in lines
         assert "repro_newton_iterations_per_solve_count 2" in lines
 
-    def test_session_disabled_after_command(self, capsys):
+    def test_registry_disabled_after_command(self, capsys):
         assert main(["report", "fig2", "--telemetry"]) == 0
         capsys.readouterr()
-        assert session_telemetry() is None
+        assert obs_metrics.active_registry() is None
 
     def test_no_flags_no_telemetry_output(self, capsys):
         assert main(["estimate", "-n", "8"]) == 0

@@ -32,7 +32,7 @@ from repro.observability import (
 from repro.observability import metrics as obs_metrics
 from repro.observability import trace
 from repro.observability.export import spans_from_chrome_trace, summarize_trace_file
-from repro.spice.telemetry import SolverTelemetry
+from repro.spice.telemetry import SolverTelemetry, record_telemetry
 
 
 @pytest.fixture(autouse=True)
@@ -246,14 +246,14 @@ class TestMetricsRegistry:
         b.add_phase_seconds("stepping", 0.25)
 
         left = MetricsRegistry()
-        left.record_telemetry(a)
+        record_telemetry(left, a)
         right = MetricsRegistry()
-        right.record_telemetry(b)
+        record_telemetry(right, b)
         left.merge(right)
 
         merged_tel = SolverTelemetry.aggregate([a, b])
         expected = MetricsRegistry()
-        expected.record_telemetry(merged_tel)
+        record_telemetry(expected, merged_tel)
 
         assert left.get("repro_newton_iterations_total").value == \
             expected.get("repro_newton_iterations_total").value == 14
@@ -278,8 +278,8 @@ class TestMetricsRegistry:
 
     def test_one_newton_sample_per_run(self):
         reg = MetricsRegistry()
-        reg.record_telemetry(SolverTelemetry(newton_solves=4, newton_iterations=10))
-        reg.record_telemetry(SolverTelemetry(retries=1))  # no solve, no sample
+        record_telemetry(reg, SolverTelemetry(newton_solves=4, newton_iterations=10))
+        record_telemetry(reg, SolverTelemetry(retries=1))  # no solve, no sample
         hist = reg.get("repro_newton_iterations_per_solve")
         assert (hist.count, hist.sum) == (1, 2.5)
 
@@ -296,7 +296,7 @@ class TestMetricsRegistry:
 
                 def record():
                     barrier.wait()
-                    reg.record_telemetry(run)
+                    record_telemetry(reg, run)
                     obs_metrics.inc("repro_x_total")
 
                 threads = [threading.Thread(target=record) for _ in range(4)]
@@ -316,7 +316,7 @@ class TestMetricsRegistry:
         tel = SolverTelemetry()
         tel.extras["future_counter"] = 7
         reg = MetricsRegistry()
-        reg.record_telemetry(tel)
+        record_telemetry(reg, tel)
         assert reg.get("repro_future_counter_total").value == 7
 
     def test_quantile_accessor(self):

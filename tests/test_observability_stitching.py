@@ -1,11 +1,11 @@
 """Cross-process stitching through the parallel map's worker envelope.
 
-Worker processes record into their own tracer, registry and session
-aggregator; one envelope ships what they recorded back with each result,
-and the parent adopts it (spans re-parent under the dispatching
+Worker processes record into their own tracer, metrics registry and event
+journal; one envelope ships what they recorded back with each result, and
+the parent adopts it (spans re-parent under the dispatching
 ``parallel_map`` span).  The exactly-once guarantee is the point under
 test: every task appears in the stitched trace, and every run in the
-session telemetry, once — when it ran in a pool worker, and when a killed
+registry's telemetry view, once — when it ran in a pool worker, and when a killed
 worker broke the pool and the campaign recovered the chunk in-process.  A
 broken pool outside a campaign raises, and the dead attempt records
 nothing.
@@ -26,8 +26,7 @@ from repro.analysis.simulate import (simulate_many, simulate_ssn_cache_clear,
 from repro.observability import metrics as obs_metrics
 from repro.observability import trace
 from repro.observability.export import to_prometheus_text
-from repro.spice.telemetry import (SolverTelemetry, disable_session_telemetry,
-                                   enable_session_telemetry)
+from repro.spice.telemetry import SolverTelemetry
 from repro.testing import faults
 
 
@@ -36,13 +35,11 @@ def _clean_state():
     faults.clear_faults()
     trace.disable_tracing()
     obs_metrics.disable_metrics()
-    disable_session_telemetry()
     simulate_ssn_cache_clear()
     yield
     faults.clear_faults()
     trace.disable_tracing()
     obs_metrics.disable_metrics()
-    disable_session_telemetry()
     simulate_ssn_cache_clear()
 
 
@@ -157,21 +154,22 @@ def _run_campaign(specs, workers):
                    backoff_base=0.0).run_specs(specs)
 
 
-def _session_counts(run, specs, workers):
-    """Session counters of one cold-memo run (``phase_seconds`` dropped)."""
+def _telemetry_counts(run, specs, workers):
+    """The registry's telemetry view of one cold-memo run (``phase_seconds``
+    dropped)."""
     simulate_ssn_cache_clear()
-    session = enable_session_telemetry()
+    registry = obs_metrics.enable_metrics()
     try:
         run(specs, workers)
     finally:
-        disable_session_telemetry()
-    counts = session.as_dict()
+        obs_metrics.disable_metrics()
+    counts = SolverTelemetry.from_registry(registry).as_dict()
     del counts["phase_seconds"]
     return counts
 
 
 def _metric_lines(run, specs, workers):
-    """Non-timing Prometheus lines of one cold-memo run (session off)."""
+    """Non-timing Prometheus lines of one cold-memo run."""
     simulate_ssn_cache_clear()
     registry = obs_metrics.enable_metrics()
     try:
@@ -190,11 +188,11 @@ def specs(tech018):
 
 @pytest.mark.parametrize("run", [_run_simulate_many, _run_campaign],
                          ids=["simulate_many", "campaign"])
-class TestSessionExactlyOnce:
-    def test_pooled_session_equals_serial(self, run, specs):
-        serial = _session_counts(run, specs, 1)
+class TestTelemetryViewExactlyOnce:
+    def test_pooled_telemetry_view_equals_serial(self, run, specs):
+        serial = _telemetry_counts(run, specs, 1)
         assert serial["newton_solves"] > 0
-        assert _session_counts(run, specs, 2) == serial
+        assert _telemetry_counts(run, specs, 2) == serial
 
 
 @pytest.mark.parametrize("run", [_run_simulate_many, _run_campaign],
@@ -215,15 +213,15 @@ _KILLED_WORKER_COUNTS = {"retries": 2, "chunks_failed": 1}
 
 
 class TestBrokenPoolExactlyOnce:
-    """A killed worker is a chunk failure: the campaign's session and
+    """A killed worker is a chunk failure: the campaign's telemetry view and
     metrics equal the serial run's plus the exact recovery counters."""
 
-    def test_campaign_session_counts_each_instance_once(self, specs):
-        expected = _session_counts(_run_campaign, specs, 1)
+    def test_campaign_telemetry_view_counts_each_instance_once(self, specs):
+        expected = _telemetry_counts(_run_campaign, specs, 1)
         for name, count in _KILLED_WORKER_COUNTS.items():
             expected[name] += count
         faults.install_faults("worker:task=0")
-        assert _session_counts(_run_campaign, specs, 2) == expected
+        assert _telemetry_counts(_run_campaign, specs, 2) == expected
 
     def test_campaign_metrics_count_the_chunk_failure(self, specs):
         serial = _metric_lines(_run_campaign, specs, 1)
@@ -241,11 +239,10 @@ class TestBrokenPoolExactlyOnce:
         the tasks that finished in the dead pool are not counted."""
         monkeypatch.setattr(simulate_module, "simulate_ssn_cached",
                             _simulate_or_die_on_two)
-        session = enable_session_telemetry()
         registry = obs_metrics.enable_metrics()
         with pytest.raises(BrokenProcessPool):
             simulate_many(specs, max_workers=2, engine="scalar")
-        assert session.as_dict() == SolverTelemetry().as_dict()
+        assert SolverTelemetry.from_registry(registry) == SolverTelemetry()
         assert registry.get("repro_newton_solves_total") is None
 
 
@@ -278,3 +275,16 @@ class TestEnvelope:
     def test_all_collectors_off_sends_no_envelope(self):
         assert _observability_config() is None
         assert _pool_invoke((_traced_double, 0, 3, None)) == (6, None)
+
+    def test_envelope_carries_spans_metrics_and_events_only(self):
+        trace.enable_tracing()
+        obs_metrics.enable_metrics()
+        cfg = _observability_config()
+        assert len(cfg) == 3
+        # In-process call: the shim swaps in (and then disables) fresh
+        # collectors, as it would in a worker.
+        result, envelope = _pool_invoke((_traced_double, 0, 3, cfg))
+        assert result == 6
+        assert set(envelope) == {"spans", "metrics", "events"}
+        assert [m["name"] for m in envelope["metrics"]["metrics"]] == [
+            "repro_test_tasks_total"]

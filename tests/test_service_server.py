@@ -29,10 +29,7 @@ from repro.service import RECORD_SCHEMA_VERSION, ResultStore, SsnService, areque
 from repro.service import server as server_module
 from repro.service import store as store_module
 from repro.service.store import WAVEFORM_FIELDS
-from repro.spice.telemetry import (
-    disable_session_telemetry,
-    enable_session_telemetry,
-)
+from repro.spice.telemetry import SolverTelemetry
 from repro.testing import faults
 from repro.testing.faults import FaultRule
 
@@ -43,15 +40,13 @@ PARAMS = {"n_drivers": 2, "inductance": 1e-9, "rise_time": 0.5e-9,
 
 @pytest.fixture(autouse=True)
 def registry():
-    """Fresh per-test process state: metrics, memo, faults, telemetry."""
+    """Fresh per-test process state: metrics, memo, faults."""
     simulate_ssn_cache_clear()
     faults.clear_faults()
-    disable_session_telemetry()
     registry = obs_metrics.enable_metrics()
     yield registry
     simulate_ssn_cache_clear()
     faults.clear_faults()
-    disable_session_telemetry()
     obs_metrics.disable_metrics()
 
 
@@ -119,15 +114,15 @@ class TestSimulate:
             async with service_on(tmp_path) as service:
                 status, first = await post(service, "/simulate", PARAMS)
             assert status == 200 and first["outcome"] == "miss"
-            # A "new process": cold in-process memo, session telemetry
-            # armed, same persistent store.  The repeat answer must come
-            # from the store alone.
+            # A "new process": cold in-process memo, fresh metrics
+            # registry, same persistent store.  The repeat answer must
+            # come from the store alone.
             simulate_ssn_cache_clear()
-            session = enable_session_telemetry()
+            registry = obs_metrics.enable_metrics()
             async with service_on(tmp_path) as service:
                 status, again = await post(service, "/simulate", PARAMS)
             assert status == 200 and again["outcome"] == "hit"
-            assert session.newton_solves == 0
+            assert SolverTelemetry.from_registry(registry).newton_solves == 0
             assert again["key"] == first["key"]
             assert again["peak_voltage"] == first["peak_voltage"]
             assert again["peak_time"] == first["peak_time"]
@@ -403,16 +398,36 @@ class TestSweepAndMonteCarlo:
             async with service_on(tmp_path) as service:
                 _, first = await post(service, "/montecarlo", body)
                 simulate_ssn_cache_clear()
-                session = enable_session_telemetry()
+                registry = obs_metrics.enable_metrics()
                 _, again = await post(service, "/montecarlo", body)
-            return first, again, session
+            return first, again, registry
 
-        first, again, session = asyncio.run(scenario())
+        first, again, registry = asyncio.run(scenario())
         assert first["outcome"] == "miss" and again["outcome"] == "hit"
-        assert session.newton_solves == 0
+        assert SolverTelemetry.from_registry(registry).newton_solves == 0
         assert again["samples"] == first["samples"]
         assert again["mean"] == first["mean"]
         assert again["p95"] == first["p95"]
+
+
+class TestLifecycle:
+    def test_close_disables_the_registry_start_enabled(self, tmp_path):
+        obs_metrics.disable_metrics()
+
+        async def scenario():
+            async with service_on(tmp_path):
+                return obs_metrics.active_registry()
+
+        assert asyncio.run(scenario()) is not None
+        assert obs_metrics.active_registry() is None
+
+    def test_close_keeps_the_callers_registry(self, tmp_path, registry):
+        async def scenario():
+            async with service_on(tmp_path):
+                pass
+
+        asyncio.run(scenario())
+        assert obs_metrics.active_registry() is registry
 
 
 class TestHttpSurface:
@@ -833,6 +848,33 @@ class TestSurrogateFirst:
         assert "repro_surrogate_hits_total" in text
         assert "repro_surrogate_warmed_total" in text
 
+    def test_requests_compute_no_surrogate_key(self, tmp_path, model,
+                                                 registry, monkeypatch):
+        """The startup scan is the only warm-up: serving a request never
+        hashes a surrogate identity key to probe the store."""
+        from repro.service import keys as keys_module
+
+        calls, original = [], keys_module.surrogate_key
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for owner in (server_module, keys_module):
+            monkeypatch.setattr(owner, "surrogate_key", spy, raising=False)
+
+        async def scenario():
+            self.warmed_store(tmp_path, model)
+            async with service_on(tmp_path) as service:
+                _, hit = await post(service, "/simulate", self.IN_REGION)
+                _, miss = await post(service, "/simulate", PARAMS)
+                await service.drain_background()
+            return hit, miss
+
+        hit, miss = asyncio.run(scenario())
+        assert hit["outcome"] == "surrogate" and miss["outcome"] == "miss"
+        assert calls == []
+
     def test_warm_up_reads_heads_only(self, tmp_path, model, registry,
                                       monkeypatch):
         """Warm-up registers current surrogate records, skips simulations
@@ -856,8 +898,8 @@ class TestSurrogateFirst:
         service = SsnService(store_root=tmp_path / "store", port=0)
         service._warm_from_store()
 
-        assert len(service.registry) == 1
-        assert service._surrogate_probed == {slot}
+        assert [m.key for m in service.registry.models()] == [model.key]
+        assert surrogate_key(*model.key) == slot
         assert corrupt.exists() and store.quarantined() == []
         assert registry.get("repro_store_hits_total") is None
         assert registry.get("repro_store_misses_total") is None

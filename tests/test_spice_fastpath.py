@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.driver_bank import DriverBankSpec, build_driver_bank
-from repro.analysis.montecarlo import peak_noise_distribution
 from repro.analysis.parallel import parallel_map, resolve_workers
 from repro.analysis.simulate import (
     default_stop_time,
@@ -125,16 +124,6 @@ class TestParallelDeterminism:
         for ps, pp in zip(serial.points, parallel.points):
             assert ps.estimates == pp.estimates
             assert ps.spec == pp.spec
-
-    def test_parallel_montecarlo_identical_to_serial(self, asdm018, tech018):
-        kwargs = dict(
-            n_drivers=8, inductance=5e-9, vdd=tech018.vdd, rise_time=0.2e-9,
-            trials=200, seed=7,
-        )
-        serial = peak_noise_distribution(asdm018, **kwargs, max_workers=1)
-        parallel = peak_noise_distribution(asdm018, **kwargs, max_workers=4)
-        assert np.array_equal(serial.samples, parallel.samples)
-        assert serial.p95 == parallel.p95
 
     def test_parallel_map_preserves_order_and_values(self):
         items = list(range(24))

@@ -5,14 +5,16 @@ fail Newton at the default step must complete via automatic step halving
 with ``>= 1`` recovered rejection, ``0`` unrecovered failures, and parity
 with the frozen seed-engine reference intact — plus the telemetry record itself
 (merge/aggregate semantics, LU-cache counters with the staleness guard,
-DC gmin-stepping observability, session aggregation, and the analysis
-layer's cross-worker aggregation).
+DC gmin-stepping observability, the metrics registry's telemetry view, and
+the analysis layer's cross-worker aggregation).
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis.driver_bank import DriverBankSpec, build_driver_bank
 from repro.analysis.montecarlo import peak_noise_distribution
@@ -22,13 +24,8 @@ from repro.spice import Circuit, Dc, Ramp
 from repro.spice.dc import dc_operating_point
 from repro.spice.mna import MnaSystem
 from repro.spice.solver import ConvergenceError
-from repro.spice.telemetry import (
-    SolverTelemetry,
-    disable_session_telemetry,
-    enable_session_telemetry,
-    record_session,
-    session_telemetry,
-)
+from repro.observability import metrics as obs_metrics
+from repro.spice.telemetry import SolverTelemetry, record_session, record_telemetry
 from repro.spice.transient import TransientOptions, transient
 
 #: Waveforms must stay within this of the frozen seed-engine reference.
@@ -202,6 +199,13 @@ class TestForwardCompatExtras:
         # Round trip hands the newer consumer back its exact counter.
         assert a.as_dict()["future_counter"] == 8
 
+    def test_surrogate_extras_are_not_newer_producer_counters(self):
+        tel = SolverTelemetry()
+        tel.extras.update(surrogate_hits=1, backend_dense_lu=1, future_counter=2)
+        report = tel.format_report()
+        assert "newer-producer counters:      future_counter=2" in report
+        assert "surrogate_hits" not in report
+
     def test_retired_full_assemblies_key_loads_silently(self):
         """Records and checkpoints written before ``full_assemblies`` was
         dropped carry it as 0; loading them neither warns nor keeps it."""
@@ -241,39 +245,78 @@ class TestForwardCompatExtras:
         assert SolverTelemetry.from_dict(out) == tel
 
 
-class TestSessionTelemetry:
+@pytest.fixture
+def registry():
+    registry = obs_metrics.enable_metrics()
+    yield registry
+    obs_metrics.disable_metrics()
+
+
+#: Records as the engines write them: counters, phases, backend extras.
+_records = st.builds(
+    SolverTelemetry,
+    **{f.name: st.integers(0, 10**6) for f in dataclasses.fields(SolverTelemetry)
+       if f.name not in ("extras", "phase_seconds")},
+    extras=st.dictionaries(st.sampled_from(["backend_dense_lu", "backend_x"]),
+                           st.integers(0, 100), max_size=2),
+    phase_seconds=st.dictionaries(
+        st.sampled_from(["ic", "stepping", "total", "montecarlo"]),
+        st.floats(0.0, 1e3, allow_nan=False), max_size=4),
+)
+
+
+class TestRegistryTelemetry:
+    """Finished runs reach the active metrics registry through
+    ``record_session``; ``SolverTelemetry.from_registry`` reads them back."""
+
     def test_disabled_by_default(self):
-        assert session_telemetry() is None
+        assert obs_metrics.active_registry() is None
         record_session(SolverTelemetry(newton_solves=1))  # must be a no-op
-        assert session_telemetry() is None
+        assert obs_metrics.active_registry() is None
 
-    def test_transient_runs_accumulate_into_session(self, failing_spec):
-        session = enable_session_telemetry()
-        try:
-            circuit = build_driver_bank(failing_spec)
-            transient(circuit, default_stop_time(failing_spec),
-                      failing_spec.rise_time, options=TransientOptions(max_newton=5))
-            assert session.step_rejections >= 1
-            assert session.unrecovered_failures == 0
-            before = session.newton_solves
-            transient(build_driver_bank(failing_spec), default_stop_time(failing_spec),
-                      failing_spec.rise_time, options=TransientOptions(max_newton=5))
-            assert session.newton_solves > before
-        finally:
-            disable_session_telemetry()
-        assert session_telemetry() is None
+    def test_transient_runs_accumulate_into_registry(self, failing_spec, registry):
+        transient(build_driver_bank(failing_spec), default_stop_time(failing_spec),
+                  failing_spec.rise_time, options=TransientOptions(max_newton=5))
+        first = SolverTelemetry.from_registry(registry)
+        assert first.step_rejections >= 1
+        assert first.unrecovered_failures == 0
+        transient(build_driver_bank(failing_spec), default_stop_time(failing_spec),
+                  failing_spec.rise_time, options=TransientOptions(max_newton=5))
+        assert SolverTelemetry.from_registry(registry).newton_solves > first.newton_solves
 
-    def test_failed_run_is_recorded_before_raising(self, failing_spec):
-        session = enable_session_telemetry()
+    def test_failed_run_is_recorded_before_raising(self, failing_spec, registry):
+        dt = failing_spec.rise_time
+        with pytest.raises(ConvergenceError):
+            transient(build_driver_bank(failing_spec),
+                      default_stop_time(failing_spec), dt,
+                      options=TransientOptions(max_newton=5, min_dt=dt))
+        assert SolverTelemetry.from_registry(registry).unrecovered_failures == 1
+
+    @given(st.lists(_records, max_size=6))
+    def test_registry_view_equals_aggregate(self, records):
+        """Counters exactly, phases bit for bit: the registry sums in the
+        order ``aggregate`` merges."""
+        registry = obs_metrics.enable_metrics()
         try:
-            dt = failing_spec.rise_time
-            with pytest.raises(ConvergenceError):
-                transient(build_driver_bank(failing_spec),
-                          default_stop_time(failing_spec), dt,
-                          options=TransientOptions(max_newton=5, min_dt=dt))
-            assert session.unrecovered_failures == 1
+            for record in records:
+                record_session(record)
         finally:
-            disable_session_telemetry()
+            obs_metrics.disable_metrics()
+        view = SolverTelemetry.from_registry(registry)
+        assert view == SolverTelemetry.aggregate(records)
+        assert all(type(getattr(view, f.name)) is int for f in dataclasses.fields(view)
+                   if f.name not in ("extras", "phase_seconds"))
+
+    def test_surrogate_routing_counters_are_not_read(self):
+        """``repro_surrogate_hits_total`` is the surrogate registry's own
+        lookup counter, not a telemetry extra."""
+        registry = obs_metrics.MetricsRegistry()
+        registry.counter("repro_surrogate_hits_total").inc(3)
+        registry.counter("repro_ssn_memo_hits_total").inc(2)
+        tel = SolverTelemetry(newton_solves=2)
+        tel.extras["backend_dense_lu"] = 1
+        record_telemetry(registry, tel)
+        assert SolverTelemetry.from_registry(registry) == tel
 
 
 class TestLuCacheTelemetryAndStaleness:

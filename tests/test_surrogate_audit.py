@@ -28,7 +28,6 @@ from repro.observability import metrics as obs_metrics
 from repro.observability import trace
 from repro.process import get_technology
 from repro.service import ResultStore, SsnService, arequest, surrogate_key
-from repro.spice.telemetry import disable_session_telemetry
 from repro.surrogate import SurrogateAuditor, SurrogateRegistry, fit_surrogate
 from repro.surrogate.audit import _key_fraction
 from repro.surrogate.registry import DEMOTIONS_METRIC
@@ -41,14 +40,12 @@ def registry():
     """Fresh per-test process state: metrics, memo, faults, events."""
     simulate_ssn_cache_clear()
     faults.clear_faults()
-    disable_session_telemetry()
     trace.disable_tracing()
     obs_events.disable_events()
     registry = obs_metrics.enable_metrics()
     yield registry
     simulate_ssn_cache_clear()
     faults.clear_faults()
-    disable_session_telemetry()
     trace.disable_tracing()
     obs_events.disable_events()
     obs_metrics.disable_metrics()
